@@ -1,17 +1,18 @@
 """Classification of matrices by apportionability.
 
-``classify`` dispatches a JordanSpec (any order) or raw entries (order <= 3)
-through the covered matrix classes, returning a verdict, a constant-set
-description, and a certificate builder tag.  Orders 2 and 3 are resolved
-completely up to the families that remain open; the admissible-eigenvalue
-region for order 2 can be sampled and rendered.
+``classify`` runs a JordanSpec (any order) or raw entries (order <= 3)
+through one ordered table of rules, one per covered matrix class, and returns
+the first rule's verdict, constant-set description and tag; the same rule
+builds the certificate on request.  Orders 2 and 3 are resolved completely
+up to the families that remain open; the admissible-eigenvalue region for
+order 2 can be sampled and rendered.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .constructors import (
     ApportionCertificate,
     CertTag,
     TemplateKind,
+    _coerce_spec,
     apportion_2x2,
     apportion_3x3_template,
     apportion_half_rank,
@@ -39,7 +41,6 @@ from .jordan import (
     block_permutation,
     build_jordan,
     eigenstructure_small,
-    input_ordered_spec,
 )
 from .reports import ClassificationReport, ConstantSet, Verdict
 
@@ -56,8 +57,8 @@ __all__ = [
 MatrixLike = Union[JordanSpec, np.ndarray, list]
 
 
-def _spec_bounds(spec: JordanSpec) -> float:
-    """max(trace bound, determinant bound), computed exactly from the blocks."""
+def spec_bounds(spec: JordanSpec) -> tuple[float, float]:
+    """(trace bound, determinant bound) of a Jordan matrix, exactly from its blocks."""
     n = spec.order
     tr = sum(lam * size for lam, size in spec.blocks)
     trace_bound = abs(tr) / n
@@ -66,7 +67,12 @@ def _spec_bounds(spec: JordanSpec) -> float:
     else:
         logdet = sum(size * math.log(abs(lam)) for lam, size in spec.blocks)
         det_bound = math.exp(logdet / n) / math.sqrt(n)
-    return max(trace_bound, det_bound)
+    return trace_bound, det_bound
+
+
+def _spec_bounds(spec: JordanSpec) -> float:
+    """max(trace bound, determinant bound): no constant lies below it."""
+    return max(spec_bounds(spec))
 
 
 def _coerce(input_matrix: MatrixLike) -> tuple[JordanSpec, bool]:
@@ -81,12 +87,63 @@ def _coerce(input_matrix: MatrixLike) -> tuple[JordanSpec, bool]:
     return result.spec, result.approximate
 
 
-def _scalar_eigenvalue(spec: JordanSpec) -> Optional[complex]:
-    """The eigenvalue when the blocks describe lam * I, else None."""
-    lams = {lam for lam, _ in spec.blocks}
-    if len(lams) == 1 and all(size == 1 for _, size in spec.blocks):
-        return next(iter(lams))
-    return None
+# ---------------------------------------------------------------------------
+# the rule table
+# ---------------------------------------------------------------------------
+
+Match = Optional[tuple[Verdict, ConstantSet]]
+Built = tuple[ApportionCertificate, JordanSpec]
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One matrix class of the case analysis.
+
+    ``match`` returns (verdict, constants) when the spec belongs to the class,
+    else None.  ``build`` returns a certificate at a member kappa of the
+    constants together with the block order it was built for; refuting and
+    open classes have no builder.  ``certify_on_classify`` attaches a
+    certificate at the default member to the classification report.
+    """
+
+    tag: str
+    match: Callable[[JordanSpec], Match]
+    build: Optional[Callable[[JordanSpec, float], Built]] = None
+    certify_on_classify: bool = False
+
+
+_REFUTED = (Verdict.NOT_APPORTIONABLE, ConstantSet.empty())
+
+
+def _unknown(spec: JordanSpec) -> Match:
+    return Verdict.UNKNOWN, ConstantSet.unknown(_spec_bounds(spec))
+
+
+def _identity_certificate(spec: JordanSpec, kappa: float, tag: CertTag) -> Built:
+    """For a matrix that is already uniform."""
+    n = spec.order
+    return ApportionCertificate(np.eye(n, dtype=complex), np.eye(n, dtype=complex),
+                                build_jordan(spec), kappa, tag), spec
+
+
+def _match_rank_one(spec: JordanSpec) -> Match:
+    if spec.rank != 1:
+        return None
+    lo = spec.spectral_radius / spec.order
+    return Verdict.APPORTIONABLE, ConstantSet.closed_half_line(lo, lower_bound=lo)
+
+
+def _build_rank_one(spec: JordanSpec, kappa: float) -> Built:
+    lam = next(lam for lam, _ in spec.blocks if lam != 0)
+    built = JordanSpec(((lam, 1),) + ((0j, 1),) * (spec.order - 1))
+    return apportion_rank_one(lam, spec.order, kappa), built
+
+
+def _match_half_rank(spec: JordanSpec) -> Match:
+    if 2 * spec.rank > spec.order:
+        return None
+    return Verdict.APPORTIONABLE, ConstantSet.open_half_line(
+        spec.spectral_radius / 2.0, exact=False, lower_bound=_spec_bounds(spec))
 
 
 def _perturb_shape(spec: JordanSpec) -> Optional[tuple[complex, complex, bool]]:
@@ -118,6 +175,155 @@ def _perturb_shape(spec: JordanSpec) -> Optional[tuple[complex, complex, bool]]:
     return None
 
 
+def _match_perturb(spec: JordanSpec) -> Match:
+    shape = _perturb_shape(spec)
+    if shape is None:
+        return None
+    mu, other, has_j2 = shape
+    constants = None if has_j2 else perturb_identity_constants(spec.order, other / mu)
+    if constants is None:
+        return _REFUTED
+    return Verdict.APPORTIONABLE, constants.scaled(abs(mu))
+
+
+def _build_perturb(spec: JordanSpec, kappa: float) -> Built:
+    n = spec.order
+    mu, other, _ = _perturb_shape(spec)
+    built = JordanSpec(((mu, 1),) * (n - 1) + ((other, 1),))
+    cert = apportion_perturb_identity(n, other / mu, target=kappa / abs(mu))
+    return scale_certificate(cert, mu, A=build_jordan(built)), built
+
+
+def _match_two_by_two(spec: JordanSpec) -> Match:
+    """Order 2 with distinct nonzero eigenvalues (every other order-2 spec
+    is caught by an earlier rule)."""
+    if spec.order != 2:
+        return None
+    constants = two_by_two_constants(spec.blocks[0][0], spec.blocks[1][0])
+    return _REFUTED if constants is None else (Verdict.APPORTIONABLE, constants)
+
+
+def _build_two_by_two(spec: JordanSpec, kappa: float) -> Built:
+    rep = apportion_2x2(spec.blocks[0][0], spec.blocks[1][0], target=kappa)
+    return rep.certificate, spec
+
+
+def _template_eigenvalue(spec: JordanSpec, sizes: tuple[int, int]) -> Optional[complex]:
+    """lam when the blocks are (lam, sizes[0]) and (0, sizes[1]) in either
+    order with lam != 0, else None."""
+    if len(spec.blocks) != 2:
+        return None
+    for (lam, s), (mu, t) in (spec.blocks, spec.blocks[::-1]):
+        if lam != 0 and mu == 0 and (s, t) == sizes:
+            return lam
+    return None
+
+
+def _match_template(spec: JordanSpec, sizes: tuple[int, int], divisor: float) -> Match:
+    lam = _template_eigenvalue(spec, sizes)
+    if lam is None:
+        return None
+    return Verdict.APPORTIONABLE, ConstantSet.finite(
+        [abs(lam) / divisor], exact=False, lower_bound=_spec_bounds(spec))
+
+
+def _build_template(spec: JordanSpec, kind: TemplateKind, sizes: tuple[int, int]) -> Built:
+    lam = _template_eigenvalue(spec, sizes)
+    built = JordanSpec(((lam, sizes[0]), (0j, sizes[1])))
+    return apportion_3x3_template(kind, lam), built
+
+
+def _pair_plus_zero(spec: JordanSpec) -> Optional[tuple[complex, complex]]:
+    """The two nonzero eigenvalues of diag(l1, l2, 0) in any order, else None."""
+    if spec.order != 3 or len(spec.blocks) != 3:
+        return None
+    nonzero = [lam for lam, _ in spec.blocks if lam != 0]
+    return tuple(nonzero) if len(nonzero) == 2 else None
+
+
+def _match_pad_zero(spec: JordanSpec) -> Match:
+    """diag(l1, l2, 0) whose pair is apportionable at order 2: padding keeps
+    its constants, but only one way, so the set is a subset claim."""
+    pair = _pair_plus_zero(spec)
+    base = None if pair is None else two_by_two_constants(*pair)
+    if base is None:
+        return None
+    return Verdict.APPORTIONABLE, ConstantSet(
+        shape=base.shape, lo=base.lo, values=base.values, exact=False,
+        lower_bound=min(base.lower_bound, _spec_bounds(spec)))
+
+
+def _build_pad_zero(spec: JordanSpec, kappa: float) -> Built:
+    l1, l2 = _pair_plus_zero(spec)
+    cert = apportion_2x2(l1, l2, target=kappa).certificate
+    return pad_by_zero(cert, A=np.diag([l1, l2])), JordanSpec(((l1, 1), (l2, 1), (0j, 1)))
+
+
+#: The case analysis, in order: the first rule that matches decides.
+RULES: tuple[Rule, ...] = (
+    Rule("zero-matrix",
+         lambda s: ((Verdict.APPORTIONABLE, ConstantSet.zero_only())
+                    if s.is_zero_matrix() else None),
+         lambda s, k: _identity_certificate(s, 0.0, CertTag.NILPOTENT)),
+    Rule("order-one",
+         lambda s: ((Verdict.APPORTIONABLE, ConstantSet.finite([abs(s.blocks[0][0])]))
+                    if s.order == 1 else None),
+         lambda s, k: _identity_certificate(s, abs(s.blocks[0][0]), CertTag.RANK_ONE)),
+    # lam * I, lam != 0
+    Rule("scalar-matrix",
+         lambda s: (_REFUTED if len(set(s.blocks)) == 1 and s.blocks[0][1] == 1
+                    and s.blocks[0][0] != 0 else None)),
+    Rule("nilpotent",
+         lambda s: ((Verdict.APPORTIONABLE, ConstantSet.open_half_line(0.0))
+                    if s.is_nilpotent() else None),
+         lambda s, k: (apportion_nilpotent(s, k), s)),
+    Rule("rank-one", _match_rank_one, _build_rank_one),
+    Rule("half-rank", _match_half_rank, lambda s, k: (apportion_half_rank(s, k), s)),
+    Rule("perturb-identity", _match_perturb, _build_perturb),
+    # a single 2x2 block with nonzero eigenvalue
+    Rule("repeated-eigenvalue",
+         lambda s: _REFUTED if s.order == 2 and len(s.blocks) == 1 else None),
+    Rule("two-by-two", _match_two_by_two, _build_two_by_two, certify_on_classify=True),
+    Rule("3x3-template-j2-plus-zero",
+         lambda s: _match_template(s, (2, 1), 1.0),
+         lambda s, k: _build_template(s, TemplateKind.LAMBDA_J2_PLUS_ZERO, (2, 1))),
+    Rule("3x3-template-plus-nilpotent",
+         lambda s: _match_template(s, (1, 2), math.sqrt(3.0)),
+         lambda s, k: _build_template(s, TemplateKind.LAMBDA_PLUS_N2, (1, 2))),
+    Rule("two-by-two-pad-zero", _match_pad_zero, _build_pad_zero),
+    # the pair fails at order 2, but padding could still help
+    Rule("two-by-two-pad-zero-inconclusive",
+         lambda s: None if _pair_plus_zero(s) is None else _unknown(s)),
+    # J3(lam), J2(lam) + [mu] and three distinct nonzero eigenvalues
+    Rule("open-3x3", lambda s: _unknown(s) if s.order == 3 else None),
+    Rule("order-not-covered", _unknown),
+)
+
+_RULES_BY_TAG = {rule.tag: rule for rule in RULES}
+
+
+def _permute_to(cert: ApportionCertificate, built_spec: JordanSpec,
+                target_spec: JordanSpec) -> ApportionCertificate:
+    """Map a certificate built for one block order onto the requested order."""
+    if built_spec.blocks == target_spec.blocks:
+        return cert
+    used = [False] * len(target_spec.blocks)
+    order = []
+    for blk in built_spec.blocks:
+        idx = next(i for i, b in enumerate(target_spec.blocks)
+                   if not used[i] and b == blk)
+        used[idx] = True
+        order.append(idx)
+    # reordering target by `order` reproduces built: J_built = Q J_target Q^T
+    _, Q = block_permutation(target_spec, order)
+    return reorder_certificate(cert, Q, A=build_jordan(target_spec))
+
+
+def _certify(rule: Rule, spec: JordanSpec, kappa: float) -> ApportionCertificate:
+    cert, built = rule.build(spec, kappa)
+    return _permute_to(cert, built, spec)
+
+
 def classify(input_matrix: MatrixLike) -> ClassificationReport:
     """Verdict, constant set, and certificate availability for a matrix.
 
@@ -127,120 +333,19 @@ def classify(input_matrix: MatrixLike) -> ClassificationReport:
     """
     spec, approximate = _coerce(input_matrix)
     report = _classify_spec(spec)
-    if approximate:
-        return ClassificationReport(
-            verdict=report.verdict,
-            constants=report.constants,
-            theorem_tag=report.theorem_tag,
-            certificate=report.certificate,
-            approximate_eigen=True,
-        )
-    return report
+    return replace(report, approximate_eigen=True) if approximate else report
 
 
 def _classify_spec(spec: JordanSpec) -> ClassificationReport:
-    n = spec.order
-
-    if spec.is_zero_matrix():
-        return ClassificationReport(Verdict.APPORTIONABLE, ConstantSet.zero_only(),
-                                    "zero-matrix")
-    if n == 1:
-        lam = spec.blocks[0][0]
-        return ClassificationReport(Verdict.APPORTIONABLE,
-                                    ConstantSet.finite([abs(lam)]), "order-one")
-    scalar = _scalar_eigenvalue(spec)
-    if scalar is not None and scalar != 0:
-        return ClassificationReport(Verdict.NOT_APPORTIONABLE, ConstantSet.empty(),
-                                    "scalar-matrix")
-    if spec.is_nilpotent():
-        return ClassificationReport(Verdict.APPORTIONABLE,
-                                    ConstantSet.open_half_line(0.0), "nilpotent")
-    rho = spec.spectral_radius
-    if spec.rank == 1:
-        return ClassificationReport(Verdict.APPORTIONABLE,
-                                    ConstantSet.closed_half_line(rho / n,
-                                                                lower_bound=rho / n),
-                                    "rank-one")
-    if 2 * spec.rank <= n:
-        return ClassificationReport(
-            Verdict.APPORTIONABLE,
-            ConstantSet.open_half_line(rho / 2.0, exact=False,
-                                       lower_bound=_spec_bounds(spec)),
-            "half-rank",
-        )
-    perturb = _perturb_shape(spec)
-    if perturb is not None:
-        mu, other, has_j2 = perturb
-        if has_j2:
-            return ClassificationReport(Verdict.NOT_APPORTIONABLE, ConstantSet.empty(),
-                                        "perturb-identity")
-        constants = perturb_identity_constants(n, other / mu)
-        if constants is None:
-            return ClassificationReport(Verdict.NOT_APPORTIONABLE, ConstantSet.empty(),
-                                        "perturb-identity")
-        return ClassificationReport(Verdict.APPORTIONABLE, constants.scaled(abs(mu)),
-                                    "perturb-identity")
-    if n == 2:
-        return _classify_2x2(spec)
-    if n == 3:
-        return _classify_3x3(spec)
-    return ClassificationReport(Verdict.UNKNOWN, ConstantSet.unknown(_spec_bounds(spec)),
-                                "order-not-covered")
-
-
-def _classify_2x2(spec: JordanSpec) -> ClassificationReport:
-    blocks = spec.blocks
-    if len(blocks) == 1:
-        # one 2x2 block with nonzero eigenvalue: repeated eigenvalue, unresolvable
-        return ClassificationReport(Verdict.NOT_APPORTIONABLE, ConstantSet.empty(),
-                                    "repeated-eigenvalue")
-    l1, l2 = blocks[0][0], blocks[1][0]
-    return apportion_2x2(l1, l2)
-
-
-def _classify_3x3(spec: JordanSpec) -> ClassificationReport:
-    by_size = sorted(spec.blocks, key=lambda b: -b[1])
-    sizes = tuple(size for _, size in by_size)
-    lams = tuple(lam for lam, _ in by_size)
-    bound = _spec_bounds(spec)
-
-    if sizes == (2, 1):
-        big, small = lams
-        if big != 0 and small == 0:
-            return ClassificationReport(
-                Verdict.APPORTIONABLE,
-                ConstantSet.finite([abs(big)], exact=False, lower_bound=bound),
-                "3x3-template-j2-plus-zero",
-            )
-        if big == 0 and small != 0:
-            return ClassificationReport(
-                Verdict.APPORTIONABLE,
-                ConstantSet.finite([abs(small) / math.sqrt(3.0)], exact=False,
-                                   lower_bound=bound),
-                "3x3-template-plus-nilpotent",
-            )
-        # distinct nonzero eigenvalues across a size-2 block: open family
-        return ClassificationReport(Verdict.UNKNOWN, ConstantSet.unknown(bound),
-                                    "open-3x3")
-    if sizes == (1, 1, 1):
-        nonzero = [lam for lam in lams if lam != 0]
-        if len(nonzero) == 2:
-            l1, l2 = nonzero
-            base = two_by_two_constants(l1, l2)
-            if base is not None:
-                constants = ConstantSet(shape=base.shape, lo=base.lo,
-                                        values=base.values, exact=False,
-                                        lower_bound=min(base.lower_bound, bound))
-                return ClassificationReport(Verdict.APPORTIONABLE, constants,
-                                            "two-by-two-pad-zero")
-            # padding preserves constants one way only: no verdict from failure
-            return ClassificationReport(Verdict.UNKNOWN, ConstantSet.unknown(bound),
-                                        "two-by-two-pad-zero-inconclusive")
-        # three distinct nonzero eigenvalues: open family
-        return ClassificationReport(Verdict.UNKNOWN, ConstantSet.unknown(bound),
-                                    "open-3x3")
-    # single 3x3 block with nonzero eigenvalue: open family
-    return ClassificationReport(Verdict.UNKNOWN, ConstantSet.unknown(bound), "open-3x3")
+    for rule in RULES:  # the last rule matches every spec
+        found = rule.match(spec)
+        if found is not None:
+            break
+    verdict, constants = found
+    cert = None
+    if rule.certify_on_classify and verdict is Verdict.APPORTIONABLE:
+        cert = _certify(rule, spec, constants.smallest_member())
+    return ClassificationReport(verdict, constants, rule.tag, cert)
 
 
 def constant_set(input_matrix: MatrixLike,
@@ -261,10 +366,7 @@ def request_certificate(input_matrix: MatrixLike, kappa: Optional[float] = None,
     built for the input matrix, in its own block order); conjugated raw input
     is refused since recovering a transforming basis for it is out of scope.
     """
-    if isinstance(input_matrix, JordanSpec):
-        spec = input_matrix
-    else:
-        spec = input_ordered_spec(input_matrix)
+    spec = _coerce_spec(input_matrix)
     report = report or _classify_spec(spec)
     if report.verdict is not Verdict.APPORTIONABLE:
         raise InvalidInputError(
@@ -281,97 +383,10 @@ def request_certificate(input_matrix: MatrixLike, kappa: Optional[float] = None,
             f"kappa = {kappa!r} is outside the certified part of {constants.describe()}",
             constants=constants,
         )
-    return _build_certificate(spec, report, kappa)
-
-
-def _build_certificate(spec: JordanSpec, report: ClassificationReport,
-                       kappa: float) -> ApportionCertificate:
-    tag = report.theorem_tag
-    n = spec.order
-    if tag == "zero-matrix":
-        A = build_jordan(spec)
-        return ApportionCertificate(np.eye(n, dtype=complex), np.eye(n, dtype=complex),
-                                    A, 0.0, CertTag.NILPOTENT)
-    if tag == "order-one":
-        A = build_jordan(spec)
-        return ApportionCertificate(np.eye(1, dtype=complex), np.eye(1, dtype=complex),
-                                    A, abs(spec.blocks[0][0]), CertTag.RANK_ONE)
-    if tag == "nilpotent":
-        return apportion_nilpotent(spec, kappa)
-    if tag == "rank-one":
-        lam = next(lam for lam, _ in spec.blocks if lam != 0)
-        cert = apportion_rank_one(lam, n, kappa)
-        return _align_rank_one(cert, spec, lam)
-    if tag == "half-rank":
-        return apportion_half_rank(spec, kappa)
-    if tag == "perturb-identity":
-        mu, other, _ = _perturb_shape(spec)
-        cert = apportion_perturb_identity(n, other / mu, target=kappa / abs(mu))
-        cert = scale_certificate(cert, mu, A=mu * _canonical_perturb_matrix(n, other / mu))
-        return _align_perturb(cert, spec, mu, other)
-    if tag == "two-by-two":
-        rep = apportion_2x2(spec.blocks[0][0], spec.blocks[1][0], target=kappa)
-        return rep.certificate
-    if tag == "two-by-two-pad-zero":
-        nz = [lam for lam, _ in spec.blocks if lam != 0]
-        rep = apportion_2x2(nz[0], nz[1], target=kappa)
-        cert = pad_by_zero(rep.certificate, A=np.diag([nz[0], nz[1]]))
-        return _align_diag(cert, spec, (nz[0], nz[1], 0j))
-    if tag == "3x3-template-j2-plus-zero":
-        lam = next(lam for lam, _ in spec.blocks if lam != 0)
-        cert = apportion_3x3_template(TemplateKind.LAMBDA_J2_PLUS_ZERO, lam)
-        return _align_template(cert, spec, TemplateKind.LAMBDA_J2_PLUS_ZERO, lam)
-    if tag == "3x3-template-plus-nilpotent":
-        lam = next(lam for lam, _ in spec.blocks if lam != 0)
-        cert = apportion_3x3_template(TemplateKind.LAMBDA_PLUS_N2, lam)
-        return _align_template(cert, spec, TemplateKind.LAMBDA_PLUS_N2, lam)
-    raise InvalidInputError(f"no constructive path for tag {tag!r}")
-
-
-def _permute_to(cert: ApportionCertificate, built_spec: JordanSpec,
-                target_spec: JordanSpec) -> ApportionCertificate:
-    """Map a certificate built for one block order onto the requested order."""
-    if built_spec.blocks == target_spec.blocks:
-        return cert
-    used = [False] * len(target_spec.blocks)
-    order = []
-    for blk in built_spec.blocks:
-        idx = next(i for i, b in enumerate(target_spec.blocks)
-                   if not used[i] and b == blk)
-        used[idx] = True
-        order.append(idx)
-    # reordering target by `order` reproduces built: J_built = Q J_target Q^T
-    _, Q = block_permutation(target_spec, order)
-    return reorder_certificate(cert, Q, A=build_jordan(target_spec))
-
-
-def _align_rank_one(cert, spec, lam):
-    built = JordanSpec(((lam, 1),) + ((0j, 1),) * (spec.order - 1))
-    return _permute_to(cert, built, spec)
-
-
-def _canonical_perturb_matrix(n, lam_tilde):
-    A = np.eye(n, dtype=complex)
-    A[n - 1, n - 1] = lam_tilde
-    return A
-
-
-def _align_perturb(cert, spec, mu, other):
-    built = JordanSpec(((mu, 1),) * (spec.order - 1) + ((other, 1),))
-    return _permute_to(cert, built, spec)
-
-
-def _align_diag(cert, spec, lams):
-    built = JordanSpec(tuple((lam, 1) for lam in lams))
-    return _permute_to(cert, built, spec)
-
-
-def _align_template(cert, spec, kind, lam):
-    if kind is TemplateKind.LAMBDA_J2_PLUS_ZERO:
-        built = JordanSpec(((lam, 2), (0j, 1)))
-    else:
-        built = JordanSpec(((lam, 1), (0j, 2)))
-    return _permute_to(cert, built, spec)
+    rule = _RULES_BY_TAG.get(report.theorem_tag)
+    if rule is None or rule.build is None:
+        raise InvalidInputError(f"no constructive path for tag {report.theorem_tag!r}")
+    return _certify(rule, spec, kappa)
 
 
 # ---------------------------------------------------------------------------

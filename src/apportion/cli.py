@@ -26,6 +26,7 @@ from .classifier import (
     region_to_csv,
     region_to_svg,
     request_certificate,
+    spec_bounds,
 )
 from .constructors import verify_certificate
 from .core import Tolerance, as_matrix, hadamard_lower_bound, is_uniform, similarity_image, trace_lower_bound
@@ -129,8 +130,13 @@ def _parse_matrix_document(doc: dict):
         M = as_matrix(rows, square=True, name="entries")
     except InvalidInputError as exc:
         raise _ParseFailure(str(exc)) from exc
-    if "order" in doc and int(doc["order"]) != M.shape[0]:
-        raise _ParseFailure("declared order does not match the entry array shape")
+    if "order" in doc:
+        try:
+            order = int(doc["order"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise _ParseFailure(f"'order' must be an integer: {exc}") from exc
+        if order != M.shape[0]:
+            raise _ParseFailure("declared order does not match the entry array shape")
     return M, None
 
 
@@ -144,11 +150,14 @@ def _doc_matrix(doc: dict) -> np.ndarray:
     return build_jordan(spec) if spec is not None else M
 
 
-def _bounds_json(A) -> dict:
-    return {
-        "trace_lower_bound": trace_lower_bound(A),
-        "hadamard_lower_bound": hadamard_lower_bound(A),
-    }
+def _bounds_json(M, spec) -> dict:
+    """Both lower bounds: from the block list for a Jordan document, from the
+    dense matrix for raw entries."""
+    if spec is not None:
+        trace_bound, det_bound = spec_bounds(spec)
+    else:
+        trace_bound, det_bound = trace_lower_bound(M), hadamard_lower_bound(M)
+    return {"trace_lower_bound": trace_bound, "hadamard_lower_bound": det_bound}
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +165,9 @@ def _bounds_json(A) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_classify(args) -> int:
-    doc = _read_document(args.matrix)
-    report = classify(_doc_input(doc))
-    out = report.to_json()
-    out["bounds"] = _bounds_json(_doc_matrix(doc))
+    M, spec = _parse_matrix_document(_read_document(args.matrix))
+    out = classify(spec if spec is not None else M).to_json()
+    out["bounds"] = _bounds_json(M, spec)
     _print_json(out)
     return EXIT_OK
 
@@ -197,9 +205,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    A = _doc_matrix(_read_document(args.matrix))
-    out = _bounds_json(A)
-    out["order"] = A.shape[0]
+    M, spec = _parse_matrix_document(_read_document(args.matrix))
+    out = _bounds_json(M, spec)
+    out["order"] = spec.order if spec is not None else M.shape[0]
     _print_json(out)
     return EXIT_OK
 

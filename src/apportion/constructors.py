@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import DEFAULT_TOL, INVERSE_PAIR_TOL, Tolerance, as_matrix, is_uniform
+from .core import DEFAULT_TOL, Tolerance, as_matrix, check_inverse, check_residual, is_uniform
 from .errors import (
     ConstantNotAchievableError,
     ConstructionError,
@@ -105,22 +105,13 @@ class ApportionCertificate:
         }
 
 
-def _residual_ok(B, M, A, tol: Tolerance) -> tuple[bool, float]:
-    res = float(np.abs(B @ M - M @ A).max())
-    n = M.shape[0]
-    scale = n * max(1.0, float(np.abs(M).max()) * max(float(np.abs(A).max()),
-                                                      float(np.abs(B).max())))
-    return res <= tol.rel * scale + tol.abs, res
-
-
 def _make_certificate(M, Minv, B, kappa, tag, A=None, tol: Tolerance = DEFAULT_TOL,
                       kappa_rtol=1e-9) -> ApportionCertificate:
     M = np.asarray(M, dtype=complex)
     Minv = np.asarray(Minv, dtype=complex)
     B = np.asarray(B, dtype=complex)
-    n = M.shape[0]
-    inv_err = float(np.abs(M @ Minv - np.eye(n)).max())
-    if inv_err > n * INVERSE_PAIR_TOL:
+    ok, inv_err = check_inverse(M, Minv)
+    if not ok:
         raise ConstructionError(f"inverse product check failed: {inv_err:.3e}")
     rep = is_uniform(B, tol)
     if not rep.is_uniform:
@@ -130,7 +121,7 @@ def _make_certificate(M, Minv, B, kappa, tag, A=None, tol: Tolerance = DEFAULT_T
             f"achieved modulus {rep.kappa!r} does not match requested {kappa!r}"
         )
     if A is not None:
-        ok, res = _residual_ok(B, M, np.asarray(A, dtype=complex), tol)
+        ok, res = check_residual(B, M, np.asarray(A, dtype=complex), tol)
         if not ok:
             raise ConstructionError(f"similarity residual too large: {res:.3e}")
     return ApportionCertificate(M=M, Minv=Minv, B=B, kappa=float(kappa), theorem_tag=tag)
@@ -168,16 +159,6 @@ def _coerce_spec(a) -> JordanSpec:
     if isinstance(a, JordanSpec):
         return a
     return input_ordered_spec(a)
-
-
-def _canonical_permutation(spec: JordanSpec):
-    def key(i):
-        lam, size = spec.blocks[i]
-        arg = cmath.phase(lam) % (2 * math.pi) if lam != 0 else 0.0
-        return (-abs(lam), -size, arg)
-
-    order = sorted(range(len(spec.blocks)), key=key)
-    return block_permutation(spec, order)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +204,21 @@ def pad_by_zero(cert: ApportionCertificate, A=None) -> ApportionCertificate:
         Ap = np.zeros((n + 1, n + 1), dtype=complex)
         Ap[:n, :n] = A
     return _make_certificate(Mp, Minvp, Bp, cert.kappa, CertTag.PAD_ZERO, Ap)
+
+
+def _peel_and_pad(spec: JordanSpec, peel: list[int], build_core, tag: CertTag
+                  ) -> ApportionCertificate:
+    """Build on the blocks outside ``peel`` (zero 1-blocks), then re-attach
+    each peeled block by zero padding and permute back to the input order."""
+    keep = [i for i in range(len(spec.blocks)) if i not in peel]
+    perm_spec, Q = block_permutation(spec, keep + peel)
+    core = JordanSpec(perm_spec.blocks[: len(keep)])
+    cert = build_core(core)
+    A_perm = build_jordan(perm_spec)
+    for n in range(core.order, spec.order):
+        cert = pad_by_zero(cert, A=A_perm[:n, :n])
+    cert = reorder_certificate(cert, Q, A=build_jordan(spec))
+    return ApportionCertificate(cert.M, cert.Minv, cert.B, cert.kappa, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +268,7 @@ def apportion_nilpotent(spec: JordanSpec, kappa: float) -> ApportionCertificate:
     preserved at each step), and the result is permuted back to the input
     block order.
     """
-    if not isinstance(spec, JordanSpec):
-        spec = _coerce_spec(spec)
+    spec = _coerce_spec(spec)
     if not spec.is_nilpotent():
         raise InvalidInputError("spectrum must be exactly zero")
     if not (isinstance(kappa, (int, float)) and kappa > 0):
@@ -284,19 +279,9 @@ def apportion_nilpotent(spec: JordanSpec, kappa: float) -> ApportionCertificate:
             "the zero matrix is already uniform and admits only kappa = 0",
             constants=ConstantSet.zero_only(),
         )
-    big = [i for i, (_, s) in enumerate(spec.blocks) if s >= 2]
     ones = [i for i, (_, s) in enumerate(spec.blocks) if s == 1]
-    perm_spec, Q = block_permutation(spec, big + ones)
-    core = JordanSpec(perm_spec.blocks[: len(big)])
-    cert = _nilpotent_core(core, kappa)
-    A_run = build_jordan(core)
-    for _ in ones:
-        cert = pad_by_zero(cert, A=A_run)
-        grown = np.zeros((A_run.shape[0] + 1, A_run.shape[0] + 1), dtype=complex)
-        grown[: A_run.shape[0], : A_run.shape[0]] = A_run
-        A_run = grown
-    cert = reorder_certificate(cert, Q, A=build_jordan(spec))
-    return ApportionCertificate(cert.M, cert.Minv, cert.B, cert.kappa, CertTag.NILPOTENT)
+    return _peel_and_pad(spec, ones, lambda core: _nilpotent_core(core, kappa),
+                         CertTag.NILPOTENT)
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +404,13 @@ def _half_rank_plan_sorted(spec: JordanSpec, kappa: float) -> HalfRankPlan:
 
 def half_rank_plan(spec: JordanSpec, kappa: float) -> HalfRankPlan:
     """Plan for the canonically sorted version of ``spec`` (rank = order/2)."""
-    sorted_spec, _ = _canonical_permutation(spec)
+    sorted_spec, _ = block_permutation(spec, spec.canonical_order())
     return _half_rank_plan_sorted(sorted_spec, float(kappa))
 
 
 def _half_rank_exact(spec: JordanSpec, kappa: float) -> ApportionCertificate:
     """Construction at rank exactly half the order (any block order)."""
-    sorted_spec, Q = _canonical_permutation(spec)
+    sorted_spec, Q = block_permutation(spec, spec.canonical_order())
     N = sorted_spec.order
     r = sorted_spec.rank
     plan = _half_rank_plan_sorted(sorted_spec, kappa)
@@ -486,19 +471,8 @@ def apportion_half_rank(A_or_spec: Union[JordanSpec, np.ndarray],
     zero_ones = [i for i, (lam, s) in enumerate(spec.blocks) if lam == 0 and s == 1]
     if len(zero_ones) < m:
         raise InvalidInputError("internal: not enough zero 1-blocks to peel")
-    peel = zero_ones[-m:]
-    keep = [i for i in range(len(spec.blocks)) if i not in peel]
-    perm_spec, Q = block_permutation(spec, keep + peel)
-    core = JordanSpec(perm_spec.blocks[: len(keep)])
-    cert = _half_rank_exact(core, kappa)
-    A_run = build_jordan(core)
-    for _ in range(m):
-        cert = pad_by_zero(cert, A=A_run)
-        grown = np.zeros((A_run.shape[0] + 1, A_run.shape[0] + 1), dtype=complex)
-        grown[: A_run.shape[0], : A_run.shape[0]] = A_run
-        A_run = grown
-    cert = reorder_certificate(cert, Q, A=build_jordan(spec))
-    return ApportionCertificate(cert.M, cert.Minv, cert.B, cert.kappa, CertTag.HALF_RANK)
+    return _peel_and_pad(spec, zero_ones[-m:], lambda core: _half_rank_exact(core, kappa),
+                         CertTag.HALF_RANK)
 
 
 def apportion_A_oplus_zeros(A_or_spec: Union[JordanSpec, np.ndarray],
@@ -538,9 +512,10 @@ def _phase_sum(n: int, theta: float) -> complex:
 def spiral_sum(n: int, r: float) -> SpiralSolution:
     """Find theta_1..theta_n with r * sum exp(i theta_j) = 1 for r >= 1/n.
 
-    The modulus f(theta) = |sum_j exp(i j theta)| falls from n at 0 to 0 at
-    2 pi / n; the first crossing of 1/r is bracketed by a scan and pinned by
-    bisection, then all angles are rotated so the sum lands on the real axis.
+    The modulus f(theta) = |sum_j exp(i j theta)| = |sin(n theta/2) / sin(theta/2)|
+    falls monotonically from n at 0 to 0 at 2 pi / n; its crossing of 1/r is
+    pinned by bisection on that interval, then all angles are rotated so the
+    sum lands on the real axis.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise InvalidInputError("n must be an integer >= 2")
@@ -550,22 +525,17 @@ def spiral_sum(n: int, r: float) -> SpiralSolution:
             f"r = {r!r} is infeasible: the sum of {n} unit phasors cannot reach 1/r"
         )
     y = 1.0 / r
-    upper = 2.0 * math.pi / n
 
     def g(theta: float) -> float:
-        return abs(_phase_sum(n, theta)) - y
+        if theta == 0.0:
+            return n - y
+        return abs(math.sin(n * theta / 2.0) / math.sin(theta / 2.0)) - y
 
     if g(0.0) <= 0.0:
         rho = 0.0
     else:
-        scan = 1024
-        lo_t, hi_t = 0.0, upper
-        for k in range(1, scan + 1):
-            t = upper * k / scan
-            if g(t) <= 0.0:
-                lo_t, hi_t = upper * (k - 1) / scan, t
-                break
-        for _ in range(200):
+        lo_t, hi_t = 0.0, 2.0 * math.pi / n
+        while True:
             mid = 0.5 * (lo_t + hi_t)
             if mid == lo_t or mid == hi_t:
                 break

@@ -10,11 +10,9 @@ pure function of its inputs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import InvalidInputError, SingularMatrixError
 
@@ -26,6 +24,8 @@ __all__ = [
     "is_uniform",
     "similarity_image",
     "similarity_residual",
+    "check_inverse",
+    "check_residual",
     "reciprocal_condition",
     "trace_lower_bound",
     "hadamard_lower_bound",
@@ -98,19 +98,27 @@ def is_uniform(B, tol: Tolerance = DEFAULT_TOL) -> UniformityReport:
 
 
 def reciprocal_condition(M) -> float:
-    """LAPACK 1-norm reciprocal condition estimate from an LU factorization."""
+    """Exact 1-norm reciprocal condition number 1 / (||M||_1 ||M^-1||_1).
+
+    Returns 0.0 for a singular M.
+    """
     M = as_matrix(M, square=True, name="M")
-    anorm = float(np.linalg.norm(M, 1))
-    if anorm == 0.0:
+    try:
+        Minv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
         return 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on exactly singular input
-        lu, _ = lu_factor(M)
-    gecon = get_lapack_funcs("gecon", (lu,))
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0:
-        raise SingularMatrixError("condition estimation failed", rcond=0.0)
-    return float(rcond)
+    rcond = 1.0 / float(np.linalg.norm(M, 1) * np.linalg.norm(Minv, 1))
+    return rcond if math.isfinite(rcond) else 0.0
+
+
+def check_inverse(M, Minv) -> tuple[bool, float]:
+    """Whether Minv inverts M: max|M Minv - I| within the order-scaled tolerance.
+
+    Returns (passed, error).  A non-finite error never passes.
+    """
+    n = M.shape[0]
+    err = float(np.abs(M @ Minv - np.eye(n)).max())
+    return err <= n * INVERSE_PAIR_TOL, err
 
 
 def similarity_residual(B, M, A) -> float:
@@ -118,30 +126,34 @@ def similarity_residual(B, M, A) -> float:
     return float(np.abs(B @ M - M @ A).max())
 
 
-def _residual_scale(B, M, A) -> float:
-    n = M.shape[0]
+def check_residual(B, M, A, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
+    """Whether B = M A M^-1 holds to ``tol``, scaled by the order and entry sizes.
+
+    Returns (passed, residual).  A non-finite residual never passes.
+    """
+    res = similarity_residual(B, M, A)
     mmax = float(np.abs(M).max())
-    return n * max(1.0, mmax * max(float(np.abs(A).max()), float(np.abs(B).max())))
+    scale = M.shape[0] * max(1.0, mmax * max(float(np.abs(A).max()), float(np.abs(B).max())))
+    return res <= tol.rel * scale + tol.abs, res
 
 
 def similarity_image(M, A, Minv=None, tol: Tolerance = DEFAULT_TOL):
-    """Compute B = M A M^-1 by a factorized linear solve.
+    """Compute B = M A M^-1 by a linear solve.
 
     The inverse is never formed unless the caller supplies ``Minv``, in which
     case it is trusted after a product check.  Without ``Minv`` the matrix M
-    must have a reciprocal condition estimate above ``RCOND_THRESHOLD``.
+    must have a reciprocal condition number above ``RCOND_THRESHOLD``.
     """
     M = as_matrix(M, square=True, name="M")
     A = as_matrix(A, square=True, name="A")
     if M.shape != A.shape:
         raise InvalidInputError(f"order mismatch: M is {M.shape}, A is {A.shape}")
-    n = M.shape[0]
     if Minv is not None:
         Minv = as_matrix(Minv, square=True, name="Minv")
         if Minv.shape != M.shape:
             raise InvalidInputError("Minv order mismatch")
-        err = float(np.abs(M @ Minv - np.eye(n)).max())
-        if err > n * INVERSE_PAIR_TOL:
+        ok, err = check_inverse(M, Minv)
+        if not ok:
             raise SingularMatrixError(
                 f"supplied inverse fails the product check: max|M Minv - I| = {err:.3e}"
             )
@@ -152,13 +164,10 @@ def similarity_image(M, A, Minv=None, tol: Tolerance = DEFAULT_TOL):
             raise SingularMatrixError(
                 f"M is singular or near-singular (rcond = {rcond:.3e})", rcond=rcond
             )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lu_piv = lu_factor(M)
         # solve B M = M A for B, i.e. M^T B^T = (M A)^T
-        B = lu_solve(lu_piv, (M @ A).T, trans=1).T
-    res = similarity_residual(B, M, A)
-    if res > tol.rel * _residual_scale(B, M, A) + tol.abs:
+        B = np.linalg.solve(M.T, (M @ A).T).T
+    ok, res = check_residual(B, M, A, tol)
+    if not ok:
         raise SingularMatrixError(f"similarity residual too large: {res:.3e}")
     return B
 
@@ -173,12 +182,7 @@ def trace_lower_bound(A) -> float:
 def hadamard_lower_bound(A) -> float:
     """n^(-1/2) |det(A)|^(1/n), computed in log space; 0 for singular A."""
     A = as_matrix(A, square=True, name="A")
-    n = A.shape[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, _ = lu_factor(A)
-    diag = np.abs(np.diag(lu))
-    if np.any(diag == 0.0):
+    sign, logdet = np.linalg.slogdet(A)
+    if sign == 0:
         return 0.0
-    logdet = float(np.sum(np.log(diag)))
-    return math.exp(logdet / n) / math.sqrt(n)
+    return math.exp(float(logdet) / A.shape[0]) / math.sqrt(A.shape[0])

@@ -9,9 +9,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
 
-from .core import INVERSE_PAIR_TOL, as_matrix
+from .core import INVERSE_PAIR_TOL, as_matrix, check_inverse
 from .errors import InvalidInputError, SingularMatrixError, UnsupportedOrderError
 
 __all__ = [
@@ -87,14 +86,19 @@ class JordanSpec:
     def is_zero_matrix(self) -> bool:
         return all(lam == 0 and size == 1 for lam, size in self.blocks)
 
-    def canonical(self) -> "JordanSpec":
-        """Blocks sorted by descending |eigenvalue|, descending size, ascending arg."""
-        def key(block):
-            lam, size = block
+    def canonical_order(self) -> list[int]:
+        """Block indices sorted by descending |eigenvalue|, descending size,
+        ascending arg (stable among equal blocks)."""
+        def key(i):
+            lam, size = self.blocks[i]
             arg = cmath.phase(lam) % (2 * math.pi) if lam != 0 else 0.0
             return (-abs(lam), -size, arg)
 
-        return JordanSpec(tuple(sorted(self.blocks, key=key)))
+        return sorted(range(len(self.blocks)), key=key)
+
+    def canonical(self) -> "JordanSpec":
+        """Blocks in ``canonical_order``."""
+        return JordanSpec(tuple(self.blocks[i] for i in self.canonical_order()))
 
     def scaled(self, factor: complex) -> "JordanSpec":
         return JordanSpec(tuple((lam * factor, size) for lam, size in self.blocks))
@@ -125,9 +129,8 @@ class InversePair:
     Minv: np.ndarray
 
     def __post_init__(self):
-        n = self.M.shape[0]
-        err = float(np.abs(self.M @ self.Minv - np.eye(n)).max())
-        if err > n * INVERSE_PAIR_TOL:
+        ok, err = check_inverse(self.M, self.Minv)
+        if not ok:
             raise SingularMatrixError(f"inverse pair product check failed: {err:.3e}")
 
 
@@ -216,11 +219,10 @@ def scale_jordan(spec: JordanSpec, lam: complex) -> tuple[JordanSpec, np.ndarray
 def complete_inverse_pair(U, V) -> InversePair:
     """Extend U (n x m) and V (m x n) with V U = I_m to a full inverse pair.
 
-    The appended columns U' form an orthonormal basis of the orthogonal
-    complement of the row space of V (equivalently, of null(V)), obtained from
-    a column-pivoted QR of the projector onto that complement; the appended
-    rows V' are the matching rows of the inverse, so that
-    ``[V; V'] [U | U'] = I`` exactly as block identities.
+    The appended columns U' form an orthonormal basis of null(V), read off the
+    trailing right singular vectors of V; the appended rows V' are the matching
+    rows of the inverse, so that ``[V; V'] [U | U'] = I`` exactly as block
+    identities.
     """
     U = as_matrix(U, name="U")
     V = as_matrix(V, name="V")
@@ -232,18 +234,12 @@ def complete_inverse_pair(U, V) -> InversePair:
     err = float(np.abs(V @ U - np.eye(m)).max())
     if err > INVERSE_PAIR_TOL:
         raise InvalidInputError(f"precondition V U = I violated: max deviation {err:.3e}")
-    gram = V @ V.conj().T
-    rc = 0.0
-    try:
-        gram_inv = np.linalg.inv(gram)
-        rc = 1.0 / max(np.linalg.cond(gram), 1.0)
-    except np.linalg.LinAlgError:
-        gram_inv = None
-    if gram_inv is None or rc < 1e-13:
+    _, sv, Vh = np.linalg.svd(V)
+    # reciprocal condition of the Gram matrix V V^H
+    rc = (sv[-1] / sv[0]) ** 2 if sv[0] > 0 else 0.0
+    if rc < 1e-13:
         raise SingularMatrixError("V is rank deficient; completion impossible", rcond=rc)
-    proj = np.eye(n) - V.conj().T @ gram_inv @ V
-    Qfull, _, _ = qr(proj, pivoting=True)
-    Uprime = Qfull[:, : n - m]
+    Uprime = Vh[m:].conj().T
     M = np.hstack([U, Uprime])
     # V' = [O | I] M^-1: the bottom rows of the inverse
     bottom = np.linalg.solve(M.T, np.eye(n, dtype=complex)[:, m:]).T

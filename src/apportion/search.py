@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .classifier import classify, request_certificate
-from .constructors import ApportionCertificate, CertTag
+from .classifier import _coerce, classify, request_certificate
+from .constructors import ApportionCertificate, CertTag, _make_certificate
 from .core import RCOND_THRESHOLD, Tolerance, as_matrix, is_uniform, reciprocal_condition
 from .errors import ConstructionError, InvalidInputError, SearchBudgetError
 from .jordan import JordanSpec, build_jordan
@@ -97,6 +97,13 @@ class SearchOutcome:
         return out
 
 
+def _to_matrix(x: np.ndarray, n: int) -> np.ndarray:
+    """M from parameters holding Re(M) then Im(M) flattened; batched over leading axes."""
+    n2 = n * n
+    shape = x.shape[:-1] + (n, n)
+    return x[..., :n2].reshape(shape) + 1j * x[..., n2:].reshape(shape)
+
+
 def _det_inv_batch(M: np.ndarray):
     """Batched determinant and inverse; closed adjugate form at order 2."""
     if M.shape[1] == 2:
@@ -134,7 +141,7 @@ def _objective_batch(X: np.ndarray, A: np.ndarray, barrier: float):
     norms = np.sqrt(np.einsum("ri,ri->r", X, X))
     norms = np.where(norms == 0.0, 1.0, norms)
     Xn = X / norms[:, None]
-    M = Xn[:, :n2].reshape(R, n, n) + 1j * Xn[:, n2:].reshape(R, n, n)
+    M = _to_matrix(Xn, n)
     det, Minv = _det_inv_batch(M)
     bad = ~np.isfinite(det) | (np.abs(det) < 1e-280)
     if bad.any():
@@ -298,10 +305,8 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
 
 
 def _normalized_image(x: np.ndarray, A: np.ndarray):
-    n = A.shape[0]
-    n2 = n * n
     xn = x / np.linalg.norm(x)
-    M = xn[:n2].reshape(n, n) + 1j * xn[n2:].reshape(n, n)
+    M = _to_matrix(xn, A.shape[0])
     Minv = np.linalg.inv(M)
     return xn, M, Minv, M @ A @ Minv
 
@@ -366,20 +371,17 @@ def _uniformity_refine(x: np.ndarray, A: np.ndarray, steps: int):
 
 def _certify_search_point(x: np.ndarray, A: np.ndarray,
                           cfg: SearchConfig) -> Optional[ApportionCertificate]:
-    n = A.shape[0]
-    n2 = n * n
-    xn = x / np.linalg.norm(x)
-    M = xn[:n2].reshape(n, n) + 1j * xn[n2:].reshape(n, n)
+    M = _to_matrix(x / np.linalg.norm(x), A.shape[0])
     if reciprocal_condition(M) < RCOND_THRESHOLD:
         return None
     Minv = np.linalg.inv(M)
     B = M @ A @ Minv
-    tol = Tolerance(rel=cfg.defect_target, abs=cfg.defect_target)
+    # the absolute floor scales with A, since K(cA) = |c| K(A)
+    tol = Tolerance(rel=cfg.defect_target,
+                    abs=cfg.defect_target * float(np.abs(A).max()))
     rep = is_uniform(B, tol)
     if not rep.is_uniform:
         return None
-    from .constructors import _make_certificate
-
     try:
         return _make_certificate(M, Minv, B, rep.kappa, CertTag.SEARCH, A, tol=tol,
                                  kappa_rtol=1e-6)
@@ -407,17 +409,6 @@ class SigmaReport:
         }
 
 
-def _coerce_sigma_spec(A_or_spec) -> JordanSpec:
-    if isinstance(A_or_spec, JordanSpec):
-        return A_or_spec
-    M = as_matrix(A_or_spec, square=True, name="A")
-    if M.shape[0] > 3:
-        raise InvalidInputError("raw-entry input above order 3 needs a JordanSpec")
-    from .jordan import eigenstructure_small
-
-    return eigenstructure_small(M).spec
-
-
 def sigma_estimate(A_or_spec, m_max: int,
                    cfg: SearchConfig = SearchConfig()) -> SigmaReport:
     """Estimate the least m with A + O_m apportionable, for m = 0 .. m_max.
@@ -426,7 +417,7 @@ def sigma_estimate(A_or_spec, m_max: int,
     any search); the numerical search runs only on Unknown cases.  The
     reported value is an upper bound: search misses never prove anything.
     """
-    spec = _coerce_sigma_spec(A_or_spec)
+    spec, _ = _coerce(A_or_spec)
     n, r = spec.order, spec.rank
     if n + m_max > MAX_SEARCH_ORDER:
         raise SearchBudgetError(

@@ -6,6 +6,7 @@ import pytest
 from apportion import (
     ConstantNotAchievableError,
     ConstantSet,
+    ConstructionError,
     InvalidInputError,
     JordanSpec,
     SetShape,
@@ -242,6 +243,11 @@ class TestCertificateConsistency:
     def test_not_apportionable_refused(self):
         with pytest.raises(InvalidInputError):
             request_certificate(diag_spec(1, 1))
+
+    def test_non_finite_certificate_refused(self):
+        # the geometric rescaling underflows: Minv would come out all NaN
+        with pytest.raises(ConstructionError):
+            request_certificate(JordanSpec(((0j, 3), (0j, 2))), kappa=1e300)
 
     def test_default_member(self):
         cert = request_certificate(JordanSpec(((0j, 2),)))

@@ -58,6 +58,16 @@ class TestClassify:
         code, _ = run(capsys, ["classify", path])
         assert code == 2
 
+    @pytest.mark.parametrize("order", ["x", None, [2]])
+    def test_non_integer_order(self, tmp_path, capsys, order):
+        doc = {**entries_doc(np.diag([1.0, 2.0])), "order": order}
+        path = write_doc(tmp_path, "m.json", doc)
+        code = main(["classify", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_raw_order_four_unsupported(self, tmp_path, capsys):
         path = write_doc(tmp_path, "m.json", entries_doc(np.eye(4)))
         code, _ = run(capsys, ["classify", path])
@@ -90,6 +100,12 @@ class TestApportion:
         path = write_doc(tmp_path, "m.json", entries_doc(np.diag([2.0, 0.0])))
         code, _ = run(capsys, ["apportion", path, "--kappa", "0.9"])
         assert code == 6
+
+    def test_non_finite_certificate_refused(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "m.json", jordan_doc([(0j, 3), (0j, 2)]))
+        code, out = run(capsys, ["apportion", path, "--kappa", "1e300"])
+        assert code == 3
+        assert out == ""
 
     def test_round_trip_verify(self, tmp_path, capsys):
         path = write_doc(tmp_path, "m.json", entries_doc(np.diag([2.0, 0.0])))

@@ -273,6 +273,19 @@ class TestSpiralSum:
         with pytest.raises(InvalidInputError):
             spiral_sum(4, 0.2)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 16])
+    def test_matches_direct_sum_bisection(self, n):
+        # reference: bisection on the modulus of the summed phasors themselves
+        def modulus(theta):
+            return abs(sum(cmath.exp(1j * j * theta) for j in range(1, n + 1)))
+
+        for r in np.linspace(1.0 / n + 1e-3, 3.0, 12):
+            lo, hi = 0.0, 2 * math.pi / n
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if modulus(mid) <= 1.0 / r else (mid, hi)
+            assert spiral_sum(n, r).rho == pytest.approx(hi, abs=1e-12)
+
 
 class TestRankOne:
     def test_boundary_two(self):

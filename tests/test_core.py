@@ -1,4 +1,7 @@
 import cmath
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from apportion import (
     Tolerance,
     hadamard_lower_bound,
     is_uniform,
+    reciprocal_condition,
     similarity_image,
     trace_lower_bound,
 )
@@ -115,6 +119,29 @@ class TestSimilarityImage:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             similarity_image(np.eye(2), np.eye(3))
+
+
+class TestReciprocalCondition:
+    def test_exact_one_norm_value(self):
+        assert reciprocal_condition(np.diag([1.0, 1e-3])) == pytest.approx(1e-3, rel=1e-14)
+        M = np.array([[1.0, 2.0], [3.0, 4.0]])
+        expected = 1.0 / (np.linalg.norm(M, 1) * np.linalg.norm(np.linalg.inv(M), 1))
+        assert reciprocal_condition(M) == pytest.approx(expected, rel=1e-14)
+
+    def test_singular_is_zero(self):
+        assert reciprocal_condition(np.array([[1.0, 2.0], [2.0, 4.0]])) == 0.0
+        assert reciprocal_condition(np.zeros((3, 3))) == 0.0
+
+
+def test_import_loads_numpy_only():
+    import apportion
+
+    src = os.path.dirname(os.path.dirname(apportion.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import sys, apportion; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "False"
 
 
 class TestBounds:

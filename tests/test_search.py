@@ -47,6 +47,15 @@ class TestFindApportioning:
         floor = max(trace_lower_bound(A), hadamard_lower_bound(A))
         assert out.certificate.kappa >= floor - 1e-6
 
+    def test_tiny_not_apportionable_not_found(self):
+        # K(cA) = |c| K(A): the acceptance tolerance must scale with A
+        out = find_apportioning(np.diag([1e-9, 2e-9]).astype(complex))
+        assert not out.found
+
+    def test_tiny_opposite_pair_found(self):
+        out = find_apportioning(np.diag([1e-9, -1e-9]).astype(complex))
+        assert out.found
+
     def test_determinism(self):
         A = np.diag([1.0, 2.0]).astype(complex)
         out1 = find_apportioning(A, FAST)
