@@ -35,7 +35,8 @@ from .constructors import (
     two_by_two_constants,
 )
 from .core import as_matrix
-from .errors import ConstantNotAchievableError, InvalidInputError, UnsupportedOrderError
+from .errors import (ConstantNotAchievableError, ConstructionError, InvalidInputError,
+                     UnsupportedOrderError)
 from .jordan import (
     JordanSpec,
     block_permutation,
@@ -320,7 +321,14 @@ def _permute_to(cert: ApportionCertificate, built_spec: JordanSpec,
 
 
 def _certify(rule: Rule, spec: JordanSpec, kappa: float) -> ApportionCertificate:
-    cert, built = rule.build(spec, kappa)
+    # at an extreme kappa the construction overflows or goes singular; that is
+    # a failed construction, reported as such rather than as NaNs and warnings
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            cert, built = rule.build(spec, kappa)
+    except (FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
+        raise ConstructionError(f"construction fails in floating point at kappa = {kappa!r}: "
+                                f"{exc}") from exc
     return _permute_to(cert, built, spec)
 
 
@@ -395,6 +403,8 @@ def request_certificate(input_matrix: MatrixLike, kappa: Optional[float] = None,
 
 #: grid points closer than this to 0 or to lambda1 are skipped as degenerate
 DEGENERATE_ATOL = 1e-9
+#: points per axis of the region grid, at most (about a million samples)
+MAX_REGION_RESOLUTION = 1001
 
 
 @dataclass(frozen=True)
@@ -419,8 +429,10 @@ def admissible_region(lambda1: complex,
     lambda1 = complex(lambda1)
     if lambda1 == 0:
         raise InvalidInputError("lambda1 must be nonzero")
-    if not (isinstance(resolution, (int, np.integer)) and resolution >= 2):
-        raise InvalidInputError("resolution must be an integer >= 2")
+    if not (isinstance(resolution, (int, np.integer))
+            and 2 <= resolution <= MAX_REGION_RESOLUTION):
+        raise InvalidInputError(
+            f"resolution must be an integer in [2, {MAX_REGION_RESOLUTION}]")
     (re_min, re_max), (im_min, im_max) = box
     if not (re_min < re_max and im_min < im_max):
         raise InvalidInputError("box must have positive extent on both axes")

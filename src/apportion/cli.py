@@ -133,6 +133,8 @@ def _parse_matrix_document(doc: dict):
     if "order" in doc:
         try:
             order = int(doc["order"])
+            if isinstance(doc["order"], float) and order != doc["order"]:
+                raise ValueError(f"{doc['order']!r} is fractional")
         except (TypeError, ValueError, OverflowError) as exc:
             raise _ParseFailure(f"'order' must be an integer: {exc}") from exc
         if order != M.shape[0]:

@@ -8,6 +8,7 @@ containment one way is established), or unknown-with-lower-bound.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,8 +112,9 @@ class ConstantSet:
 
         Inexact sets answer True on the certified subset and None outside it,
         except below the unconditional lower bound, where the answer is False.
+        A non-finite kappa is never a member.
         """
-        if kappa < 0:
+        if not math.isfinite(kappa) or kappa < 0:
             return False
         if self.shape is SetShape.EMPTY:
             return False

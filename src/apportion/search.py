@@ -7,7 +7,8 @@ backtracking line search runs all restarts side by side on a batch axis; the
 best candidates are then confirmed by Gauss-Newton refinement of the
 uniformity residuals, re-measured with the true modulus spread, and
 re-verified through the core checks, so the search can only err toward
-"not found".
+"not found".  ``SearchConfig`` holds the four settings, ``restarts``,
+``max_iters``, ``seed`` and ``defect_target``; the other constants are fixed below.
 """
 
 from __future__ import annotations
@@ -35,29 +36,33 @@ __all__ = [
 ]
 
 MAX_SEARCH_ORDER = 16
+#: ceiling on the restarts x (2n^2)^2 BFGS inverse-Hessian stack, in bytes
+MAX_HESSIAN_BYTES = 256 * 2**20
+
+BARRIER_WEIGHT = 1e-6     # log-barrier weight on |det M|
+ARMIJO_C = 1e-4           # sufficient-decrease constant of the line search
+BACKTRACK_FACTOR = 0.5    # step shrink per backtrack ...
+MAX_BACKTRACKS = 40       # ... up to this many times
+GTOL = 1e-8               # a restart stops once max|gradient| is this small ...
+STALL_ITERS = 5           # ... or after this many steps in a row that improve
+STALL_RTOL = 1e-10        # the objective by at most this relative amount
+CANDIDATE_WINDOW = 1e4    # restarts within this multiple of the target ...
+CANDIDATES = 4            # ... are confirmed, at most this many, best first
+CONFIRM_FACTOR = 3e-2     # confirmation must refine to this fraction of the target
+CONFIRM_STEPS = 6         # Gauss-Newton steps of the confirmation
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search budget and optimizer hyperparameters; equal configs and inputs
-    give identical outcomes."""
+    """Search budget: ``restarts`` starting points run for at most
+    ``max_iters`` BFGS iterations from points drawn with ``seed``, aiming at a
+    modulus spread of ``defect_target``.  Equal configs and inputs give
+    identical outcomes."""
 
     restarts: int = 32
     max_iters: int = 2000
     seed: int = 0
     defect_target: float = 1e-8
-    barrier_weight: float = 1e-6
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 40
-    gtol: float = 1e-8
-    stall_iters: int = 5
-    stall_rtol: float = 1e-10
-    init_scale: float = 1.0
-    candidate_window: float = 1e4
-    candidates: int = 4
-    confirm_factor: float = 3e-2
-    confirm_steps: int = 6
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
@@ -105,30 +110,28 @@ def _to_matrix(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _det_inv_batch(M: np.ndarray):
-    """Batched determinant and inverse; closed adjugate form at order 2."""
-    if M.shape[1] == 2:
-        a, b = M[:, 0, 0], M[:, 0, 1]
-        c, d = M[:, 1, 0], M[:, 1, 1]
-        det = a * d - b * c
-        safe = np.where(det == 0, 1.0, det)
-        Minv = np.empty_like(M)
-        Minv[:, 0, 0] = d
-        Minv[:, 0, 1] = -b
-        Minv[:, 1, 0] = -c
-        Minv[:, 1, 1] = a
-        Minv /= safe[:, None, None]
-        return det, Minv
-    det = np.linalg.det(M)
+    """Batched determinant, inverse and singular-row flag (adjugate form at order 2).
+
+    Flagged rows get determinant 1 and inverse I, so callers evaluate them harmlessly."""
+    n = M.shape[1]
+    det = np.linalg.det(M) if n != 2 else M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
     bad = ~np.isfinite(det) | (np.abs(det) < 1e-280)
     if bad.any():
+        det = np.where(bad, 1.0, det)
         M = M.copy()
-        M[bad] = np.eye(M.shape[1])
-        det = det.copy()
-        det[bad] = np.nan
-    return det, np.linalg.inv(M)
+        M[bad] = np.eye(n)
+    if n != 2:
+        return det, np.linalg.inv(M), bad
+    Minv = np.empty_like(M)
+    Minv[:, 0, 0] = M[:, 1, 1]
+    Minv[:, 0, 1] = -M[:, 0, 1]
+    Minv[:, 1, 0] = -M[:, 1, 0]
+    Minv[:, 1, 1] = M[:, 0, 0]
+    Minv /= det[:, None, None]
+    return det, Minv, bad
 
 
-def _objective_batch(X: np.ndarray, A: np.ndarray, barrier: float):
+def _objective_batch(X: np.ndarray, A: np.ndarray):
     """Value, gradient, and modulus spread of the defect objective, batched.
 
     X has one restart per row; each row holds Re(M) then Im(M) flattened and
@@ -142,21 +145,16 @@ def _objective_batch(X: np.ndarray, A: np.ndarray, barrier: float):
     norms = np.where(norms == 0.0, 1.0, norms)
     Xn = X / norms[:, None]
     M = _to_matrix(Xn, n)
-    det, Minv = _det_inv_batch(M)
-    bad = ~np.isfinite(det) | (np.abs(det) < 1e-280)
-    if bad.any():
-        det = np.where(bad, 1.0, det)
-        Minv = Minv.copy()
-        Minv[bad] = np.eye(n)
+    det, Minv, bad = _det_inv_batch(M)
     B = M @ A @ Minv
     absB2 = B.real**2 + B.imag**2
     v = absB2.reshape(R, n2)
     dev = v - v.mean(axis=1)[:, None]
-    f = (dev**2).mean(axis=1) - 2.0 * barrier * np.log(np.abs(det))
+    f = (dev**2).mean(axis=1) - 2.0 * BARRIER_WEIGHT * np.log(np.abs(det))
     W = dev.reshape(R, n, n) * B.conj()
     T = Minv @ np.swapaxes(W, 1, 2)
     K = A @ T - T @ B
-    gM = (4.0 / n2) * np.swapaxes(K, 1, 2) - 2.0 * barrier * np.swapaxes(Minv, 1, 2)
+    gM = (4.0 / n2) * np.swapaxes(K, 1, 2) - 2.0 * BARRIER_WEIGHT * np.swapaxes(Minv, 1, 2)
     g = np.concatenate([gM.real.reshape(R, n2), -gM.imag.reshape(R, n2)], axis=1)
     # chain rule through the unit-norm projection of X
     g = (g - np.einsum("ri,ri->r", g, Xn)[:, None] * Xn) / norms[:, None]
@@ -169,22 +167,19 @@ def _objective_batch(X: np.ndarray, A: np.ndarray, barrier: float):
     return f, g, spread
 
 
-def defect_objective(x: np.ndarray, A, cfg: SearchConfig = SearchConfig()):
+def defect_objective(x: np.ndarray, A):
     """Single-point objective value and analytic gradient (for gradient checks)."""
     A = as_matrix(A, square=True, name="A")
     x = np.asarray(x, dtype=float)
     if x.size != 2 * A.shape[0] ** 2:
         raise InvalidInputError("parameter vector must have length 2 n^2")
-    f, g, _ = _objective_batch(x[None, :], A, cfg.barrier_weight)
+    f, g, _ = _objective_batch(x[None, :], A)
     return float(f[0]), g[0]
 
 
 def _initial_points(cfg: SearchConfig, n: int) -> np.ndarray:
-    X = np.empty((cfg.restarts, 2 * n * n))
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng((cfg.seed, r))
-        X[r] = cfg.init_scale * rng.standard_normal(2 * n * n)
-    return X
+    return np.array([np.random.default_rng((cfg.seed, r)).standard_normal(2 * n * n)
+                     for r in range(cfg.restarts)])
 
 
 def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
@@ -204,8 +199,11 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
         raise SearchBudgetError(f"search is budgeted to order <= {MAX_SEARCH_ORDER}")
     R = cfg.restarts
     D = 2 * n * n
+    if R * D * D * 8 > MAX_HESSIAN_BYTES:
+        raise SearchBudgetError(
+            f"{R} restarts at order {n} exceed the {MAX_HESSIAN_BYTES >> 20} MiB Hessian budget")
     X = _initial_points(cfg, n)
-    f, g, spread = _objective_batch(X, A, cfg.barrier_weight)
+    f, g, spread = _objective_batch(X, A)
     H = np.broadcast_to(np.eye(D), (R, D, D)).copy()
     frozen = ~np.isfinite(f)
     best_spread = spread.copy()
@@ -231,21 +229,21 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
         new_f = f[rows].copy()
         new_g = g[rows].copy()
         new_s = spread[rows].copy()
-        for _bt in range(cfg.max_backtracks):
+        for _bt in range(MAX_BACKTRACKS):
             live = np.where(pending)[0]
             if live.size == 0:
                 break
             sub = rows[live]
             Xc = X[sub] + t[live, None] * p[sub]
-            fc, gc, sc = _objective_batch(Xc, A, cfg.barrier_weight)
-            ok = fc <= f[sub] + cfg.armijo_c * t[live] * gTp[sub]
+            fc, gc, sc = _objective_batch(Xc, A)
+            ok = fc <= f[sub] + ARMIJO_C * t[live] * gTp[sub]
             acc = live[ok]
             new_X[acc] = Xc[ok]
             new_f[acc] = fc[ok]
             new_g[acc] = gc[ok]
             new_s[acc] = sc[ok]
             pending[acc] = False
-            t[live[~ok]] *= cfg.backtrack_factor
+            t[live[~ok]] *= BACKTRACK_FACTOR
         moved_local = np.where(~pending)[0]
         failed_local = np.where(pending)[0]
         frozen[rows[failed_local]] = True
@@ -269,7 +267,7 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
                        + np.einsum("ri,rj->rij", s_u, Hy)) / sy_u[:, None, None]
                 )
             improvement = f[mrows] - new_f[moved_local]
-            stalled = improvement <= cfg.stall_rtol * np.maximum(1.0, np.abs(f[mrows]))
+            stalled = improvement <= STALL_RTOL * np.maximum(1.0, np.abs(f[mrows]))
             stall[mrows] = np.where(stalled, stall[mrows] + 1, 0)
             X[mrows] = new_X[moved_local]
             f[mrows] = new_f[moved_local]
@@ -278,24 +276,24 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
             better = new_s[moved_local] < best_spread[mrows]
             best_spread[mrows[better]] = new_s[moved_local][better]
             best_X[mrows[better]] = new_X[moved_local][better]
-            frozen[mrows[stall[mrows] >= cfg.stall_iters]] = True
+            frozen[mrows[stall[mrows] >= STALL_ITERS]] = True
             gnorm = np.abs(new_g[moved_local]).max(axis=1)
-            frozen[mrows[gnorm <= cfg.gtol]] = True
+            frozen[mrows[gnorm <= GTOL]] = True
 
     order = np.lexsort((np.arange(R), best_spread))
     defects = tuple(float(d) for d in best_spread)
-    window = max(cfg.defect_target, cfg.candidate_window * cfg.defect_target)
-    confirm_target = cfg.defect_target * cfg.confirm_factor
+    window = CANDIDATE_WINDOW * cfg.defect_target
+    confirm_target = cfg.defect_target * CONFIRM_FACTOR
     best = float(best_spread[int(order[0])])
     # a candidate counts as found only if the equal-modulus residual system is
     # solvable right next to it: Gauss-Newton collapses the spread by orders
     # of magnitude near a genuine solution, while near-boundary pseudo
     # solutions (uniformizable only with unbounded entries) barely move
-    for idx in order[: cfg.candidates]:
+    for idx in order[: CANDIDATES]:
         idx = int(idx)
         if best_spread[idx] > window:
             break
-        rx, rs = _uniformity_refine(best_X[idx], A, cfg.confirm_steps)
+        rx, rs = _uniformity_refine(best_X[idx], A, CONFIRM_STEPS)
         best = min(best, rs)
         if rs <= confirm_target:
             cert = _certify_search_point(rx, A, cfg)
@@ -318,9 +316,6 @@ def _uniformity_refine(x: np.ndarray, A: np.ndarray, steps: int):
     point and takes the least-squares step toward equal values, halving the
     step while the modulus spread does not improve.
     """
-    n = A.shape[0]
-    n2 = n * n
-
     def spread_of(z):
         B = _normalized_image(z, A)[3]
         mods = np.abs(B)
@@ -337,17 +332,7 @@ def _uniformity_refine(x: np.ndarray, A: np.ndarray, steps: int):
             break
         v = (B.real ** 2 + B.imag ** 2).ravel()
         r = v - v.mean()
-        AMinv = A @ Minv
-        J = np.empty((n2, 2 * n2))
-        for k in range(2 * n2):
-            E = np.zeros((n, n), dtype=complex)
-            if k < n2:
-                E[k // n, k % n] = 1.0
-            else:
-                E[(k - n2) // n, (k - n2) % n] = 1j
-            dB = E @ AMinv - B @ (E @ Minv)
-            dv = 2.0 * (B.conj() * dB).real.ravel()
-            J[:, k] = dv - dv.mean()
+        J = _refine_jacobian(B, A @ Minv, Minv)
         try:
             delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
         except np.linalg.LinAlgError:
@@ -367,6 +352,19 @@ def _uniformity_refine(x: np.ndarray, A: np.ndarray, steps: int):
         x = xn + t * delta
         best = min(best, step_s)
     return x, best
+
+
+def _refine_jacobian(B: np.ndarray, AMinv: np.ndarray, Minv: np.ndarray) -> np.ndarray:
+    """Jacobian of the centered |B_ij|^2 (rows ij) in Re(M_kl) then Im(M_kl) (columns).
+
+    A unit step in Re(M_kl) moves B = M A M^-1 by
+    dB_ij = delta_ik (A M^-1)_lj - B_ik (M^-1)_lj; one in Im(M_kl) by i dB."""
+    n = B.shape[0]
+    dB = -np.einsum("ik,lj->klij", B, Minv)
+    dB[np.arange(n), :, np.arange(n), :] += AMinv
+    P = B.conj() * dB
+    dv = 2.0 * np.concatenate([P.real, -P.imag]).reshape(2 * n * n, n * n)
+    return (dv - dv.mean(axis=1, keepdims=True)).T
 
 
 def _certify_search_point(x: np.ndarray, A: np.ndarray,

@@ -362,3 +362,45 @@ class TestRawEntryDispatch:
         assert rep.verdict is Verdict.APPORTIONABLE
         assert rep.constants.kind == "ClosedHalfLine"
         assert rep.constants.lo == pytest.approx(1.0, rel=1e-7)
+
+
+class TestExtremeInputs:
+    @pytest.mark.parametrize("kappa", [math.inf, -math.inf, math.nan])
+    def test_non_finite_kappa_not_member(self, kappa):
+        for s in (ConstantSet.open_half_line(0.0), ConstantSet.closed_half_line(1.0),
+                  ConstantSet.unknown(0.5), classify(diag_spec(1, 2, 0, 0)).constants):
+            assert s.contains(kappa) is False
+
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan])
+    def test_non_finite_kappa_refused(self, kappa):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstantNotAchievableError):
+                request_certificate(JordanSpec(((0j, 3), (0j, 2))), kappa=kappa)
+
+    @pytest.mark.parametrize("spec, kappa", [
+        (JordanSpec(((0j, 3), (0j, 2))), 1e300),
+        (JordanSpec(((0j, 3), (0j, 2))), 1e-300),
+        (diag_spec(1, 2, 0, 0), 1e200),
+        (diag_spec(1, -1), 1e200),
+        (np.diag([1.0, -1.0]).astype(complex), 1e200),
+        (diag_spec(-0.26 - 0.54j, 0.41 + 0.56j, 0.49 + 0.27j, *[0] * 13), 1e20),
+    ])
+    def test_overflowing_construction_refused_quietly(self, spec, kappa):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstructionError):
+                request_certificate(spec, kappa=kappa)
+
+    def test_region_resolution_capped(self):
+        from apportion.classifier import MAX_REGION_RESOLUTION
+
+        box = ((-1.0, 1.0), (-1.0, 1.0))
+        with pytest.raises(InvalidInputError):
+            admissible_region(1.0, box, MAX_REGION_RESOLUTION + 1)
+        with pytest.raises(InvalidInputError):
+            admissible_region(1.0, box, 10**9)

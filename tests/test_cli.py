@@ -249,3 +249,59 @@ class TestDemo:
         assert code == 0
         doc = json.loads(out)
         assert all(case["uniform"] for case in doc["demo"])
+
+
+class TestEdgeRefusals:
+    @pytest.mark.parametrize("order", [2.7, 2.5, 2.000001])
+    def test_fractional_order(self, tmp_path, capsys, order):
+        doc = {**entries_doc(np.diag([1.0, 2.0])), "order": order}
+        path = write_doc(tmp_path, "m.json", doc)
+        code = main(["classify", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("order", [2, 2.0])
+    def test_integral_order_accepted(self, tmp_path, capsys, order):
+        doc = {**entries_doc(np.diag([1.0, 2.0])), "order": order}
+        path = write_doc(tmp_path, "m.json", doc)
+        code, out = run(capsys, ["classify", path])
+        assert code == 0
+        assert json.loads(out)["verdict"] == "NotApportionable"
+
+    @pytest.mark.parametrize("doc, kappa, expected", [
+        (jordan_doc([(0j, 3), (0j, 2)]), "inf", 6),
+        (jordan_doc([(0j, 3), (0j, 2)]), "nan", 6),
+        (jordan_doc([(0j, 3), (0j, 2)]), "1e300", 3),
+        (jordan_doc([(0j, 3), (0j, 2)]), "1e-300", 3),
+        (jordan_doc([(1 + 0j, 1), (2 + 0j, 1), (0j, 1), (0j, 1)]), "1e200", 3),
+        (entries_doc(np.diag([1.0, -1.0])), "1e200", 3),
+    ])
+    def test_extreme_kappa_exit_code_without_warnings(self, tmp_path, capsys,
+                                                      doc, kappa, expected):
+        import warnings
+
+        path = write_doc(tmp_path, "m.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["apportion", path, "--kappa", kappa])
+        captured = capsys.readouterr()
+        assert code == expected
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_region_resolution_cap(self, capsys):
+        code, out = run(capsys, ["region", "--lambda1-re", "1", "--resolution", "1002"])
+        assert code == 3 and out == ""
+
+    def test_search_restart_budget(self, tmp_path, capsys, monkeypatch):
+        from apportion import search
+
+        def no_start(*_):
+            raise AssertionError("starting points drawn for an over-budget search")
+
+        monkeypatch.setattr(search, "_initial_points", no_start)
+        path = write_doc(tmp_path, "m.json", entries_doc(np.eye(16)))
+        code, out = run(capsys, ["search", path, "--restarts", "1000000"])
+        assert code == 3 and out == ""

@@ -141,3 +141,94 @@ class TestSigmaEstimate:
     def test_budget(self):
         with pytest.raises(SearchBudgetError):
             sigma_estimate(JordanSpec(((1 + 0j, 1),) * 10), 8, FAST)
+
+
+class TestSearchInternals:
+    def test_config_has_four_settings(self):
+        import dataclasses
+
+        names = [f.name for f in dataclasses.fields(SearchConfig)]
+        assert names == ["restarts", "max_iters", "seed", "defect_target"]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_refine_jacobian_matches_central_differences(self, n):
+        from apportion.search import _refine_jacobian, _to_matrix
+
+        rng = np.random.default_rng(40 + n)
+
+        def residual(x):
+            M = _to_matrix(x, n)
+            B = M @ A @ np.linalg.inv(M)
+            v = (B.real ** 2 + B.imag ** 2).ravel()
+            return v - v.mean()
+
+        for _ in range(3):
+            A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            x = rng.standard_normal(2 * n * n)
+            M = _to_matrix(x, n)
+            Minv = np.linalg.inv(M)
+            J = _refine_jacobian(M @ A @ Minv, A @ Minv, Minv)
+            assert J.shape == (n * n, 2 * n * n)
+            h = 1e-6
+            num = np.empty_like(J)
+            for k in range(2 * n * n):
+                e = np.zeros_like(x)
+                e[k] = h
+                num[:, k] = (residual(x + e) - residual(x - e)) / (2 * h)
+            assert np.abs(J - num).max() <= 1e-6 * max(1.0, np.abs(num).max())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_singular_rows_flagged_once(self, n):
+        import warnings
+
+        from apportion.search import _det_inv_batch
+
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+        M[1] = 0.0
+        M[2, 0] = M[2, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            det, Minv, bad = _det_inv_batch(M[:3])
+        assert bad.tolist() == [False, True, True]
+        M[3, 0, 0] = np.inf
+        with np.errstate(all="ignore"):
+            det, Minv, bad = _det_inv_batch(M)
+        assert bad.tolist() == [False, True, True, True]
+        assert np.allclose(Minv[0] @ M[0], np.eye(n))
+        assert np.allclose(det[0], np.linalg.det(M[0]))
+        for r in (1, 2, 3):
+            assert det[r] == 1.0
+            assert np.array_equal(Minv[r], np.eye(n))
+
+    def test_restart_budget_refused_before_allocation(self, monkeypatch):
+        from apportion import search
+
+        def no_start(*_):
+            raise AssertionError("starting points drawn for an over-budget search")
+
+        monkeypatch.setattr(search, "_initial_points", no_start)
+        n = 16
+        restarts = search.MAX_HESSIAN_BYTES // (8 * (2 * n * n) ** 2) + 1
+        for r in (restarts, 1_000_000):
+            with pytest.raises(SearchBudgetError):
+                find_apportioning(np.eye(n, dtype=complex), SearchConfig(restarts=r))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_refine_jacobian_matches_column_loop(self, n):
+        from apportion.search import _refine_jacobian, _to_matrix
+
+        rng = np.random.default_rng(50 + n)
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        M = _to_matrix(rng.standard_normal(2 * n * n), n)
+        Minv = np.linalg.inv(M)
+        B, AMinv = M @ A @ Minv, A @ Minv
+        n2 = n * n
+        ref = np.empty((n2, 2 * n2))
+        for k in range(2 * n2):  # one column per parameter, from dB = E A M^-1 - B E M^-1
+            E = np.zeros((n, n), dtype=complex)
+            E[(k % n2) // n, k % n] = 1.0 if k < n2 else 1j
+            dv = 2.0 * (B.conj() * (E @ AMinv - B @ (E @ Minv))).real.ravel()
+            ref[:, k] = dv - dv.mean()
+        J = _refine_jacobian(B, AMinv, Minv)
+        assert np.abs(J - ref).max() <= 64 * np.finfo(float).eps * np.abs(ref).max()
