@@ -449,6 +449,10 @@ def eigenstructure_small(A) -> EigenResult:
     is not trustworthy at working precision: inter-cluster gaps within 10x of
     the grouping tolerance, or multiplicity decisions made inside the noise
     band of the root discriminants.
+
+    When the characteristic polynomial of A overflows, as it does for
+    entries near the float range, the structure is that of A scaled by an
+    exact power of two to unit size, with the eigenvalues scaled back.
     """
     A = as_matrix(A, square=True, name="A")
     n = A.shape[0]
@@ -456,6 +460,17 @@ def eigenstructure_small(A) -> EigenResult:
         raise UnsupportedOrderError("closed-form eigenstructure supports order <= 3 only")
     if n == 1:
         return EigenResult(JordanSpec(((complex(A[0, 0]), 1),)), False)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _eigenstructure(A, n)
+    except (OverflowError, FloatingPointError, InvalidInputError):
+        pass  # InvalidInputError: a root overflowed to a non-finite eigenvalue
+    k = math.frexp(float(np.abs(A).max()))[1] - 1
+    res = _eigenstructure(A * 2.0 ** -k, n)
+    return EigenResult(res.spec.scaled(2.0 ** k).canonical(), res.approximate)
+
+
+def _eigenstructure(A: np.ndarray, n: int) -> EigenResult:
     if n == 2:
         eigs = _refined_roots_2(complex(np.trace(A)), complex(np.linalg.det(A)))
     else:

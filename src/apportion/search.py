@@ -3,7 +3,13 @@
 The objective is the variance of the squared entry moduli of M A M^-1 over M
 parameterized by 2n^2 reals, with a log-barrier on |det M| and M held at unit
 Frobenius norm (the image is scale invariant in M).  Multi-start BFGS with a
-backtracking line search runs all restarts side by side on a batch axis; the
+backtracking line search runs all restarts side by side on a batch axis, and
+the loop holds only the restarts still running.  Each iteration evaluates the
+full step of every restart in one batched objective call; the restarts that
+fail the Armijo test then try their next steps 1/2, 1/4, ... together, in as
+few calls as keep each within ``restarts`` rows, and take the first step that
+passes.  The objective is row-independent and the steps are exact powers of
+two, so this is plain backtracking to the last bit, in fewer calls.  The
 best candidates are then confirmed by Gauss-Newton refinement of the
 uniformity residuals, re-measured with the true modulus spread, and
 re-verified through the core checks, so the search can only err toward
@@ -50,6 +56,9 @@ CANDIDATE_WINDOW = 1e4    # restarts within this multiple of the target ...
 CANDIDATES = 4            # ... are confirmed, at most this many, best first
 CONFIRM_FACTOR = 3e-2     # confirmation must refine to this fraction of the target
 CONFIRM_STEPS = 6         # Gauss-Newton steps of the confirmation
+
+#: the line search's step lengths 1, 1/2, 1/4, ..., exact as repeated products
+_STEPS = np.cumprod([1.0] + [BACKTRACK_FACTOR] * (MAX_BACKTRACKS - 1))
 
 
 @dataclass(frozen=True)
@@ -149,16 +158,17 @@ def _objective_batch(X: np.ndarray, A: np.ndarray):
     B = M @ A @ Minv
     absB2 = B.real**2 + B.imag**2
     v = absB2.reshape(R, n2)
-    dev = v - v.mean(axis=1)[:, None]
-    f = (dev**2).mean(axis=1) - 2.0 * BARRIER_WEIGHT * np.log(np.abs(det))
+    # np.add.reduce(..) / n2 is .mean(axis=1) bit for bit, without its wrapper
+    dev = v - np.add.reduce(v, axis=1, keepdims=True) / n2
+    f = np.add.reduce(dev**2, axis=1) / n2 - 2.0 * BARRIER_WEIGHT * np.log(np.abs(det))
     W = dev.reshape(R, n, n) * B.conj()
-    T = Minv @ np.swapaxes(W, 1, 2)
+    T = Minv @ W.transpose(0, 2, 1)
     K = A @ T - T @ B
-    gM = (4.0 / n2) * np.swapaxes(K, 1, 2) - 2.0 * BARRIER_WEIGHT * np.swapaxes(Minv, 1, 2)
+    gM = (4.0 / n2) * K.transpose(0, 2, 1) - 2.0 * BARRIER_WEIGHT * Minv.transpose(0, 2, 1)
     g = np.concatenate([gM.real.reshape(R, n2), -gM.imag.reshape(R, n2)], axis=1)
     # chain rule through the unit-norm projection of X
     g = (g - np.einsum("ri,ri->r", g, Xn)[:, None] * Xn) / norms[:, None]
-    absB = np.sqrt(absB2).reshape(R, n2)
+    absB = np.sqrt(v)
     spread = absB.max(axis=1) - absB.min(axis=1)
     if bad.any():
         f[bad] = np.inf
@@ -177,6 +187,14 @@ def defect_objective(x: np.ndarray, A):
     return float(f[0]), g[0]
 
 
+def _ladder_length(pending: int, left: int, restarts: int) -> int:
+    """Backtracking steps that each of ``pending`` rows tries in one objective call.
+
+    As many as keep the call within ``restarts`` rows, and at most the
+    ``left`` steps of the backtracking budget."""
+    return min(left, max(1, restarts // pending))
+
+
 def _initial_points(cfg: SearchConfig, n: int) -> np.ndarray:
     return np.array([np.random.default_rng((cfg.seed, r)).standard_normal(2 * n * n)
                      for r in range(cfg.restarts)])
@@ -186,7 +204,10 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """Seek M making M A M^-1 uniform, up to the configured modulus spread.
 
     Runs the configured restarts in lockstep until one reaches the target
-    spread, all stall or converge, or the iteration budget ends; the best few
+    spread, all stall or converge, or the iteration budget ends.  Each
+    iteration costs one batched objective call for the full steps, plus, when
+    some restart must backtrack, about one more for a ladder of its shorter
+    steps (see the module docstring); the best few
     candidates are then confirmed by Gauss-Newton refinement of the
     uniformity residuals.  A success is accepted only if the refined M passes
     the nonsingularity gate and the image re-verifies as uniform at the
@@ -206,15 +227,25 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     f, g, spread = _objective_batch(X, A)
     H = np.broadcast_to(np.eye(D), (R, D, D)).copy()
     frozen = ~np.isfinite(f)
-    best_spread = spread.copy()
-    best_X = X.copy()
     stall = np.zeros(R, dtype=int)
+    # the loop holds only the restarts still running, compacted whenever some
+    # freeze; ids maps held rows to restarts, and each restart's best point
+    # is written back to best_spread / best_X as it leaves
+    ids = np.arange(R)
+    held_best, held_best_X = spread.copy(), X.copy()
+    best_spread, best_X = np.empty(R), np.empty_like(X)
 
     for _ in range(cfg.max_iters):
         if (spread <= cfg.defect_target).any():
             break
-        if frozen.all():
-            break
+        if frozen.any():
+            gone = ids[frozen]
+            best_spread[gone], best_X[gone] = held_best[frozen], held_best_X[frozen]
+            keep = ~frozen
+            ids, X, f, g, spread, H, stall, held_best, held_best_X = (
+                a[keep] for a in (ids, X, f, g, spread, H, stall, held_best, held_best_X))
+            if ids.size == 0:
+                break
         p = -np.einsum("rij,rj->ri", H, g)
         gTp = np.einsum("ri,ri->r", g, p)
         uphill = gTp >= 0
@@ -222,63 +253,56 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
             p[uphill] = -g[uphill]
             gTp[uphill] = -np.einsum("ri,ri->r", g[uphill], g[uphill])
             H[uphill] = np.eye(D)
-        rows = np.where(~frozen)[0]
-        t = np.ones(rows.size)
-        pending = np.ones(rows.size, dtype=bool)
-        new_X = X[rows].copy()
-        new_f = f[rows].copy()
-        new_g = g[rows].copy()
-        new_s = spread[rows].copy()
-        for _bt in range(MAX_BACKTRACKS):
-            live = np.where(pending)[0]
-            if live.size == 0:
-                break
-            sub = rows[live]
-            Xc = X[sub] + t[live, None] * p[sub]
+        # Armijo backtracking: the full step (X + p is X + 1.0 * p to the bit)
+        # for every row in one call, then ladders of the shorter steps for the
+        # rows it failed
+        new_X = X + p
+        new_f, new_g, new_s = _objective_batch(new_X, A)
+        pend = np.flatnonzero(~(new_f <= f + ARMIJO_C * gTp))
+        depth = 1
+        while pend.size and depth < MAX_BACKTRACKS:
+            k = _ladder_length(pend.size, MAX_BACKTRACKS - depth, R)
+            t = _STEPS[depth:depth + k, None]
+            Xc = (X[pend] + t[:, :, None] * p[pend]).reshape(k * pend.size, D)
             fc, gc, sc = _objective_batch(Xc, A)
-            ok = fc <= f[sub] + ARMIJO_C * t[live] * gTp[sub]
-            acc = live[ok]
-            new_X[acc] = Xc[ok]
-            new_f[acc] = fc[ok]
-            new_g[acc] = gc[ok]
-            new_s[acc] = sc[ok]
-            pending[acc] = False
-            t[live[~ok]] *= BACKTRACK_FACTOR
-        moved_local = np.where(~pending)[0]
-        failed_local = np.where(pending)[0]
-        frozen[rows[failed_local]] = True
-        if moved_local.size:
-            mrows = rows[moved_local]
-            s_step = new_X[moved_local] - X[mrows]
-            y_step = new_g[moved_local] - g[mrows]
-            sy = np.einsum("ri,ri->r", s_step, y_step)
-            upd = sy > 1e-14
-            if upd.any():
-                urows = mrows[upd]
-                s_u = s_step[upd]
-                y_u = y_step[upd]
-                sy_u = sy[upd]
-                Hy = np.einsum("rij,rj->ri", H[urows], y_u)
-                yHy = np.einsum("ri,ri->r", y_u, Hy)
-                coeff = (sy_u + yHy) / sy_u**2
-                H[urows] += (
-                    coeff[:, None, None] * np.einsum("ri,rj->rij", s_u, s_u)
-                    - (np.einsum("ri,rj->rij", Hy, s_u)
-                       + np.einsum("ri,rj->rij", s_u, Hy)) / sy_u[:, None, None]
-                )
-            improvement = f[mrows] - new_f[moved_local]
-            stalled = improvement <= STALL_RTOL * np.maximum(1.0, np.abs(f[mrows]))
-            stall[mrows] = np.where(stalled, stall[mrows] + 1, 0)
-            X[mrows] = new_X[moved_local]
-            f[mrows] = new_f[moved_local]
-            g[mrows] = new_g[moved_local]
-            spread[mrows] = new_s[moved_local]
-            better = new_s[moved_local] < best_spread[mrows]
-            best_spread[mrows[better]] = new_s[moved_local][better]
-            best_X[mrows[better]] = new_X[moved_local][better]
-            frozen[mrows[stall[mrows] >= STALL_ITERS]] = True
-            gnorm = np.abs(new_g[moved_local]).max(axis=1)
-            frozen[mrows[gnorm <= GTOL]] = True
+            ok = fc.reshape(k, pend.size) <= f[pend] + ARMIJO_C * t * gTp[pend]
+            hit = ok.any(axis=0)
+            c = ok.argmax(axis=0)[hit] * pend.size + np.flatnonzero(hit)
+            acc = pend[hit]
+            new_X[acc], new_f[acc], new_g[acc], new_s[acc] = Xc[c], fc[c], gc[c], sc[c]
+            pend = pend[~hit]
+            depth += k
+        if pend.size:  # no step passed: the row keeps its point and freezes
+            new_X[pend], new_f[pend], new_g[pend], new_s[pend] = (
+                X[pend], f[pend], g[pend], spread[pend])
+        s_step = new_X - X
+        y_step = new_g - g
+        sy = np.einsum("ri,ri->r", s_step, y_step)
+        upd = sy > 1e-14
+        if upd.any():
+            every = upd.all()  # the usual case: update H in place, with no gather
+            Hu = H if every else H[upd]
+            s_u, y_u, sy_u = (s_step, y_step, sy) if every else (s_step[upd], y_step[upd], sy[upd])
+            Hy = np.einsum("rij,rj->ri", Hu, y_u)
+            yHy = np.einsum("ri,ri->r", y_u, Hy)
+            coeff = (sy_u + yHy) / sy_u**2
+            Hu += (
+                coeff[:, None, None] * np.einsum("ri,rj->rij", s_u, s_u)
+                - (np.einsum("ri,rj->rij", Hy, s_u)
+                   + np.einsum("ri,rj->rij", s_u, Hy)) / sy_u[:, None, None]
+            )
+            if not every:
+                H[upd] = Hu
+        improvement = f - new_f
+        stalled = improvement <= STALL_RTOL * np.maximum(1.0, np.abs(f))
+        stall = np.where(stalled, stall + 1, 0)
+        better = new_s < held_best
+        held_best[better] = new_s[better]
+        held_best_X[better] = new_X[better]
+        X, f, g, spread = new_X, new_f, new_g, new_s
+        frozen = (stall >= STALL_ITERS) | (np.abs(g).max(axis=1) <= GTOL)
+        frozen[pend] = True
+    best_spread[ids], best_X[ids] = held_best, held_best_X
 
     order = np.lexsort((np.arange(R), best_spread))
     defects = tuple(float(d) for d in best_spread)

@@ -396,6 +396,26 @@ class TestExtremeInputs:
             with pytest.raises(ConstructionError):
                 request_certificate(spec, kappa=kappa)
 
+    @pytest.mark.parametrize("scale", [1e175, 1e300])
+    @pytest.mark.parametrize("lams", [(1, 1), (1, -1), (1, 2), (1, 1j), (1, -1, 0), (1, 2, 3)])
+    def test_raw_entries_near_float_range(self, scale, lams):
+        # the characteristic polynomial overflows at this scale; the verdict is
+        # that of the unit-scale matrix, with the constants scaled
+        import warnings
+
+        unit = classify(np.diag(lams).astype(complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = classify(np.diag(lams).astype(complex) * scale)
+        assert rep.verdict is unit.verdict
+        assert rep.theorem_tag == unit.theorem_tag
+        assert rep.constants.lo == pytest.approx(unit.constants.lo * scale, rel=1e-12)
+
+    def test_raw_triangular_keeps_small_eigenvalues(self):
+        # huge entries off the diagonal do not swamp exact small eigenvalues
+        rep = classify(np.array([[1.0, 1e175], [0.0, 2.0]], dtype=complex))
+        assert rep.verdict is classify(np.diag([1.0, 2.0]).astype(complex)).verdict
+
     def test_region_resolution_capped(self):
         from apportion.classifier import MAX_REGION_RESOLUTION
 

@@ -291,6 +291,17 @@ class TestEdgeRefusals:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("scale", [1e175, 1e300])
+    def test_raw_entries_near_float_range(self, tmp_path, capsys, scale):
+        import warnings
+
+        path = write_doc(tmp_path, "m.json", entries_doc(np.diag([scale, scale])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, ["classify", path])
+        assert code == 0
+        assert json.loads(out)["verdict"] == "NotApportionable"
+
     def test_region_resolution_cap(self, capsys):
         code, out = run(capsys, ["region", "--lambda1-re", "1", "--resolution", "1002"])
         assert code == 3 and out == ""
