@@ -751,6 +751,8 @@ def two_by_two_constants(l1: complex, l2: complex) -> Optional[ConstantSet]:
         raise InvalidInputError("needs distinct nonzero eigenvalues")
     tb = abs(l1 + l2) / 2.0
     hb = math.sqrt(abs(l1 * l2) / 2.0)
+    if math.isinf(hb):  # only when |l1 l2| overflows, so in-range results keep their bits
+        hb = math.sqrt(abs(l1)) * math.sqrt(abs(l2) / 2.0)
     bound = max(tb, hb)
     if _gamma_is_zero(l1, l2):
         rho = max(abs(l1), abs(l2))

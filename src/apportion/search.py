@@ -10,11 +10,13 @@ fail the Armijo test then try their next steps 1/2, 1/4, ... together, in as
 few calls as keep each within ``restarts`` rows, and take the first step that
 passes.  The objective is row-independent and the steps are exact powers of
 two, so this is plain backtracking to the last bit, in fewer calls.  The
-best candidates are then confirmed by Gauss-Newton refinement of the
-uniformity residuals, re-measured with the true modulus spread, and
-re-verified through the core checks, so the search can only err toward
-"not found".  ``SearchConfig`` holds the four settings, ``restarts``,
-``max_iters``, ``seed`` and ``defect_target``; the other constants are fixed below.
+inverse-Hessian update runs on cache-sized blocks of restarts, and an input
+far from unit scale is searched as A 2^-e.  The best candidates are then
+confirmed by Gauss-Newton refinement of the uniformity residuals, re-measured
+with the true modulus spread, and re-verified through the core checks, so the
+search can only err toward "not found".  ``SearchConfig`` holds the four
+settings, ``restarts``, ``max_iters``, ``seed`` and ``defect_target``; the
+other constants are fixed below.
 """
 
 from __future__ import annotations
@@ -44,6 +46,13 @@ __all__ = [
 MAX_SEARCH_ORDER = 16
 #: ceiling on the restarts x (2n^2)^2 BFGS inverse-Hessian stack, in bytes
 MAX_HESSIAN_BYTES = 256 * 2**20
+#: bytes per temporary of the inverse-Hessian update, which runs on blocks of
+#: this many bytes' worth of rows (at least one): a block's temporaries stay
+#: inside a 2 MiB L2 cache, and far below the stack they update
+UPDATE_BLOCK_BYTES = 128 * 2**10
+#: inputs whose largest real or imaginary part lies outside this range are
+#: searched at unit scale
+SAFE_SCALE = (2.0 ** -64, 2.0 ** 64)
 
 BARRIER_WEIGHT = 1e-6     # log-barrier weight on |det M|
 ARMIJO_C = 1e-4           # sufficient-decrease constant of the line search
@@ -195,6 +204,35 @@ def _ladder_length(pending: int, left: int, restarts: int) -> int:
     return min(left, max(1, restarts // pending))
 
 
+def _bfgs_update(H: np.ndarray, upd: np.ndarray, s: np.ndarray, y: np.ndarray,
+                 sy: np.ndarray) -> None:
+    """BFGS update, in place, of the inverse Hessians H[r] of the rows r where ``upd`` is set.
+
+    The rank-two expression runs on blocks of rows whose (rows, D, D)
+    temporaries take at most UPDATE_BLOCK_BYTES each, or one row.  Every entry
+    of H gets the same operations in the same order at any block size, so the
+    blocks change no bit of the result.  A block holds 50 rows at order 3, so
+    one block covers the default 32 restarts there, and 3 rows at order 6.
+    """
+    D = H.shape[1]
+    size = max(1, UPDATE_BLOCK_BYTES // (8 * D * D))
+    every = upd.all()  # the usual case: update H through views, with no gather
+    rows = None if every else np.flatnonzero(upd)
+    for a in range(0, H.shape[0] if every else rows.size, size):
+        r = slice(a, a + size) if every else rows[a:a + size]
+        Hr, s_r, y_r, sy_r = H[r], s[r], y[r], sy[r]
+        Hy = np.einsum("rij,rj->ri", Hr, y_r)
+        yHy = np.einsum("ri,ri->r", y_r, Hy)
+        coeff = (sy_r + yHy) / sy_r**2
+        Hr += (
+            coeff[:, None, None] * np.einsum("ri,rj->rij", s_r, s_r)
+            - (np.einsum("ri,rj->rij", Hy, s_r)
+               + np.einsum("ri,rj->rij", s_r, Hy)) / sy_r[:, None, None]
+        )
+        if not every:
+            H[r] = Hr
+
+
 def _initial_points(cfg: SearchConfig, n: int) -> np.ndarray:
     return np.array([np.random.default_rng((cfg.seed, r)).standard_normal(2 * n * n)
                      for r in range(cfg.restarts)])
@@ -223,8 +261,15 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     if R * D * D * 8 > MAX_HESSIAN_BYTES:
         raise SearchBudgetError(
             f"{R} restarts at order {n} exceed the {MAX_HESSIAN_BYTES >> 20} MiB Hessian budget")
+    # K(cA) = |c| K(A): far from unit scale the search runs on As = A 2^-e,
+    # exact as a power of two, reports its spreads times 2^e and certifies
+    # against A itself; inside SAFE_SCALE, As is A and the factor is 1.0
+    top = float(np.maximum(np.abs(A.real), np.abs(A.imag)).max())
+    e = 0 if top == 0.0 or SAFE_SCALE[0] <= top <= SAFE_SCALE[1] else math.frexp(top)[1] - 1
+    As = np.ldexp(A.real, -e) + 1j * np.ldexp(A.imag, -e) if e else A
+    unit = math.ldexp(1.0, e)
     X = _initial_points(cfg, n)
-    f, g, spread = _objective_batch(X, A)
+    f, g, spread = _objective_batch(X, As)
     H = np.broadcast_to(np.eye(D), (R, D, D)).copy()
     frozen = ~np.isfinite(f)
     stall = np.zeros(R, dtype=int)
@@ -257,14 +302,14 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
         # for every row in one call, then ladders of the shorter steps for the
         # rows it failed
         new_X = X + p
-        new_f, new_g, new_s = _objective_batch(new_X, A)
+        new_f, new_g, new_s = _objective_batch(new_X, As)
         pend = np.flatnonzero(~(new_f <= f + ARMIJO_C * gTp))
         depth = 1
         while pend.size and depth < MAX_BACKTRACKS:
             k = _ladder_length(pend.size, MAX_BACKTRACKS - depth, R)
             t = _STEPS[depth:depth + k, None]
             Xc = (X[pend] + t[:, :, None] * p[pend]).reshape(k * pend.size, D)
-            fc, gc, sc = _objective_batch(Xc, A)
+            fc, gc, sc = _objective_batch(Xc, As)
             ok = fc.reshape(k, pend.size) <= f[pend] + ARMIJO_C * t * gTp[pend]
             hit = ok.any(axis=0)
             c = ok.argmax(axis=0)[hit] * pend.size + np.flatnonzero(hit)
@@ -280,19 +325,7 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
         sy = np.einsum("ri,ri->r", s_step, y_step)
         upd = sy > 1e-14
         if upd.any():
-            every = upd.all()  # the usual case: update H in place, with no gather
-            Hu = H if every else H[upd]
-            s_u, y_u, sy_u = (s_step, y_step, sy) if every else (s_step[upd], y_step[upd], sy[upd])
-            Hy = np.einsum("rij,rj->ri", Hu, y_u)
-            yHy = np.einsum("ri,ri->r", y_u, Hy)
-            coeff = (sy_u + yHy) / sy_u**2
-            Hu += (
-                coeff[:, None, None] * np.einsum("ri,rj->rij", s_u, s_u)
-                - (np.einsum("ri,rj->rij", Hy, s_u)
-                   + np.einsum("ri,rj->rij", s_u, Hy)) / sy_u[:, None, None]
-            )
-            if not every:
-                H[upd] = Hu
+            _bfgs_update(H, upd, s_step, y_step, sy)
         improvement = f - new_f
         stalled = improvement <= STALL_RTOL * np.maximum(1.0, np.abs(f))
         stall = np.where(stalled, stall + 1, 0)
@@ -305,7 +338,7 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     best_spread[ids], best_X[ids] = held_best, held_best_X
 
     order = np.lexsort((np.arange(R), best_spread))
-    defects = tuple(float(d) for d in best_spread)
+    defects = tuple(float(d) * unit for d in best_spread)
     window = CANDIDATE_WINDOW * cfg.defect_target
     confirm_target = cfg.defect_target * CONFIRM_FACTOR
     best = float(best_spread[int(order[0])])
@@ -317,13 +350,13 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
         idx = int(idx)
         if best_spread[idx] > window:
             break
-        rx, rs = _uniformity_refine(best_X[idx], A, CONFIRM_STEPS)
+        rx, rs = _uniformity_refine(best_X[idx], As, CONFIRM_STEPS)
         best = min(best, rs)
         if rs <= confirm_target:
             cert = _certify_search_point(rx, A, cfg)
             if cert is not None:
-                return SearchOutcome(True, rs, cert, idx + 1, defects)
-    return SearchOutcome(False, best, None, R, defects)
+                return SearchOutcome(True, rs * unit, cert, idx + 1, defects)
+    return SearchOutcome(False, best * unit, None, R, defects)
 
 
 def _normalized_image(x: np.ndarray, A: np.ndarray):
@@ -397,7 +430,12 @@ def _certify_search_point(x: np.ndarray, A: np.ndarray,
     if reciprocal_condition(M) < RCOND_THRESHOLD:
         return None
     Minv = np.linalg.inv(M)
-    B = M @ A @ Minv
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = M @ A @ Minv
+        # the checks sum the entry moduli of B, which can overflow near the
+        # float range: no certificate there
+        if not math.isfinite(float(np.abs(B).sum())):
+            return None
     # the absolute floor scales with A, since K(cA) = |c| K(A)
     tol = Tolerance(rel=cfg.defect_target,
                     abs=cfg.defect_target * float(np.abs(A).max()))

@@ -316,3 +316,42 @@ class TestEdgeRefusals:
         path = write_doc(tmp_path, "m.json", entries_doc(np.eye(16)))
         code, out = run(capsys, ["search", path, "--restarts", "1000000"])
         assert code == 3 and out == ""
+
+    @pytest.mark.parametrize("scale", [1e175, 1e300])
+    def test_opposite_pair_lower_end_near_float_range(self, tmp_path, capsys, scale):
+        # |l1 l2| overflows at this scale: the bound stays finite, and the
+        # set's own lower end is certified
+        import warnings
+
+        path = write_doc(tmp_path, "m.json", entries_doc(np.diag([scale, -scale])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, ["classify", path])
+            assert code == 0
+            lower = json.loads(out)["constants"]["lower_bound"]
+            assert lower == pytest.approx(scale / math.sqrt(2), rel=1e-12)
+            for argv in ([], ["--kappa", repr(lower)]):
+                code, out = run(capsys, ["apportion", path, *argv])
+                assert code == 0
+                assert json.loads(out)["kappa"] == pytest.approx(lower, rel=1e-12)
+
+    @pytest.mark.parametrize("lams, found", [((1e100, -1e100), True),
+                                             ((1e175, 1e175), False)])
+    def test_search_near_float_range_child(self, tmp_path, lams, found):
+        # LAPACK writes to the process's own stderr, so a child process shows it
+        import os
+        import subprocess
+        import sys
+
+        import apportion
+
+        src = os.path.dirname(os.path.dirname(apportion.__file__))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        path = write_doc(tmp_path, "m.json", entries_doc(np.diag(lams)))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "apportion.cli", "search",
+                               path], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        assert doc["found"] is found
+        assert math.isfinite(doc["best_defect"])

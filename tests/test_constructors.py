@@ -404,6 +404,14 @@ class TestTwoByTwo:
         with pytest.raises(ConstantNotAchievableError):
             apportion_2x2(1.0, -1.0, target=0.5)
 
+    @pytest.mark.parametrize("scale", [1e155, 1e175, 1e300])
+    def test_bound_near_float_range(self, scale):
+        # |l1 l2| overflows from about 1.3e154: the bound keeps its value
+        unit = two_by_two_constants(1.0, -1.0)
+        constants = two_by_two_constants(scale, -scale)
+        assert constants.lower_bound == pytest.approx(unit.lower_bound * scale, rel=1e-12)
+        assert constants.lo == pytest.approx(unit.lo * scale, rel=1e-12)
+
 
 class TestPolarCondition:
     def test_opposite(self):

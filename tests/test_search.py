@@ -265,3 +265,128 @@ class TestSearchInternals:
         assert batched.best_defect == plain.best_defect
         assert max(batched_rows) <= cfg.restarts
         assert len(batched_rows) < len(plain_rows)
+
+    @pytest.mark.parametrize("blocks", [[(0j, 5)], [(0j, 3), (0j, 2)], [(0j, 6)]])
+    def test_blocked_update_matches_one_block(self, monkeypatch, blocks):
+        # the inverse-Hessian update on one row at a time and on every row at
+        # once performs the same operations on each entry: outcomes are the
+        # same to the last bit
+        from apportion import search
+
+        A = build_jordan(JordanSpec(tuple(blocks)))
+        cfg = SearchConfig(seed=0)
+        runs = []
+        for block_bytes in (1, 2**62):
+            monkeypatch.setattr(search, "UPDATE_BLOCK_BYTES", block_bytes)
+            runs.append(find_apportioning(A, cfg))
+        rows, whole = runs
+        assert rows.found == whole.found
+        assert rows.restarts_used == whole.restarts_used
+        assert rows.restart_defects == whole.restart_defects
+        assert rows.best_defect == whole.best_defect
+        assert (rows.certificate is None) == (whole.certificate is None)
+        if rows.certificate is not None:
+            for name in ("M", "Minv", "B"):
+                assert np.array_equal(getattr(rows.certificate, name),
+                                      getattr(whole.certificate, name))
+            assert rows.certificate.kappa == whole.certificate.kappa
+
+    @pytest.mark.parametrize("block_bytes", [1, 3 * 8 * 18 * 18, 2**62])
+    def test_bfgs_update_matches_one_expression(self, monkeypatch, block_bytes):
+        # a partial mask: the gathered rows are updated in blocks and written
+        # back, the others keep their bits
+        from apportion import search
+
+        monkeypatch.setattr(search, "UPDATE_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(60)
+        R, D = 11, 18
+        H = rng.standard_normal((R, D, D))
+        s, y = rng.standard_normal((R, D)), rng.standard_normal((R, D))
+        sy = np.einsum("ri,ri->r", s, y)
+        upd = rng.random(R) < 0.6
+        upd[:2] = True, False
+        ref = H.copy()
+        Hu, s_u, y_u, sy_u = ref[upd], s[upd], y[upd], sy[upd]
+        Hy = np.einsum("rij,rj->ri", Hu, y_u)
+        coeff = (sy_u + np.einsum("ri,ri->r", y_u, Hy)) / sy_u**2
+        Hu += (coeff[:, None, None] * np.einsum("ri,rj->rij", s_u, s_u)
+               - (np.einsum("ri,rj->rij", Hy, s_u)
+                  + np.einsum("ri,rj->rij", s_u, Hy)) / sy_u[:, None, None])
+        ref[upd] = Hu
+        search._bfgs_update(H, upd, s, y, sy)
+        assert np.array_equal(H, ref)
+
+    def test_update_memory_within_the_hessian_stack(self):
+        # the update's temporaries are bounded by UPDATE_BLOCK_BYTES, not by
+        # the R x D x D stack: the whole search peaks below 1.5 H
+        import tracemalloc
+
+        n, restarts = 10, 32
+        stack = restarts * 8 * (2 * n * n) ** 2
+        A = build_jordan(JordanSpec(((0j, n),)))
+        tracemalloc.start()
+        try:
+            find_apportioning(A, SearchConfig(restarts=restarts, max_iters=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * stack
+
+
+class TestSearchScale:
+    # K(cA) = |c| K(A): far from unit scale the search runs at unit scale and
+    # reports spreads and certificates at the input's scale, with no warning
+    @pytest.mark.parametrize("scale", [1e-100, 1e100, 1e175, 1e300])
+    def test_opposite_pair_found_at_any_scale(self, scale):
+        import warnings
+
+        from apportion import Tolerance
+
+        A = np.diag([scale, -scale]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = find_apportioning(A, FAST)
+        assert out.found
+        tol = Tolerance(rel=FAST.defect_target, abs=FAST.defect_target * scale)
+        rep = verify_certificate(out.certificate, A, tol=tol)
+        assert rep.kappa >= scale / math.sqrt(2) * (1 - 1e-6)
+        assert out.best_defect <= FAST.defect_target * scale
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e175, 1e300])
+    def test_scalar_not_found_at_any_scale(self, scale):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = find_apportioning(np.diag([scale, scale]).astype(complex), FAST)
+        assert not out.found
+        assert math.isfinite(out.best_defect)
+        assert all(math.isfinite(d) for d in out.restart_defects)
+        # the spreads are reported at the input's scale
+        assert out.best_defect > 1e-3 * scale
+
+    def test_no_certificate_where_checks_overflow(self):
+        # the image's entry moduli sum past the float range: refused, quietly
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = find_apportioning(np.diag([1e308, -1e308]).astype(complex), FAST)
+        assert not out.found
+        assert math.isfinite(out.best_defect)
+
+    def test_in_range_input_unscaled(self, monkeypatch):
+        # inside the safe range the search sees the input array itself
+        from apportion import search
+
+        seen = []
+        objective = search._objective_batch
+
+        def spy(X, A_):
+            seen.append(A_)
+            return objective(X, A_)
+
+        monkeypatch.setattr(search, "_objective_batch", spy)
+        A = np.diag([1e-9, -1e-9]).astype(complex)
+        find_apportioning(A, SearchConfig(restarts=2, max_iters=2))
+        assert seen and all(a is A for a in seen)
