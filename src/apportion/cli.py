@@ -28,8 +28,9 @@ from .classifier import (
     request_certificate,
     spec_bounds,
 )
-from .constructors import verify_certificate
-from .core import Tolerance, as_matrix, hadamard_lower_bound, is_uniform, similarity_image, trace_lower_bound
+from .constructors import (TemplateKind, apportion_3x3_template, apportion_I_oplus_O,
+                           apportion_nilpotent, verify_certificate)
+from .core import DEFAULT_TOL, Tolerance, as_matrix, hadamard_lower_bound, is_uniform, similarity_image, trace_lower_bound
 from .errors import (
     ApportionError,
     ConstantNotAchievableError,
@@ -251,40 +252,17 @@ def _cmd_sigma(args) -> int:
     return EXIT_OK
 
 
-def _demo_nilpotent():
-    from .constructors import apportion_nilpotent
-
-    spec = JordanSpec(((0j, 3), (0j, 2)))
-    cert = apportion_nilpotent(spec, 1.0 / math.sqrt(3.0))
-    rep = is_uniform(cert.B)
-    return {"case": "nilpotent-5x5", "kappa": rep.kappa, "defect": rep.defect,
-            "uniform": rep.is_uniform}
-
-
-def _demo_i_oplus_o():
-    from .constructors import apportion_I_oplus_O
-
-    cert = apportion_I_oplus_O(2, 1.0)
-    rep = is_uniform(cert.B)
-    return {"case": "identity-plus-zeros-4x4", "kappa": rep.kappa,
-            "defect": rep.defect, "uniform": rep.is_uniform}
-
-
-def _demo_templates():
-    from .constructors import TemplateKind, apportion_3x3_template
-
-    out = []
-    for kind, name in ((TemplateKind.LAMBDA_J2_PLUS_ZERO, "3x3-size2-plus-zero"),
-                       (TemplateKind.LAMBDA_PLUS_N2, "3x3-plus-nilpotent")):
-        cert = apportion_3x3_template(kind, 1.0)
-        rep = is_uniform(cert.B)
-        out.append({"case": name, "kappa": rep.kappa, "defect": rep.defect,
-                    "uniform": rep.is_uniform})
-    return out
-
-
 def _cmd_demo(_args) -> int:
-    cases = [_demo_nilpotent(), _demo_i_oplus_o(), *_demo_templates()]
+    nilpotent = JordanSpec(((0j, 3), (0j, 2)))
+    cases = []
+    for name, cert in (
+            ("nilpotent-5x5", apportion_nilpotent(nilpotent, 1.0 / math.sqrt(3.0))),
+            ("identity-plus-zeros-4x4", apportion_I_oplus_O(2, 1.0)),
+            ("3x3-size2-plus-zero", apportion_3x3_template(TemplateKind.LAMBDA_J2_PLUS_ZERO, 1.0)),
+            ("3x3-plus-nilpotent", apportion_3x3_template(TemplateKind.LAMBDA_PLUS_N2, 1.0))):
+        rep = is_uniform(cert.B)
+        cases.append({"case": name, "kappa": rep.kappa, "defect": rep.defect,
+                      "uniform": rep.is_uniform})
     _print_json({"demo": cases})
     return EXIT_OK
 
@@ -314,8 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check M A M^-1 for uniformity")
     p.add_argument("matrix")
     p.add_argument("transform")
-    p.add_argument("--rel", type=float, default=1e-9)
-    p.add_argument("--abs", type=float, default=1e-12)
+    p.add_argument("--rel", type=float, default=DEFAULT_TOL.rel)
+    p.add_argument("--abs", type=float, default=DEFAULT_TOL.abs)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bounds", help="trace and determinant lower bounds")

@@ -17,7 +17,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerance, as_matrix, check_inverse, check_residual, is_uniform
+from .core import (DEFAULT_TOL, Tolerance, as_matrix, check_inverse, check_residual, is_uniform,
+                   times_power_of_two, unit_exponent)
 from .errors import (
     ConstantNotAchievableError,
     ConstructionError,
@@ -116,7 +117,7 @@ def _make_certificate(M, Minv, B, kappa, tag, A=None, tol: Tolerance = DEFAULT_T
     rep = is_uniform(B, tol)
     if not rep.is_uniform:
         raise ConstructionError(f"image is not uniform: defect {rep.defect:.3e}")
-    if abs(rep.kappa - kappa) > kappa_rtol * max(1.0, abs(kappa)):
+    if abs(rep.kappa - kappa) > kappa_rtol * abs(kappa):
         raise ConstructionError(
             f"achieved modulus {rep.kappa!r} does not match requested {kappa!r}"
         )
@@ -569,7 +570,7 @@ def apportion_rank_one(lam: complex, n: int, kappa: float) -> ApportionCertifica
     kappa = float(kappa)
     target_set = ConstantSet.closed_half_line(abs(lam) / n, lower_bound=abs(lam) / n)
     if n == 1:
-        if abs(kappa - abs(lam)) > 1e-12 * max(1.0, abs(lam)):
+        if abs(kappa - abs(lam)) > 1e-12 * abs(lam):
             raise ConstantNotAchievableError(
                 "a 1x1 matrix is similar only to itself; kappa must equal |lam|",
                 constants=ConstantSet.finite([abs(lam)]),
@@ -666,23 +667,15 @@ def apportion_perturb_identity(
             f"kappa = {t!r} is not an achievable constant; K = {constants.describe()}",
             constants=constants,
         )
-    im = lam.imag
-    if constants.shape.value == "finite":
-        # snap to the exact member and recover its index s
-        t = min(constants.values, key=lambda v: abs(v - t))
-        q = math.sqrt(max(0.0, t * t - 0.25))
-        if q == 0.0:
-            r_plus = n // 2
-        else:
-            s = round((n - im / q) / 2.0)
-            if not 0 <= s <= n:
-                raise ConstructionError("diagonal sign count out of range")
-            r_plus = s
-    else:
-        t = max(t, 0.5)
-        q = math.sqrt(max(0.0, t * t - 0.25))
-        r_plus = n // 2
+    finite = constants.shape.value == "finite"
+    # a finite set: snap to the exact member and recover its index s
+    t = min(constants.values, key=lambda v: abs(v - t)) if finite else max(t, 0.5)
     q = math.sqrt(max(0.0, t * t - 0.25))
+    r_plus = n // 2
+    if finite and q != 0.0:
+        r_plus = round((n - lam.imag / q) / 2.0)
+        if not 0 <= r_plus <= n:
+            raise ConstructionError("diagonal sign count out of range")
     w_hi = (0.5 + 1j * q) / (1.0 - lam)
     w_lo = (0.5 - 1j * q) / (1.0 - lam)
     w = np.array([w_hi] * r_plus + [w_lo] * (n - r_plus))
@@ -744,19 +737,20 @@ def two_by_two_constants(l1: complex, l2: complex) -> Optional[ConstantSet]:
 
     Achievability holds exactly when gamma = (l2+l1)/(l2-l1) vanishes or
     Re(gamma^2) < |gamma|^4 <= 1; the set is a closed half-line from
-    rho/sqrt(2) when gamma = 0 and a singleton otherwise.
+    rho/sqrt(2) when gamma = 0 and a singleton otherwise.  The pair is
+    evaluated at unit scale (``core.unit_exponent``) and the set scaled back.
     """
     l1, l2 = complex(l1), complex(l2)
     if l1 == 0 or l2 == 0 or l1 == l2:
         raise InvalidInputError("needs distinct nonzero eigenvalues")
-    tb = abs(l1 + l2) / 2.0
-    hb = math.sqrt(abs(l1 * l2) / 2.0)
-    if math.isinf(hb):  # only when |l1 l2| overflows, so in-range results keep their bits
-        hb = math.sqrt(abs(l1)) * math.sqrt(abs(l2) / 2.0)
-    bound = max(tb, hb)
+    e = unit_exponent((l1, l2))
+    if e:
+        l1, l2 = times_power_of_two(l1, -e), times_power_of_two(l2, -e)
+    unit = math.ldexp(1.0, e)
+    bound = max(abs(l1 + l2) / 2.0, math.sqrt(abs(l1 * l2) / 2.0)) * unit
     if _gamma_is_zero(l1, l2):
         rho = max(abs(l1), abs(l2))
-        return ConstantSet.closed_half_line(rho / math.sqrt(2.0), lower_bound=bound)
+        return ConstantSet.closed_half_line(rho / math.sqrt(2.0) * unit, lower_bound=bound)
     gamma = (l2 + l1) / (l2 - l1)
     g4 = _gamma_fourth_power(gamma)
     if _strictly_inside(gamma, g4):
@@ -766,7 +760,7 @@ def two_by_two_constants(l1: complex, l2: complex) -> Optional[ConstantSet]:
             value = abs((l1 + l2) / 2.0) * math.sqrt(
                 1.0 + (1.0 - g4) / (2.0 * (g4 - (gamma * gamma).real))
             )
-        return ConstantSet.finite([value], lower_bound=bound)
+        return ConstantSet.finite([value * unit], lower_bound=bound)
     return None
 
 
@@ -790,7 +784,7 @@ def two_by_two_plan(l1: complex, l2: complex,
         omega = math.sqrt(0.5 * ratio2 + 0.25) + 1j * math.sqrt(max(0.0, 0.5 * ratio2 - 0.25))
     else:
         value = constants.values[0]
-        if kappa is not None and abs(float(kappa) - value) > 1e-9 * max(1.0, value):
+        if kappa is not None and abs(float(kappa) - value) > 1e-9 * value:
             raise ConstantNotAchievableError(
                 f"kappa = {kappa!r} is not the unique constant {value!r}",
                 constants=constants,

@@ -29,6 +29,8 @@ __all__ = [
     "reciprocal_condition",
     "trace_lower_bound",
     "hadamard_lower_bound",
+    "unit_exponent",
+    "times_power_of_two",
 ]
 
 #: rcond threshold below which a transforming matrix is treated as singular.
@@ -40,10 +42,11 @@ INVERSE_PAIR_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative/absolute tolerance pair used by uniformity and residual checks."""
+    """Relative/absolute tolerance pair used by uniformity and residual checks; the
+    default is purely relative, so A and every multiple cA pass alike."""
 
     rel: float = 1e-9
-    abs: float = 1e-12
+    abs: float = 0.0
 
     def __post_init__(self):
         if not (self.rel >= 0 and self.abs >= 0):
@@ -92,7 +95,10 @@ def is_uniform(B, tol: Tolerance = DEFAULT_TOL) -> UniformityReport:
     """Check whether all entries of B (rectangular allowed) share one modulus."""
     B = as_matrix(B, name="B")
     mods = np.abs(B)
-    kappa = float(mods.mean())
+    # the mean of mods 2^-k times 2^k, with 2^k >= B.size: the sum cannot overflow, and
+    # for moduli above about 1e-300 each step is exact, so this is mods.mean() to the bit
+    k = (B.size - 1).bit_length()
+    kappa = math.ldexp(float((mods * math.ldexp(1.0, -k)).mean()), k)
     defect = float(np.abs(mods - kappa).max())
     return UniformityReport(defect <= max(tol.abs, tol.rel * kappa), kappa, defect)
 
@@ -127,13 +133,13 @@ def similarity_residual(B, M, A) -> float:
 
 
 def check_residual(B, M, A, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
-    """Whether B = M A M^-1 holds to ``tol``, scaled by the order and entry sizes.
+    """Whether B = M A M^-1 holds to ``tol``, relative to the order and entry sizes.
 
     Returns (passed, residual).  A non-finite residual never passes.
     """
     res = similarity_residual(B, M, A)
     mmax = float(np.abs(M).max())
-    scale = M.shape[0] * max(1.0, mmax * max(float(np.abs(A).max()), float(np.abs(B).max())))
+    scale = M.shape[0] * mmax * max(float(np.abs(A).max()), float(np.abs(B).max()))
     return res <= tol.rel * scale + tol.abs, res
 
 
@@ -186,3 +192,26 @@ def hadamard_lower_bound(A) -> float:
     if sign == 0:
         return 0.0
     return math.exp(float(logdet) / A.shape[0]) / math.sqrt(A.shape[0])
+
+
+def unit_exponent(values) -> int:
+    """The e that brings the largest real or imaginary part of ``values`` (an array or
+    a sequence of complex scalars) into [1, 2) as 2^-e times it; 0 when all vanish.
+
+    K(cA) = |c| K(A), so this one rule decides scale: a caller analyses A 2^-e, exactly,
+    and scales its answer back by 2^e."""
+    if isinstance(values, np.ndarray):
+        top = float(np.maximum(np.abs(values.real), np.abs(values.imag)).max())
+    else:
+        top = 0.0
+        for z in values:
+            top = max(top, abs(z.real), abs(z.imag))
+    return math.frexp(top)[1] - 1 if top else 0
+
+
+def times_power_of_two(x, e: int):
+    """x 2^e, exact in each real and imaginary part barring underflow, for a
+    complex array or a complex scalar."""
+    if isinstance(x, np.ndarray):
+        return np.ldexp(x.real, e) + 1j * np.ldexp(x.imag, e)
+    return complex(math.ldexp(x.real, e), math.ldexp(x.imag, e))

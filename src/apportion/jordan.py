@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INVERSE_PAIR_TOL, as_matrix, check_inverse
+from .core import INVERSE_PAIR_TOL, as_matrix, check_inverse, times_power_of_two, unit_exponent
 from .errors import InvalidInputError, SingularMatrixError, UnsupportedOrderError
 
 __all__ = [
@@ -256,19 +256,20 @@ def parse_jordan_arrangement(A, rtol: float = 1e-12):
 
     The block order of the input is preserved (no canonicalization), so a
     certificate built from the result applies to the input matrix itself.
-    Entries are compared at a tight relative tolerance; anything that is not
-    numerically a Jordan arrangement returns None.
+    A superdiagonal entry is compared with 1 at ``rtol``, every other entry
+    at ``rtol`` times max|A|; anything that is not numerically a Jordan
+    arrangement returns None.
     """
     A = as_matrix(A, square=True, name="A")
     n = A.shape[0]
-    scale = max(1.0, float(np.abs(A).max()))
+    scale = float(np.abs(A).max())
     blocks = []
     i = 0
     while i < n:
         lam = complex(A[i, i])
         size = 1
         while (i + size < n
-               and abs(A[i + size - 1, i + size] - 1.0) <= rtol * scale
+               and abs(A[i + size - 1, i + size] - 1.0) <= rtol
                and abs(A[i + size, i + size] - lam) <= rtol * scale):
             size += 1
         blocks.append((lam, size))
@@ -285,7 +286,8 @@ def input_ordered_spec(A) -> JordanSpec:
 
     Raises when the matrix is not numerically in Jordan-block arrangement:
     recovering a transforming basis for conjugated raw input is out of scope,
-    so no certificate can be expressed for it directly.
+    so no certificate can be expressed for it directly.  Eigenvalues snap at the
+    grouping tolerance of ``eigenstructure_small``, relative to 2^e below unit scale.
     """
     A = as_matrix(A, square=True, name="A")
     if A.shape[0] > 3:
@@ -299,11 +301,12 @@ def input_ordered_spec(A) -> JordanSpec:
             "block list to get a certificate for this matrix"
         )
     reps = {lam for lam, _ in eigenstructure_small(A).spec.blocks}
+    unit = 2.0 ** min(unit_exponent(A), 0)
     snapped = []
     for lam, size in parsed.blocks:
         best = min(reps, key=lambda r: abs(r - lam))
-        snapped.append((best if abs(best - lam) <= 1e-9 * max(1.0, abs(best)) else lam,
-                        size))
+        snapped.append((best if abs(best - lam) <= GROUPING_RTOL * max(unit, abs(best))
+                        else lam, size))
     return JordanSpec(tuple(snapped))
 
 
@@ -326,6 +329,8 @@ def _refined_roots_2(tr: complex, det: complex) -> list[complex]:
     full precision.
     """
     s2 = max(1.0, abs(tr) ** 2, 4.0 * abs(det))
+    if math.isinf(s2):  # 4|det| overflows quietly, unlike the power
+        raise OverflowError("the discriminant of the characteristic polynomial overflows")
     disc = tr * tr - 4.0 * det
     if abs(disc) <= _MULTIPLE_RTOL * s2:
         lam = tr / 2.0
@@ -407,22 +412,11 @@ def _refined_roots_3(A: np.ndarray) -> list[complex]:
 
 
 def eigenstructure_2x2(A) -> JordanSpec:
-    """Jordan structure of a 2x2 matrix from the closed-form quadratic roots."""
+    """Jordan structure of a 2x2 matrix: ``eigenstructure_small(A).spec``."""
     A = as_matrix(A, square=True, name="A")
     if A.shape != (2, 2):
         raise InvalidInputError("expected a 2x2 matrix")
-    l1, l2 = _refined_roots_2(complex(np.trace(A)), complex(np.linalg.det(A)))
-    scale = max(1.0, abs(l1), abs(l2))
-    if abs(l1 - l2) <= GROUPING_RTOL * scale:
-        lam = _snap_zero((l1 + l2) / 2.0, scale)
-        if float(np.abs(A - lam * np.eye(2)).max()) <= GROUPING_RTOL * scale:
-            return JordanSpec(((lam, 1), (lam, 1)))
-        return JordanSpec(((lam, 2),))
-    return JordanSpec(((_snap_zero(l1, scale), 1), (_snap_zero(l2, scale), 1))).canonical()
-
-
-def _snap_zero(lam: complex, scale: float) -> complex:
-    return 0j if abs(lam) <= GROUPING_RTOL * scale else lam
+    return eigenstructure_small(A).spec
 
 
 def _rank_with_band(B: np.ndarray, scale: float) -> tuple[int, bool]:
@@ -450,9 +444,10 @@ def eigenstructure_small(A) -> EigenResult:
     the grouping tolerance, or multiplicity decisions made inside the noise
     band of the root discriminants.
 
-    When the characteristic polynomial of A overflows, as it does for
-    entries near the float range, the structure is that of A scaled by an
-    exact power of two to unit size, with the eigenvalues scaled back.
+    Below unit scale, and wherever the characteristic polynomial of A
+    overflows, as it does for entries near the float range, the structure is
+    that of A 2^-e at unit scale (see ``core.unit_exponent``), with the
+    eigenvalues scaled back by 2^e.
     """
     A = as_matrix(A, square=True, name="A")
     n = A.shape[0]
@@ -460,14 +455,15 @@ def eigenstructure_small(A) -> EigenResult:
         raise UnsupportedOrderError("closed-form eigenstructure supports order <= 3 only")
     if n == 1:
         return EigenResult(JordanSpec(((complex(A[0, 0]), 1),)), False)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _eigenstructure(A, n)
-    except (OverflowError, FloatingPointError, InvalidInputError):
-        pass  # InvalidInputError: a root overflowed to a non-finite eigenvalue
-    k = math.frexp(float(np.abs(A).max()))[1] - 1
-    res = _eigenstructure(A * 2.0 ** -k, n)
-    return EigenResult(res.spec.scaled(2.0 ** k).canonical(), res.approximate)
+    e = unit_exponent(A)
+    if e >= 0:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return _eigenstructure(A, n)
+        except (OverflowError, FloatingPointError, InvalidInputError):
+            pass  # InvalidInputError: a root overflowed to a non-finite eigenvalue
+    res = _eigenstructure(times_power_of_two(A, -e), n)
+    return EigenResult(res.spec.scaled(2.0 ** e).canonical(), res.approximate)
 
 
 def _eigenstructure(A: np.ndarray, n: int) -> EigenResult:
@@ -485,7 +481,8 @@ def _eigenstructure(A: np.ndarray, n: int) -> EigenResult:
                 break
         else:
             clusters.append([e])
-    reps = [_snap_zero(sum(c) / len(c), scale) for c in clusters]
+    means = [sum(c) / len(c) for c in clusters]
+    reps = [0j if abs(m) <= tol else m for m in means]
     gaps = [abs(a - b) for i, a in enumerate(reps) for b in reps[i + 1:]]
     approximate = any(g < 10 * tol for g in gaps)
     blocks: list[tuple[complex, int]] = []

@@ -127,7 +127,7 @@ class ConstantSet:
         elif self.shape is SetShape.CLOSED_HALF_LINE:
             inside = kappa >= self.lo * (1.0 - MEMBERSHIP_RTOL)
         elif self.shape is SetShape.FINITE:
-            inside = any(abs(kappa - v) <= MEMBERSHIP_RTOL * max(1.0, v) for v in self.values)
+            inside = any(abs(kappa - v) <= MEMBERSHIP_RTOL * v for v in self.values)
         else:  # UNKNOWN
             return None
         if inside:

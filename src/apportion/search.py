@@ -29,7 +29,8 @@ import numpy as np
 
 from .classifier import _coerce, classify, request_certificate
 from .constructors import ApportionCertificate, CertTag, _make_certificate
-from .core import RCOND_THRESHOLD, Tolerance, as_matrix, is_uniform, reciprocal_condition
+from .core import (RCOND_THRESHOLD, Tolerance, as_matrix, is_uniform, reciprocal_condition,
+                   times_power_of_two, unit_exponent)
 from .errors import ConstructionError, InvalidInputError, SearchBudgetError
 from .jordan import JordanSpec, build_jordan
 from .reports import Verdict
@@ -50,7 +51,7 @@ MAX_HESSIAN_BYTES = 256 * 2**20
 #: this many bytes' worth of rows (at least one): a block's temporaries stay
 #: inside a 2 MiB L2 cache, and far below the stack they update
 UPDATE_BLOCK_BYTES = 128 * 2**10
-#: inputs whose largest real or imaginary part lies outside this range are
+#: inputs whose scale 2^e (``core.unit_exponent``) lies outside this range are
 #: searched at unit scale
 SAFE_SCALE = (2.0 ** -64, 2.0 ** 64)
 
@@ -262,11 +263,11 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
         raise SearchBudgetError(
             f"{R} restarts at order {n} exceed the {MAX_HESSIAN_BYTES >> 20} MiB Hessian budget")
     # K(cA) = |c| K(A): far from unit scale the search runs on As = A 2^-e,
-    # exact as a power of two, reports its spreads times 2^e and certifies
-    # against A itself; inside SAFE_SCALE, As is A and the factor is 1.0
-    top = float(np.maximum(np.abs(A.real), np.abs(A.imag)).max())
-    e = 0 if top == 0.0 or SAFE_SCALE[0] <= top <= SAFE_SCALE[1] else math.frexp(top)[1] - 1
-    As = np.ldexp(A.real, -e) + 1j * np.ldexp(A.imag, -e) if e else A
+    # reports its spreads times 2^e and certifies against A itself; inside
+    # SAFE_SCALE, As is A and the factor is 1.0
+    e = unit_exponent(A)
+    e = 0 if SAFE_SCALE[0] <= math.ldexp(1.0, e) <= SAFE_SCALE[1] else e
+    As = times_power_of_two(A, -e) if e else A
     unit = math.ldexp(1.0, e)
     X = _initial_points(cfg, n)
     f, g, spread = _objective_batch(X, As)

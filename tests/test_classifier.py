@@ -416,6 +416,25 @@ class TestExtremeInputs:
         rep = classify(np.array([[1.0, 1e175], [0.0, 2.0]], dtype=complex))
         assert rep.verdict is classify(np.diag([1.0, 2.0]).astype(complex)).verdict
 
+    @pytest.mark.parametrize("lams, scale", [((1, 2), 1e-10), ((1, 2), 1e-300),
+                                             ((1, -1), 1e-10), ((1, 1j), 1e-10),
+                                             ((1, -1, 0), 1e-200), ((1, 1), 1e-10)])
+    def test_raw_entries_below_unit_scale(self, lams, scale):
+        # the structure is read at unit scale: no entry below 1 counts as zero
+        unit = classify(np.diag(lams).astype(complex))
+        rep = classify(np.diag(lams).astype(complex) * scale)
+        assert (rep.verdict, rep.theorem_tag) == (unit.verdict, unit.theorem_tag)
+        assert rep.constants.lower_bound == pytest.approx(unit.constants.lower_bound * scale,
+                                                          rel=1e-12, abs=1e-12 * scale)
+
+    def test_small_singleton_refuses_other_kappa(self):
+        spec = diag_spec(1e-10, 1e-10j)
+        value = classify(spec).constants.values[0]
+        assert value == pytest.approx(math.sqrt(2) / 2 * 1e-10, rel=1e-12, abs=0)
+        assert classify(spec).constants.contains(3 * value) is False
+        with pytest.raises(ConstantNotAchievableError):
+            request_certificate(spec, kappa=3 * value)
+
     def test_region_resolution_capped(self):
         from apportion.classifier import MAX_REGION_RESOLUTION
 

@@ -355,3 +355,38 @@ class TestEdgeRefusals:
         doc = json.loads(proc.stdout)
         assert doc["found"] is found
         assert math.isfinite(doc["best_defect"])
+
+
+class TestScale:
+    def test_small_raw_pair_not_apportionable(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "m.json", entries_doc(np.diag([1e-10, 2e-10])))
+        code, out = run(capsys, ["apportion", path])
+        assert code == 4 and out == ""
+
+    def test_small_singleton_other_kappa_refused(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "m.json", jordan_doc([(1e-10 + 0j, 1), (1e-10j, 1)]))
+        code, out = run(capsys, ["classify", path])
+        assert json.loads(out)["constants"]["values"] == pytest.approx([7.0710678118654755e-11], rel=1e-12, abs=0)
+        code, out = run(capsys, ["apportion", path, "--kappa", "2.1e-10"])
+        assert code == 6 and out == ""
+
+    @pytest.mark.parametrize("scale", [1e13, 1e100])
+    def test_large_rank_one_raw_entries(self, tmp_path, capsys, scale):
+        from apportion import ApportionCertificate, CertTag, verify_certificate
+
+        A = np.diag([scale, 0.0, 0.0])
+        path = write_doc(tmp_path, "m.json", entries_doc(A))
+        code, out = run(capsys, ["apportion", path])
+        assert code == 0
+        doc = json.loads(out)
+        M, Minv, B = (np.array([[complex(*z) for z in row] for row in doc[k]])
+                      for k in ("M", "Minv", "B"))
+        cert = ApportionCertificate(M, Minv, B, doc["kappa"], CertTag(doc["theorem_tag"]))
+        assert verify_certificate(cert, A).kappa == pytest.approx(scale / 3, rel=1e-9)
+
+    def test_verify_defaults_are_the_library_defaults(self, tmp_path, capsys):
+        # no absolute floor: a small non-uniform image is reported as such
+        a_path = write_doc(tmp_path, "a.json", entries_doc([[1e-13, 0], [0, 0]]))
+        m_path = write_doc(tmp_path, "m.json", entries_doc(np.eye(2)))
+        code, out = run(capsys, ["verify", a_path, m_path])
+        assert code == 0 and json.loads(out)["is_uniform"] is False

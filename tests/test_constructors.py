@@ -49,6 +49,17 @@ def check_cert(cert, A, kappa=None):
     return rep
 
 
+def test_zero_certificate_for_small_matrix_refused():
+    # B = 0 is no image of diag(1e-10, 2e-10): its residual, 2e-10, is the
+    # whole size of A
+    from apportion import ApportionCertificate, ConstructionError
+
+    cert = ApportionCertificate(np.eye(2, dtype=complex), np.eye(2, dtype=complex),
+                                np.zeros((2, 2), dtype=complex), 0.0, CertTag.NILPOTENT)
+    with pytest.raises(ConstructionError):
+        verify_certificate(cert, np.diag([1e-10, 2e-10]))
+
+
 class TestPadByZero:
     def test_single_entry(self):
         from apportion import ApportionCertificate
@@ -316,6 +327,10 @@ class TestRankOne:
         with pytest.raises(ConstantNotAchievableError):
             apportion_rank_one(3 + 4j, 1, 2.0)
 
+    def test_order_one_matched_relatively(self):
+        with pytest.raises(ConstantNotAchievableError):
+            apportion_rank_one(1e-14, 1, 2e-14)
+
 
 class TestPerturbIdentity:
     def test_even_real_closed_half_line(self):
@@ -411,6 +426,21 @@ class TestTwoByTwo:
         constants = two_by_two_constants(scale, -scale)
         assert constants.lower_bound == pytest.approx(unit.lower_bound * scale, rel=1e-12)
         assert constants.lo == pytest.approx(unit.lo * scale, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160])
+    def test_bound_far_below_unit_scale(self, scale):
+        # |l1 l2| underflows from about 1e-154: the bound keeps its value
+        unit = two_by_two_constants(1.0, -1.0)
+        constants = two_by_two_constants(scale, -scale)
+        assert constants.lower_bound == pytest.approx(unit.lower_bound * scale, rel=1e-12, abs=0)
+        assert constants.lo == pytest.approx(unit.lo * scale, rel=1e-12, abs=0)
+
+    def test_small_singleton_matched_relatively(self):
+        # kappa = 3 v is not the set's one member v, however small v is
+        value = two_by_two_constants(1e-10, 1e-10j).values[0]
+        assert value == pytest.approx(math.sqrt(2) / 2 * 1e-10, rel=1e-12, abs=0)
+        with pytest.raises(ConstantNotAchievableError):
+            two_by_two_plan(1e-10, 1e-10j, 3 * value)
 
 
 class TestPolarCondition:

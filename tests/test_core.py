@@ -67,6 +67,52 @@ class TestIsUniform:
         assert rep1.kappa == pytest.approx(rep0.kappa, rel=1e-12)
         assert rep1.defect == pytest.approx(rep0.defect, rel=1e-9, abs=1e-12)
 
+    def test_mean_does_not_overflow(self):
+        rep = is_uniform([[1e308, 1e300], [1e308, 1e308]])
+        assert not rep.is_uniform
+        assert rep.kappa == pytest.approx(0.75e308 + 0.25e300, rel=1e-15)
+
+    def test_default_has_no_absolute_floor(self):
+        from apportion import DEFAULT_TOL
+
+        assert DEFAULT_TOL.abs == 0.0
+        assert not is_uniform([[1e-13, 0], [0, 0]]).is_uniform
+
+    def test_mean_is_numpy_mean_to_the_bit(self):
+        rng = np.random.default_rng(5)
+        for shape in ((1, 1), (2, 2), (3, 5), (16, 16)):
+            for scale in (1e-290, 1e-9, 1.0, 1e9, 1e290):
+                B = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                assert is_uniform(B).kappa == float(np.abs(B).mean())
+
+
+class TestUnitExponent:
+    @pytest.mark.parametrize("values, e", [
+        (np.array([[1.0]]), 0), (np.array([[1.999, -0.5]]), 0), (np.array([[2.0]]), 1),
+        (np.array([[0.5j, 0.25]]), -1), (np.array([[-3 + 0.1j]]), 1), (np.zeros((2, 2)), 0),
+        ((1e-300, -1e-300j), -997), ((5e-324,), -1074), ((1.7e308 + 0j,), 1023),
+    ])
+    def test_brings_the_largest_part_into_one_two(self, values, e):
+        from apportion.core import times_power_of_two, unit_exponent
+
+        assert unit_exponent(values) == e
+        scaled = times_power_of_two(np.asarray(values, dtype=complex), -e)
+        top = np.maximum(np.abs(scaled.real), np.abs(scaled.imag)).max()
+        assert top == 0.0 or 1.0 <= top < 2.0
+        # scalars scale as the array does, and exactly
+        for z, zs in zip(np.ravel(values), scaled.ravel()):
+            assert times_power_of_two(complex(z), -e) == zs
+            assert times_power_of_two(zs, e) == z
+
+
+class TestResidualIsRelative:
+    def test_zero_image_of_a_small_matrix_refused(self):
+        from apportion.core import check_residual
+
+        A = np.diag([1e-10, 2e-10]).astype(complex)
+        ok, res = check_residual(np.zeros((2, 2)), np.eye(2), A)
+        assert not ok and res == 2e-10
+
 
 class TestSimilarityImage:
     def test_identity(self):

@@ -186,6 +186,18 @@ class TestParseArrangement:
         spec = input_ordered_spec(A)
         assert spec.blocks[0][0] == spec.blocks[1][0]
 
+    @pytest.mark.parametrize("scale", [1e13, 1e100])
+    def test_superdiagonal_compared_with_one_at_its_own_scale(self, scale):
+        # a large diagonal entry does not make a zero superdiagonal pass as 1
+        spec = input_ordered_spec(np.diag([scale, 0.0, 0.0]))
+        assert spec.blocks == ((scale + 0j, 1), (0j, 1), (0j, 1))
+
+    def test_small_scaled_block_is_not_an_arrangement(self):
+        A = np.array([[0.0, 2.0 ** -60], [0.0, 0.0]])
+        assert parse_jordan_arrangement(A) is None
+        with pytest.raises(InvalidInputError):
+            input_ordered_spec(A)
+
 
 class TestEigenstructure2x2:
     def test_nilpotent(self):
@@ -202,6 +214,17 @@ class TestEigenstructure2x2:
     def test_scalar(self):
         spec = eigenstructure_2x2(2j * np.eye(2))
         assert spec.blocks == ((2j, 1), (2j, 1))
+
+    def test_below_unit_scale(self):
+        # the eigenvalues stay apart and nonzero at any scale
+        spec = eigenstructure_2x2(np.diag([1e-10, 2e-10]))
+        assert specs_close(spec, JordanSpec(((2e-10 + 0j, 1), (1e-10 + 0j, 1))), tol=1e-24)
+        assert all(lam != 0 for lam, _ in spec.blocks)
+
+    def test_is_eigenstructure_small(self):
+        for A in (np.diag([1e-10, 2e-10]), np.array([[1.0, 1.0], [0.0, 1.0 + 1e-12]]),
+                  np.array([[0.3, 1e-9], [1e-9, 0.3]])):
+            assert eigenstructure_2x2(A) == eigenstructure_small(A).spec
 
 
 class TestEigenstructureSmall:
@@ -245,3 +268,17 @@ class TestEigenstructureSmall:
     def test_order_above_three_rejected(self):
         with pytest.raises(UnsupportedOrderError):
             eigenstructure_small(np.eye(4))
+
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 2.0 ** -500, 1e-300])
+    def test_below_unit_scale_keeps_its_structure(self, scale):
+        for spec in (JordanSpec(((3 + 0j, 2),)), JordanSpec(((1 + 0j, 2), (-2 + 0j, 1))),
+                     JordanSpec(((1 + 0j, 1), (2 + 0j, 1), (1j, 1)))):
+            A = build_jordan(spec) * scale
+            want = JordanSpec(tuple((lam * scale, size) for lam, size in spec.blocks))
+            assert specs_close(eigenstructure_small(A).spec, want.canonical(), tol=1e-12 * scale)
+
+    def test_overflowing_discriminant_rescaled(self):
+        # 4|det| passes the float range without an exception
+        A = np.diag([-2.0, 3.0]) * 2.0 ** 510
+        spec = eigenstructure_small(A).spec
+        assert spec.blocks == ((3 * 2.0 ** 510 + 0j, 1), (-2 * 2.0 ** 510 + 0j, 1))
