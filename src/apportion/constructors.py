@@ -2,9 +2,10 @@
 
 Each public ``apportion_*`` function builds a transforming matrix M in closed
 form for one matrix class and returns an ApportionCertificate holding M, its
-inverse, the uniform image B = M A M^-1, and the achieved modulus.  Every
-certificate is re-verified (inverse product, uniformity, similarity residual)
-before it is returned.
+inverse, the uniform image B = M A M^-1, and the achieved modulus.  Each finished
+certificate is checked once (inverse product, uniformity, similarity residual) against
+the matrix the caller asked about; zero paddings and block permutations before it are
+exact algebra.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, Tolerance, as_matrix, check_inverse, check_residual, is_uniform,
-                   times_power_of_two, unit_exponent)
+from .core import (DEFAULT_TOL, Tolerance, UniformityReport, as_matrix, check_inverse,
+                   check_residual, is_uniform, times_power_of_two, unit_exponent)
 from .errors import (
     ConstantNotAchievableError,
     ConstructionError,
@@ -106,11 +107,10 @@ class ApportionCertificate:
         }
 
 
-def _make_certificate(M, Minv, B, kappa, tag, A=None, tol: Tolerance = DEFAULT_TOL,
-                      kappa_rtol=1e-9) -> ApportionCertificate:
-    M = np.asarray(M, dtype=complex)
-    Minv = np.asarray(Minv, dtype=complex)
-    B = np.asarray(B, dtype=complex)
+def _check(cert: ApportionCertificate, A, tol: Tolerance, kappa_rtol=1e-9) -> UniformityReport:
+    """Inverse product, uniformity at kappa, residual against A if given; B's report."""
+    M, Minv, B = (np.asarray(x, dtype=complex) for x in (cert.M, cert.Minv, cert.B))
+    kappa = cert.kappa
     ok, inv_err = check_inverse(M, Minv)
     if not ok:
         raise ConstructionError(f"inverse product check failed: {inv_err:.3e}")
@@ -125,7 +125,16 @@ def _make_certificate(M, Minv, B, kappa, tag, A=None, tol: Tolerance = DEFAULT_T
         ok, res = check_residual(B, M, np.asarray(A, dtype=complex), tol)
         if not ok:
             raise ConstructionError(f"similarity residual too large: {res:.3e}")
-    return ApportionCertificate(M=M, Minv=Minv, B=B, kappa=float(kappa), theorem_tag=tag)
+    return rep
+
+
+def _make_certificate(M, Minv, B, kappa, tag, A=None, tol: Tolerance = DEFAULT_TOL,
+                      kappa_rtol=1e-9) -> ApportionCertificate:
+    """Check a finished certificate against A; run only on what is returned."""
+    cert = ApportionCertificate(*(np.asarray(x, dtype=complex) for x in (M, Minv, B)),
+                                float(kappa), tag)
+    _check(cert, A, tol, kappa_rtol)
+    return cert
 
 
 def verify_certificate(cert: ApportionCertificate, A, tol: Tolerance = DEFAULT_TOL):
@@ -133,9 +142,7 @@ def verify_certificate(cert: ApportionCertificate, A, tol: Tolerance = DEFAULT_T
 
     Returns the UniformityReport of B; raises ConstructionError on any failure.
     """
-    A = as_matrix(A, square=True, name="A")
-    _make_certificate(cert.M, cert.Minv, cert.B, cert.kappa, cert.theorem_tag, A, tol)
-    return is_uniform(cert.B, tol)
+    return _check(cert, as_matrix(A, square=True, name="A"), tol)
 
 
 def reorder_certificate(cert: ApportionCertificate, Q: np.ndarray,
@@ -166,14 +173,9 @@ def _coerce_spec(a) -> JordanSpec:
 # padding by a zero row/column
 # ---------------------------------------------------------------------------
 
-def pad_by_zero(cert: ApportionCertificate, A=None) -> ApportionCertificate:
-    """Extend a certificate for A to one for A + [0] block, same modulus.
-
-    The bordered transform N has closed-form inverse, so the padded M, its
-    inverse, and the padded image are all assembled exactly from blocks of the
-    original certificate.  When ``A`` is supplied the result is re-verified
-    against A + [0].
-    """
+def _padded(cert: ApportionCertificate) -> ApportionCertificate:
+    """The certificate for A + [0] from one for A, same modulus, unchecked: the bordered
+    transform has a closed-form inverse, so M, Minv and B are assembled exactly from blocks."""
     n = cert.order
     om = _SIXTH
     M, Minv, B = cert.M, cert.Minv, cert.B
@@ -198,28 +200,28 @@ def pad_by_zero(cert: ApportionCertificate, A=None) -> ApportionCertificate:
     Bp[n, :n] = om * B[0, :]
     Bp[n, 0] = B[0, 0]
     Bp[n, n] = om * B[0, 0]
+    return ApportionCertificate(Mp, Minvp, Bp, cert.kappa, CertTag.PAD_ZERO)
 
-    Ap = None
-    if A is not None:
-        A = as_matrix(A, square=True, name="A")
-        Ap = np.zeros((n + 1, n + 1), dtype=complex)
-        Ap[:n, :n] = A
-    return _make_certificate(Mp, Minvp, Bp, cert.kappa, CertTag.PAD_ZERO, Ap)
+
+def pad_by_zero(cert: ApportionCertificate, A=None) -> ApportionCertificate:
+    """Extend a certificate for A to one for A + [0], checked against A + [0] if A is given."""
+    p = _padded(cert)
+    Ap = None if A is None else np.pad(as_matrix(A, square=True, name="A"), (0, 1))
+    return _make_certificate(p.M, p.Minv, p.B, p.kappa, CertTag.PAD_ZERO, Ap)
 
 
 def _peel_and_pad(spec: JordanSpec, peel: list[int], build_core, tag: CertTag
                   ) -> ApportionCertificate:
-    """Build on the blocks outside ``peel`` (zero 1-blocks), then re-attach
-    each peeled block by zero padding and permute back to the input order."""
+    """Build on the blocks outside ``peel`` (zero 1-blocks), re-attach each
+    peeled block by zero padding, permute back to the input order, and check
+    the result once against the Jordan matrix of ``spec``."""
     keep = [i for i in range(len(spec.blocks)) if i not in peel]
     perm_spec, Q = block_permutation(spec, keep + peel)
-    core = JordanSpec(perm_spec.blocks[: len(keep)])
-    cert = build_core(core)
-    A_perm = build_jordan(perm_spec)
-    for n in range(core.order, spec.order):
-        cert = pad_by_zero(cert, A=A_perm[:n, :n])
-    cert = reorder_certificate(cert, Q, A=build_jordan(spec))
-    return ApportionCertificate(cert.M, cert.Minv, cert.B, cert.kappa, tag)
+    cert = build_core(JordanSpec(perm_spec.blocks[: len(keep)]))
+    for _ in peel:
+        cert = _padded(cert)
+    return _make_certificate(cert.M @ Q, Q.T @ cert.Minv, cert.B, cert.kappa, tag,
+                             build_jordan(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +260,7 @@ def _nilpotent_core(spec: JordanSpec, kappa: float) -> ApportionCertificate:
     M = M0 * svec[None, :]
     Minv = M0inv / svec[:, None]
     B = (kappa / kappa0) * B0
-    return _make_certificate(M, Minv, B, kappa, CertTag.NILPOTENT, A)
+    return ApportionCertificate(M, Minv, B, kappa, CertTag.NILPOTENT)
 
 
 def apportion_nilpotent(spec: JordanSpec, kappa: float) -> ApportionCertificate:
@@ -435,9 +437,7 @@ def _half_rank_exact(spec: JordanSpec, kappa: float) -> ApportionCertificate:
     svec = geometric_diagonal(sorted_spec, 1.0 / kappa)
     M = (M0 @ P) * svec[None, :]
     Minv = (P.T @ M0inv) / svec[:, None]
-    cert = _make_certificate(M, Minv, B, kappa, CertTag.HALF_RANK,
-                             build_jordan(sorted_spec))
-    return reorder_certificate(cert, Q, A=build_jordan(spec))
+    return ApportionCertificate(M @ Q, Q.T @ Minv, B, kappa, CertTag.HALF_RANK)
 
 
 def apportion_half_rank(A_or_spec: Union[JordanSpec, np.ndarray],
@@ -467,13 +467,10 @@ def apportion_half_rank(A_or_spec: Union[JordanSpec, np.ndarray],
             constants=ConstantSet.open_half_line(rho / 2.0, exact=False),
         )
     m = n - 2 * r
-    if m == 0:
-        return _half_rank_exact(spec, kappa)
+    # each zero 1-block adds 1 to n - 2r and no other block adds anything: m <= their count
     zero_ones = [i for i, (lam, s) in enumerate(spec.blocks) if lam == 0 and s == 1]
-    if len(zero_ones) < m:
-        raise InvalidInputError("internal: not enough zero 1-blocks to peel")
-    return _peel_and_pad(spec, zero_ones[-m:], lambda core: _half_rank_exact(core, kappa),
-                         CertTag.HALF_RANK)
+    return _peel_and_pad(spec, zero_ones[len(zero_ones) - m:],
+                         lambda core: _half_rank_exact(core, kappa), CertTag.HALF_RANK)
 
 
 def apportion_A_oplus_zeros(A_or_spec: Union[JordanSpec, np.ndarray],

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INVERSE_PAIR_TOL, as_matrix, check_inverse, times_power_of_two, unit_exponent
+from .core import (INVERSE_PAIR_TOL, as_matrix, check_inverse, check_residual, times_power_of_two,
+                   unit_exponent)
 from .errors import InvalidInputError, SingularMatrixError, UnsupportedOrderError
 
 __all__ = [
@@ -196,20 +197,22 @@ def scale_jordan(spec: JordanSpec, lam: complex) -> tuple[JordanSpec, np.ndarray
     """Eigenvalue scaling of a Jordan matrix by a nonzero scalar.
 
     Returns the scaled spec together with S = diag(1, lam, ..., lam^(n-1)),
-    which satisfies S (lam * J) S^-1 = J_scaled.  The identity is re-verified
-    numerically before returning.
+    which satisfies S (lam * J) S^-1 = J_scaled.  A lam with a power in S that is
+    zero or not finite is refused; otherwise the identity is re-verified
+    numerically, as J_scaled S = S (lam * J), before returning.
     """
     lam = complex(lam)
     if lam == 0:
         raise InvalidInputError("scaling factor must be nonzero")
     scaled = spec.scaled(lam)
     n = spec.order
-    S = np.diag(lam ** np.arange(n).astype(complex))
-    J = build_jordan(spec)
-    target = build_jordan(scaled)
-    lhs = (S * lam) @ J @ np.diag(1.0 / np.diag(S))
-    scale = max(1.0, float(np.abs(target).max()))
-    if float(np.abs(lhs - target).max()) > 1e-9 * scale:
+    # out of float range, a power or a product turns inf or NaN and is refused here
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = lam ** np.arange(n).astype(complex)
+        S = np.diag(powers)
+        ok = (np.all(np.isfinite(powers) & (powers != 0))
+              and check_residual(build_jordan(scaled), S, lam * build_jordan(spec))[0])
+    if not ok:
         raise InvalidInputError(
             "scaling verification failed; |lam| too extreme for this order"
         )

@@ -141,7 +141,9 @@ class ConstantSet:
         if self.shape is SetShape.CLOSED_HALF_LINE:
             return self.lo
         if self.shape is SetShape.OPEN_HALF_LINE:
-            return self.lo + max(1.0, self.lo) / 2.0
+            # relative to lo, as K(cA) = |c| K(A); lo = 0 only for nilpotent A, whose
+            # constants are every kappa > 0 at any scale
+            return 1.5 * self.lo if self.lo > 0 else 0.5
         if self.shape is SetShape.FINITE:
             return self.values[0]
         return None

@@ -435,6 +435,20 @@ class TestExtremeInputs:
         with pytest.raises(ConstantNotAchievableError):
             request_certificate(spec, kappa=3 * value)
 
+    def test_default_kappa_follows_scale(self):
+        # the default member of the open half-line (rho/2, inf) is 1.5 lo = 0.75 rho at
+        # any scale, not an absolute floor that a tiny matrix cannot reach
+        import warnings
+
+        for k in (0, -40, -300, -900, 40, 300):
+            s = math.ldexp(1.0, k)
+            spec = diag_spec(s, s * 1j, 0, 0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cert = request_certificate(spec)
+                rep = verify_certificate(cert, build_jordan(spec))
+            assert rep.kappa == pytest.approx(0.75 * s, rel=1e-9), k
+
     def test_region_resolution_capped(self):
         from apportion.classifier import MAX_REGION_RESOLUTION
 

@@ -495,3 +495,78 @@ class TestTemplates:
         cert = apportion_3x3_template(TemplateKind.LAMBDA_J2_PLUS_ZERO, 0.0)
         assert cert.theorem_tag is CertTag.NILPOTENT
         check_cert(cert, build_jordan(JordanSpec(((0j, 2), (0j, 1)))))
+
+
+
+class TestOneCheckPerCertificate:
+    """Each returned certificate is checked once, against the caller's matrix; the
+    paddings and permutations that build it check nothing."""
+
+    @pytest.fixture
+    def residual_checks(self, monkeypatch):
+        import apportion.constructors as constructors
+
+        calls = []
+        check = constructors.check_residual
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(constructors, "check_residual", counted)
+        return calls
+
+    def test_constructions(self, residual_checks):
+        from apportion import reorder_certificate
+        from apportion.jordan import block_permutation
+
+        nilpotent = JordanSpec(((0j, 3), (0j, 1), (0j, 2), (0j, 1)))
+        peeled = JordanSpec(((0j, 1), (1 + 0j, 1), (0j, 2), (2j, 1), (0j, 1), (0j, 1),
+                             (0j, 1)))
+        exact = JordanSpec(((1 + 0j, 2), (0j, 1), (0j, 1)))
+        swapped, Q = block_permutation(exact, [1, 0, 2])
+        rank_one = apportion_rank_one(1.0, 2, 0.5)
+        half_rank = apportion_half_rank(swapped, 1.3)
+        builds = [
+            (lambda: apportion_nilpotent(nilpotent, 0.7), build_jordan(nilpotent)),
+            (lambda: apportion_half_rank(peeled, 1.3), build_jordan(peeled)),
+            (lambda: apportion_half_rank(exact, 1.3), build_jordan(exact)),
+            (lambda: pad_by_zero(rank_one, A=np.diag([1.0, 0.0])), np.diag([1.0, 0.0, 0.0])),
+            (lambda: reorder_certificate(half_rank, Q, A=build_jordan(exact)),
+             build_jordan(exact)),
+        ]
+        counts = []
+        for build, A in builds:
+            residual_checks.clear()
+            cert = build()
+            counts.append(len(residual_checks))
+            # the one check ran against the matrix the certificate is for
+            assert np.array_equal(residual_checks[0][2], A)
+            check_cert(cert, A)
+        assert counts == [1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("spec", [
+        JordanSpec(((0j, 3), (0j, 1), (0j, 2), (0j, 1))),
+        JordanSpec(((0j, 1), (1 + 0j, 1), (0j, 2), (2j, 1), (0j, 1), (0j, 1), (0j, 1))),
+    ])
+    def test_request_certificate(self, residual_checks, spec):
+        from apportion import request_certificate
+
+        cert = request_certificate(spec, kappa=1.3)
+        assert len(residual_checks) == 1
+        check_cert(cert, build_jordan(spec), 1.3)
+
+    def test_verify_runs_uniformity_once(self, monkeypatch):
+        import apportion.constructors as constructors
+
+        cert = apportion_nilpotent(JordanSpec(((0j, 3), (0j, 2))), KAPPA_13)
+        reports = []
+        uniform = constructors.is_uniform
+
+        def counted(*args):
+            reports.append(uniform(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(constructors, "is_uniform", counted)
+        rep = verify_certificate(cert, build_jordan(JordanSpec(((0j, 3), (0j, 2)))))
+        assert reports == [rep] and rep.is_uniform

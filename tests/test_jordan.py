@@ -90,6 +90,16 @@ class TestScaleJordan:
         with pytest.raises(InvalidInputError):
             scale_jordan(JordanSpec(((1 + 0j, 1),)), 0.0)
 
+    @pytest.mark.parametrize("lam", [1e-120, 1e100, 1e120])
+    def test_power_out_of_float_range_rejected(self, lam):
+        # lam^3 underflows to 0 (a singular S) or the check overflows to NaN
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                scale_jordan(JordanSpec(((1 + 0j, 4),)), lam)
+
 
 class TestCompleteInversePair:
     def test_standard_basis(self):
