@@ -110,6 +110,11 @@ class ApportionCertificate:
 def _check(cert: ApportionCertificate, A, tol: Tolerance, kappa_rtol=1e-9) -> UniformityReport:
     """Inverse product, uniformity at kappa, residual against A if given; B's report."""
     M, Minv, B = (np.asarray(x, dtype=complex) for x in (cert.M, cert.Minv, cert.B))
+    if A is not None:
+        A = np.asarray(A, dtype=complex)
+        if A.shape != M.shape:
+            raise InvalidInputError(
+                f"order mismatch: the certificate is {M.shape}, A is {A.shape}")
     kappa = cert.kappa
     ok, inv_err = check_inverse(M, Minv)
     if not ok:
@@ -122,7 +127,7 @@ def _check(cert: ApportionCertificate, A, tol: Tolerance, kappa_rtol=1e-9) -> Un
             f"achieved modulus {rep.kappa!r} does not match requested {kappa!r}"
         )
     if A is not None:
-        ok, res = check_residual(B, M, np.asarray(A, dtype=complex), tol)
+        ok, res = check_residual(B, M, A, tol)
         if not ok:
             raise ConstructionError(f"similarity residual too large: {res:.3e}")
     return rep

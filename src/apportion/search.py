@@ -10,8 +10,9 @@ fail the Armijo test then try their next steps 1/2, 1/4, ... together, in as
 few calls as keep each within ``restarts`` rows, and take the first step that
 passes.  The objective is row-independent and the steps are exact powers of
 two, so this is plain backtracking to the last bit, in fewer calls.  The
-inverse-Hessian update runs on cache-sized blocks of restarts, and an input
-far from unit scale is searched as A 2^-e.  The best candidates are then
+search direction is one batched matrix-vector product, the inverse-Hessian
+update one rank-two matrix product per cache-sized block of restarts, and an
+input far from unit scale is searched as A 2^-e.  The best candidates are then
 confirmed by Gauss-Newton refinement of the uniformity residuals, re-measured
 with the true modulus spread, and re-verified through the core checks, so the
 search can only err toward "not found".  ``SearchConfig`` holds the four
@@ -209,9 +210,10 @@ def _bfgs_update(H: np.ndarray, upd: np.ndarray, s: np.ndarray, y: np.ndarray,
                  sy: np.ndarray) -> None:
     """BFGS update, in place, of the inverse Hessians H[r] of the rows r where ``upd`` is set.
 
-    The rank-two expression runs on blocks of rows whose (rows, D, D)
-    temporaries take at most UPDATE_BLOCK_BYTES each, or one row.  Every entry
-    of H gets the same operations in the same order at any block size, so the
+    With h = H y / sy and c = (sy + y.Hy) / sy^2 the update is
+    H += (c s - h) s^T - s h^T, one (rows, D, 2) @ (rows, 2, D) product per
+    block of rows whose (rows, D, D) product takes at most UPDATE_BLOCK_BYTES,
+    or one row.  Every row gets the same operations at any block size, so the
     blocks change no bit of the result.  A block holds 50 rows at order 3, so
     one block covers the default 32 restarts there, and 3 rows at order 6.
     """
@@ -222,14 +224,10 @@ def _bfgs_update(H: np.ndarray, upd: np.ndarray, s: np.ndarray, y: np.ndarray,
     for a in range(0, H.shape[0] if every else rows.size, size):
         r = slice(a, a + size) if every else rows[a:a + size]
         Hr, s_r, y_r, sy_r = H[r], s[r], y[r], sy[r]
-        Hy = np.einsum("rij,rj->ri", Hr, y_r)
-        yHy = np.einsum("ri,ri->r", y_r, Hy)
-        coeff = (sy_r + yHy) / sy_r**2
-        Hr += (
-            coeff[:, None, None] * np.einsum("ri,rj->rij", s_r, s_r)
-            - (np.einsum("ri,rj->rij", Hy, s_r)
-               + np.einsum("ri,rj->rij", s_r, Hy)) / sy_r[:, None, None]
-        )
+        Hy = (Hr @ y_r[:, :, None])[:, :, 0]
+        coeff = (sy_r + np.einsum("ri,ri->r", y_r, Hy)) / sy_r**2
+        h = Hy / sy_r[:, None]
+        Hr += np.stack([coeff[:, None] * s_r - h, -s_r], axis=2) @ np.stack([s_r, h], axis=1)
         if not every:
             H[r] = Hr
 
@@ -292,7 +290,7 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
                 a[keep] for a in (ids, X, f, g, spread, H, stall, held_best, held_best_X))
             if ids.size == 0:
                 break
-        p = -np.einsum("rij,rj->ri", H, g)
+        p = -(H @ g[:, :, None])[:, :, 0]
         gTp = np.einsum("ri,ri->r", g, p)
         uphill = gTp >= 0
         if uphill.any():

@@ -26,6 +26,7 @@ from apportion import (
     pad_by_zero,
     perturb_identity_constants,
     polar_condition_2x2,
+    reorder_certificate,
     spiral_sum,
     trace_lower_bound,
     two_by_two_constants,
@@ -570,3 +571,17 @@ class TestOneCheckPerCertificate:
         monkeypatch.setattr(constructors, "is_uniform", counted)
         rep = verify_certificate(cert, build_jordan(JordanSpec(((0j, 3), (0j, 2)))))
         assert reports == [rep] and rep.is_uniform
+
+    @pytest.mark.parametrize("call", [
+        lambda cert: verify_certificate(cert, np.eye(3)),
+        lambda cert: pad_by_zero(cert, A=np.eye(4)),
+        lambda cert: reorder_certificate(cert, np.eye(2), A=np.eye(3)),
+    ])
+    def test_order_mismatch_is_invalid_input(self, residual_checks, call):
+        # a certificate of order 2 against A of another order is refused
+        # before any check runs
+        cert = apportion_rank_one(1.0, 2, 0.5)
+        residual_checks.clear()
+        with pytest.raises(InvalidInputError, match="order mismatch"):
+            call(cert)
+        assert residual_checks == []

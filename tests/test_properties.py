@@ -1,6 +1,7 @@
 """Metamorphic properties of classification and certification on random
 Jordan specifications: block order and power-of-two scale change nothing but
-the scale of the constants, for Jordan documents and raw entries alike."""
+the scale of the constants, for Jordan documents and raw entries alike, and
+the numerical search stays one-sided at every scale."""
 
 import cmath
 import math
@@ -13,9 +14,14 @@ from hypothesis import strategies as st
 from apportion import (
     ConstructionError,
     JordanSpec,
+    SearchConfig,
     Verdict,
+    build_jordan,
     classify,
+    find_apportioning,
+    hadamard_lower_bound,
     request_certificate,
+    trace_lower_bound,
     verify_certificate,
 )
 
@@ -24,6 +30,8 @@ EIGENVALUES = (0j, 1 + 0j, -1 + 0j, 1j, -1j, 2 + 0j, -2 + 0j, 3 + 0j,
                0.5 + 0.5j, -0.5 + 1j)
 EXPONENTS = st.integers(-900, 900)
 PROPERTY = settings(derandomize=True, max_examples=600, deadline=None)
+SEARCH_PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+SMALL_SEARCH = SearchConfig(restarts=4, max_iters=300, seed=0, defect_target=1e-6)
 
 
 @st.composite
@@ -91,3 +99,29 @@ def test_raw_diagonal_entries_at_any_scale(spec, k):
         except ConstructionError:
             return
         verify_certificate(cert, A)
+
+
+def _search(spec, k):
+    """The search on the Jordan matrix of ``spec`` times 2^k, with no warning."""
+    A = build_jordan(spec) * 2.0 ** k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return A, find_apportioning(A, SMALL_SEARCH)
+
+
+@SEARCH_PROPERTY
+@given(specs(max_order=3), EXPONENTS)
+def test_search_never_finds_what_classify_refutes(spec, k):
+    if classify(spec).verdict is not Verdict.NOT_APPORTIONABLE:
+        return
+    _, out = _search(spec, k)
+    assert not out.found and out.certificate is None
+
+
+@SEARCH_PROPERTY
+@given(specs(max_order=3), EXPONENTS)
+def test_search_finds_no_constant_below_the_lower_bounds(spec, k):
+    A, out = _search(spec, k)
+    if out.found:
+        bound = max(trace_lower_bound(A), hadamard_lower_bound(A))
+        assert out.certificate.kappa >= bound * (1 - 1e-6)

@@ -307,14 +307,37 @@ class TestSearchInternals:
         upd[:2] = True, False
         ref = H.copy()
         Hu, s_u, y_u, sy_u = ref[upd], s[upd], y[upd], sy[upd]
-        Hy = np.einsum("rij,rj->ri", Hu, y_u)
+        Hy = (Hu @ y_u[:, :, None])[:, :, 0]
         coeff = (sy_u + np.einsum("ri,ri->r", y_u, Hy)) / sy_u**2
-        Hu += (coeff[:, None, None] * np.einsum("ri,rj->rij", s_u, s_u)
-               - (np.einsum("ri,rj->rij", Hy, s_u)
-                  + np.einsum("ri,rj->rij", s_u, Hy)) / sy_u[:, None, None])
+        h = Hy / sy_u[:, None]
+        Hu += np.stack([coeff[:, None] * s_u - h, -s_u], axis=2) @ np.stack([s_u, h], axis=1)
         ref[upd] = Hu
         search._bfgs_update(H, upd, s, y, sy)
         assert np.array_equal(H, ref)
+
+    def test_bfgs_update_is_the_textbook_update(self):
+        # H+ = (I - s y^T / sy) H (I - y s^T / sy) + s s^T / sy on positive
+        # definite H with s^T y > 0; it maps y to s (the secant condition),
+        # and rows outside the mask keep their bits
+        from apportion import search
+
+        rng = np.random.default_rng(61)
+        R, D = 11, 18
+        Q = rng.standard_normal((R, D, D))
+        H = Q @ Q.transpose(0, 2, 1) / D + np.eye(D)
+        s, y = rng.standard_normal((R, D)), rng.standard_normal((R, D))
+        y = np.where(np.einsum("ri,ri->r", s, y)[:, None] > 0, y, -y)
+        sy = np.einsum("ri,ri->r", s, y)
+        upd = rng.random(R) < 0.6
+        upd[:2] = True, False
+        before = H.copy()
+        search._bfgs_update(H, upd, s, y, sy)
+        assert np.array_equal(H[~upd], before[~upd])
+        for r in np.flatnonzero(upd):
+            V = np.eye(D) - np.outer(y[r], s[r]) / sy[r]
+            want = V.T @ before[r] @ V + np.outer(s[r], s[r]) / sy[r]
+            assert np.abs(H[r] - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(H[r] @ y[r] - s[r]).max() <= 1e-10 * np.abs(s[r]).max()
 
     def test_update_memory_within_the_hessian_stack(self):
         # the update's temporaries are bounded by UPDATE_BLOCK_BYTES, not by
