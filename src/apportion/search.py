@@ -1,23 +1,33 @@
 """Numerical search for transforming matrices, as a one-sided oracle.
 
-The objective is the variance of the squared entry moduli of M A M^-1 over M
-parameterized by 2n^2 reals, with a log-barrier on |det M| and M held at unit
-Frobenius norm (the image is scale invariant in M).  Multi-start BFGS with a
-backtracking line search runs all restarts side by side on a batch axis, and
-the loop holds only the restarts still running.  Each iteration evaluates the
-full step of every restart in one batched objective call; the restarts that
-fail the Armijo test then try their next steps 1/2, 1/4, ... together, in as
-few calls as keep each within ``restarts`` rows, and take the first step that
-passes.  The objective is row-independent and the steps are exact powers of
-two, so this is plain backtracking to the last bit, in fewer calls.  The
-search direction is one batched matrix-vector product, the inverse-Hessian
-update one rank-two matrix product per cache-sized block of restarts, and an
-input far from unit scale is searched as A 2^-e.  The best candidates are then
-confirmed by Gauss-Newton refinement of the uniformity residuals, re-measured
-with the true modulus spread, and re-verified through the core checks, so the
-search can only err toward "not found".  ``SearchConfig`` holds the four
-settings, ``restarts``, ``max_iters``, ``seed`` and ``defect_target``; the
-other constants are fixed below.
+M is parameterized by 2n^2 reals, Re(M) then Im(M), held at unit Frobenius
+norm (the image M A M^-1 is scale invariant in M), and every search runs all
+restarts side by side on a batch axis, holding only the restarts still
+running.  An input far from unit scale is searched as A 2^-e.
+
+At order 2, where the paper's classification is complete and every outcome
+can be checked against it, the search is Levenberg-Marquardt on the centered
+squared entry moduli of M A M^-1 (``_lm_search``).  A restart counts as
+found once the relative modulus spread of its image reaches LM_FOUND_SPREAD
+and the image re-verifies through the core checks.
+
+At order 3 and above the objective is the variance of the squared entry
+moduli, with a log-barrier on |det M|, minimized by multi-start BFGS with a
+backtracking line search.  Each iteration evaluates the full step of every
+restart in one batched objective call; the restarts that fail the Armijo
+test then try their next steps 1/2, 1/4, ... together, in as few calls as
+keep each within ``restarts`` rows, and take the first step that passes.
+The objective is row-independent and the steps are exact powers of two, so
+this is plain backtracking to the last bit, in fewer calls.  The search
+direction is one batched matrix-vector product and the inverse-Hessian
+update one rank-two matrix product per cache-sized block of restarts.  The
+best candidates are then confirmed by Gauss-Newton refinement of the
+uniformity residuals, re-measured with the true modulus spread, and
+re-verified through the core checks.
+
+Either way the search can only err toward "not found".  ``SearchConfig``
+holds the four settings, ``restarts``, ``max_iters``, ``seed`` and
+``defect_target``; the other constants are fixed below.
 """
 
 from __future__ import annotations
@@ -46,7 +56,8 @@ __all__ = [
 ]
 
 MAX_SEARCH_ORDER = 16
-#: ceiling on the restarts x (2n^2)^2 BFGS inverse-Hessian stack, in bytes
+#: ceiling on the search's working memory, in bytes: the restarts x (2n^2)^2
+#: BFGS inverse-Hessian stack, or restarts x LM_BYTES_PER_N4 x n^4 at order 2
 MAX_HESSIAN_BYTES = 256 * 2**20
 #: bytes per temporary of the inverse-Hessian update, which runs on blocks of
 #: this many bytes' worth of rows (at least one): a block's temporaries stay
@@ -68,6 +79,21 @@ CANDIDATES = 4            # ... are confirmed, at most this many, best first
 CONFIRM_FACTOR = 3e-2     # confirmation must refine to this fraction of the target
 CONFIRM_STEPS = 6         # Gauss-Newton steps of the confirmation
 
+LM_DAMPING = 1e-3         # Levenberg-Marquardt's starting damping lam, ...
+LM_DAMPING_DOWN = 3.0     # ... divided by this on an accepted step ...
+LM_DAMPING_UP = 4.0       # ... and multiplied by this on a rejected one
+#: lam stops falling here, so that J J^T + lam tr(J J^T) / n^2 I stays far from
+#: singular in floating point: on exact-boundary 2x2 inputs lam fell to about
+#: 1e-15 without it, and the step's solve raised
+LM_MIN_DAMPING = 1e-12
+LM_MAX_DAMPING = 1e12     # an LM restart stops once lam passes this ...
+LM_STALL_STEPS = 10       # ... or after this many steps in a row that lower
+LM_STALL_RTOL = 1e-3      # |r|^2 by less than this relative amount
+LM_FOUND_SPREAD = 1e-12   # relative modulus spread at which an LM point is certified
+#: bytes charged per LM restart at order n, over n^4: tracemalloc peaks read
+#: 118-138 n^4 per restart at n = 2 and 93-109 n^4 at n = 3-6
+LM_BYTES_PER_N4 = 160
+
 #: the line search's step lengths 1, 1/2, 1/4, ..., exact as repeated products
 _STEPS = np.cumprod([1.0] + [BACKTRACK_FACTOR] * (MAX_BACKTRACKS - 1))
 
@@ -75,9 +101,11 @@ _STEPS = np.cumprod([1.0] + [BACKTRACK_FACTOR] * (MAX_BACKTRACKS - 1))
 @dataclass(frozen=True)
 class SearchConfig:
     """Search budget: ``restarts`` starting points run for at most
-    ``max_iters`` BFGS iterations from points drawn with ``seed``, aiming at a
-    modulus spread of ``defect_target``.  Equal configs and inputs give
-    identical outcomes."""
+    ``max_iters`` iterations from points drawn with ``seed``, aiming at a
+    modulus spread of ``defect_target``.  At order 2 a point counts as found
+    only once its relative spread reaches LM_FOUND_SPREAD, far below any
+    usual target, and it is certified at ``defect_target``.  Equal configs
+    and inputs give identical outcomes."""
 
     restarts: int = 32
     max_iters: int = 2000
@@ -95,9 +123,11 @@ class SearchConfig:
 class SearchOutcome:
     """Result of one search: best spread found and, on success, a certificate.
 
-    ``found`` requires confirmation: the winning point must refine to well
-    below the target under a Gauss-Newton pass on the uniformity residuals,
-    so ``best_defect`` can sit below ``defect_target`` with ``found`` False
+    ``found`` requires more than a spread below ``defect_target``.  At order
+    2 the winning point's relative spread must reach LM_FOUND_SPREAD; at
+    higher orders it must refine to well below the target under a
+    Gauss-Newton pass on the uniformity residuals.
+    So ``best_defect`` can sit below ``defect_target`` with ``found`` False
     near matrices that are uniformizable only in an unbounded-entry limit.
     ``restarts_used`` is the 1-based index of the winning restart, or the full
     restart count when nothing was found.  ``restart_defects`` holds each
@@ -240,16 +270,17 @@ def _initial_points(cfg: SearchConfig, n: int) -> np.ndarray:
 def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """Seek M making M A M^-1 uniform, up to the configured modulus spread.
 
-    Runs the configured restarts in lockstep until one reaches the target
-    spread, all stall or converge, or the iteration budget ends.  Each
-    iteration costs one batched objective call for the full steps, plus, when
-    some restart must backtrack, about one more for a ladder of its shorter
-    steps (see the module docstring); the best few
-    candidates are then confirmed by Gauss-Newton refinement of the
-    uniformity residuals.  A success is accepted only if the refined M passes
-    the nonsingularity gate and the image re-verifies as uniform at the
-    target tolerance; failure to find is reported as evidence only, never as
-    a verdict.
+    Runs the configured restarts in lockstep until one is found, all stall
+    or converge, or the iteration budget ends: at order 2 by
+    Levenberg-Marquardt (``_lm_search``), above it by BFGS.  A BFGS iteration
+    costs one batched objective call for the full steps, plus, when some
+    restart must backtrack, about one more for a ladder of its shorter steps
+    (see the module docstring); once a restart reaches the target spread, the
+    best few candidates are confirmed by Gauss-Newton refinement of the
+    uniformity residuals.  A success is accepted only if M passes the
+    nonsingularity gate and the image re-verifies as uniform at the target
+    tolerance; failure to find is reported as evidence only, never as a
+    verdict.
     """
     A = as_matrix(A, square=True, name="A")
     n = A.shape[0]
@@ -257,9 +288,9 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
         raise SearchBudgetError(f"search is budgeted to order <= {MAX_SEARCH_ORDER}")
     R = cfg.restarts
     D = 2 * n * n
-    if R * D * D * 8 > MAX_HESSIAN_BYTES:
+    if R * (LM_BYTES_PER_N4 * n**4 if n == 2 else D * D * 8) > MAX_HESSIAN_BYTES:
         raise SearchBudgetError(
-            f"{R} restarts at order {n} exceed the {MAX_HESSIAN_BYTES >> 20} MiB Hessian budget")
+            f"{R} restarts at order {n} exceed the {MAX_HESSIAN_BYTES >> 20} MiB search budget")
     # K(cA) = |c| K(A): far from unit scale the search runs on As = A 2^-e,
     # reports its spreads times 2^e and certifies against A itself; inside
     # SAFE_SCALE, As is A and the factor is 1.0
@@ -267,6 +298,8 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     e = 0 if SAFE_SCALE[0] <= math.ldexp(1.0, e) <= SAFE_SCALE[1] else e
     As = times_power_of_two(A, -e) if e else A
     unit = math.ldexp(1.0, e)
+    if n == 2:
+        return _lm_search(A, As, unit, cfg)
     X = _initial_points(cfg, n)
     f, g, spread = _objective_batch(X, As)
     H = np.broadcast_to(np.eye(D), (R, D, D)).copy()
@@ -358,6 +391,104 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     return SearchOutcome(False, best * unit, None, R, defects)
 
 
+def _lm_residuals(X: np.ndarray, A: np.ndarray):
+    """Centered squared moduli r = v - mean(v), v = |B_ij|^2, of B = M A M^-1, batched.
+
+    X holds unit-norm rows.  Also returns B, A M^-1, M^-1, the modulus spread
+    and the relative spread (max|B| - min|B|) / max|B| (0 for B = 0) of each
+    row; rows whose M is numerically singular or whose image leaves the float
+    range get infinite residuals and spreads."""
+    R, n = X.shape[0], A.shape[0]
+    M = _to_matrix(X, n)
+    _, Minv, bad = _det_inv_batch(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        AMinv = A @ Minv
+        B = M @ AMinv
+        v = (B.real**2 + B.imag**2).reshape(R, n * n)
+        r = v - np.add.reduce(v, axis=1, keepdims=True) / (n * n)
+        absB = np.sqrt(v)
+        top = absB.max(axis=1)
+        spread = top - absB.min(axis=1)
+        rel = np.where(top > 0.0, spread / top, 0.0)
+    bad |= ~np.isfinite(r).all(axis=1)
+    if bad.any():
+        r[bad], spread[bad], rel[bad] = np.inf, np.inf, np.inf
+    return r, B, AMinv, Minv, spread, rel
+
+
+def _lm_search(A: np.ndarray, As: np.ndarray, unit: float, cfg: SearchConfig) -> SearchOutcome:
+    """Levenberg-Marquardt on the centered squared moduli of M As M^-1, batched over restarts.
+
+    Each iteration takes, for every running restart, the dual-form step
+    delta = -J^T (J J^T + lam tr(J J^T) / n^2 I)^-1 r, an n^2 x n^2 solve with
+    J from ``_refine_jacobian``, and keeps it (back at unit norm) if it lowers
+    |r|^2: lam is divided by LM_DAMPING_DOWN then, down to LM_MIN_DAMPING,
+    and multiplied by LM_DAMPING_UP otherwise.  Every operation acts row by
+    row, so a restart runs to the same bits in any batch.  A restart stops
+    once lam passes
+    LM_MAX_DAMPING, after LM_STALL_STEPS steps in a row that each lower |r|^2
+    by less than LM_STALL_RTOL relative, where J vanishes, or once its
+    relative spread reaches LM_FOUND_SPREAD; in that last case its point is
+    certified against A, and the search ends if that succeeds.
+    """
+    n = As.shape[0]
+    n2, diag = n * n, np.arange(n * n)
+    X = _initial_points(cfg, n)
+    R = X.shape[0]
+    X /= np.sqrt(np.einsum("ri,ri->r", X, X))[:, None]
+    r, B, AMinv, Minv, spread, rel = _lm_residuals(X, As)
+    cost = np.einsum("ri,ri->r", r, r)
+    lam = np.full(R, LM_DAMPING)
+    stall = np.zeros(R, dtype=int)
+    best = spread.copy()
+    ids = np.arange(R)  # the restarts still running, as rows of the arrays below
+    running = np.isfinite(cost)
+    for it in range(cfg.max_iters + 1):
+        hit = np.flatnonzero(rel <= LM_FOUND_SPREAD)
+        if hit.size:
+            for k in hit[np.lexsort((ids[hit], spread[hit]))]:
+                cert = _certify_search_point(X[k], A, cfg)
+                if cert is not None:
+                    return SearchOutcome(True, float(spread[k]) * unit, cert, int(ids[k]) + 1,
+                                         tuple(float(d) * unit for d in best))
+            running[hit] = False
+        if it == cfg.max_iters or not running.any():
+            break
+        if not running.all():
+            ids, X, r, B, AMinv, Minv, spread, rel, cost, lam, stall = (
+                a[running] for a in (ids, X, r, B, AMinv, Minv, spread, rel, cost, lam, stall))
+        J = _refine_jacobian(B, AMinv, Minv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = J @ J.swapaxes(1, 2)
+            mu = lam * np.trace(K, axis1=1, axis2=2) / n2
+            K[:, diag, diag] += mu[:, None]
+            # J vanishes or overflows: the restart stops
+            flat = ~(np.isfinite(mu) & (mu > 0.0))
+            if flat.any():
+                K[flat] = np.eye(n2)
+            z = np.linalg.solve(K, r[:, :, None])
+            step = X - (J.swapaxes(1, 2) @ z)[:, :, 0]
+            step /= np.sqrt(np.einsum("ri,ri->r", step, step))[:, None]
+        r_t, B_t, AMinv_t, Minv_t, spread_t, rel_t = _lm_residuals(step, As)
+        cost_t = np.einsum("ri,ri->r", r_t, r_t)
+        acc = (cost_t < cost) & ~flat
+        gain = np.where(acc, (cost - cost_t) / np.where(acc, cost, 1.0), 0.0)
+        stall = np.where(gain < LM_STALL_RTOL, stall + 1, 0)
+        lam = np.where(acc, np.maximum(lam / LM_DAMPING_DOWN, LM_MIN_DAMPING),
+                       lam * LM_DAMPING_UP)
+        if acc.all():
+            X, r, B, AMinv, Minv, spread, rel, cost = (
+                step, r_t, B_t, AMinv_t, Minv_t, spread_t, rel_t, cost_t)
+        elif acc.any():
+            X[acc], r[acc], B[acc], AMinv[acc], Minv[acc] = (
+                step[acc], r_t[acc], B_t[acc], AMinv_t[acc], Minv_t[acc])
+            spread[acc], rel[acc], cost[acc] = spread_t[acc], rel_t[acc], cost_t[acc]
+        best[ids] = np.minimum(best[ids], spread)
+        running = (lam <= LM_MAX_DAMPING) & (stall < LM_STALL_STEPS) & ~flat
+    return SearchOutcome(False, float(best.min()) * unit, None, R,
+                         tuple(float(d) * unit for d in best))
+
+
 def _normalized_image(x: np.ndarray, A: np.ndarray):
     xn = x / np.linalg.norm(x)
     M = _to_matrix(xn, A.shape[0])
@@ -414,13 +545,15 @@ def _refine_jacobian(B: np.ndarray, AMinv: np.ndarray, Minv: np.ndarray) -> np.n
     """Jacobian of the centered |B_ij|^2 (rows ij) in Re(M_kl) then Im(M_kl) (columns).
 
     A unit step in Re(M_kl) moves B = M A M^-1 by
-    dB_ij = delta_ik (A M^-1)_lj - B_ik (M^-1)_lj; one in Im(M_kl) by i dB."""
-    n = B.shape[0]
-    dB = -np.einsum("ik,lj->klij", B, Minv)
-    dB[np.arange(n), :, np.arange(n), :] += AMinv
-    P = B.conj() * dB
-    dv = 2.0 * np.concatenate([P.real, -P.imag]).reshape(2 * n * n, n * n)
-    return (dv - dv.mean(axis=1, keepdims=True)).T
+    dB_ij = delta_ik (A M^-1)_lj - B_ik (M^-1)_lj; one in Im(M_kl) by i dB.
+    Batched over leading axes: (..., n, n) inputs give (..., n^2, 2n^2)."""
+    n = B.shape[-1]
+    dB = -np.einsum("...ik,...lj->...klij", B, Minv)
+    dB[..., np.arange(n), :, np.arange(n), :] += AMinv
+    P = B.conj()[..., None, None, :, :] * dB
+    dv = 2.0 * np.concatenate([P.real, -P.imag], axis=-4)
+    dv = dv.reshape(B.shape[:-2] + (2 * n * n, n * n))
+    return (dv - np.add.reduce(dv, axis=-1, keepdims=True) / (n * n)).swapaxes(-1, -2)
 
 
 def _certify_search_point(x: np.ndarray, A: np.ndarray,

@@ -317,6 +317,17 @@ class TestEdgeRefusals:
         code, out = run(capsys, ["search", path, "--restarts", "1000000"])
         assert code == 3 and out == ""
 
+    def test_order_two_search_restart_budget(self, tmp_path, capsys, monkeypatch):
+        from apportion import search
+
+        def no_start(*_):
+            raise AssertionError("starting points drawn for an over-budget search")
+
+        monkeypatch.setattr(search, "_initial_points", no_start)
+        path = write_doc(tmp_path, "m.json", entries_doc(np.diag([1.0, 2.0])))
+        code, out = run(capsys, ["search", path, "--restarts", "500000"])
+        assert code == 3 and out == ""
+
     @pytest.mark.parametrize("scale", [1e175, 1e300])
     def test_opposite_pair_lower_end_near_float_range(self, tmp_path, capsys, scale):
         # |l1 l2| overflows at this scale: the bound stays finite, and the

@@ -1,7 +1,8 @@
 """Metamorphic properties of classification and certification on random
 Jordan specifications: block order and power-of-two scale change nothing but
 the scale of the constants, for Jordan documents and raw entries alike, and
-the numerical search stays one-sided at every scale."""
+the numerical search stays one-sided at every scale: at order 2, where the
+paper's classification is complete, every find lies in the constant set."""
 
 import cmath
 import math
@@ -22,6 +23,7 @@ from apportion import (
     hadamard_lower_bound,
     request_certificate,
     trace_lower_bound,
+    two_by_two_constants,
     verify_certificate,
 )
 
@@ -125,3 +127,29 @@ def test_search_finds_no_constant_below_the_lower_bounds(spec, k):
     if out.found:
         bound = max(trace_lower_bound(A), hadamard_lower_bound(A))
         assert out.certificate.kappa >= bound * (1 - 1e-6)
+
+
+ORDER_TWO = st.one_of(
+    st.tuples(st.sampled_from(EIGENVALUES), st.sampled_from(EIGENVALUES)).map(
+        lambda pair: JordanSpec(((pair[0], 1), (pair[1], 1)))),
+    st.sampled_from(EIGENVALUES).map(lambda lam: JordanSpec(((lam, 2),))),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ORDER_TWO, EXPONENTS)
+@example(JordanSpec(((1 + 0j, 1), (-1 + 0j, 1))), 0)
+@example(JordanSpec(((0j, 2),)), -700)
+def test_order_two_finds_lie_in_the_constant_set(spec, k):
+    A, out = _search(spec, k)
+    if not out.found:
+        return
+    scaled = spec.scaled(2.0 ** k)
+    report = classify(scaled)
+    kappa = out.certificate.kappa
+    assert report.verdict is Verdict.APPORTIONABLE
+    assert report.constants.contains(kappa) is True
+    (l1, size), *rest = scaled.blocks
+    if size == 1 and rest and 0 not in (l1, rest[0][0]) and l1 != rest[0][0]:
+        lower = two_by_two_constants(l1, rest[0][0]).lower_bound
+        assert kappa >= lower * (1 - 1e-9)

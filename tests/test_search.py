@@ -234,7 +234,8 @@ class TestSearchInternals:
         assert np.abs(J - ref).max() <= 64 * np.finfo(float).eps * np.abs(ref).max()
 
     @pytest.mark.parametrize("blocks, cfg", [
-        ([(1 + 0j, 1), (2 + 0j, 1)], SearchConfig(seed=1, restarts=32, defect_target=1e-6)),
+        ([(1 + 0j, 1), (2 + 0j, 1), (-1 + 0.5j, 1)],
+         SearchConfig(seed=1, restarts=32, defect_target=1e-6)),
         ([(0j, 3)], SearchConfig(seed=0)),
         ([(0j, 2), (0j, 2)], SearchConfig(seed=0)),
     ])
@@ -339,6 +340,71 @@ class TestSearchInternals:
             assert np.abs(H[r] - want).max() <= 1e-12 * np.abs(want).max()
             assert np.abs(H[r] @ y[r] - s[r]).max() <= 1e-10 * np.abs(s[r]).max()
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_refine_jacobian_batched_matches_one_matrix(self, n):
+        from apportion.search import _refine_jacobian, _to_matrix
+
+        rng = np.random.default_rng(70 + n)
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        M = _to_matrix(rng.standard_normal((5, 2 * n * n)), n)
+        Minv = np.linalg.inv(M)
+        B, AMinv = M @ A @ Minv, A @ Minv
+        J = _refine_jacobian(B, AMinv, Minv)
+        assert J.shape == (5, n * n, 2 * n * n)
+        for r in range(5):
+            assert np.array_equal(J[r], _refine_jacobian(B[r], AMinv[r], Minv[r]))
+
+    @pytest.mark.parametrize("A, cfg", [
+        (np.diag([1.0, 2.0]).astype(complex),
+         SearchConfig(seed=1, restarts=32, defect_target=1e-6)),
+        (np.array([[1, 1], [0, 1]], dtype=complex), SearchConfig(seed=3, restarts=8)),
+    ])
+    def test_lm_restart_alone_matches_the_batch(self, monkeypatch, A, cfg):
+        # every LM operation acts row by row: on a refuted input each restart
+        # ends on the same bits whether it runs in the full batch or alone
+        from apportion import search
+
+        whole = find_apportioning(A, cfg)
+        assert not whole.found and len(whole.restart_defects) == cfg.restarts
+        draw = search._initial_points
+        for r in range(cfg.restarts):
+            monkeypatch.setattr(search, "_initial_points",
+                                lambda cfg_, n, r=r: draw(cfg_, n)[r:r + 1])
+            alone = find_apportioning(A, cfg)
+            assert alone.restart_defects == (whole.restart_defects[r],)
+
+    def test_lm_memory_within_its_budget(self):
+        # the order-2 search's working set stays below the bytes per restart
+        # that its restart budget charges
+        import tracemalloc
+
+        from apportion import search
+
+        restarts = 4096
+        A = np.diag([1.0, 2.0]).astype(complex)
+        find_apportioning(A, SearchConfig(restarts=2, max_iters=2))  # warm imports
+        tracemalloc.start()
+        try:
+            find_apportioning(A, SearchConfig(restarts=restarts, max_iters=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < restarts * search.LM_BYTES_PER_N4 * 2**4
+
+    def test_lm_restart_budget_refused_before_allocation(self, monkeypatch):
+        from apportion import search
+
+        def no_start(*_):
+            raise AssertionError("starting points drawn for an over-budget search")
+
+        monkeypatch.setattr(search, "_initial_points", no_start)
+        restarts = search.MAX_HESSIAN_BYTES // (search.LM_BYTES_PER_N4 * 2**4) + 1
+        # stricter than the Hessian budget it replaces at order 2
+        assert restarts <= search.MAX_HESSIAN_BYTES // (8 * 8 ** 2)
+        for r in (restarts, 500_000):
+            with pytest.raises(SearchBudgetError):
+                find_apportioning(np.diag([1.0, 2.0]).astype(complex), SearchConfig(restarts=r))
+
     def test_update_memory_within_the_hessian_stack(self):
         # the update's temporaries are bounded by UPDATE_BLOCK_BYTES, not by
         # the R x D x D stack: the whole search peaks below 1.5 H
@@ -399,17 +465,18 @@ class TestSearchScale:
         assert math.isfinite(out.best_defect)
 
     def test_in_range_input_unscaled(self, monkeypatch):
-        # inside the safe range the search sees the input array itself
+        # inside the safe range the search sees the input array itself, on
+        # the order-2 path (LM residuals) and on the BFGS path alike
         from apportion import search
 
-        seen = []
-        objective = search._objective_batch
+        for name, A in (("_lm_residuals", np.diag([1e-9, -1e-9]).astype(complex)),
+                        ("_objective_batch", np.diag([1e-9, -1e-9, 2e-9]).astype(complex))):
+            seen = []
 
-        def spy(X, A_):
-            seen.append(A_)
-            return objective(X, A_)
+            def spy(X, A_, evaluate=getattr(search, name)):
+                seen.append(A_)
+                return evaluate(X, A_)
 
-        monkeypatch.setattr(search, "_objective_batch", spy)
-        A = np.diag([1e-9, -1e-9]).astype(complex)
-        find_apportioning(A, SearchConfig(restarts=2, max_iters=2))
-        assert seen and all(a is A for a in seen)
+            monkeypatch.setattr(search, name, spy)
+            find_apportioning(A, SearchConfig(restarts=2, max_iters=2))
+            assert seen and all(a is A for a in seen)
