@@ -20,23 +20,31 @@ from .constructors import (
     ApportionCertificate,
     CertTag,
     TemplateKind,
+    _certificate,
+    _checked,
     _coerce_spec,
-    apportion_2x2,
-    apportion_3x3_template,
-    apportion_half_rank,
-    apportion_nilpotent,
-    apportion_perturb_identity,
-    apportion_rank_one,
-    pad_by_zero,
+    _gamma_test,
+    _half_rank,
+    _half_rank_constants,
+    _nilpotent,
+    _nilpotent_constants,
+    _order_two,
+    _padded,
+    _perturb_identity,
+    _rank_one,
+    _rank_one_constants,
+    _reordered,
+    _require_member,
+    _scaled,
+    _template,
+    _template_spec,
+    _two_by_two,
     perturb_identity_constants,
-    polar_condition_2x2,
-    reorder_certificate,
-    scale_certificate,
+    spec_bounds,
     two_by_two_constants,
 )
-from .core import as_matrix
-from .errors import (ConstantNotAchievableError, ConstructionError, InvalidInputError,
-                     UnsupportedOrderError)
+from .core import as_matrix, times_power_of_two, unit_exponent
+from .errors import ConstructionError, InvalidInputError, UnsupportedOrderError
 from .jordan import (
     JordanSpec,
     block_permutation,
@@ -56,24 +64,6 @@ __all__ = [
 ]
 
 MatrixLike = Union[JordanSpec, np.ndarray, list]
-
-
-def spec_bounds(spec: JordanSpec) -> tuple[float, float]:
-    """(trace bound, determinant bound) of a Jordan matrix, exactly from its blocks."""
-    n = spec.order
-    tr = sum(lam * size for lam, size in spec.blocks)
-    trace_bound = abs(tr) / n
-    if any(lam == 0 for lam, _ in spec.blocks):
-        det_bound = 0.0
-    else:
-        logdet = sum(size * math.log(abs(lam)) for lam, size in spec.blocks)
-        det_bound = math.exp(logdet / n) / math.sqrt(n)
-    return trace_bound, det_bound
-
-
-def _spec_bounds(spec: JordanSpec) -> float:
-    """max(trace bound, determinant bound): no constant lies below it."""
-    return max(spec_bounds(spec))
 
 
 def _coerce(input_matrix: MatrixLike) -> tuple[JordanSpec, bool]:
@@ -102,9 +92,10 @@ class Rule:
 
     ``match`` returns (verdict, constants) when the spec belongs to the class,
     else None.  ``build`` returns a certificate at a member kappa of the
-    constants together with the block order it was built for; refuting and
-    open classes have no builder.  ``certify_on_classify`` attaches a
-    certificate at the default member to the classification report.
+    constants together with the block order it was built for, unchecked
+    (``_certify`` checks it once); refuting and open classes have no builder.
+    ``certify_on_classify`` attaches a certificate at the default member to the
+    classification report.
     """
 
     tag: str
@@ -117,34 +108,25 @@ _REFUTED = (Verdict.NOT_APPORTIONABLE, ConstantSet.empty())
 
 
 def _unknown(spec: JordanSpec) -> Match:
-    return Verdict.UNKNOWN, ConstantSet.unknown(_spec_bounds(spec))
-
-
-def _identity_certificate(spec: JordanSpec, kappa: float, tag: CertTag) -> Built:
-    """For a matrix that is already uniform."""
-    n = spec.order
-    return ApportionCertificate(np.eye(n, dtype=complex), np.eye(n, dtype=complex),
-                                build_jordan(spec), kappa, tag), spec
+    return Verdict.UNKNOWN, ConstantSet.unknown(max(spec_bounds(spec)))
 
 
 def _match_rank_one(spec: JordanSpec) -> Match:
     if spec.rank != 1:
         return None
-    lo = spec.spectral_radius / spec.order
-    return Verdict.APPORTIONABLE, ConstantSet.closed_half_line(lo, lower_bound=lo)
+    return Verdict.APPORTIONABLE, _rank_one_constants(spec.spectral_radius, spec.order)
 
 
 def _build_rank_one(spec: JordanSpec, kappa: float) -> Built:
     lam = next(lam for lam, _ in spec.blocks if lam != 0)
     built = JordanSpec(((lam, 1),) + ((0j, 1),) * (spec.order - 1))
-    return apportion_rank_one(lam, spec.order, kappa), built
+    return _rank_one(lam, spec.order, kappa), built
 
 
 def _match_half_rank(spec: JordanSpec) -> Match:
     if 2 * spec.rank > spec.order:
         return None
-    return Verdict.APPORTIONABLE, ConstantSet.open_half_line(
-        spec.spectral_radius / 2.0, exact=False, lower_bound=_spec_bounds(spec))
+    return Verdict.APPORTIONABLE, _half_rank_constants(spec)
 
 
 def _perturb_shape(spec: JordanSpec) -> Optional[tuple[complex, complex, bool]]:
@@ -157,22 +139,15 @@ def _perturb_shape(spec: JordanSpec) -> Optional[tuple[complex, complex, bool]]:
     n = spec.order
     if n < 3:
         return None
-    counts: dict[complex, int] = {}
-    for lam, _ in spec.blocks:
-        counts[lam] = counts.get(lam, 0) + 1
-    for mu, cnt in counts.items():
-        if mu == 0 or cnt != n - 1:
+    eigenvalues = [lam for lam, _ in spec.blocks]
+    for mu in set(eigenvalues) - {0}:
+        if eigenvalues.count(mu) != n - 1:
             continue
         sizes = sorted(size for lam, size in spec.blocks if lam == mu)
-        if len(spec.blocks) == n - 1:
-            # all blocks share mu: sizes must be 1,...,1,2
-            if sizes == [1] * (n - 2) + [2]:
-                return mu, mu, True
-        elif len(spec.blocks) == n:
-            if sizes != [1] * (n - 1):
-                continue
-            other = next(lam for lam, _ in spec.blocks if lam != mu)
-            return mu, other, False
+        if len(eigenvalues) == n - 1 and sizes == [1] * (n - 2) + [2]:
+            return mu, mu, True      # all blocks share mu: sizes 1, ..., 1, 2
+        if len(eigenvalues) == n and sizes == [1] * (n - 1):
+            return mu, next(lam for lam in eigenvalues if lam != mu), False
     return None
 
 
@@ -191,8 +166,7 @@ def _build_perturb(spec: JordanSpec, kappa: float) -> Built:
     n = spec.order
     mu, other, _ = _perturb_shape(spec)
     built = JordanSpec(((mu, 1),) * (n - 1) + ((other, 1),))
-    cert = apportion_perturb_identity(n, other / mu, target=kappa / abs(mu))
-    return scale_certificate(cert, mu, A=build_jordan(built)), built
+    return _scaled(_perturb_identity(n, other / mu, kappa / abs(mu)), mu), built
 
 
 def _match_two_by_two(spec: JordanSpec) -> Match:
@@ -205,8 +179,8 @@ def _match_two_by_two(spec: JordanSpec) -> Match:
 
 
 def _build_two_by_two(spec: JordanSpec, kappa: float) -> Built:
-    rep = apportion_2x2(spec.blocks[0][0], spec.blocks[1][0], target=kappa)
-    return rep.certificate, spec
+    l1, l2 = spec.blocks[0][0], spec.blocks[1][0]
+    return _two_by_two(l1, l2, _order_two(l1, l2), kappa), spec
 
 
 def _template_eigenvalue(spec: JordanSpec, sizes: tuple[int, int]) -> Optional[complex]:
@@ -225,13 +199,12 @@ def _match_template(spec: JordanSpec, sizes: tuple[int, int], divisor: float) ->
     if lam is None:
         return None
     return Verdict.APPORTIONABLE, ConstantSet.finite(
-        [abs(lam) / divisor], exact=False, lower_bound=_spec_bounds(spec))
+        [abs(lam) / divisor], exact=False, lower_bound=max(spec_bounds(spec)))
 
 
 def _build_template(spec: JordanSpec, kind: TemplateKind, sizes: tuple[int, int]) -> Built:
     lam = _template_eigenvalue(spec, sizes)
-    built = JordanSpec(((lam, sizes[0]), (0j, sizes[1])))
-    return apportion_3x3_template(kind, lam), built
+    return _template(kind, lam), _template_spec(kind, lam)
 
 
 def _pair_plus_zero(spec: JordanSpec) -> Optional[tuple[complex, complex]]:
@@ -249,37 +222,37 @@ def _match_pad_zero(spec: JordanSpec) -> Match:
     base = None if pair is None else two_by_two_constants(*pair)
     if base is None:
         return None
-    return Verdict.APPORTIONABLE, ConstantSet(
-        shape=base.shape, lo=base.lo, values=base.values, exact=False,
-        lower_bound=min(base.lower_bound, _spec_bounds(spec)))
+    return Verdict.APPORTIONABLE, replace(
+        base, exact=False, lower_bound=min(base.lower_bound, max(spec_bounds(spec))))
 
 
 def _build_pad_zero(spec: JordanSpec, kappa: float) -> Built:
     l1, l2 = _pair_plus_zero(spec)
-    cert = apportion_2x2(l1, l2, target=kappa).certificate
-    return pad_by_zero(cert, A=np.diag([l1, l2])), JordanSpec(((l1, 1), (l2, 1), (0j, 1)))
+    cert = _two_by_two(l1, l2, _order_two(l1, l2), kappa)
+    return _padded(cert), JordanSpec(((l1, 1), (l2, 1), (0j, 1)))
 
 
 #: The case analysis, in order: the first rule that matches decides.
 RULES: tuple[Rule, ...] = (
     Rule("zero-matrix",
-         lambda s: ((Verdict.APPORTIONABLE, ConstantSet.zero_only())
+         lambda s: ((Verdict.APPORTIONABLE, _nilpotent_constants(s))
                     if s.is_zero_matrix() else None),
-         lambda s, k: _identity_certificate(s, 0.0, CertTag.NILPOTENT)),
+         lambda s, k: (_certificate(np.eye(s.order), np.eye(s.order), build_jordan(s), 0.0,
+                                    CertTag.NILPOTENT), s)),
     Rule("order-one",
-         lambda s: ((Verdict.APPORTIONABLE, ConstantSet.finite([abs(s.blocks[0][0])]))
+         lambda s: ((Verdict.APPORTIONABLE, _rank_one_constants(abs(s.blocks[0][0]), 1))
                     if s.order == 1 else None),
-         lambda s, k: _identity_certificate(s, abs(s.blocks[0][0]), CertTag.RANK_ONE)),
+         lambda s, k: (_rank_one(s.blocks[0][0], 1, k), s)),
     # lam * I, lam != 0
     Rule("scalar-matrix",
          lambda s: (_REFUTED if len(set(s.blocks)) == 1 and s.blocks[0][1] == 1
                     and s.blocks[0][0] != 0 else None)),
     Rule("nilpotent",
-         lambda s: ((Verdict.APPORTIONABLE, ConstantSet.open_half_line(0.0))
+         lambda s: ((Verdict.APPORTIONABLE, _nilpotent_constants(s))
                     if s.is_nilpotent() else None),
-         lambda s, k: (apportion_nilpotent(s, k), s)),
+         lambda s, k: (_nilpotent(s, k), s)),
     Rule("rank-one", _match_rank_one, _build_rank_one),
-    Rule("half-rank", _match_half_rank, lambda s, k: (apportion_half_rank(s, k), s)),
+    Rule("half-rank", _match_half_rank, lambda s, k: (_half_rank(s, k), s)),
     Rule("perturb-identity", _match_perturb, _build_perturb),
     # a single 2x2 block with nonzero eigenvalue
     Rule("repeated-eigenvalue",
@@ -305,7 +278,7 @@ _RULES_BY_TAG = {rule.tag: rule for rule in RULES}
 
 def _permute_to(cert: ApportionCertificate, built_spec: JordanSpec,
                 target_spec: JordanSpec) -> ApportionCertificate:
-    """Map a certificate built for one block order onto the requested order."""
+    """Map a certificate built for one block order onto the requested order, unchecked."""
     if built_spec.blocks == target_spec.blocks:
         return cert
     used = [False] * len(target_spec.blocks)
@@ -317,19 +290,21 @@ def _permute_to(cert: ApportionCertificate, built_spec: JordanSpec,
         order.append(idx)
     # reordering target by `order` reproduces built: J_built = Q J_target Q^T
     _, Q = block_permutation(target_spec, order)
-    return reorder_certificate(cert, Q, A=build_jordan(target_spec))
+    return _reordered(cert, Q, cert.theorem_tag)
 
 
 def _certify(rule: Rule, spec: JordanSpec, kappa: float) -> ApportionCertificate:
+    """The rule's certificate at kappa in the block order of ``spec``, checked once,
+    against the Jordan matrix of ``spec``."""
     # at an extreme kappa the construction overflows or goes singular; that is
     # a failed construction, reported as such rather than as NaNs and warnings
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            cert, built = rule.build(spec, kappa)
+            cert = _permute_to(*rule.build(spec, kappa), spec)
+            return _checked(cert, build_jordan(spec))
     except (FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
         raise ConstructionError(f"construction fails in floating point at kappa = {kappa!r}: "
                                 f"{exc}") from exc
-    return _permute_to(cert, built, spec)
 
 
 def classify(input_matrix: MatrixLike) -> ClassificationReport:
@@ -386,11 +361,7 @@ def request_certificate(input_matrix: MatrixLike, kappa: Optional[float] = None,
         if kappa is None:
             raise InvalidInputError("no default constant available for this class")
     kappa = float(kappa)
-    if constants.contains(kappa) is not True:
-        raise ConstantNotAchievableError(
-            f"kappa = {kappa!r} is outside the certified part of {constants.describe()}",
-            constants=constants,
-        )
+    _require_member(kappa, constants)
     rule = _RULES_BY_TAG.get(report.theorem_tag)
     if rule is None or rule.build is None:
         raise InvalidInputError(f"no constructive path for tag {report.theorem_tag!r}")
@@ -419,7 +390,9 @@ class RegionSample:
 def admissible_region(lambda1: complex,
                       box: tuple[tuple[float, float], tuple[float, float]],
                       resolution: int) -> list[RegionSample]:
-    """Sample the second-eigenvalue admissibility predicate on a grid.
+    """Sample the second-eigenvalue admissibility predicate on a grid: the gamma
+    test of ``two_by_two_constants``, so each flag is the verdict ``classify``
+    gives diag(lambda1, lambda2).
 
     ``box`` is ((re_min, re_max), (im_min, im_max)); each axis carries
     ``resolution`` evenly spaced points (endpoints included).  Points within
@@ -436,17 +409,22 @@ def admissible_region(lambda1: complex,
     (re_min, re_max), (im_min, im_max) = box
     if not (re_min < re_max and im_min < im_max):
         raise InvalidInputError("box must have positive extent on both axes")
+    if not all(map(math.isfinite, (lambda1.real, lambda1.imag, re_max - re_min, im_max - im_min))):
+        raise InvalidInputError("lambda1 and the box must be finite, with a finite extent")
+    # the gamma test is scale-free: the whole box goes to unit scale at once
+    e = unit_exponent((lambda1, complex(re_min, im_min), complex(re_max, im_max)))
+    unit_l1 = times_power_of_two(lambda1, -e)
     res = np.linspace(re_min, re_max, resolution)
     ims = np.linspace(im_min, im_max, resolution)
+    unit_res = np.ldexp(res, -e).tolist()
     samples = []
-    for im in ims:
-        for re in res:
+    for im, unit_im in zip(ims.tolist(), np.ldexp(ims, -e).tolist()):
+        for re, unit_re in zip(res.tolist(), unit_res):
             l2 = complex(re, im)
-            if abs(l2) <= DEGENERATE_ATOL or abs(l2 - lambda1) <= DEGENERATE_ATOL:
-                samples.append(RegionSample(float(re), float(im), None))
-            else:
-                samples.append(RegionSample(float(re), float(im),
-                                            polar_condition_2x2(lambda1, l2)))
+            admissible = None
+            if abs(l2) > DEGENERATE_ATOL and abs(l2 - lambda1) > DEGENERATE_ATOL:
+                admissible = _gamma_test(unit_l1, complex(unit_re, unit_im)) is not None
+            samples.append(RegionSample(re, im, admissible))
     return samples
 
 

@@ -26,10 +26,9 @@ from .classifier import (
     region_to_csv,
     region_to_svg,
     request_certificate,
-    spec_bounds,
 )
 from .constructors import (TemplateKind, apportion_3x3_template, apportion_I_oplus_O,
-                           apportion_nilpotent, verify_certificate)
+                           apportion_nilpotent, spec_bounds, verify_certificate)
 from .core import DEFAULT_TOL, Tolerance, as_matrix, hadamard_lower_bound, is_uniform, similarity_image, trace_lower_bound
 from .errors import (
     ApportionError,

@@ -4,8 +4,10 @@ Each public ``apportion_*`` function builds a transforming matrix M in closed
 form for one matrix class and returns an ApportionCertificate holding M, its
 inverse, the uniform image B = M A M^-1, and the achieved modulus.  Each finished
 certificate is checked once (inverse product, uniformity, similarity residual) against
-the matrix the caller asked about; zero paddings and block permutations before it are
-exact algebra.
+the matrix the caller asked about; zero paddings, scalings and block permutations before
+it are exact algebra.  The private builders behind the public functions return
+unchecked certificates for ``classifier``, which checks each one it returns.  A kappa is
+refused only by ``ConstantSet.contains`` on the set of its class.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ __all__ = [
 
 _SIXTH = cmath.exp(1j * math.pi / 3)        # primitive twelfth root, e^(i pi/3)
 _THIRD = cmath.exp(2j * math.pi / 3)        # e^(2 pi i/3)
-_ZERO_RTOL = 1e-12
 
 
 class CertTag(str, enum.Enum):
@@ -133,13 +134,33 @@ def _check(cert: ApportionCertificate, A, tol: Tolerance, kappa_rtol=1e-9) -> Un
     return rep
 
 
-def _make_certificate(M, Minv, B, kappa, tag, A=None, tol: Tolerance = DEFAULT_TOL,
-                      kappa_rtol=1e-9) -> ApportionCertificate:
-    """Check a finished certificate against A; run only on what is returned."""
-    cert = ApportionCertificate(*(np.asarray(x, dtype=complex) for x in (M, Minv, B)),
+def _certificate(M, Minv, B, kappa, tag) -> ApportionCertificate:
+    """Assemble a certificate, unchecked: it is checked once, where it is returned."""
+    return ApportionCertificate(*(np.asarray(x, dtype=complex) for x in (M, Minv, B)),
                                 float(kappa), tag)
+
+
+def _checked(cert: ApportionCertificate, A, tol: Tolerance = DEFAULT_TOL,
+             kappa_rtol=1e-9) -> ApportionCertificate:
+    """``cert``, after its one check against A."""
     _check(cert, A, tol, kappa_rtol)
     return cert
+
+
+def _make_certificate(M, Minv, B, kappa, tag, A=None, tol: Tolerance = DEFAULT_TOL,
+                      kappa_rtol=1e-9) -> ApportionCertificate:
+    """Assemble a finished certificate and check it against A."""
+    return _checked(_certificate(M, Minv, B, kappa, tag), A, tol, kappa_rtol)
+
+
+def _require_member(kappa: float, constants: ConstantSet) -> None:
+    """The one kappa rule: refuse kappa unless its class's ``constants`` (the set
+    ``classify`` reports) certainly contain it."""
+    if constants.contains(kappa) is not True:
+        raise ConstantNotAchievableError(
+            f"kappa = {kappa!r} is outside the certified part of {constants.describe()}",
+            constants=constants,
+        )
 
 
 def verify_certificate(cert: ApportionCertificate, A, tol: Tolerance = DEFAULT_TOL):
@@ -150,11 +171,21 @@ def verify_certificate(cert: ApportionCertificate, A, tol: Tolerance = DEFAULT_T
     return _check(cert, as_matrix(A, square=True, name="A"), tol)
 
 
+def _reordered(cert: ApportionCertificate, Q: np.ndarray, tag: CertTag) -> ApportionCertificate:
+    """Conjugate by a permutation, unchecked: a certificate for Q A Q^T becomes one for A."""
+    return _certificate(cert.M @ Q, Q.T @ cert.Minv, cert.B, cert.kappa, tag)
+
+
 def reorder_certificate(cert: ApportionCertificate, Q: np.ndarray,
                          A=None) -> ApportionCertificate:
     """Conjugate by a permutation: a certificate for Q A Q^T becomes one for A."""
-    return _make_certificate(cert.M @ Q, Q.T @ cert.Minv, cert.B, cert.kappa,
-                             cert.theorem_tag, A)
+    return _checked(_reordered(cert, Q, cert.theorem_tag), A)
+
+
+def _scaled(cert: ApportionCertificate, mu: complex) -> ApportionCertificate:
+    """A certificate for A becomes one for mu*A, unchecked; the same M works unchanged."""
+    return _certificate(cert.M, cert.Minv, mu * cert.B, abs(mu) * cert.kappa,
+                        cert.theorem_tag)
 
 
 def scale_certificate(cert: ApportionCertificate, mu: complex,
@@ -163,8 +194,7 @@ def scale_certificate(cert: ApportionCertificate, mu: complex,
     mu = complex(mu)
     if mu == 0:
         raise InvalidInputError("scale factor must be nonzero")
-    return _make_certificate(cert.M, cert.Minv, mu * cert.B, abs(mu) * cert.kappa,
-                             cert.theorem_tag, A)
+    return _checked(_scaled(cert, mu), A)
 
 
 def _coerce_spec(a) -> JordanSpec:
@@ -172,6 +202,22 @@ def _coerce_spec(a) -> JordanSpec:
     if isinstance(a, JordanSpec):
         return a
     return input_ordered_spec(a)
+
+
+def spec_bounds(spec: JordanSpec) -> tuple[float, float]:
+    """(trace bound, determinant bound) of a Jordan matrix, from its blocks; no constant
+    lies below either.  The trace is taken at unit scale (``core.unit_exponent``), the
+    determinant in log space, so neither overflows unless the bound itself does."""
+    n = spec.order
+    e = unit_exponent([lam for lam, _ in spec.blocks])
+    tr = sum(times_power_of_two(lam, -e) * size for lam, size in spec.blocks)
+    trace_bound = math.ldexp(abs(tr) / n, e)
+    if any(lam == 0 for lam, _ in spec.blocks):
+        det_bound = 0.0
+    else:
+        logdet = sum(size * math.log(abs(lam)) for lam, size in spec.blocks)
+        det_bound = math.exp(logdet / n) / math.sqrt(n)
+    return trace_bound, det_bound
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +256,20 @@ def _padded(cert: ApportionCertificate) -> ApportionCertificate:
 
 def pad_by_zero(cert: ApportionCertificate, A=None) -> ApportionCertificate:
     """Extend a certificate for A to one for A + [0], checked against A + [0] if A is given."""
-    p = _padded(cert)
     Ap = None if A is None else np.pad(as_matrix(A, square=True, name="A"), (0, 1))
-    return _make_certificate(p.M, p.Minv, p.B, p.kappa, CertTag.PAD_ZERO, Ap)
+    return _checked(_padded(cert), Ap)
 
 
 def _peel_and_pad(spec: JordanSpec, peel: list[int], build_core, tag: CertTag
                   ) -> ApportionCertificate:
     """Build on the blocks outside ``peel`` (zero 1-blocks), re-attach each
-    peeled block by zero padding, permute back to the input order, and check
-    the result once against the Jordan matrix of ``spec``."""
+    peeled block by zero padding and permute back to the input order, unchecked."""
     keep = [i for i in range(len(spec.blocks)) if i not in peel]
     perm_spec, Q = block_permutation(spec, keep + peel)
     cert = build_core(JordanSpec(perm_spec.blocks[: len(keep)]))
     for _ in peel:
         cert = _padded(cert)
-    return _make_certificate(cert.M @ Q, Q.T @ cert.Minv, cert.B, cert.kappa, tag,
-                             build_jordan(spec))
+    return _reordered(cert, Q, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +311,18 @@ def _nilpotent_core(spec: JordanSpec, kappa: float) -> ApportionCertificate:
     return ApportionCertificate(M, Minv, B, kappa, CertTag.NILPOTENT)
 
 
+def _nilpotent_constants(spec: JordanSpec) -> ConstantSet:
+    """K of a nilpotent Jordan matrix: {0} for the zero matrix, else every kappa > 0."""
+    return ConstantSet.zero_only() if spec.is_zero_matrix() else ConstantSet.open_half_line(0.0)
+
+
+def _nilpotent(spec: JordanSpec, kappa: float) -> ApportionCertificate:
+    """``apportion_nilpotent`` at a member kappa, unchecked."""
+    ones = [i for i, (_, s) in enumerate(spec.blocks) if s == 1]
+    return _peel_and_pad(spec, ones, lambda core: _nilpotent_core(core, kappa),
+                         CertTag.NILPOTENT)
+
+
 def apportion_nilpotent(spec: JordanSpec, kappa: float) -> ApportionCertificate:
     """Apportion any nonzero nilpotent Jordan matrix at any modulus kappa > 0.
 
@@ -281,15 +336,8 @@ def apportion_nilpotent(spec: JordanSpec, kappa: float) -> ApportionCertificate:
         raise InvalidInputError("spectrum must be exactly zero")
     if not (isinstance(kappa, (int, float)) and kappa > 0):
         raise InvalidInputError("kappa must be a positive real")
-    kappa = float(kappa)
-    if spec.is_zero_matrix():
-        raise ConstantNotAchievableError(
-            "the zero matrix is already uniform and admits only kappa = 0",
-            constants=ConstantSet.zero_only(),
-        )
-    ones = [i for i, (_, s) in enumerate(spec.blocks) if s == 1]
-    return _peel_and_pad(spec, ones, lambda core: _nilpotent_core(core, kappa),
-                         CertTag.NILPOTENT)
+    _require_member(float(kappa), _nilpotent_constants(spec))
+    return _checked(_nilpotent(spec, float(kappa)), build_jordan(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +362,9 @@ def apportion_I_oplus_O(n: int, kappa: float) -> ApportionCertificate:
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidInputError("n must be a positive integer")
     kappa = float(kappa)
-    if kappa < 0.5:
-        raise ConstantNotAchievableError(
-            f"kappa = {kappa!r} is below 1/2; achievable constants are [1/2, inf)",
-            constants=ConstantSet.closed_half_line(0.5),
-        )
-    zeta = 0.5 + 1j * math.sqrt(max(0.0, kappa * kappa - 0.25))
+    _require_member(kappa, ConstantSet.closed_half_line(0.5))
+    kappa = max(kappa, 0.5)
+    zeta = 0.5 + 1j * math.sqrt(kappa * kappa - 0.25)
     N = 2 * n
     U = np.empty((N, n), dtype=complex)
     V = np.zeros((n, N), dtype=complex)
@@ -366,10 +411,8 @@ def _half_rank_plan_sorted(spec: JordanSpec, kappa: float) -> HalfRankPlan:
     mu = spec.diagonal / kappa
     alphas = spec.alphas
     if np.any(np.abs(mu) >= 2.0):
-        raise ConstantNotAchievableError(
-            "kappa must exceed half the spectral radius",
-            constants=ConstantSet.open_half_line(spec.spectral_radius / 2.0, exact=False),
-        )
+        raise ConstantNotAchievableError("kappa must exceed half the spectral radius",
+                                         constants=_half_rank_constants(spec))
     us = np.empty((N, N), dtype=complex)
     vs = np.zeros((r, N), dtype=complex)
     zetas: dict[int, complex] = {}
@@ -445,6 +488,22 @@ def _half_rank_exact(spec: JordanSpec, kappa: float) -> ApportionCertificate:
     return ApportionCertificate(M @ Q, Q.T @ Minv, B, kappa, CertTag.HALF_RANK)
 
 
+def _half_rank_constants(spec: JordanSpec) -> ConstantSet:
+    """Known part of K at rank <= order/2: every kappa above half the spectral radius."""
+    return ConstantSet.open_half_line(spec.spectral_radius / 2.0, exact=False,
+                                      lower_bound=max(spec_bounds(spec)))
+
+
+def _half_rank(spec: JordanSpec, kappa: float) -> ApportionCertificate:
+    """``apportion_half_rank`` at a member kappa, unchecked, for a spec that is not
+    nilpotent."""
+    m = spec.order - 2 * spec.rank
+    # each zero 1-block adds 1 to n - 2r and no other block adds anything: m <= their count
+    zero_ones = [i for i, (lam, s) in enumerate(spec.blocks) if lam == 0 and s == 1]
+    return _peel_and_pad(spec, zero_ones[len(zero_ones) - m:],
+                         lambda core: _half_rank_exact(core, kappa), CertTag.HALF_RANK)
+
+
 def apportion_half_rank(A_or_spec: Union[JordanSpec, np.ndarray],
                         kappa: float) -> ApportionCertificate:
     """Apportion a matrix of rank at most half its order at any kappa above
@@ -462,20 +521,9 @@ def apportion_half_rank(A_or_spec: Union[JordanSpec, np.ndarray],
     n, r = spec.order, spec.rank
     if 2 * r > n:
         raise InvalidInputError(
-            f"rank {r} exceeds half the order {n}; this construction does not apply"
-        )
-    rho = spec.spectral_radius
-    if not kappa > rho / 2.0:
-        raise ConstantNotAchievableError(
-            f"kappa = {kappa!r} is not strictly above half the spectral radius "
-            f"{rho / 2.0!r}; only the open half-line is guaranteed",
-            constants=ConstantSet.open_half_line(rho / 2.0, exact=False),
-        )
-    m = n - 2 * r
-    # each zero 1-block adds 1 to n - 2r and no other block adds anything: m <= their count
-    zero_ones = [i for i, (lam, s) in enumerate(spec.blocks) if lam == 0 and s == 1]
-    return _peel_and_pad(spec, zero_ones[len(zero_ones) - m:],
-                         lambda core: _half_rank_exact(core, kappa), CertTag.HALF_RANK)
+            f"rank {r} exceeds half the order {n}; this construction does not apply")
+    _require_member(kappa, _half_rank_constants(spec))
+    return _checked(_half_rank(spec, kappa), build_jordan(spec))
 
 
 def apportion_A_oplus_zeros(A_or_spec: Union[JordanSpec, np.ndarray],
@@ -506,10 +554,6 @@ class SpiralSolution:
     rho: float
     alpha: float
     thetas: tuple[float, ...]
-
-
-def _phase_sum(n: int, theta: float) -> complex:
-    return sum(cmath.exp(1j * j * theta) for j in range(1, n + 1))
 
 
 def spiral_sum(n: int, r: float) -> SpiralSolution:
@@ -547,7 +591,7 @@ def spiral_sum(n: int, r: float) -> SpiralSolution:
             else:
                 lo_t = mid
         rho = hi_t if abs(g(hi_t)) <= abs(g(lo_t)) else lo_t
-    total = _phase_sum(n, rho)
+    total = sum(cmath.exp(1j * j * rho) for j in range(1, n + 1))
     if abs(abs(total) - y) > 1e-12 * max(1.0, y):
         raise ConstructionError(f"bisection failed to pin the crossing at r = {r!r}")
     alpha = cmath.phase(total)
@@ -556,6 +600,29 @@ def spiral_sum(n: int, r: float) -> SpiralSolution:
     if abs(check - 1.0) > 1e-10:
         raise ConstructionError("phase-sum identity check failed")
     return SpiralSolution(rho=rho, alpha=alpha, thetas=thetas)
+
+
+def _rank_one_constants(rho: float, n: int) -> ConstantSet:
+    """K of diag(lam, 0, ..., 0) of order n with |lam| = rho > 0: {rho} at n = 1,
+    else [rho/n, inf)."""
+    if n == 1:
+        return ConstantSet.finite([rho])
+    lo = rho / n
+    return ConstantSet.closed_half_line(lo, lower_bound=lo)
+
+
+def _rank_one(lam: complex, n: int, kappa: float) -> ApportionCertificate:
+    """``apportion_rank_one`` at a member kappa, unchecked."""
+    if n == 1:   # a 1x1 matrix is similar only to itself
+        return _certificate(np.eye(1), np.eye(1), [[lam]], abs(lam), CertTag.RANK_ONE)
+    kappa = max(kappa, abs(lam) / n)
+    r = kappa / abs(lam)
+    sol = spiral_sum(n, max(r, 1.0 / n))
+    u = np.ones((n, 1), dtype=complex)
+    vraw = r * np.exp(1j * np.array(sol.thetas))
+    v = (vraw / vraw.sum()).reshape(1, n)       # exact v^T u = 1
+    pair = complete_inverse_pair(u, v)
+    return _certificate(pair.M, pair.Minv, lam * (u @ v), kappa, CertTag.RANK_ONE)
 
 
 def apportion_rank_one(lam: complex, n: int, kappa: float) -> ApportionCertificate:
@@ -569,32 +636,8 @@ def apportion_rank_one(lam: complex, n: int, kappa: float) -> ApportionCertifica
         raise InvalidInputError("lam must be nonzero; zero spectrum is a nilpotent case")
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidInputError("n must be a positive integer")
-    kappa = float(kappa)
-    target_set = ConstantSet.closed_half_line(abs(lam) / n, lower_bound=abs(lam) / n)
-    if n == 1:
-        if abs(kappa - abs(lam)) > 1e-12 * abs(lam):
-            raise ConstantNotAchievableError(
-                "a 1x1 matrix is similar only to itself; kappa must equal |lam|",
-                constants=ConstantSet.finite([abs(lam)]),
-            )
-        A = np.array([[lam]])
-        return _make_certificate(np.eye(1), np.eye(1), A, abs(lam), CertTag.RANK_ONE, A)
-    lo = abs(lam) / n
-    if kappa < lo * (1.0 - _ZERO_RTOL):
-        raise ConstantNotAchievableError(
-            f"kappa = {kappa!r} is below the minimum |lam|/n = {lo!r}",
-            constants=target_set,
-        )
-    r = max(kappa, lo) / abs(lam)
-    sol = spiral_sum(n, max(r, 1.0 / n))
-    u = np.ones((n, 1), dtype=complex)
-    vraw = r * np.exp(1j * np.array(sol.thetas))
-    v = (vraw / vraw.sum()).reshape(1, n)       # exact v^T u = 1
-    pair = complete_inverse_pair(u, v)
-    B = lam * (u @ v)
-    A = np.zeros((n, n), dtype=complex)
-    A[0, 0] = lam
-    return _make_certificate(pair.M, pair.Minv, B, kappa, CertTag.RANK_ONE, A)
+    _require_member(float(kappa), _rank_one_constants(abs(lam), n))
+    return _checked(_rank_one(lam, n, float(kappa)), np.diag([lam] + [0j] * (n - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -623,52 +666,19 @@ def perturb_identity_constants(n: int, lam: complex) -> Optional[ConstantSet]:
     return ConstantSet.finite(values, lower_bound=tb)
 
 
-def _i_oplus_lam(n: int, lam: complex) -> np.ndarray:
-    A = np.eye(n, dtype=complex)
-    A[n - 1, n - 1] = lam
-    return A
-
-
-def _dft_matrix(n: int) -> np.ndarray:
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(-2j * np.pi * j * k / n) / math.sqrt(n)
-
-
-def apportion_perturb_identity(
-    n: int, lam: complex, target: Optional[float] = None
-) -> Union[ApportionCertificate, ClassificationReport]:
-    """Apportion I_(n-1) + [lam] (n >= 3) when Re(lam) = 1 - n/2.
-
-    Without a target the unitary Fourier transform is the certificate, with
-    diagonal entries 1/2 + (Im(lam)/n) i.  With a target it is validated
-    against the constant set and realized by the bordered anti-identity whose
-    last column holds the two conjugate diagonal values.  When Re(lam) misses
-    1 - n/2 the refusal is returned as a NotApportionable report, not raised.
-    """
-    if not (isinstance(n, (int, np.integer)) and n >= 3):
-        raise InvalidInputError("this construction needs order n >= 3")
-    lam = complex(lam)
-    constants = perturb_identity_constants(n, lam)
-    if constants is None:
-        return ClassificationReport(
-            verdict=Verdict.NOT_APPORTIONABLE,
-            constants=ConstantSet.empty(),
-            theorem_tag="perturb-identity",
-        )
-    A = _i_oplus_lam(n, lam)
+def _perturb_identity(n: int, lam: complex, target: Optional[float]) -> ApportionCertificate:
+    """``apportion_perturb_identity`` at a member target, unchecked, for an
+    apportionable lam."""
     if target is None:
-        F = _dft_matrix(n)
+        j, k = np.indices((n, n))
+        F = np.exp(-2j * np.pi * j * k / n) / math.sqrt(n)     # the unitary Fourier matrix
         f = F[:, n - 1]
         B = np.eye(n, dtype=complex) - (n / 2.0 - 1j * lam.imag) * np.outer(f, f.conjugate())
         kappa = math.hypot(0.5, lam.imag / n)
-        return _make_certificate(F, F.conj().T, B, kappa, CertTag.PERTURB_IDENTITY, A)
+        return _certificate(F, F.conj().T, B, kappa, CertTag.PERTURB_IDENTITY)
 
     t = float(target)
-    if constants.contains(t) is not True:
-        raise ConstantNotAchievableError(
-            f"kappa = {t!r} is not an achievable constant; K = {constants.describe()}",
-            constants=constants,
-        )
+    constants = perturb_identity_constants(n, lam)
     finite = constants.shape.value == "finite"
     # a finite set: snap to the exact member and recover its index s
     t = min(constants.values, key=lambda v: abs(v - t)) if finite else max(t, 0.5)
@@ -690,7 +700,30 @@ def apportion_perturb_identity(
     M[:, n - 1] = w
     Minv = np.linalg.solve(M, np.eye(n, dtype=complex))
     B = np.eye(n, dtype=complex) - (1.0 - lam) * np.outer(w, np.ones(n))
-    return _make_certificate(M, Minv, B, t, CertTag.PERTURB_IDENTITY, A)
+    return _certificate(M, Minv, B, t, CertTag.PERTURB_IDENTITY)
+
+
+def apportion_perturb_identity(
+    n: int, lam: complex, target: Optional[float] = None
+) -> Union[ApportionCertificate, ClassificationReport]:
+    """Apportion I_(n-1) + [lam] (n >= 3) when Re(lam) = 1 - n/2.
+
+    Without a target the unitary Fourier transform is the certificate, with
+    diagonal entries 1/2 + (Im(lam)/n) i.  With a target it is validated
+    against the constant set and realized by the bordered anti-identity whose
+    last column holds the two conjugate diagonal values.  When Re(lam) misses
+    1 - n/2 the refusal is returned as a NotApportionable report, not raised.
+    """
+    if not (isinstance(n, (int, np.integer)) and n >= 3):
+        raise InvalidInputError("this construction needs order n >= 3")
+    lam = complex(lam)
+    constants = perturb_identity_constants(n, lam)
+    if constants is None:
+        return ClassificationReport(Verdict.NOT_APPORTIONABLE, ConstantSet.empty(),
+                                    "perturb-identity")
+    if target is not None:
+        _require_member(float(target), constants)
+    return _checked(_perturb_identity(n, lam, target), np.diag([1.0] * (n - 1) + [lam]))
 
 
 # ---------------------------------------------------------------------------
@@ -709,29 +742,48 @@ class TwoByTwoPlan:
     d: complex
 
 
-def _gamma_is_zero(l1: complex, l2: complex) -> bool:
-    return abs(l1 + l2) <= _ZERO_RTOL * max(abs(l1), abs(l2))
+def _gamma_test(l1: complex, l2: complex) -> Optional[tuple[complex, float]]:
+    """The paper's order-2 test at a scale where l1 +- l2 cannot overflow:
+    (gamma, |gamma|^4) when diag(l1, l2) is apportionable, else None.
 
-
-def _gamma_fourth_power(gamma: complex) -> float:
-    """|gamma|^4, clamped to exactly 1 inside float noise.
-
-    Pure-imaginary eigenvalue ratios sit exactly on |gamma| = 1; evaluation
-    noise must not push them across the achievability boundary.
-    """
+    gamma = (l2+l1)/(l2-l1) must vanish (to 1e-12 of the pair) or satisfy
+    Re(gamma^2) < |gamma|^4 <= 1.  |gamma|^4 within 4e-12 of 1 counts as 1, so
+    pure-imaginary ratios sit on |gamma| = 1; the strict inequality keeps a 1e-12
+    margin, as its boundary would give certificates with unbounded entries."""
+    s = l1 + l2
+    if abs(s) <= 1e-12 * max(abs(l1), abs(l2)):
+        return 0j, 0.0
+    gamma = s / (l2 - l1)
     g4 = abs(gamma) ** 4
-    return 1.0 if abs(g4 - 1.0) <= 4e-12 else g4
+    if abs(g4 - 1.0) <= 4e-12:
+        g4 = 1.0
+    if g4 <= 1.0 and (gamma * gamma).real < g4 - 1e-12:
+        return gamma, g4
+    return None
 
 
-def _strictly_inside(gamma: complex, g4: float) -> bool:
-    """Re(gamma^2) < |gamma|^4 with a noise margin on the strict inequality.
-
-    Equality is the non-achievable boundary; deciding it from float noise
-    would hand out certificates with unbounded entries, so a thin margin
-    (far above evaluation noise, far below any honest gap) is excluded too.
-    """
-    margin = 1e-12 * max(1.0, g4)
-    return (gamma * gamma).real < g4 - margin and g4 <= 1.0
+def _order_two(l1: complex, l2: complex) -> Optional[tuple[complex, float, ConstantSet]]:
+    """(gamma, |gamma|^4, constant set) of diag(l1, l2), or None when it is not
+    apportionable: ``_gamma_test`` on the pair at unit scale (``core.unit_exponent``),
+    with the set scaled back."""
+    if l1 == 0 or l2 == 0 or l1 == l2:
+        raise InvalidInputError("needs distinct nonzero eigenvalues")
+    e = unit_exponent((l1, l2))
+    u1, u2 = times_power_of_two(l1, -e), times_power_of_two(l2, -e)
+    found = _gamma_test(u1, u2)
+    if found is None:
+        return None
+    gamma, g4 = found
+    unit = math.ldexp(1.0, e)
+    if gamma == 0:
+        lo = max(abs(u1), abs(u2)) / math.sqrt(2.0) * unit
+    else:
+        lo = abs((u1 + u2) / 2.0) * math.sqrt(
+            1.0 + (1.0 - g4) / (2.0 * (g4 - (gamma * gamma).real))) * unit
+    # the bounds are sharp for some pairs: rounding must not lift them above lo
+    bound = min(lo, max(spec_bounds(JordanSpec(((l1, 1), (l2, 1))))))
+    return gamma, g4, (ConstantSet.closed_half_line(lo, lower_bound=bound) if gamma == 0
+                       else ConstantSet.finite([lo], lower_bound=bound))
 
 
 def two_by_two_constants(l1: complex, l2: complex) -> Optional[ConstantSet]:
@@ -742,61 +794,22 @@ def two_by_two_constants(l1: complex, l2: complex) -> Optional[ConstantSet]:
     rho/sqrt(2) when gamma = 0 and a singleton otherwise.  The pair is
     evaluated at unit scale (``core.unit_exponent``) and the set scaled back.
     """
-    l1, l2 = complex(l1), complex(l2)
-    if l1 == 0 or l2 == 0 or l1 == l2:
-        raise InvalidInputError("needs distinct nonzero eigenvalues")
-    e = unit_exponent((l1, l2))
-    if e:
-        l1, l2 = times_power_of_two(l1, -e), times_power_of_two(l2, -e)
-    unit = math.ldexp(1.0, e)
-    bound = max(abs(l1 + l2) / 2.0, math.sqrt(abs(l1 * l2) / 2.0)) * unit
-    if _gamma_is_zero(l1, l2):
-        rho = max(abs(l1), abs(l2))
-        return ConstantSet.closed_half_line(rho / math.sqrt(2.0) * unit, lower_bound=bound)
-    gamma = (l2 + l1) / (l2 - l1)
-    g4 = _gamma_fourth_power(gamma)
-    if _strictly_inside(gamma, g4):
-        if g4 == 1.0:
-            value = abs((l1 + l2) / 2.0)
-        else:
-            value = abs((l1 + l2) / 2.0) * math.sqrt(
-                1.0 + (1.0 - g4) / (2.0 * (g4 - (gamma * gamma).real))
-            )
-        return ConstantSet.finite([value * unit], lower_bound=bound)
-    return None
+    found = _order_two(complex(l1), complex(l2))
+    return None if found is None else found[2]
 
 
-def two_by_two_plan(l1: complex, l2: complex,
-                    kappa: Optional[float] = None) -> TwoByTwoPlan:
-    """Transform entries achieving the (validated) modulus for diag(l1, l2)."""
-    l1, l2 = complex(l1), complex(l2)
-    constants = two_by_two_constants(l1, l2)
-    if constants is None:
-        raise InvalidInputError("diag(l1, l2) is not apportionable")
-    gamma = 0j if _gamma_is_zero(l1, l2) else (l2 + l1) / (l2 - l1)
+def _plan(l1: complex, l2: complex, found: tuple, kappa: Optional[float]) -> TwoByTwoPlan:
+    """The plan at a member kappa (default: the smallest); ``found`` is ``_order_two``'s."""
+    gamma, g4, constants = found
+    kappa = constants.smallest_member() if kappa is None else float(kappa)
     if gamma == 0:
         rho = max(abs(l1), abs(l2))
-        lo = rho / math.sqrt(2.0)
-        kappa = lo if kappa is None else float(kappa)
-        if kappa < lo * (1.0 - _ZERO_RTOL):
-            raise ConstantNotAchievableError(
-                f"kappa = {kappa!r} is below the minimum {lo!r}", constants=constants
-            )
-        ratio2 = (max(kappa, lo) / rho) ** 2
+        ratio2 = (max(kappa, constants.lo) / rho) ** 2
         omega = math.sqrt(0.5 * ratio2 + 0.25) + 1j * math.sqrt(max(0.0, 0.5 * ratio2 - 0.25))
+    elif g4 == 1.0:
+        omega = 0j
     else:
-        value = constants.values[0]
-        if kappa is not None and abs(float(kappa) - value) > 1e-9 * value:
-            raise ConstantNotAchievableError(
-                f"kappa = {kappa!r} is not the unique constant {value!r}",
-                constants=constants,
-            )
-        g4 = _gamma_fourth_power(gamma)
-        if g4 == 1.0:
-            omega = 0j
-        else:
-            omega = gamma * math.sqrt(
-                (1.0 - g4) / (2.0 * (g4 - (gamma * gamma).real))) * 1j
+        omega = gamma * math.sqrt((1.0 - g4) / (2.0 * (g4 - (gamma * gamma).real))) * 1j
     b = cmath.sqrt((omega * omega - 1.0) / 4.0)
     if abs(b) <= 1e-12 * max(1.0, abs(omega)):
         raise ConstructionError("degenerate transform: omega^2 = 1 should be unreachable")
@@ -805,21 +818,23 @@ def two_by_two_plan(l1: complex, l2: complex,
     return TwoByTwoPlan(gamma=gamma, omega=omega, b=b, a=1.0 + 0j, c=c, d=d)
 
 
-def apportion_2x2(l1: complex, l2: complex,
-                  target: Optional[float] = None) -> ClassificationReport:
-    """Classify diag(l1, l2) with distinct nonzero eigenvalues and, when
-    apportionable, attach a certificate at ``target`` (default: the smallest
-    achievable constant)."""
+def two_by_two_plan(l1: complex, l2: complex,
+                    kappa: Optional[float] = None) -> TwoByTwoPlan:
+    """Transform entries achieving the (validated) modulus for diag(l1, l2)."""
     l1, l2 = complex(l1), complex(l2)
-    constants = two_by_two_constants(l1, l2)
-    if constants is None:
-        return ClassificationReport(
-            verdict=Verdict.NOT_APPORTIONABLE,
-            constants=ConstantSet.empty(),
-            theorem_tag="two-by-two",
-        )
-    kappa = constants.smallest_member() if target is None else float(target)
-    plan = two_by_two_plan(l1, l2, kappa)
+    found = _order_two(l1, l2)
+    if found is None:
+        raise InvalidInputError("diag(l1, l2) is not apportionable")
+    if kappa is not None:
+        _require_member(float(kappa), found[2])
+    return _plan(l1, l2, found, kappa)
+
+
+def _two_by_two(l1: complex, l2: complex, found: tuple,
+                target: Optional[float]) -> ApportionCertificate:
+    """A certificate for diag(l1, l2) at a member ``target`` (default: the smallest
+    constant), unchecked; ``found`` is ``_order_two``'s."""
+    plan = _plan(l1, l2, found, target)
     gamma, omega, b = plan.gamma, plan.omega, plan.b
     M = np.array([[plan.a, b], [plan.c, plan.d]])
     # the determinant is 1 by construction; dividing the adjugate by its
@@ -827,36 +842,33 @@ def apportion_2x2(l1: complex, l2: complex,
     det = plan.a * plan.d - b * plan.c
     Minv = np.array([[plan.d, -b], [-plan.c, plan.a]]) / det
     B = (l2 - l1) * np.array([[(gamma - omega) / 2.0, b], [-b, (gamma + omega) / 2.0]])
-    A = np.diag([l1, l2])
-    kappa_built = float(np.abs(B).mean())
-    cert = _make_certificate(M, Minv, B, kappa_built, CertTag.TWO_BY_TWO, A)
-    return ClassificationReport(
-        verdict=Verdict.APPORTIONABLE,
-        constants=constants,
-        theorem_tag="two-by-two",
-        certificate=cert,
-    )
+    return _certificate(M, Minv, B, float(np.abs(B).mean()), CertTag.TWO_BY_TWO)
+
+
+def apportion_2x2(l1: complex, l2: complex,
+                  target: Optional[float] = None) -> ClassificationReport:
+    """Classify diag(l1, l2) with distinct nonzero eigenvalues and, when
+    apportionable, attach a certificate at ``target`` (default: the smallest
+    achievable constant)."""
+    l1, l2 = complex(l1), complex(l2)
+    found = _order_two(l1, l2)
+    if found is None:
+        return ClassificationReport(Verdict.NOT_APPORTIONABLE, ConstantSet.empty(), "two-by-two")
+    if target is not None:
+        _require_member(float(target), found[2])
+    cert = _checked(_two_by_two(l1, l2, found, target), np.diag([l1, l2]))
+    return ClassificationReport(Verdict.APPORTIONABLE, found[2], "two-by-two", cert)
 
 
 def polar_condition_2x2(l1: complex, l2: complex) -> bool:
-    """Polar form of the 2x2 achievability test for nonzero eigenvalues.
-
-    True when l1 = -l2, when l1 is a real multiple of i*l2, or when the angle
-    theta between them lies in (pi/2, 3pi/2) with |r cos(theta) + 1| <
-    |sin(theta)| for the modulus ratio r.
-    """
+    """Whether diag(l1, l2), nonzero eigenvalues, is apportionable, by the gamma test
+    of ``two_by_two_constants`` (a repeated eigenvalue never is).  In polar form: l1 =
+    -l2, or l1 is a real multiple of i*l2, or the angle theta between them lies in
+    (pi/2, 3pi/2) with |r cos(theta) + 1| < |sin(theta)| for the modulus ratio r."""
     l1, l2 = complex(l1), complex(l2)
     if l1 == 0 or l2 == 0:
         raise InvalidInputError("eigenvalues must be nonzero")
-    if abs(l1 + l2) <= _ZERO_RTOL * max(abs(l1), abs(l2)):
-        return True
-    if abs((l1 * l2.conjugate()).real) <= _ZERO_RTOL * abs(l1) * abs(l2):
-        return True
-    r = abs(l2) / abs(l1)
-    theta = (cmath.phase(l2) - cmath.phase(l1)) % (2.0 * math.pi)
-    if not (math.pi / 2.0 < theta < 3.0 * math.pi / 2.0):
-        return False
-    return abs(r * math.cos(theta) + 1.0) < abs(math.sin(theta))
+    return l1 != l2 and _order_two(l1, l2) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -870,17 +882,18 @@ class TemplateKind(str, enum.Enum):
     LAMBDA_PLUS_N2 = "LambdaPlusN2"
 
 
-def apportion_3x3_template(kind: TemplateKind, lam: complex) -> ApportionCertificate:
-    """Fixed 3x3 transforms for the two explicitly solved singular families."""
-    kind = TemplateKind(kind)
-    lam = complex(lam)
+def _template_spec(kind: TemplateKind, lam: complex) -> JordanSpec:
+    """The Jordan blocks of a family: (lam, 2) + (0, 1), or (lam, 1) + (0, 2)."""
+    sizes = (2, 1) if kind is TemplateKind.LAMBDA_J2_PLUS_ZERO else (1, 2)
+    return JordanSpec(((lam, sizes[0]), (0j, sizes[1])))
+
+
+def _template(kind: TemplateKind, lam: complex) -> ApportionCertificate:
+    """``apportion_3x3_template``, unchecked."""
     if lam == 0:
-        spec = (JordanSpec(((0j, 2), (0j, 1))) if kind is TemplateKind.LAMBDA_J2_PLUS_ZERO
-                else JordanSpec(((0j, 1), (0j, 2))))
-        return apportion_nilpotent(spec, 1.0)
+        return _nilpotent(_template_spec(kind, lam), 1.0)
     w3, w6 = _THIRD, _SIXTH
     if kind is TemplateKind.LAMBDA_J2_PLUS_ZERO:
-        A = np.array([[lam, 1, 0], [0, lam, 0], [0, 0, 0]], dtype=complex)
         M = np.array([[0, 1, 1], [w3, 0, 1], [1, 0, 0]], dtype=complex) @ np.diag([lam, 1, 1])
         Minv = np.diag([1 / lam, 1, 1]) @ np.array(
             [[0, 0, 1], [1, -1, w3], [0, 1, -w3]], dtype=complex
@@ -888,13 +901,18 @@ def apportion_3x3_template(kind: TemplateKind, lam: complex) -> ApportionCertifi
         B = lam * np.array([[1, -1, w3], [w3, -w3, -1], [1, -1, 1 + w3]], dtype=complex)
         kappa = abs(lam)
     else:
-        A = np.array([[lam, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
         M = np.array([[0, 1, w3], [1, 0, w6], [1, 1, 0]], dtype=complex) @ np.diag([1, lam, 1])
         Minv = (1.0 / (1.0 + w6)) * np.diag([1, 1 / lam, 1]) @ np.array(
             [[-1, w6, 1], [1, -w6, w6],
              [w6.conjugate(), w6.conjugate(), -w6.conjugate()]], dtype=complex
         )
         # equals conj(w6) * (lam/(1+w6)) [[1,1,-1],[-w6,w3,w6],[1-w6,1+w3,w6-1]]
-        B = (M @ A) @ Minv
+        B = (M @ build_jordan(_template_spec(kind, lam))) @ Minv
         kappa = abs(lam) / math.sqrt(3.0)
-    return _make_certificate(M, Minv, B, kappa, CertTag.THREE_BY_THREE_TEMPLATE, A)
+    return _certificate(M, Minv, B, kappa, CertTag.THREE_BY_THREE_TEMPLATE)
+
+
+def apportion_3x3_template(kind: TemplateKind, lam: complex) -> ApportionCertificate:
+    """Fixed 3x3 transforms for the two explicitly solved singular families."""
+    kind, lam = TemplateKind(kind), complex(lam)
+    return _checked(_template(kind, lam), build_jordan(_template_spec(kind, lam)))

@@ -179,19 +179,21 @@ def similarity_image(M, A, Minv=None, tol: Tolerance = DEFAULT_TOL):
 
 
 def trace_lower_bound(A) -> float:
-    """|tr(A)| / n: every achievable modulus of A is at least this."""
+    """|tr(A)| / n: every achievable modulus of A is at least this.  Computed at unit
+    scale (``unit_exponent``), so it overflows only where the bound itself does."""
     A = as_matrix(A, square=True, name="A")
-    n = A.shape[0]
-    return float(abs(np.trace(A))) / n
+    e = unit_exponent(A)
+    return math.ldexp(float(abs(np.trace(times_power_of_two(A, -e)))) / A.shape[0], e)
 
 
 def hadamard_lower_bound(A) -> float:
-    """n^(-1/2) |det(A)|^(1/n), computed in log space; 0 for singular A."""
+    """n^(-1/2) |det(A)|^(1/n), computed in log space at unit scale; 0 for singular A."""
     A = as_matrix(A, square=True, name="A")
-    sign, logdet = np.linalg.slogdet(A)
+    e = unit_exponent(A)
+    sign, logdet = np.linalg.slogdet(times_power_of_two(A, -e))
     if sign == 0:
         return 0.0
-    return math.exp(float(logdet) / A.shape[0]) / math.sqrt(A.shape[0])
+    return math.ldexp(math.exp(float(logdet) / A.shape[0]) / math.sqrt(A.shape[0]), e)
 
 
 def unit_exponent(values) -> int:

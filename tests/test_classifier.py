@@ -311,13 +311,18 @@ class TestRegion:
         assert lookup[(1.0, 0.0)] is None          # degenerate at lambda1
 
     def test_agrees_with_constructor(self):
-        samples = admissible_region(1.0, ((-3, 3), (-3, 3)), 11)
+        # the second box's corners include two points on the boundary of the
+        # region, -1.8 + 2.4i (on criterion 7's grid) and -0.72 + 0.21i
+        samples = (admissible_region(1.0, ((-3, 3), (-3, 3)), 11)
+                   + admissible_region(1.0, ((-1.8, -0.72), (0.21, 2.4)), 2))
+        assert {complex(s.re, s.im) for s in samples} >= {-1.8 + 2.4j, -0.72 + 0.21j}
         for s in samples:
             if s.admissible is None:
                 continue
             l2 = complex(s.re, s.im)
             rep = apportion_2x2(1.0, l2)
             assert s.admissible == (rep.verdict is Verdict.APPORTIONABLE)
+            assert s.admissible == polar_condition_2x2(1.0, l2)
             if s.admissible:
                 assert is_uniform(rep.certificate.B).is_uniform
 
@@ -326,6 +331,11 @@ class TestRegion:
             admissible_region(0.0, ((-1, 1), (-1, 1)), 5)
         with pytest.raises(InvalidInputError):
             admissible_region(1.0, ((-1, 1), (-1, 1)), 1)
+        # a non-finite lambda1, box or extent (linspace would overflow) is refused
+        for lambda1, box in ((math.nan, ((-1, 1), (-1, 1))), (1.0, ((-1, math.inf), (-1, 1))),
+                             (1.0, ((-1e308, 1e308), (-1, 1)))):
+            with pytest.raises(InvalidInputError):
+                admissible_region(lambda1, box, 3)
 
     def test_csv_format(self):
         samples = admissible_region(1.0, ((-1, 1), (-1, 1)), 3)
@@ -410,6 +420,20 @@ class TestExtremeInputs:
         assert rep.verdict is unit.verdict
         assert rep.theorem_tag == unit.theorem_tag
         assert rep.constants.lo == pytest.approx(unit.constants.lo * scale, rel=1e-12)
+
+    def test_lower_bound_near_float_range(self):
+        # tr = 2e308 overflows: the floor is still 5e307, so the set's own default
+        # member 1.5 lo = 7.5e307 is accepted and built
+        import warnings
+
+        spec = diag_spec(1e308, 1e308, 0, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = classify(spec)
+            assert report.constants.lower_bound == report.constants.lo == 5e307
+            cert = request_certificate(spec, report=report)
+            verify_certificate(cert, build_jordan(spec))
+        assert cert.kappa == 7.5e307
 
     def test_raw_triangular_keeps_small_eigenvalues(self):
         # huge entries off the diagonal do not swamp exact small eigenvalues

@@ -160,6 +160,23 @@ class TestBounds:
         doc = json.loads(out)
         assert doc["trace_lower_bound"] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("doc, trace", [
+        (entries_doc(np.diag([1e308, 1e308])), 1e308),
+        (jordan_doc([(1e308 + 0j, 1), (1e308 + 0j, 1), (0j, 1), (0j, 1)]), 5e307),
+    ])
+    def test_trace_bound_near_float_range(self, tmp_path, capsys, doc, trace):
+        # the trace overflows, the bound does not: no "inf" and no RuntimeWarning
+        import warnings
+
+        path = write_doc(tmp_path, "m.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in ("bounds", "classify"):
+                code, out = run(capsys, [command, path])
+                assert code == 0
+                out = json.loads(out)
+                assert out.get("bounds", out)["trace_lower_bound"] == trace
+
 
 class TestRegion:
     def test_csv_rows(self, capsys):
@@ -345,6 +362,18 @@ class TestEdgeRefusals:
                 code, out = run(capsys, ["apportion", path, *argv])
                 assert code == 0
                 assert json.loads(out)["kappa"] == pytest.approx(lower, rel=1e-12)
+
+    def test_default_member_near_float_range(self, tmp_path, capsys):
+        # the set (5e307, inf) and its default member 7.5e307 survive an overflowing trace
+        import warnings
+
+        doc = jordan_doc([(1e308 + 0j, 1), (1e308 + 0j, 1), (0j, 1), (0j, 1)])
+        path = write_doc(tmp_path, "m.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, ["apportion", path])
+        assert code == 0
+        assert json.loads(out)["kappa"] == 7.5e307
 
     @pytest.mark.parametrize("lams, found", [((1e100, -1e100), True),
                                              ((1e175, 1e175), False)])

@@ -549,13 +549,26 @@ class TestOneCheckPerCertificate:
     @pytest.mark.parametrize("spec", [
         JordanSpec(((0j, 3), (0j, 1), (0j, 2), (0j, 1))),
         JordanSpec(((0j, 1), (1 + 0j, 1), (0j, 2), (2j, 1), (0j, 1), (0j, 1), (0j, 1))),
+        # built in another block order, then permuted
+        JordanSpec(((0j, 1), (2 + 0j, 1), (0j, 1))),
+        JordanSpec(((0j, 1), (1 + 0j, 2))),
+        # padded, then permuted
+        JordanSpec(((0j, 1), (1 + 0j, 1), (-1 + 0j, 1))),
+        # built for mu = 1, then scaled
+        JordanSpec(((2 + 0j, 1),) * 3 + ((-2 + 0j, 1),)),
     ])
     def test_request_certificate(self, residual_checks, spec):
-        from apportion import request_certificate
+        from apportion import classify, request_certificate
 
-        cert = request_certificate(spec, kappa=1.3)
+        constants = classify(spec).constants
+        # a 3x3 template has one constant, |lam| = 1 here
+        kappa = 1.3 if constants.contains(1.3) else constants.smallest_member()
+        residual_checks.clear()
+        cert = request_certificate(spec, kappa=kappa)
         assert len(residual_checks) == 1
-        check_cert(cert, build_jordan(spec), 1.3)
+        # the one check ran against the matrix the certificate is for
+        assert np.array_equal(residual_checks[0][2], build_jordan(spec))
+        check_cert(cert, build_jordan(spec), kappa)
 
     def test_verify_runs_uniformity_once(self, monkeypatch):
         import apportion.constructors as constructors

@@ -214,6 +214,16 @@ class TestBounds:
     def test_hadamard_identity_3(self):
         assert hadamard_lower_bound(np.eye(3)) == pytest.approx(1 / np.sqrt(3), rel=1e-14)
 
+    def test_near_float_range_without_warnings(self):
+        # the trace of diag(1e308, 1e308) overflows; both bounds are taken at unit scale
+        import warnings
+
+        A = np.diag([1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert trace_lower_bound(A) == 1e308
+            assert hadamard_lower_bound(A) == pytest.approx(1e308 / np.sqrt(2), rel=1e-15)
+
     def test_non_square_rejected(self):
         with pytest.raises(InvalidInputError):
             trace_lower_bound(np.ones((2, 3)))

@@ -2,7 +2,10 @@
 Jordan specifications: block order and power-of-two scale change nothing but
 the scale of the constants, for Jordan documents and raw entries alike, and
 the numerical search stays one-sided at every scale: at order 2, where the
-paper's classification is complete, every find lies in the constant set."""
+paper's classification is complete, every find lies in the constant set.  The
+order-2 test and the kappa-membership rule each decide once, so
+``polar_condition_2x2`` is ``classify``'s verdict and ``request_certificate`` builds
+every kappa the reported set accepts."""
 
 import cmath
 import math
@@ -13,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apportion import (
+    ConstantNotAchievableError,
     ConstructionError,
     JordanSpec,
     SearchConfig,
@@ -21,6 +25,7 @@ from apportion import (
     classify,
     find_apportioning,
     hadamard_lower_bound,
+    polar_condition_2x2,
     request_certificate,
     trace_lower_bound,
     two_by_two_constants,
@@ -153,3 +158,56 @@ def test_order_two_finds_lie_in_the_constant_set(spec, k):
     if size == 1 and rest and 0 not in (l1, rest[0][0]) and l1 != rest[0][0]:
         lower = two_by_two_constants(l1, rest[0][0]).lower_bound
         assert kappa >= lower * (1 - 1e-9)
+
+
+def _boundary_ratios():
+    """l2 / l1 on the boundary of the order-2 region, |r cos(theta) + 1| = |sin(theta)|:
+    r = (+-|sin(theta)| - 1) / cos(theta) for angles of Pythagorean triples."""
+    ratios = []
+    for a, b, h in ((3, 4, 5), (5, 12, 13), (7, 24, 25), (8, 15, 17), (20, 21, 29)):
+        for c in (a / h, -a / h, b / h, -b / h):
+            for sin in (math.sqrt(1 - c * c), -math.sqrt(1 - c * c)):
+                for r in ((abs(sin) - 1) / c, (-abs(sin) - 1) / c):
+                    if r > 0:
+                        ratios.append(r * complex(c, sin))
+    return ratios
+
+
+RATIOS = st.one_of(
+    st.sampled_from(_boundary_ratios()),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False,
+                       allow_infinity=False))
+
+
+@PROPERTY
+@given(st.sampled_from([lam for lam in EIGENVALUES if lam != 0]), RATIOS, EXPONENTS)
+@example(1 + 0j, -1.8 + 2.4j, 0)     # on criterion 7's grid
+@example(1 + 0j, -0.72 + 0.21j, 0)
+def test_polar_condition_is_the_classification(l1, ratio, k):
+    l1 = l1 * 2.0 ** k
+    l2 = l1 * ratio
+    if l2 == l1:
+        return
+    verdict = classify(JordanSpec(((l1, 1), (l2, 1)))).verdict
+    assert polar_condition_2x2(l1, l2) == (verdict is Verdict.APPORTIONABLE)
+
+
+@PROPERTY
+@given(specs(), st.sampled_from([1 - 5e-10, 1.0, 1 + 5e-10, 1.5, 4.0]))
+@example(JordanSpec(((0j, 1), (2 + 0j, 1), (0j, 1))), 1 - 5e-10)     # rank one
+@example(JordanSpec(((1 + 0j, 1), (-1 + 0j, 1))), 1 - 5e-10)         # gamma = 0
+@example(JordanSpec(((3j, 1), (0j, 1), (-3j, 1))), 1 - 1e-9)         # padded gamma = 0
+def test_request_certificate_builds_every_accepted_kappa(spec, factor):
+    # near the lower end of each set: lo, or the smallest member of the others
+    report = classify(spec)
+    constants = report.constants
+    if report.verdict is not Verdict.APPORTIONABLE:
+        return
+    kappa = (constants.lo or constants.smallest_member()) * factor
+    if constants.contains(kappa) is not True:
+        return
+    try:
+        cert = request_certificate(spec, kappa=kappa, report=report)
+    except ConstantNotAchievableError as exc:
+        raise AssertionError(f"kappa = {kappa!r} in {constants.describe()} refused") from exc
+    verify_certificate(cert, build_jordan(spec))
