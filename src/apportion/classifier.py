@@ -21,7 +21,7 @@ from .constructors import (
     CertTag,
     TemplateKind,
     _certificate,
-    _checked,
+    _certified,
     _coerce_spec,
     _gamma_test,
     _half_rank,
@@ -34,7 +34,6 @@ from .constructors import (
     _rank_one,
     _rank_one_constants,
     _reordered,
-    _require_member,
     _scaled,
     _template,
     _template_spec,
@@ -44,7 +43,7 @@ from .constructors import (
     two_by_two_constants,
 )
 from .core import as_matrix, times_power_of_two, unit_exponent
-from .errors import ConstructionError, InvalidInputError, UnsupportedOrderError
+from .errors import InvalidInputError, UnsupportedOrderError
 from .jordan import (
     JordanSpec,
     block_permutation,
@@ -93,9 +92,9 @@ class Rule:
     ``match`` returns (verdict, constants) when the spec belongs to the class,
     else None.  ``build`` returns a certificate at a member kappa of the
     constants together with the block order it was built for, unchecked
-    (``_certify`` checks it once); refuting and open classes have no builder.
-    ``certify_on_classify`` attaches a certificate at the default member to the
-    classification report.
+    (``request_certificate`` checks it once); refuting and open classes have
+    no builder.  ``certify_on_classify`` attaches a certificate at the default
+    member to the classification report.
     """
 
     tag: str
@@ -293,20 +292,6 @@ def _permute_to(cert: ApportionCertificate, built_spec: JordanSpec,
     return _reordered(cert, Q, cert.theorem_tag)
 
 
-def _certify(rule: Rule, spec: JordanSpec, kappa: float) -> ApportionCertificate:
-    """The rule's certificate at kappa in the block order of ``spec``, checked once,
-    against the Jordan matrix of ``spec``."""
-    # at an extreme kappa the construction overflows or goes singular; that is
-    # a failed construction, reported as such rather than as NaNs and warnings
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            cert = _permute_to(*rule.build(spec, kappa), spec)
-            return _checked(cert, build_jordan(spec))
-    except (FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
-        raise ConstructionError(f"construction fails in floating point at kappa = {kappa!r}: "
-                                f"{exc}") from exc
-
-
 def classify(input_matrix: MatrixLike) -> ClassificationReport:
     """Verdict, constant set, and certificate availability for a matrix.
 
@@ -324,11 +309,10 @@ def _classify_spec(spec: JordanSpec) -> ClassificationReport:
         found = rule.match(spec)
         if found is not None:
             break
-    verdict, constants = found
-    cert = None
-    if rule.certify_on_classify and verdict is Verdict.APPORTIONABLE:
-        cert = _certify(rule, spec, constants.smallest_member())
-    return ClassificationReport(verdict, constants, rule.tag, cert)
+    report = ClassificationReport(*found, rule.tag)
+    if rule.certify_on_classify and report.verdict is Verdict.APPORTIONABLE:
+        report = replace(report, certificate=request_certificate(spec, report=report))
+    return report
 
 
 def constant_set(input_matrix: MatrixLike,
@@ -344,10 +328,13 @@ def request_certificate(input_matrix: MatrixLike, kappa: Optional[float] = None,
 
     ``kappa`` defaults to a deterministic member of the constant set.  Raises
     ConstantNotAchievableError when kappa is outside the (known part of the)
-    set, and InvalidInputError when the verdict is not Apportionable.  Raw
+    set, InvalidInputError when the verdict is not Apportionable, and
+    ConstructionError when the construction leaves the float range.  Raw
     entries must already sit in Jordan-block arrangement (certificates are
     built for the input matrix, in its own block order); conjugated raw input
     is refused since recovering a transforming basis for it is out of scope.
+    The certificate is checked once, against the raw entries themselves when
+    they are given, else against the Jordan matrix of the spec.
     """
     spec = _coerce_spec(input_matrix)
     report = report or _classify_spec(spec)
@@ -361,11 +348,11 @@ def request_certificate(input_matrix: MatrixLike, kappa: Optional[float] = None,
         if kappa is None:
             raise InvalidInputError("no default constant available for this class")
     kappa = float(kappa)
-    _require_member(kappa, constants)
     rule = _RULES_BY_TAG.get(report.theorem_tag)
     if rule is None or rule.build is None:
         raise InvalidInputError(f"no constructive path for tag {report.theorem_tag!r}")
-    return _certify(rule, spec, kappa)
+    A = build_jordan(spec) if isinstance(input_matrix, JordanSpec) else as_matrix(input_matrix)
+    return _certified(lambda: _permute_to(*rule.build(spec, kappa), spec), A, kappa, constants)
 
 
 # ---------------------------------------------------------------------------

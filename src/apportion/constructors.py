@@ -2,21 +2,23 @@
 
 Each public ``apportion_*`` function builds a transforming matrix M in closed
 form for one matrix class and returns an ApportionCertificate holding M, its
-inverse, the uniform image B = M A M^-1, and the achieved modulus.  Each finished
-certificate is checked once (inverse product, uniformity, similarity residual) against
-the matrix the caller asked about; zero paddings, scalings and block permutations before
-it are exact algebra.  The private builders behind the public functions return
-unchecked certificates for ``classifier``, which checks each one it returns.  A kappa is
-refused only by ``ConstantSet.contains`` on the set of its class.
+inverse, the uniform image B = M A M^-1, and the achieved modulus.  Every
+certificate leaves the package through ``_certified``, whether it comes from a
+constructor, a padding, scaling or reordering helper, ``request_certificate`` or
+the search: a kappa outside its class's ``ConstantSet`` is refused, the build runs
+with floating-point faults raised as ConstructionError, and the finished
+certificate is checked once against the caller's matrix.  The paddings, scalings
+and block permutations inside a build are exact algebra and check nothing.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -108,7 +110,7 @@ class ApportionCertificate:
         }
 
 
-def _check(cert: ApportionCertificate, A, tol: Tolerance, kappa_rtol=1e-9) -> UniformityReport:
+def _check(cert: ApportionCertificate, A, tol: Tolerance) -> UniformityReport:
     """Inverse product, uniformity at kappa, residual against A if given; B's report."""
     M, Minv, B = (np.asarray(x, dtype=complex) for x in (cert.M, cert.Minv, cert.B))
     if A is not None:
@@ -123,7 +125,7 @@ def _check(cert: ApportionCertificate, A, tol: Tolerance, kappa_rtol=1e-9) -> Un
     rep = is_uniform(B, tol)
     if not rep.is_uniform:
         raise ConstructionError(f"image is not uniform: defect {rep.defect:.3e}")
-    if abs(rep.kappa - kappa) > kappa_rtol * abs(kappa):
+    if abs(rep.kappa - kappa) > 1e-9 * abs(kappa):
         raise ConstructionError(
             f"achieved modulus {rep.kappa!r} does not match requested {kappa!r}"
         )
@@ -135,22 +137,9 @@ def _check(cert: ApportionCertificate, A, tol: Tolerance, kappa_rtol=1e-9) -> Un
 
 
 def _certificate(M, Minv, B, kappa, tag) -> ApportionCertificate:
-    """Assemble a certificate, unchecked: it is checked once, where it is returned."""
+    """Assemble a certificate, unchecked: it is checked once, by ``_certified``."""
     return ApportionCertificate(*(np.asarray(x, dtype=complex) for x in (M, Minv, B)),
                                 float(kappa), tag)
-
-
-def _checked(cert: ApportionCertificate, A, tol: Tolerance = DEFAULT_TOL,
-             kappa_rtol=1e-9) -> ApportionCertificate:
-    """``cert``, after its one check against A."""
-    _check(cert, A, tol, kappa_rtol)
-    return cert
-
-
-def _make_certificate(M, Minv, B, kappa, tag, A=None, tol: Tolerance = DEFAULT_TOL,
-                      kappa_rtol=1e-9) -> ApportionCertificate:
-    """Assemble a finished certificate and check it against A."""
-    return _checked(_certificate(M, Minv, B, kappa, tag), A, tol, kappa_rtol)
 
 
 def _require_member(kappa: float, constants: ConstantSet) -> None:
@@ -161,6 +150,33 @@ def _require_member(kappa: float, constants: ConstantSet) -> None:
             f"kappa = {kappa!r} is outside the certified part of {constants.describe()}",
             constants=constants,
         )
+
+
+@contextlib.contextmanager
+def _guarded(kappa: Optional[float]):
+    """Overflow, division by zero, invalid operations and singular solves in the block
+    raised as ConstructionError: at an extreme kappa a construction leaves the float
+    range, which is a failed construction, not NaNs and warnings."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
+        at = "" if kappa is None else f" at kappa = {kappa!r}"
+        raise ConstructionError(f"construction fails in floating point{at}: {exc}") from exc
+
+
+def _certified(build: Callable[[], ApportionCertificate], A, kappa: Optional[float] = None,
+               constants: Optional[ConstantSet] = None,
+               tol: Tolerance = DEFAULT_TOL) -> ApportionCertificate:
+    """The one way a certificate leaves the package: a given ``kappa`` is refused unless
+    ``constants`` contain it, ``build`` runs ``_guarded``, and its certificate is checked
+    once against A (without the residual when A is None)."""
+    if kappa is not None:
+        _require_member(kappa, constants)
+    with _guarded(kappa):
+        cert = build()
+        _check(cert, A, tol)
+    return cert
 
 
 def verify_certificate(cert: ApportionCertificate, A, tol: Tolerance = DEFAULT_TOL):
@@ -179,7 +195,7 @@ def _reordered(cert: ApportionCertificate, Q: np.ndarray, tag: CertTag) -> Appor
 def reorder_certificate(cert: ApportionCertificate, Q: np.ndarray,
                          A=None) -> ApportionCertificate:
     """Conjugate by a permutation: a certificate for Q A Q^T becomes one for A."""
-    return _checked(_reordered(cert, Q, cert.theorem_tag), A)
+    return _certified(lambda: _reordered(cert, Q, cert.theorem_tag), A)
 
 
 def _scaled(cert: ApportionCertificate, mu: complex) -> ApportionCertificate:
@@ -194,7 +210,7 @@ def scale_certificate(cert: ApportionCertificate, mu: complex,
     mu = complex(mu)
     if mu == 0:
         raise InvalidInputError("scale factor must be nonzero")
-    return _checked(_scaled(cert, mu), A)
+    return _certified(lambda: _scaled(cert, mu), A)
 
 
 def _coerce_spec(a) -> JordanSpec:
@@ -257,7 +273,7 @@ def _padded(cert: ApportionCertificate) -> ApportionCertificate:
 def pad_by_zero(cert: ApportionCertificate, A=None) -> ApportionCertificate:
     """Extend a certificate for A to one for A + [0], checked against A + [0] if A is given."""
     Ap = None if A is None else np.pad(as_matrix(A, square=True, name="A"), (0, 1))
-    return _checked(_padded(cert), Ap)
+    return _certified(lambda: _padded(cert), Ap)
 
 
 def _peel_and_pad(spec: JordanSpec, peel: list[int], build_core, tag: CertTag
@@ -336,8 +352,9 @@ def apportion_nilpotent(spec: JordanSpec, kappa: float) -> ApportionCertificate:
         raise InvalidInputError("spectrum must be exactly zero")
     if not (isinstance(kappa, (int, float)) and kappa > 0):
         raise InvalidInputError("kappa must be a positive real")
-    _require_member(float(kappa), _nilpotent_constants(spec))
-    return _checked(_nilpotent(spec, float(kappa)), build_jordan(spec))
+    kappa = float(kappa)
+    return _certified(lambda: _nilpotent(spec, kappa), build_jordan(spec), kappa,
+                      _nilpotent_constants(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -362,21 +379,22 @@ def apportion_I_oplus_O(n: int, kappa: float) -> ApportionCertificate:
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidInputError("n must be a positive integer")
     kappa = float(kappa)
-    _require_member(kappa, ConstantSet.closed_half_line(0.5))
-    kappa = max(kappa, 0.5)
-    zeta = 0.5 + 1j * math.sqrt(kappa * kappa - 0.25)
-    N = 2 * n
-    U = np.empty((N, n), dtype=complex)
-    V = np.zeros((n, N), dtype=complex)
-    for k in range(1, n + 1):
-        U[:, k - 1] = _split_vector(N, 2 * k - 1, zeta, -zeta.conjugate())
-        V[k - 1, 2 * k - 1] = 1.0
-        V[k - 1, 2 * k - 2] = -1.0
-    pair = complete_inverse_pair(U, V)
-    B = U @ V
-    A = np.zeros((N, N), dtype=complex)
-    A[:n, :n] = np.eye(n)
-    return _make_certificate(pair.M, pair.Minv, B, kappa, CertTag.I_OPLUS_O, A)
+
+    def build() -> ApportionCertificate:
+        modulus = max(kappa, 0.5)
+        zeta = 0.5 + 1j * math.sqrt(modulus * modulus - 0.25)
+        N = 2 * n
+        U = np.empty((N, n), dtype=complex)
+        V = np.zeros((n, N), dtype=complex)
+        for k in range(1, n + 1):
+            U[:, k - 1] = _split_vector(N, 2 * k - 1, zeta, -zeta.conjugate())
+            V[k - 1, 2 * k - 1] = 1.0
+            V[k - 1, 2 * k - 2] = -1.0
+        pair = complete_inverse_pair(U, V)
+        return _certificate(pair.M, pair.Minv, U @ V, modulus, CertTag.I_OPLUS_O)
+
+    A = build_jordan(JordanSpec(((1 + 0j, 1),) * n + ((0j, 1),) * n))
+    return _certified(build, A, kappa, ConstantSet.closed_half_line(0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +474,8 @@ def _half_rank_plan_sorted(spec: JordanSpec, kappa: float) -> HalfRankPlan:
 def half_rank_plan(spec: JordanSpec, kappa: float) -> HalfRankPlan:
     """Plan for the canonically sorted version of ``spec`` (rank = order/2)."""
     sorted_spec, _ = block_permutation(spec, spec.canonical_order())
-    return _half_rank_plan_sorted(sorted_spec, float(kappa))
+    with _guarded(kappa):
+        return _half_rank_plan_sorted(sorted_spec, float(kappa))
 
 
 def _half_rank_exact(spec: JordanSpec, kappa: float) -> ApportionCertificate:
@@ -522,8 +541,8 @@ def apportion_half_rank(A_or_spec: Union[JordanSpec, np.ndarray],
     if 2 * r > n:
         raise InvalidInputError(
             f"rank {r} exceeds half the order {n}; this construction does not apply")
-    _require_member(kappa, _half_rank_constants(spec))
-    return _checked(_half_rank(spec, kappa), build_jordan(spec))
+    return _certified(lambda: _half_rank(spec, kappa), build_jordan(spec), kappa,
+                      _half_rank_constants(spec))
 
 
 def apportion_A_oplus_zeros(A_or_spec: Union[JordanSpec, np.ndarray],
@@ -636,8 +655,9 @@ def apportion_rank_one(lam: complex, n: int, kappa: float) -> ApportionCertifica
         raise InvalidInputError("lam must be nonzero; zero spectrum is a nilpotent case")
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidInputError("n must be a positive integer")
-    _require_member(float(kappa), _rank_one_constants(abs(lam), n))
-    return _checked(_rank_one(lam, n, float(kappa)), np.diag([lam] + [0j] * (n - 1)))
+    kappa = float(kappa)
+    return _certified(lambda: _rank_one(lam, n, kappa), np.diag([lam] + [0j] * (n - 1)),
+                      kappa, _rank_one_constants(abs(lam), n))
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +741,9 @@ def apportion_perturb_identity(
     if constants is None:
         return ClassificationReport(Verdict.NOT_APPORTIONABLE, ConstantSet.empty(),
                                     "perturb-identity")
-    if target is not None:
-        _require_member(float(target), constants)
-    return _checked(_perturb_identity(n, lam, target), np.diag([1.0] * (n - 1) + [lam]))
+    target = None if target is None else float(target)
+    return _certified(lambda: _perturb_identity(n, lam, target),
+                      np.diag([1.0] * (n - 1) + [lam]), target, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -826,8 +846,10 @@ def two_by_two_plan(l1: complex, l2: complex,
     if found is None:
         raise InvalidInputError("diag(l1, l2) is not apportionable")
     if kappa is not None:
-        _require_member(float(kappa), found[2])
-    return _plan(l1, l2, found, kappa)
+        kappa = float(kappa)
+        _require_member(kappa, found[2])
+    with _guarded(kappa):
+        return _plan(l1, l2, found, kappa)
 
 
 def _two_by_two(l1: complex, l2: complex, found: tuple,
@@ -854,9 +876,9 @@ def apportion_2x2(l1: complex, l2: complex,
     found = _order_two(l1, l2)
     if found is None:
         return ClassificationReport(Verdict.NOT_APPORTIONABLE, ConstantSet.empty(), "two-by-two")
-    if target is not None:
-        _require_member(float(target), found[2])
-    cert = _checked(_two_by_two(l1, l2, found, target), np.diag([l1, l2]))
+    target = None if target is None else float(target)
+    cert = _certified(lambda: _two_by_two(l1, l2, found, target), np.diag([l1, l2]), target,
+                      found[2])
     return ClassificationReport(Verdict.APPORTIONABLE, found[2], "two-by-two", cert)
 
 
@@ -915,4 +937,4 @@ def _template(kind: TemplateKind, lam: complex) -> ApportionCertificate:
 def apportion_3x3_template(kind: TemplateKind, lam: complex) -> ApportionCertificate:
     """Fixed 3x3 transforms for the two explicitly solved singular families."""
     kind, lam = TemplateKind(kind), complex(lam)
-    return _checked(_template(kind, lam), build_jordan(_template_spec(kind, lam)))
+    return _certified(lambda: _template(kind, lam), build_jordan(_template_spec(kind, lam)))

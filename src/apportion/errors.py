@@ -40,4 +40,4 @@ class SearchBudgetError(ApportionError):
 
 
 class ConstructionError(ApportionError):
-    """Internal consistency check failed while assembling a certificate."""
+    """A certificate failed its check, or its construction left the float range."""

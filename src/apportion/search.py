@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .classifier import _coerce, classify, request_certificate
-from .constructors import ApportionCertificate, CertTag, _make_certificate
+from .constructors import ApportionCertificate, CertTag, _certificate, _certified
 from .core import (RCOND_THRESHOLD, Tolerance, as_matrix, is_uniform, reciprocal_condition,
                    times_power_of_two, unit_exponent)
 from .errors import ConstructionError, InvalidInputError, SearchBudgetError
@@ -561,22 +561,17 @@ def _certify_search_point(x: np.ndarray, A: np.ndarray,
     M = _to_matrix(x / np.linalg.norm(x), A.shape[0])
     if reciprocal_condition(M) < RCOND_THRESHOLD:
         return None
-    Minv = np.linalg.inv(M)
-    with np.errstate(over="ignore", invalid="ignore"):
-        B = M @ A @ Minv
-        # the checks sum the entry moduli of B, which can overflow near the
-        # float range: no certificate there
-        if not math.isfinite(float(np.abs(B).sum())):
-            return None
     # the absolute floor scales with A, since K(cA) = |c| K(A)
-    tol = Tolerance(rel=cfg.defect_target,
-                    abs=cfg.defect_target * float(np.abs(A).max()))
-    rep = is_uniform(B, tol)
-    if not rep.is_uniform:
-        return None
+    tol = Tolerance(rel=cfg.defect_target, abs=cfg.defect_target * float(np.abs(A).max()))
+
+    def build() -> ApportionCertificate:
+        Minv = np.linalg.inv(M)
+        B = M @ A @ Minv
+        np.abs(B).sum()  # raises, refusing B, where a verifier's plain mean of |B| overflows
+        return _certificate(M, Minv, B, is_uniform(B, tol).kappa, CertTag.SEARCH)
+
     try:
-        return _make_certificate(M, Minv, B, rep.kappa, CertTag.SEARCH, A, tol=tol,
-                                 kappa_rtol=1e-6)
+        return _certified(build, A, tol=tol)
     except ConstructionError:
         return None
 

@@ -308,6 +308,22 @@ class TestEdgeRefusals:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, option, value, expected", [
+        (["apportion", "DOC"], "--kappa", "-1e-3", 6),
+        (["region", "--lambda1-re", "1"], "--re-min", "-1e308", 0),
+        (["region"], "--lambda1-re", "-1e-3", 0),
+    ])
+    def test_negative_number_in_exponent_form(self, tmp_path, capsys, argv, option,
+                                              value, expected):
+        # argparse reads "-1e-3" as an option by default; "--opt -1e-3" must act
+        # as "--opt=-1e-3"
+        path = write_doc(tmp_path, "m.json", jordan_doc([(0j, 3), (0j, 2)]))
+        argv = [path if a == "DOC" else a for a in argv]
+        spaced = run(capsys, argv + [option, value])
+        joined = run(capsys, argv + [f"{option}={value}"])
+        assert spaced == joined
+        assert spaced[0] == expected
+
     @pytest.mark.parametrize("scale", [1e175, 1e300])
     def test_raw_entries_near_float_range(self, tmp_path, capsys, scale):
         import warnings

@@ -499,6 +499,29 @@ class TestTemplates:
 
 
 
+@pytest.mark.parametrize("call", [
+    lambda: apportion_nilpotent(JordanSpec(((0j, 6),)), 1e-300),
+    lambda: apportion_nilpotent(JordanSpec(((0j, 6),)), 1e300),
+    lambda: apportion_half_rank(JordanSpec(((1 + 0j, 2), (0j, 1), (0j, 1))), 1e300),
+    lambda: apportion_2x2(1, -1, 1e300),
+    lambda: apportion_perturb_identity(4, -1, 1e300),
+    lambda: two_by_two_plan(1, -1, 1e300),
+    lambda: half_rank_plan(JordanSpec(((1, 2), (0, 1), (0, 1))), 1e300),
+], ids=["nilpotent-tiny", "nilpotent-huge", "half-rank", "2x2", "perturb-identity",
+        "two-by-two-plan", "half-rank-plan"])
+def test_overflowing_construction_refused_quietly(call):
+    # at an extreme kappa every public constructor and plan fails as a construction,
+    # never with a warning, a bare OverflowError or a ValueError
+    import warnings
+
+    from apportion import ConstructionError
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((ConstructionError, ConstantNotAchievableError)):
+            call()
+
+
 class TestOneCheckPerCertificate:
     """Each returned certificate is checked once, against the caller's matrix; the
     paddings and permutations that build it check nothing."""
@@ -569,6 +592,28 @@ class TestOneCheckPerCertificate:
         # the one check ran against the matrix the certificate is for
         assert np.array_equal(residual_checks[0][2], build_jordan(spec))
         check_cert(cert, build_jordan(spec), kappa)
+
+    @pytest.mark.parametrize("doc, A", [
+        ({"jordan": {"blocks": [{"re": 0, "im": 0, "size": 3},
+                                {"re": 0, "im": 0, "size": 2}]}},
+         build_jordan(JordanSpec(((0j, 3), (0j, 2))))),
+        # raw entries are checked against themselves, not the spec read from them
+        ({"entries": [[[0, 0], [1 + 2 ** -50, 0]], [[0, 0], [0, 0]]]},
+         np.array([[0, 1 + 2 ** -50], [0, 0]], dtype=complex)),
+    ], ids=["jordan", "raw"])
+    def test_cli_apportion(self, residual_checks, tmp_path, capsys, doc, A):
+        import json
+
+        from apportion import cli
+
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        residual_checks.clear()
+        assert cli.main(["apportion", str(path)]) == 0
+        assert len(residual_checks) == 1
+        assert np.array_equal(residual_checks[0][2], A)
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["theorem_tag"] == "Nilpotent"
 
     def test_verify_runs_uniformity_once(self, monkeypatch):
         import apportion.constructors as constructors
