@@ -76,14 +76,11 @@ from .jordan import (
     scale_jordan,
 )
 from .reports import ClassificationReport, ConstantSet, SetShape, Verdict
-from .search import (
-    SearchConfig,
-    SearchOutcome,
-    SigmaReport,
-    defect_objective,
-    find_apportioning,
-    sigma_estimate,
-)
+
+#: names of the search module, imported on first access (PEP 562): only the
+#: search and sigma commands pay for compiling it
+_SEARCH_NAMES = frozenset({"SearchConfig", "SearchOutcome", "SigmaReport",
+                           "find_apportioning", "defect_objective", "sigma_estimate"})
 
 __all__ = [
     "__version__",
@@ -116,3 +113,18 @@ __all__ = [
     "SingularMatrixError", "ConstantNotAchievableError", "SearchBudgetError",
     "ConstructionError",
 ]
+
+
+def __getattr__(name):
+    if name != "search" and name not in _SEARCH_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    search = importlib.import_module(".search", __name__)
+    for lazy in _SEARCH_NAMES:
+        globals()[lazy] = getattr(search, lazy)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | _SEARCH_NAMES | {"search"})

@@ -299,20 +299,25 @@ def classify(input_matrix: MatrixLike) -> ClassificationReport:
     by closed-form eigenvalues and rank tests, and near-degenerate spectra are
     flagged approximate); larger inputs must arrive as a JordanSpec.
     """
+    spec, report = _classified(input_matrix)
+    if (_RULES_BY_TAG[report.theorem_tag].certify_on_classify
+            and report.verdict is Verdict.APPORTIONABLE):
+        report = replace(report, certificate=request_certificate(spec, report=report))
+    return report
+
+
+def _classified(input_matrix: MatrixLike) -> tuple[JordanSpec, ClassificationReport]:
+    """The spec read from the input and its report, with no certificate attached."""
     spec, approximate = _coerce(input_matrix)
     report = _classify_spec(spec)
-    return replace(report, approximate_eigen=True) if approximate else report
+    return spec, replace(report, approximate_eigen=True) if approximate else report
 
 
 def _classify_spec(spec: JordanSpec) -> ClassificationReport:
     for rule in RULES:  # the last rule matches every spec
         found = rule.match(spec)
         if found is not None:
-            break
-    report = ClassificationReport(*found, rule.tag)
-    if rule.certify_on_classify and report.verdict is Verdict.APPORTIONABLE:
-        report = replace(report, certificate=request_certificate(spec, report=report))
-    return report
+            return ClassificationReport(*found, rule.tag)
 
 
 def constant_set(input_matrix: MatrixLike,
@@ -415,13 +420,25 @@ def admissible_region(lambda1: complex,
     return samples
 
 
+class _Text17(dict):
+    """x -> f"{x:.17g}", formatting each distinct nonzero x once; a zero is
+    formatted every time, since 0.0 and -0.0 are one key but two texts."""
+
+    def __missing__(self, x):
+        text = f"{x:.17g}"
+        if x:
+            self[x] = text
+        return text
+
+
+_FLAG_TEXT = {None: "skip", False: "0", True: "1"}
+
+
 def region_to_csv(samples: list[RegionSample]) -> str:
     """CSV rows ``re,im,admissible`` with admissible in {0, 1, skip}."""
-    lines = ["re,im,admissible"]
-    for s in samples:
-        flag = "skip" if s.admissible is None else str(int(s.admissible))
-        lines.append(f"{s.re:.17g},{s.im:.17g},{flag}")
-    return "\n".join(lines) + "\n"
+    text = _Text17()
+    rows = [f"{text[s.re]},{text[s.im]},{_FLAG_TEXT[s.admissible]}\n" for s in samples]
+    return "re,im,admissible\n" + "".join(rows)
 
 
 def region_to_svg(samples: list[RegionSample], cell_px: int = 8) -> str:

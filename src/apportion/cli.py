@@ -13,6 +13,7 @@ achievable, 7 singular transform.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .classifier import (
+    _classified,
     admissible_region,
     classify,
     region_to_csv,
@@ -34,7 +36,6 @@ from .errors import (ApportionError, ConstantNotAchievableError, InvalidInputErr
                      SingularMatrixError)
 from .jordan import JordanSpec, build_jordan
 from .reports import Verdict
-from .search import SearchConfig, find_apportioning, sigma_estimate
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -170,7 +171,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_apportion(args) -> int:
     inp = _doc_input(_read_document(args.matrix))
-    report = classify(inp)
+    # no certificate at classification: the one below is the only one built
+    _, report = _classified(inp)
     if report.verdict is Verdict.NOT_APPORTIONABLE:
         print("not apportionable", file=sys.stderr)
         return EXIT_NOT_APPORTIONABLE
@@ -220,7 +222,10 @@ def _cmd_region(args) -> int:
     return EXIT_OK
 
 
-def _search_config(args) -> SearchConfig:
+def _search_config(args):
+    # the search module is compiled only by the commands that run it
+    from .search import SearchConfig
+
     return SearchConfig(
         restarts=args.restarts,
         seed=args.seed,
@@ -230,6 +235,8 @@ def _search_config(args) -> SearchConfig:
 
 
 def _cmd_search(args) -> int:
+    from .search import find_apportioning
+
     A = _doc_matrix(_read_document(args.matrix))
     outcome = find_apportioning(A, _search_config(args))
     _print_json(outcome.to_json(with_transcript=args.verbose))
@@ -237,6 +244,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_sigma(args) -> int:
+    from .search import sigma_estimate
+
     inp = _doc_input(_read_document(args.matrix))
     report = sigma_estimate(inp, args.m_max, _search_config(args))
     _print_json(report.to_json(with_transcript=args.verbose))
@@ -348,5 +357,15 @@ def main(argv=None) -> int:
         return EXIT_SINGULAR if isinstance(exc, SingularMatrixError) else EXIT_INVALID
 
 
+def run() -> int:
+    """Process entry (``python -m apportion.cli`` and the ``apportion`` script).
+
+    Freezes the import-time heap first, so the cyclic collector never walks
+    numpy's and the package's objects again, during the call or at exit.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

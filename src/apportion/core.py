@@ -27,6 +27,7 @@ __all__ = [
     "check_inverse",
     "check_residual",
     "reciprocal_condition",
+    "inverse_and_rcond",
     "trace_lower_bound",
     "hadamard_lower_bound",
     "unit_exponent",
@@ -108,13 +109,18 @@ def reciprocal_condition(M) -> float:
 
     Returns 0.0 for a singular M.
     """
+    return inverse_and_rcond(M)[1]
+
+
+def inverse_and_rcond(M) -> tuple[np.ndarray | None, float]:
+    """M^-1 (None for a singular M) and ``reciprocal_condition(M)``, from one inversion."""
     M = as_matrix(M, square=True, name="M")
     try:
         Minv = np.linalg.inv(M)
     except np.linalg.LinAlgError:
-        return 0.0
+        return None, 0.0
     rcond = 1.0 / float(np.linalg.norm(M, 1) * np.linalg.norm(Minv, 1))
-    return rcond if math.isfinite(rcond) else 0.0
+    return Minv, (rcond if math.isfinite(rcond) else 0.0)
 
 
 def check_inverse(M, Minv) -> tuple[bool, float]:

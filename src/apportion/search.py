@@ -40,7 +40,7 @@ import numpy as np
 
 from .classifier import _coerce, classify, request_certificate
 from .constructors import ApportionCertificate, CertTag, _certificate, _certified
-from .core import (RCOND_THRESHOLD, Tolerance, as_matrix, is_uniform, reciprocal_condition,
+from .core import (RCOND_THRESHOLD, Tolerance, as_matrix, inverse_and_rcond, is_uniform,
                    times_power_of_two, unit_exponent)
 from .errors import ConstructionError, InvalidInputError, SearchBudgetError
 from .jordan import JordanSpec, build_jordan
@@ -559,13 +559,13 @@ def _refine_jacobian(B: np.ndarray, AMinv: np.ndarray, Minv: np.ndarray) -> np.n
 def _certify_search_point(x: np.ndarray, A: np.ndarray,
                           cfg: SearchConfig) -> Optional[ApportionCertificate]:
     M = _to_matrix(x / np.linalg.norm(x), A.shape[0])
-    if reciprocal_condition(M) < RCOND_THRESHOLD:
+    Minv, rcond = inverse_and_rcond(M)
+    if rcond < RCOND_THRESHOLD:
         return None
     # the absolute floor scales with A, since K(cA) = |c| K(A)
     tol = Tolerance(rel=cfg.defect_target, abs=cfg.defect_target * float(np.abs(A).max()))
 
     def build() -> ApportionCertificate:
-        Minv = np.linalg.inv(M)
         B = M @ A @ Minv
         np.abs(B).sum()  # raises, refusing B, where a verifier's plain mean of |B| overflows
         return _certificate(M, Minv, B, is_uniform(B, tol).kappa, CertTag.SEARCH)

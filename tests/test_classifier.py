@@ -346,6 +346,30 @@ class TestRegion:
         assert any(line.endswith(",skip") for line in lines[1:])
         assert text == region_to_csv(samples)      # deterministic
 
+    @pytest.mark.parametrize("lambda1, box, resolution", [
+        (0.7 + 0.3j, ((-3, 3), (-3, 3)), 201),
+        # -0.0 corners and exponent-form coordinates
+        (1.0, ((-0.0, 1e-300), (-1e300, 1e300)), 7),
+        (1j, ((-1e-5, 1e-5), (-2e-20, -0.0)), 5),
+        (-2.5e-7, ((-1e22, 3e22), (-0.0, 0.0 + 1e-17)), 4),
+    ])
+    def test_csv_matches_per_sample_formatting(self, lambda1, box, resolution):
+        from apportion import RegionSample
+
+        def per_sample(samples):
+            lines = ["re,im,admissible"]
+            for s in samples:
+                flag = "skip" if s.admissible is None else str(int(s.admissible))
+                lines.append(f"{s.re:.17g},{s.im:.17g},{flag}")
+            return "\n".join(lines) + "\n"
+
+        # 0.0 and -0.0 are one dict key but print differently
+        zeros = [RegionSample(re, im, flag) for re in (0.0, -0.0, 1e-300)
+                 for im in (-0.0, 0.0) for flag in (True, False, None)]
+        samples = admissible_region(lambda1, box, resolution) + zeros
+        assert region_to_csv(samples) == per_sample(samples)
+        assert "\n-0,0,1\n" in region_to_csv(zeros)
+
     def test_svg_format(self):
         samples = admissible_region(1.0, ((-1, 1), (-1, 1)), 5)
         svg = region_to_svg(samples)

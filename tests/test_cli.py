@@ -260,6 +260,40 @@ class TestDeterminism:
         assert "0.70710678118654746" in out or "0.70710678118654757" in out
 
 
+class TestProcessEntry:
+    def test_child_matches_in_process(self, tmp_path, capsys):
+        # one call per exit code: python -m apportion.cli against cli.main
+        import gc
+        import os
+        import subprocess
+        import sys
+
+        import apportion
+
+        src = os.path.dirname(os.path.dirname(apportion.__file__))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        calls = {
+            0: ["classify", write_doc(tmp_path, "raw.json", entries_doc(np.diag([1.0, -1.0])))],
+            2: ["classify", str(bad)],
+            3: ["region", "--lambda1-re", "0"],
+            4: ["apportion", write_doc(tmp_path, "j2.json", jordan_doc([(5 + 0j, 2)]))],
+            5: ["apportion", write_doc(tmp_path, "j3.json", jordan_doc([(1 + 0j, 3)]))],
+            6: ["apportion", write_doc(tmp_path, "d.json", entries_doc(np.diag([2.0, 0.0]))),
+                "--kappa", "0.9"],
+        }
+        frozen = gc.get_freeze_count()
+        for code, argv in calls.items():
+            proc = subprocess.run([sys.executable, "-m", "apportion.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert main(argv) == proc.returncode == code
+            captured = capsys.readouterr()
+            assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+        # only the process entry freezes the heap, never main itself
+        assert gc.get_freeze_count() == frozen
+
+
 class TestDemo:
     def test_demo_runs(self, capsys):
         code, out = run(capsys, ["demo"])

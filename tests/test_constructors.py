@@ -593,15 +593,18 @@ class TestOneCheckPerCertificate:
         assert np.array_equal(residual_checks[0][2], build_jordan(spec))
         check_cert(cert, build_jordan(spec), kappa)
 
-    @pytest.mark.parametrize("doc, A", [
+    @pytest.mark.parametrize("doc, A, tag", [
         ({"jordan": {"blocks": [{"re": 0, "im": 0, "size": 3},
                                 {"re": 0, "im": 0, "size": 2}]}},
-         build_jordan(JordanSpec(((0j, 3), (0j, 2))))),
+         build_jordan(JordanSpec(((0j, 3), (0j, 2)))), "Nilpotent"),
         # raw entries are checked against themselves, not the spec read from them
         ({"entries": [[[0, 0], [1 + 2 ** -50, 0]], [[0, 0], [0, 0]]]},
-         np.array([[0, 1 + 2 ** -50], [0, 0]], dtype=complex)),
-    ], ids=["jordan", "raw"])
-    def test_cli_apportion(self, residual_checks, tmp_path, capsys, doc, A):
+         np.array([[0, 1 + 2 ** -50], [0, 0]], dtype=complex), "Nilpotent"),
+        # an order-2 class that classify certifies: no certificate at classification
+        ({"entries": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]},
+         np.diag([1.0, -1.0]).astype(complex), "TwoByTwo"),
+    ], ids=["jordan", "raw", "raw-two-by-two"])
+    def test_cli_apportion(self, residual_checks, tmp_path, capsys, doc, A, tag):
         import json
 
         from apportion import cli
@@ -613,7 +616,7 @@ class TestOneCheckPerCertificate:
         assert len(residual_checks) == 1
         assert np.array_equal(residual_checks[0][2], A)
         cert = json.loads(capsys.readouterr().out)
-        assert cert["theorem_tag"] == "Nilpotent"
+        assert cert["theorem_tag"] == tag
 
     def test_verify_runs_uniformity_once(self, monkeypatch):
         import apportion.constructors as constructors

@@ -179,15 +179,41 @@ class TestReciprocalCondition:
         assert reciprocal_condition(np.zeros((3, 3))) == 0.0
 
 
-def test_import_loads_numpy_only():
+def _child_stdout(code: str) -> str:
+    """Stdout of ``python -c code`` in a fresh interpreter that imports this package."""
     import apportion
 
     src = os.path.dirname(os.path.dirname(apportion.__file__))
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    code = "import sys, apportion; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_import_loads_numpy_only():
+    assert _child_stdout("import sys, apportion; print('scipy' in sys.modules)") == "False"
+
+
+def test_search_module_loads_on_first_access():
+    code = (
+        "import sys, apportion, apportion.cli\n"
+        "print('apportion.search' in sys.modules)\n"
+        "print(set(apportion.__all__) <= set(dir(apportion)), 'search' in dir(apportion))\n"
+        "f = apportion.find_apportioning\n"
+        "print(f is apportion.search.find_apportioning is sys.modules['apportion.search']"
+        ".find_apportioning)\n"
+    )
+    assert _child_stdout(code).split() == ["False", "True", "True", "True"]
+
+
+def test_star_import_binds_all():
+    code = (
+        "import apportion\n"
+        "from apportion import *\n"
+        "print([name for name in apportion.__all__ if name not in globals()])\n"
+        "print(SearchConfig is apportion.search.SearchConfig)\n"
+    )
+    assert _child_stdout(code).split("\n") == ["[]", "True"]
 
 
 class TestBounds:

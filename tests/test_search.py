@@ -144,6 +144,26 @@ class TestSigmaEstimate:
 
 
 class TestSearchInternals:
+    def test_certified_candidate_inverts_once(self, monkeypatch):
+        from apportion.search import _certify_search_point
+
+        # diag(1, -1) under the rotation by pi/8 has the uniform image
+        # [[1, 1], [1, -1]] / sqrt(2)
+        t = math.pi / 8
+        rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        x = np.concatenate([rot.ravel(), np.zeros(4)])
+        inversions = []
+        inv = np.linalg.inv
+
+        def counted(M):
+            inversions.append(M)
+            return inv(M)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        cert = _certify_search_point(x, np.diag([1.0, -1.0]).astype(complex), FAST)
+        assert cert is not None and len(inversions) == 1
+        assert np.array_equal(cert.Minv, inv(cert.M))
+
     def test_config_has_four_settings(self):
         import dataclasses
 
