@@ -22,8 +22,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, Tolerance, UniformityReport, as_matrix, check_inverse,
-                   check_residual, is_uniform, times_power_of_two, unit_exponent)
+from .core import (DEFAULT_TOL, Tolerance, UniformityReport, _max, _residual_within,
+                   _uniformity, as_matrix, check_inverse, times_power_of_two, unit_exponent)
 from .errors import (
     ConstantNotAchievableError,
     ConstructionError,
@@ -122,7 +122,8 @@ def _check(cert: ApportionCertificate, A, tol: Tolerance) -> UniformityReport:
     ok, inv_err = check_inverse(M, Minv)
     if not ok:
         raise ConstructionError(f"inverse product check failed: {inv_err:.3e}")
-    rep = is_uniform(B, tol)
+    mods = np.abs(as_matrix(B, name="B"))
+    rep = _uniformity(mods, tol)
     if not rep.is_uniform:
         raise ConstructionError(f"image is not uniform: defect {rep.defect:.3e}")
     if abs(rep.kappa - kappa) > 1e-9 * abs(kappa):
@@ -130,7 +131,7 @@ def _check(cert: ApportionCertificate, A, tol: Tolerance) -> UniformityReport:
             f"achieved modulus {rep.kappa!r} does not match requested {kappa!r}"
         )
     if A is not None:
-        ok, res = check_residual(B, M, A, tol)
+        ok, res = _residual_within(B, M, A, tol, float(_max(mods, None)))
         if not ok:
             raise ConstructionError(f"similarity residual too large: {res:.3e}")
     return rep
@@ -304,9 +305,8 @@ def _nilpotent_core(spec: JordanSpec, kappa: float) -> ApportionCertificate:
     angles = [(j - 1) * math.pi / 3 for j in range(1, n)]
     last = 2 * math.pi / 3 - math.pi * n - sum(angles)
     d = np.array([cmath.exp(1j * a) for a in angles] + [cmath.exp(1j * last)])
-    P = np.zeros((n, n))
-    for j in range(n):
-        P[(j + 1) % n, j] = 1.0
+    P = np.eye(n, k=-1)            # the cyclic shift e_j -> e_(j+1 mod n)
+    P[0, n - 1] = 1.0
     PD = P @ np.diag(d)
     M0 = np.eye(n, dtype=complex) + PD
     adj = np.eye(n, dtype=complex)

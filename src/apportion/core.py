@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -58,6 +59,10 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
+#: ``x.max()`` as ``_max(x, None)``: the ufunc reduction without the method's wrapper,
+#: which costs more than the work on small matrices
+_max = np.maximum.reduce
+
 
 @dataclass(frozen=True)
 class UniformityReport:
@@ -85,7 +90,7 @@ def as_matrix(a, *, square=False, name="matrix"):
         raise InvalidInputError(f"{name}: cannot interpret as a complex matrix: {exc}") from exc
     if m.ndim != 2 or m.size == 0:
         raise InvalidInputError(f"{name}: expected a nonempty 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise InvalidInputError(f"{name}: entries must be finite")
     if square and m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"{name}: expected a square matrix, got shape {m.shape}")
@@ -94,13 +99,16 @@ def as_matrix(a, *, square=False, name="matrix"):
 
 def is_uniform(B, tol: Tolerance = DEFAULT_TOL) -> UniformityReport:
     """Check whether all entries of B (rectangular allowed) share one modulus."""
-    B = as_matrix(B, name="B")
-    mods = np.abs(B)
-    # the mean of mods 2^-k times 2^k, with 2^k >= B.size: the sum cannot overflow, and
+    return _uniformity(np.abs(as_matrix(B, name="B")), tol)
+
+
+def _uniformity(mods: np.ndarray, tol: Tolerance) -> UniformityReport:
+    """``is_uniform`` from the entry moduli of a validated B."""
+    # the mean of mods 2^-k times 2^k, with 2^k >= mods.size: the sum cannot overflow, and
     # for moduli above about 1e-300 each step is exact, so this is mods.mean() to the bit
-    k = (B.size - 1).bit_length()
-    kappa = math.ldexp(float((mods * math.ldexp(1.0, -k)).mean()), k)
-    defect = float(np.abs(mods - kappa).max())
+    k = (mods.size - 1).bit_length()
+    kappa = math.ldexp(float(np.add.reduce(mods * math.ldexp(1.0, -k), None) / mods.size), k)
+    defect = float(_max(np.abs(mods - kappa), None))
     return UniformityReport(defect <= max(tol.abs, tol.rel * kappa), kappa, defect)
 
 
@@ -123,19 +131,27 @@ def inverse_and_rcond(M) -> tuple[np.ndarray | None, float]:
     return Minv, (rcond if math.isfinite(rcond) else 0.0)
 
 
+def _max_modulus(x) -> float:
+    """max |x_ij| of an array, as a float."""
+    return float(_max(np.abs(x), None))
+
+
 def check_inverse(M, Minv) -> tuple[bool, float]:
     """Whether Minv inverts M: max|M Minv - I| within the order-scaled tolerance.
 
     Returns (passed, error).  A non-finite error never passes.
     """
     n = M.shape[0]
-    err = float(np.abs(M @ Minv - np.eye(n)).max())
+    # as complex, M Minv - I is the product with 1 taken off its diagonal, in place
+    P = np.asarray(M @ Minv, dtype=complex)
+    P.reshape(-1)[:: n + 1] -= 1.0
+    err = _max_modulus(P)
     return err <= n * INVERSE_PAIR_TOL, err
 
 
 def similarity_residual(B, M, A) -> float:
     """Max-norm of B@M - M@A, the defining residual of B = M A M^-1."""
-    return float(np.abs(B @ M - M @ A).max())
+    return _max_modulus(B @ M - M @ A)
 
 
 def check_residual(B, M, A, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
@@ -143,9 +159,15 @@ def check_residual(B, M, A, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
 
     Returns (passed, residual).  A non-finite residual never passes.
     """
+    return _residual_within(B, M, A, tol)
+
+
+def _residual_within(B, M, A, tol: Tolerance, bmax: Optional[float] = None
+                     ) -> tuple[bool, float]:
+    """``check_residual``, taking max|B| as ``bmax`` from a caller that holds B's moduli."""
     res = similarity_residual(B, M, A)
-    mmax = float(np.abs(M).max())
-    scale = M.shape[0] * mmax * max(float(np.abs(A).max()), float(np.abs(B).max()))
+    mmax = _max_modulus(M)
+    scale = M.shape[0] * mmax * max(_max_modulus(A), _max_modulus(B) if bmax is None else bmax)
     return res <= tol.rel * scale + tol.abs, res
 
 
@@ -209,7 +231,7 @@ def unit_exponent(values) -> int:
     K(cA) = |c| K(A), so this one rule decides scale: a caller analyses A 2^-e, exactly,
     and scales its answer back by 2^e."""
     if isinstance(values, np.ndarray):
-        top = float(np.maximum(np.abs(values.real), np.abs(values.imag)).max())
+        top = float(_max(np.maximum(np.abs(values.real), np.abs(values.imag)), None))
     else:
         top = 0.0
         for z in values:

@@ -7,11 +7,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import (INVERSE_PAIR_TOL, as_matrix, check_inverse, check_residual, times_power_of_two,
-                   unit_exponent)
+from .core import (INVERSE_PAIR_TOL, _max_modulus, as_matrix, check_inverse, check_residual,
+                   times_power_of_two, unit_exponent)
 from .errors import InvalidInputError, SingularMatrixError, UnsupportedOrderError
 
 __all__ = [
@@ -37,7 +38,8 @@ class JordanSpec:
 
     The represented matrix is the direct sum of the blocks in the given order.
     Serialization round-trips exactly: ``JordanSpec.from_json(spec.to_json())``
-    reproduces the same block tuple.
+    reproduces the same block tuple.  ``order`` and ``rank`` are computed once per
+    instance; they are not part of the state that is compared, hashed or pickled.
     """
 
     blocks: tuple[tuple[complex, int], ...]
@@ -46,23 +48,35 @@ class JordanSpec:
         if not self.blocks:
             raise InvalidInputError("JordanSpec needs at least one block")
         norm = []
+        order = zeros = 0
         for lam, size in self.blocks:
             lam = complex(lam)
-            if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+            if not cmath.isfinite(lam):
                 raise InvalidInputError("block eigenvalues must be finite")
             if not isinstance(size, (int, np.integer)) or size < 1:
                 raise InvalidInputError(f"block size must be a positive integer, got {size!r}")
-            norm.append((lam, int(size)))
+            size = int(size)
+            norm.append((lam, size))
+            order += size
+            zeros += lam == 0
         object.__setattr__(self, "blocks", tuple(norm))
+        # this walk fills the caches of ``order`` and ``rank``; an unpickled spec fills
+        # them on first use
+        cache = self.__dict__
+        cache["order"] = order
+        cache["rank"] = order - zeros
 
-    @property
+    def __getstate__(self):
+        return {"blocks": self.blocks}
+
+    @cached_property
     def order(self) -> int:
         return sum(size for _, size in self.blocks)
 
     @property
     def diagonal(self) -> np.ndarray:
         """Eigenvalues repeated along the diagonal, block by block."""
-        return np.concatenate([np.full(size, lam) for lam, size in self.blocks])
+        return np.repeat([lam for lam, _ in self.blocks], [size for _, size in self.blocks])
 
     @property
     def alphas(self) -> np.ndarray:
@@ -72,7 +86,7 @@ class JordanSpec:
             bits.extend([1] * (size - 1) + [0])
         return np.array(bits[:-1], dtype=int) if len(bits) > 1 else np.zeros(0, dtype=int)
 
-    @property
+    @cached_property
     def rank(self) -> int:
         """Order minus the number of blocks with eigenvalue exactly zero."""
         return self.order - sum(1 for lam, _ in self.blocks if lam == 0)
@@ -113,13 +127,21 @@ class JordanSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "JordanSpec":
+        """Read ``to_json``'s document.  A boolean is not a number here, and a size must
+        be integral, as 2 or 2.0, like the CLI's "order"."""
+        blocks = []
         try:
-            blocks = tuple(
-                (complex(b["re"], b["im"]), int(b["size"])) for b in data["blocks"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            for b in data["blocks"]:
+                re, im, size = b["re"], b["im"], b["size"]
+                if type(re) is bool or type(im) is bool or type(size) is bool:
+                    raise TypeError("re, im and size must be numbers, not booleans")
+                n = int(size)
+                if n != size and isinstance(size, float):
+                    raise ValueError(f"block size {size!r} is fractional")
+                blocks.append((complex(re, im), n))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed JordanSpec document: {exc}") from exc
-        return cls(blocks)
+        return cls(tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -265,7 +287,7 @@ def parse_jordan_arrangement(A, rtol: float = 1e-12):
     """
     A = as_matrix(A, square=True, name="A")
     n = A.shape[0]
-    scale = float(np.abs(A).max())
+    scale = _max_modulus(A)
     blocks = []
     i = 0
     while i < n:
@@ -278,7 +300,7 @@ def parse_jordan_arrangement(A, rtol: float = 1e-12):
         blocks.append((lam, size))
         i += size
     spec = JordanSpec(tuple(blocks))
-    if float(np.abs(A - build_jordan(spec)).max()) > rtol * scale:
+    if _max_modulus(A - build_jordan(spec)) > rtol * scale:
         return None
     return spec
 

@@ -101,11 +101,11 @@ _STEPS = np.cumprod([1.0] + [BACKTRACK_FACTOR] * (MAX_BACKTRACKS - 1))
 @dataclass(frozen=True)
 class SearchConfig:
     """Search budget: ``restarts`` starting points run for at most
-    ``max_iters`` iterations from points drawn with ``seed``, aiming at a
-    modulus spread of ``defect_target``.  At order 2 a point counts as found
-    only once its relative spread reaches LM_FOUND_SPREAD, far below any
-    usual target, and it is certified at ``defect_target``.  Equal configs
-    and inputs give identical outcomes."""
+    ``max_iters`` iterations from points drawn with ``seed`` (a nonnegative
+    integer), aiming at a modulus spread of ``defect_target`` (in (0, 1)).  At
+    order 2 a point counts as found only once its relative spread reaches
+    LM_FOUND_SPREAD, far below any usual target, and it is certified at
+    ``defect_target``.  Equal configs and inputs give identical outcomes."""
 
     restarts: int = 32
     max_iters: int = 2000
@@ -115,8 +115,14 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise InvalidInputError("restarts and max_iters must be positive")
-        if self.defect_target <= 0:
-            raise InvalidInputError("defect_target must be positive")
+        # the target scales the found test, the candidate window and the certificate's
+        # tolerance, so a loose one finds 2 I_3, which no M makes uniform, with B = 2 I;
+        # NaN fails both comparisons
+        if not 0 < self.defect_target < 1:
+            raise InvalidInputError(
+                f"defect_target must lie in (0, 1), got {self.defect_target!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidInputError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

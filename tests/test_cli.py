@@ -321,6 +321,47 @@ class TestEdgeRefusals:
         assert code == 0
         assert json.loads(out)["verdict"] == "NotApportionable"
 
+    @pytest.mark.parametrize("field, value", [("size", 2.7), ("size", 2.000001),
+                                              ("size", True), ("size", 1e400),
+                                              ("re", True), ("im", False)])
+    def test_bad_jordan_block_field(self, tmp_path, capsys, field, value):
+        block = {"re": 0.0, "im": 0.0, "size": 2, field: value}
+        path = write_doc(tmp_path, "m.json", {"jordan": {"blocks": [block]}})
+        code = main(["classify", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("size", [2, 2.0])
+    def test_integral_block_size_accepted(self, tmp_path, capsys, size):
+        doc = {"jordan": {"blocks": [{"re": 0.0, "im": 0.0, "size": size}]}}
+        code, out = run(capsys, ["classify", write_doc(tmp_path, "m.json", doc)])
+        assert code == 0
+        assert json.loads(out)["theorem_tag"] == "nilpotent"
+
+    @pytest.mark.parametrize("option, value", [("--defect-target", "inf"),
+                                               ("--defect-target", "1e300"),
+                                               ("--defect-target", "nan"),
+                                               ("--defect-target", "1.0"),
+                                               ("--seed", "-1")])
+    def test_search_config_refused(self, tmp_path, capsys, option, value):
+        # 2 I_3 is NotApportionable; a loose target used to print "found": true
+        path = write_doc(tmp_path, "m.json", entries_doc(2 * np.eye(3)))
+        code = main(["search", path, option, value])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_sigma_negative_seed_refused(self, tmp_path, capsys):
+        # three distinct nonzero eigenvalues: Unknown, so sigma would search
+        path = write_doc(tmp_path, "m.json", jordan_doc([(1 + 0j, 1), (2 + 0j, 1), (3j, 1)]))
+        code, out = run(capsys, ["classify", path])
+        assert json.loads(out)["verdict"] == "Unknown"
+        code, out = run(capsys, ["sigma", path, "--seed", "-1", "--m-max", "0"])
+        assert code == 3 and out == ""
+
     @pytest.mark.parametrize("doc, kappa, expected", [
         (jordan_doc([(0j, 3), (0j, 2)]), "inf", 6),
         (jordan_doc([(0j, 3), (0j, 2)]), "nan", 6),

@@ -528,16 +528,18 @@ class TestOneCheckPerCertificate:
 
     @pytest.fixture
     def residual_checks(self, monkeypatch):
+        # the certificate check runs check_residual's kernel, handing it max|B| from
+        # the moduli of its uniformity step; its arguments start (B, M, A, tol)
         import apportion.constructors as constructors
 
         calls = []
-        check = constructors.check_residual
+        check = constructors._residual_within
 
         def counted(*args):
             calls.append(args)
             return check(*args)
 
-        monkeypatch.setattr(constructors, "check_residual", counted)
+        monkeypatch.setattr(constructors, "_residual_within", counted)
         return calls
 
     def test_constructions(self, residual_checks):
@@ -623,13 +625,14 @@ class TestOneCheckPerCertificate:
 
         cert = apportion_nilpotent(JordanSpec(((0j, 3), (0j, 2))), KAPPA_13)
         reports = []
-        uniform = constructors.is_uniform
+        # is_uniform's kernel, on the moduli of B that the residual's scale reuses
+        uniform = constructors._uniformity
 
         def counted(*args):
             reports.append(uniform(*args))
             return reports[-1]
 
-        monkeypatch.setattr(constructors, "is_uniform", counted)
+        monkeypatch.setattr(constructors, "_uniformity", counted)
         rep = verify_certificate(cert, build_jordan(JordanSpec(((0j, 3), (0j, 2)))))
         assert reports == [rep] and rep.is_uniform
 

@@ -1,4 +1,5 @@
 import cmath
+import math
 import os
 import subprocess
 import sys
@@ -84,6 +85,107 @@ class TestIsUniform:
             for scale in (1e-290, 1e-9, 1.0, 1e9, 1e290):
                 B = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
                 assert is_uniform(B).kappa == float(np.abs(B).mean())
+
+
+def _reference_as_matrix(a, *, square=False, name="matrix"):
+    """``as_matrix`` as it read before its checks were trimmed: the behaviour to keep."""
+    try:
+        m = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name}: cannot interpret as a complex matrix: {exc}") from exc
+    if m.ndim != 2 or m.size == 0:
+        raise InvalidInputError(f"{name}: expected a nonempty 2-D matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        raise InvalidInputError(f"{name}: entries must be finite")
+    if square and m.shape[0] != m.shape[1]:
+        raise InvalidInputError(f"{name}: expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def _reference_is_uniform(B, tol):
+    mods = np.abs(B)
+    k = (B.size - 1).bit_length()
+    kappa = math.ldexp(float((mods * math.ldexp(1.0, -k)).mean()), k)
+    defect = float(np.abs(mods - kappa).max())
+    return defect <= max(tol.abs, tol.rel * kappa), kappa, defect
+
+
+def _reference_check_inverse(M, Minv):
+    n = M.shape[0]
+    err = float(np.abs(M @ Minv - np.eye(n)).max())
+    return err <= n * 1e-10, err
+
+
+def _reference_similarity_residual(B, M, A):
+    return float(np.abs(B @ M - M @ A).max())
+
+
+def _reference_check_residual(B, M, A, tol):
+    res = _reference_similarity_residual(B, M, A)
+    mmax = float(np.abs(M).max())
+    scale = M.shape[0] * mmax * max(float(np.abs(A).max()), float(np.abs(B).max()))
+    return res <= tol.rel * scale + tol.abs, res
+
+
+def _scaled(rng, shape, lo, hi):
+    """Complex entries whose real and imaginary parts sit at scales 2^k, k in [lo, hi]."""
+    re, im = (np.ldexp(rng.standard_normal(shape), rng.integers(lo, hi + 1, shape))
+              for _ in range(2))
+    return re + 1j * im
+
+
+class TestChecksMatchReference:
+    """The checks give the very bits of their plain numpy expressions."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 2**32 - 1),
+           st.integers(-60, 60), st.integers(0, 120), st.booleans())
+    def test_checks_equal_reference_expressions(self, n, cols, seed, lo, spread, uniform):
+        from apportion.core import _max, _residual_within, check_inverse, check_residual
+        from apportion.core import similarity_residual
+
+        rng = np.random.default_rng(seed)
+        hi = min(lo + spread, 60)
+        if uniform:  # entries of one modulus 2^lo: the flag is decided by the defect
+            B = np.ldexp(1.0, lo) * np.exp(2j * np.pi * rng.random((n, cols)))
+        else:
+            B = _scaled(rng, (n, cols), lo, hi)
+        for tol in (Tolerance(), TOL, Tolerance(rel=1e-3, abs=0.0)):
+            rep = is_uniform(B, tol)
+            assert (rep.is_uniform, rep.kappa, rep.defect) == _reference_is_uniform(B, tol)
+        assert rep.kappa == float(np.abs(B).mean())
+
+        M, A = _scaled(rng, (n, n), lo, hi), _scaled(rng, (n, n), lo, hi)
+        Minv = np.linalg.inv(M)
+        for inverse in (Minv, Minv + _scaled(rng, (n, n), lo - 40, hi - 40)):
+            assert check_inverse(M, inverse) == _reference_check_inverse(M, inverse)
+        image = (M @ A) @ Minv
+        for C in (image, image + _scaled(rng, (n, n), lo - 30, hi - 30)):
+            assert similarity_residual(C, M, A) == _reference_similarity_residual(C, M, A)
+            for tol in (Tolerance(), TOL):
+                expected = _reference_check_residual(C, M, A, tol)
+                assert check_residual(C, M, A, tol) == expected
+                # the certificate check hands over the maximum of the moduli it holds
+                assert _residual_within(C, M, A, tol, float(_max(np.abs(C), None))) == expected
+
+    @pytest.mark.parametrize("value, square", [
+        ([[np.nan, 1.0], [0.0, 1.0]], False), ([[np.inf, 1.0], [0.0, 1.0]], True),
+        ([[complex(1, np.nan), 1.0], [0.0, 1.0]], False),
+        ([[complex(1, -np.inf), 1.0], [0.0, 1.0]], True),
+        ([[complex(np.nan, 0.0)]], False), ([[complex(0.0, np.inf)]], True),
+        ([1.0, 2.0, 3.0], False), (np.ones(3), True),
+        ([], False), (np.zeros((0, 0)), True), (np.zeros((2, 0)), False),
+        ([[1.0, 2.0], [3.0]], False), ([[1.0], [2.0, 3.0]], True), ("ab", False),
+        (np.ones((2, 3)), True), ([[1.0, 2.0]], True),
+    ])
+    def test_as_matrix_refusals_unchanged(self, value, square):
+        from apportion.core import as_matrix
+
+        with pytest.raises(InvalidInputError) as expected:
+            _reference_as_matrix(value, square=square, name="A")
+        with pytest.raises(InvalidInputError) as got:
+            as_matrix(value, square=square, name="A")
+        assert str(got.value) == str(expected.value)
 
 
 class TestUnitExponent:

@@ -62,6 +62,77 @@ class TestJordanSpec:
             spec = JordanSpec(tuple(blocks))
             assert spec.rank == np.linalg.matrix_rank(build_jordan(spec))
 
+    @staticmethod
+    def _random_specs(seed, count=200):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            blocks = []
+            for _ in range(int(rng.integers(1, 7))):
+                lam = 0j if rng.random() < 0.4 else complex(*rng.standard_normal(2))
+                blocks.append((lam, int(rng.integers(1, 4))))
+            yield JordanSpec(tuple(blocks))
+
+    def test_order_and_rank_are_the_plain_counts(self):
+        import pickle
+
+        for spec in self._random_specs(3):
+            order = sum(size for _, size in spec.blocks)
+            rank = order - sum(1 for lam, _ in spec.blocks if lam == 0)
+            restored = pickle.loads(pickle.dumps(spec))  # fills its values on first use
+            assert (spec.order, spec.rank) == (restored.order, restored.rank) == (order, rank)
+
+    def test_value_semantics_unchanged(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        for spec in self._random_specs(4, count=50):
+            fresh = JordanSpec(spec.blocks)
+            before = pickle.dumps(fresh)
+            assert (spec.order, spec.rank) == (fresh.order, fresh.rank)
+            assert spec == fresh and hash(spec) == hash(fresh) == hash((spec.blocks,))
+            assert repr(spec) == f"JordanSpec(blocks={spec.blocks!r})"
+            # the stored order and rank are not part of the pickled state
+            assert pickle.dumps(spec) == pickle.dumps(fresh) == before
+            assert pickle.loads(before) == spec and copy.deepcopy(spec) == spec
+            grown = dataclasses.replace(spec, blocks=spec.blocks + ((0j, 2),))
+            assert (grown.order, grown.rank) == (spec.order + 2, spec.rank + 1)
+
+    def test_build_and_permutation_match_block_assembly(self):
+        from apportion.jordan import block_permutation
+
+        rng = np.random.default_rng(5)
+        for spec in self._random_specs(6):
+            n = spec.order
+            expected = np.zeros((n, n), dtype=complex)
+            starts, pos = [], 0
+            for lam, size in spec.blocks:
+                expected[pos:pos + size, pos:pos + size] = lam * np.eye(size) + np.eye(size, k=1)
+                starts.append(pos)
+                pos += size
+            J = build_jordan(spec)
+            assert J.dtype == complex and J.tobytes() == expected.tobytes()
+            order = [int(i) for i in rng.permutation(len(spec.blocks))]
+            new_spec, Q = block_permutation(spec, order)
+            rows = [starts[i] + j for i in order for j in range(spec.blocks[i][1])]
+            assert Q.dtype == float and Q.tobytes() == np.eye(n)[rows].tobytes()
+            assert np.array_equal(Q @ J @ Q.T, build_jordan(new_spec))
+
+    @pytest.mark.parametrize("block", [
+        {"re": 0.0, "im": 0.0, "size": 2.7}, {"re": 0.0, "im": 0.0, "size": True},
+        {"re": True, "im": 0.0, "size": 1}, {"re": 1.0, "im": False, "size": 1},
+        {"re": 1.0, "im": 0.0, "size": float("inf")}, {"re": 1.0, "im": 0.0, "size": "x"},
+        {"re": 1.0, "size": 1},
+    ])
+    def test_from_json_refuses_malformed_blocks(self, block):
+        with pytest.raises(InvalidInputError, match="malformed JordanSpec document"):
+            JordanSpec.from_json({"blocks": [block]})
+
+    @pytest.mark.parametrize("size", [2, 2.0, np.int64(2)])
+    def test_from_json_accepts_integral_sizes(self, size):
+        spec = JordanSpec.from_json({"blocks": [{"re": 1, "im": 0.5, "size": size}]})
+        assert spec.blocks == ((1 + 0.5j, 2),) and type(spec.blocks[0][1]) is int
+
     def test_canonical_order(self):
         spec = JordanSpec(((0j, 1), (2 + 0j, 1), (-2 + 0j, 2), (0j, 3)))
         canon = spec.canonical()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from apportion import (
+    InvalidInputError,
     JordanSpec,
     SearchBudgetError,
     SearchConfig,
@@ -169,6 +170,26 @@ class TestSearchInternals:
 
         names = [f.name for f in dataclasses.fields(SearchConfig)]
         assert names == ["restarts", "max_iters", "seed", "defect_target"]
+
+    @pytest.mark.parametrize("target", [math.inf, 1e300, math.nan, 1.0, 0.0, -1e-8])
+    def test_config_refuses_loose_or_non_finite_target(self, target):
+        with pytest.raises(InvalidInputError, match="defect_target"):
+            SearchConfig(defect_target=target)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0])
+    def test_config_refuses_negative_or_non_integral_seed(self, seed):
+        with pytest.raises(InvalidInputError, match="seed"):
+            SearchConfig(seed=seed)
+
+    def test_config_accepts_integer_seeds(self):
+        assert SearchConfig(seed=np.int64(3)).seed == 3
+        assert SearchConfig(seed=0, defect_target=0.99).defect_target == 0.99
+
+    def test_scalar_matrix_not_found_at_a_loose_target(self):
+        # classify proves 2 I_3 NotApportionable (scalar-matrix rule)
+        A = 2 * np.eye(3, dtype=complex)
+        out = find_apportioning(A, SearchConfig(restarts=8, defect_target=0.99))
+        assert not out.found and out.certificate is None
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_refine_jacobian_matches_central_differences(self, n):
