@@ -11,6 +11,7 @@ order 2 can be sampled and rendered.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
@@ -36,7 +37,6 @@ from .constructors import (
     _reordered,
     _scaled,
     _template,
-    _template_spec,
     _two_by_two,
     perturb_identity_constants,
     spec_bounds,
@@ -44,12 +44,7 @@ from .constructors import (
 )
 from .core import as_matrix, times_power_of_two, unit_exponent
 from .errors import InvalidInputError, UnsupportedOrderError
-from .jordan import (
-    JordanSpec,
-    block_permutation,
-    build_jordan,
-    eigenstructure_small,
-)
+from .jordan import JordanSpec, _block_rows, build_jordan, eigenstructure_small
 from .reports import ClassificationReport, ConstantSet, Verdict
 
 __all__ = [
@@ -82,7 +77,7 @@ def _coerce(input_matrix: MatrixLike) -> tuple[JordanSpec, bool]:
 # ---------------------------------------------------------------------------
 
 Match = Optional[tuple[Verdict, ConstantSet]]
-Built = tuple[ApportionCertificate, JordanSpec]
+Built = tuple[ApportionCertificate, tuple]
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,7 @@ class Rule:
 
     ``match`` returns (verdict, constants) when the spec belongs to the class,
     else None.  ``build`` returns a certificate at a member kappa of the
-    constants together with the block order it was built for, unchecked
+    constants together with the blocks, in order, it was built for, unchecked
     (``request_certificate`` checks it once); refuting and open classes have
     no builder.  ``certify_on_classify`` attaches a certificate at the default
     member to the classification report.
@@ -107,7 +102,7 @@ _REFUTED = (Verdict.NOT_APPORTIONABLE, ConstantSet.empty())
 
 
 def _unknown(spec: JordanSpec) -> Match:
-    return Verdict.UNKNOWN, ConstantSet.unknown(max(spec_bounds(spec)))
+    return Verdict.UNKNOWN, ConstantSet.unknown(max(spec_bounds(spec.blocks)))
 
 
 def _match_rank_one(spec: JordanSpec) -> Match:
@@ -118,8 +113,7 @@ def _match_rank_one(spec: JordanSpec) -> Match:
 
 def _build_rank_one(spec: JordanSpec, kappa: float) -> Built:
     lam = next(lam for lam, _ in spec.blocks if lam != 0)
-    built = JordanSpec(((lam, 1),) + ((0j, 1),) * (spec.order - 1))
-    return _rank_one(lam, spec.order, kappa), built
+    return _rank_one(lam, spec.order, kappa), ((lam, 1),) + ((0j, 1),) * (spec.order - 1)
 
 
 def _match_half_rank(spec: JordanSpec) -> Match:
@@ -139,8 +133,8 @@ def _perturb_shape(spec: JordanSpec) -> Optional[tuple[complex, complex, bool]]:
     if n < 3:
         return None
     eigenvalues = [lam for lam, _ in spec.blocks]
-    for mu in set(eigenvalues) - {0}:
-        if eigenvalues.count(mu) != n - 1:
+    for mu, count in Counter(eigenvalues).items():
+        if mu == 0 or count != n - 1:
             continue
         sizes = sorted(size for lam, size in spec.blocks if lam == mu)
         if len(eigenvalues) == n - 1 and sizes == [1] * (n - 2) + [2]:
@@ -164,8 +158,8 @@ def _match_perturb(spec: JordanSpec) -> Match:
 def _build_perturb(spec: JordanSpec, kappa: float) -> Built:
     n = spec.order
     mu, other, _ = _perturb_shape(spec)
-    built = JordanSpec(((mu, 1),) * (n - 1) + ((other, 1),))
-    return _scaled(_perturb_identity(n, other / mu, kappa / abs(mu)), mu), built
+    return (_scaled(_perturb_identity(n, other / mu, kappa / abs(mu)), mu),
+            ((mu, 1),) * (n - 1) + ((other, 1),))
 
 
 def _match_two_by_two(spec: JordanSpec) -> Match:
@@ -179,7 +173,7 @@ def _match_two_by_two(spec: JordanSpec) -> Match:
 
 def _build_two_by_two(spec: JordanSpec, kappa: float) -> Built:
     l1, l2 = spec.blocks[0][0], spec.blocks[1][0]
-    return _two_by_two(l1, l2, _order_two(l1, l2), kappa), spec
+    return _two_by_two(l1, l2, _order_two(l1, l2), kappa), spec.blocks
 
 
 def _template_eigenvalue(spec: JordanSpec, sizes: tuple[int, int]) -> Optional[complex]:
@@ -198,12 +192,12 @@ def _match_template(spec: JordanSpec, sizes: tuple[int, int], divisor: float) ->
     if lam is None:
         return None
     return Verdict.APPORTIONABLE, ConstantSet.finite(
-        [abs(lam) / divisor], exact=False, lower_bound=max(spec_bounds(spec)))
+        [abs(lam) / divisor], exact=False, lower_bound=max(spec_bounds(spec.blocks)))
 
 
 def _build_template(spec: JordanSpec, kind: TemplateKind, sizes: tuple[int, int]) -> Built:
     lam = _template_eigenvalue(spec, sizes)
-    return _template(kind, lam), _template_spec(kind, lam)
+    return _template(kind, lam), ((lam, sizes[0]), (0j, sizes[1]))
 
 
 def _pair_plus_zero(spec: JordanSpec) -> Optional[tuple[complex, complex]]:
@@ -222,13 +216,13 @@ def _match_pad_zero(spec: JordanSpec) -> Match:
     if base is None:
         return None
     return Verdict.APPORTIONABLE, replace(
-        base, exact=False, lower_bound=min(base.lower_bound, max(spec_bounds(spec))))
+        base, exact=False, lower_bound=min(base.lower_bound, max(spec_bounds(spec.blocks))))
 
 
 def _build_pad_zero(spec: JordanSpec, kappa: float) -> Built:
     l1, l2 = _pair_plus_zero(spec)
     cert = _two_by_two(l1, l2, _order_two(l1, l2), kappa)
-    return _padded(cert), JordanSpec(((l1, 1), (l2, 1), (0j, 1)))
+    return _padded(cert), ((l1, 1), (l2, 1), (0j, 1))
 
 
 #: The case analysis, in order: the first rule that matches decides.
@@ -237,11 +231,11 @@ RULES: tuple[Rule, ...] = (
          lambda s: ((Verdict.APPORTIONABLE, _nilpotent_constants(s))
                     if s.is_zero_matrix() else None),
          lambda s, k: (_certificate(np.eye(s.order), np.eye(s.order), build_jordan(s), 0.0,
-                                    CertTag.NILPOTENT), s)),
+                                    CertTag.NILPOTENT), s.blocks)),
     Rule("order-one",
          lambda s: ((Verdict.APPORTIONABLE, _rank_one_constants(abs(s.blocks[0][0]), 1))
                     if s.order == 1 else None),
-         lambda s, k: (_rank_one(s.blocks[0][0], 1, k), s)),
+         lambda s, k: (_rank_one(s.blocks[0][0], 1, k), s.blocks)),
     # lam * I, lam != 0
     Rule("scalar-matrix",
          lambda s: (_REFUTED if len(set(s.blocks)) == 1 and s.blocks[0][1] == 1
@@ -249,9 +243,9 @@ RULES: tuple[Rule, ...] = (
     Rule("nilpotent",
          lambda s: ((Verdict.APPORTIONABLE, _nilpotent_constants(s))
                     if s.is_nilpotent() else None),
-         lambda s, k: (_nilpotent(s, k), s)),
+         lambda s, k: (_nilpotent(s, k), s.blocks)),
     Rule("rank-one", _match_rank_one, _build_rank_one),
-    Rule("half-rank", _match_half_rank, lambda s, k: (_half_rank(s, k), s)),
+    Rule("half-rank", _match_half_rank, lambda s, k: (_half_rank(s, k), s.blocks)),
     Rule("perturb-identity", _match_perturb, _build_perturb),
     # a single 2x2 block with nonzero eigenvalue
     Rule("repeated-eigenvalue",
@@ -275,21 +269,18 @@ RULES: tuple[Rule, ...] = (
 _RULES_BY_TAG = {rule.tag: rule for rule in RULES}
 
 
-def _permute_to(cert: ApportionCertificate, built_spec: JordanSpec,
+def _permute_to(cert: ApportionCertificate, built: tuple,
                 target_spec: JordanSpec) -> ApportionCertificate:
-    """Map a certificate built for one block order onto the requested order, unchecked."""
-    if built_spec.blocks == target_spec.blocks:
+    """Map a certificate built for the blocks ``built`` onto the requested order, unchecked:
+    each built block takes the first unused target position that holds the same block."""
+    if built == target_spec.blocks:
         return cert
-    used = [False] * len(target_spec.blocks)
-    order = []
-    for blk in built_spec.blocks:
-        idx = next(i for i, b in enumerate(target_spec.blocks)
-                   if not used[i] and b == blk)
-        used[idx] = True
-        order.append(idx)
-    # reordering target by `order` reproduces built: J_built = Q J_target Q^T
-    _, Q = block_permutation(target_spec, order)
-    return _reordered(cert, Q, cert.theorem_tag)
+    free: dict = {}   # block -> its unused target positions, the first one last
+    for i in reversed(range(len(target_spec.blocks))):
+        free.setdefault(target_spec.blocks[i], []).append(i)
+    # reordering target by `order` reproduces built
+    order = [free[blk].pop() for blk in built]
+    return _reordered(cert, _block_rows(target_spec, order), cert.theorem_tag)
 
 
 def classify(input_matrix: MatrixLike) -> ClassificationReport:

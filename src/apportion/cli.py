@@ -151,7 +151,7 @@ def _bounds_json(M, spec) -> dict:
     """Both lower bounds: from the block list for a Jordan document, from the
     dense matrix for raw entries."""
     if spec is not None:
-        trace_bound, det_bound = spec_bounds(spec)
+        trace_bound, det_bound = spec_bounds(spec.blocks)
     else:
         trace_bound, det_bound = trace_lower_bound(M), hadamard_lower_bound(M)
     return {"trace_lower_bound": trace_bound, "hadamard_lower_bound": det_bound}
@@ -235,9 +235,12 @@ def _search_config(args):
 
 
 def _cmd_search(args) -> int:
-    from .search import find_apportioning
+    from .search import _require_search_order, find_apportioning
 
-    A = _doc_matrix(_read_document(args.matrix))
+    A, spec = _parse_matrix_document(_read_document(args.matrix))
+    if spec is not None:
+        _require_search_order(spec.order)
+        A = build_jordan(spec)
     outcome = find_apportioning(A, _search_config(args))
     _print_json(outcome.to_json(with_transcript=args.verbose))
     return EXIT_OK

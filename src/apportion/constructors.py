@@ -31,7 +31,7 @@ from .errors import (
 )
 from .jordan import (
     JordanSpec,
-    block_permutation,
+    _block_rows,
     build_jordan,
     complete_inverse_pair,
     geometric_diagonal,
@@ -188,15 +188,21 @@ def verify_certificate(cert: ApportionCertificate, A, tol: Tolerance = DEFAULT_T
     return _check(cert, as_matrix(A, square=True, name="A"), tol)
 
 
-def _reordered(cert: ApportionCertificate, Q: np.ndarray, tag: CertTag) -> ApportionCertificate:
-    """Conjugate by a permutation, unchecked: a certificate for Q A Q^T becomes one for A."""
-    return _certificate(cert.M @ Q, Q.T @ cert.Minv, cert.B, cert.kappa, tag)
+def _reordered(cert: ApportionCertificate, rows: list[int], tag: CertTag) -> ApportionCertificate:
+    """A certificate for A[rows][:, rows] becomes one for A, unchecked: M's columns and
+    Minv's rows move back to ``rows``, which is exact data movement."""
+    M = np.empty(cert.M.shape, dtype=complex)
+    Minv = np.empty(cert.Minv.shape, dtype=complex)
+    M[:, rows] = cert.M
+    Minv[rows] = cert.Minv
+    return _certificate(M, Minv, cert.B, cert.kappa, tag)
 
 
 def reorder_certificate(cert: ApportionCertificate, Q: np.ndarray,
                          A=None) -> ApportionCertificate:
     """Conjugate by a permutation: a certificate for Q A Q^T becomes one for A."""
-    return _certified(lambda: _reordered(cert, Q, cert.theorem_tag), A)
+    return _certified(lambda: _certificate(cert.M @ Q, Q.T @ cert.Minv, cert.B, cert.kappa,
+                                           cert.theorem_tag), A)
 
 
 def _scaled(cert: ApportionCertificate, mu: complex) -> ApportionCertificate:
@@ -221,18 +227,19 @@ def _coerce_spec(a) -> JordanSpec:
     return input_ordered_spec(a)
 
 
-def spec_bounds(spec: JordanSpec) -> tuple[float, float]:
-    """(trace bound, determinant bound) of a Jordan matrix, from its blocks; no constant
-    lies below either.  The trace is taken at unit scale (``core.unit_exponent``), the
-    determinant in log space, so neither overflows unless the bound itself does."""
-    n = spec.order
-    e = unit_exponent([lam for lam, _ in spec.blocks])
-    tr = sum(times_power_of_two(lam, -e) * size for lam, size in spec.blocks)
+def spec_bounds(blocks) -> tuple[float, float]:
+    """(trace bound, determinant bound) of the Jordan matrix of ``blocks``, its
+    (eigenvalue, size) pairs; no constant lies below either.  The trace is taken at unit
+    scale (``core.unit_exponent``), the determinant in log space, so neither overflows
+    unless the bound itself does."""
+    n = sum(size for _, size in blocks)
+    e = unit_exponent([lam for lam, _ in blocks])
+    tr = sum(times_power_of_two(lam, -e) * size for lam, size in blocks)
     trace_bound = math.ldexp(abs(tr) / n, e)
-    if any(lam == 0 for lam, _ in spec.blocks):
+    if any(lam == 0 for lam, _ in blocks):
         det_bound = 0.0
     else:
-        logdet = sum(size * math.log(abs(lam)) for lam, size in spec.blocks)
+        logdet = sum(size * math.log(abs(lam)) for lam, size in blocks)
         det_bound = math.exp(logdet / n) / math.sqrt(n)
     return trace_bound, det_bound
 
@@ -282,11 +289,10 @@ def _peel_and_pad(spec: JordanSpec, peel: list[int], build_core, tag: CertTag
     """Build on the blocks outside ``peel`` (zero 1-blocks), re-attach each
     peeled block by zero padding and permute back to the input order, unchecked."""
     keep = [i for i in range(len(spec.blocks)) if i not in peel]
-    perm_spec, Q = block_permutation(spec, keep + peel)
-    cert = build_core(JordanSpec(perm_spec.blocks[: len(keep)]))
+    cert = build_core(JordanSpec(tuple(spec.blocks[i] for i in keep)))
     for _ in peel:
         cert = _padded(cert)
-    return _reordered(cert, Q, tag)
+    return _reordered(cert, _block_rows(spec, keep + peel), tag)
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +479,14 @@ def _half_rank_plan_sorted(spec: JordanSpec, kappa: float) -> HalfRankPlan:
 
 def half_rank_plan(spec: JordanSpec, kappa: float) -> HalfRankPlan:
     """Plan for the canonically sorted version of ``spec`` (rank = order/2)."""
-    sorted_spec, _ = block_permutation(spec, spec.canonical_order())
     with _guarded(kappa):
-        return _half_rank_plan_sorted(sorted_spec, float(kappa))
+        return _half_rank_plan_sorted(spec.canonical(), float(kappa))
 
 
 def _half_rank_exact(spec: JordanSpec, kappa: float) -> ApportionCertificate:
     """Construction at rank exactly half the order (any block order)."""
-    sorted_spec, Q = block_permutation(spec, spec.canonical_order())
+    order = spec.canonical_order()
+    sorted_spec = JordanSpec(tuple(spec.blocks[i] for i in order))
     N = sorted_spec.order
     r = sorted_spec.rank
     plan = _half_rank_plan_sorted(sorted_spec, kappa)
@@ -495,22 +501,21 @@ def _half_rank_exact(spec: JordanSpec, kappa: float) -> ApportionCertificate:
         if alphas[k - 2] == 1:
             C += np.outer(plan.us[:, phi[k - 2] - 1], plan.vs[phi[k - 1] - 1])
     B = kappa * C
-    P = np.zeros((N, N))
-    for j in range(1, N + 1):
-        P[phi[j - 1] - 1, j - 1] = 1.0
     M0 = plan.us
     bottom = np.linalg.solve(M0.T, np.eye(N, dtype=complex)[:, r:]).T
     M0inv = np.vstack([plan.vs, bottom])
     svec = geometric_diagonal(sorted_spec, 1.0 / kappa)
-    M = (M0 @ P) * svec[None, :]
-    Minv = (P.T @ M0inv) / svec[:, None]
-    return ApportionCertificate(M @ Q, Q.T @ Minv, B, kappa, CertTag.HALF_RANK)
+    # column j of the Jordan matrix is carried by column phi(j) of M0
+    cols = [p - 1 for p in phi]
+    sorted_cert = ApportionCertificate(M0[:, cols] * svec[None, :],
+                                       M0inv[cols] / svec[:, None], B, kappa, CertTag.HALF_RANK)
+    return _reordered(sorted_cert, _block_rows(spec, order), CertTag.HALF_RANK)
 
 
 def _half_rank_constants(spec: JordanSpec) -> ConstantSet:
     """Known part of K at rank <= order/2: every kappa above half the spectral radius."""
     return ConstantSet.open_half_line(spec.spectral_radius / 2.0, exact=False,
-                                      lower_bound=max(spec_bounds(spec)))
+                                      lower_bound=max(spec_bounds(spec.blocks)))
 
 
 def _half_rank(spec: JordanSpec, kappa: float) -> ApportionCertificate:
@@ -801,7 +806,7 @@ def _order_two(l1: complex, l2: complex) -> Optional[tuple[complex, float, Const
         lo = abs((u1 + u2) / 2.0) * math.sqrt(
             1.0 + (1.0 - g4) / (2.0 * (g4 - (gamma * gamma).real))) * unit
     # the bounds are sharp for some pairs: rounding must not lift them above lo
-    bound = min(lo, max(spec_bounds(JordanSpec(((l1, 1), (l2, 1))))))
+    bound = min(lo, max(spec_bounds(((l1, 1), (l2, 1)))))
     return gamma, g4, (ConstantSet.closed_half_line(lo, lower_bound=bound) if gamma == 0
                        else ConstantSet.finite([lo], lower_bound=bound))
 

@@ -45,14 +45,18 @@ INVERSE_PAIR_TOL = 1e-10
 @dataclass(frozen=True)
 class Tolerance:
     """Relative/absolute tolerance pair used by uniformity and residual checks; the
-    default is purely relative, so A and every multiple cA pass alike."""
+    default is purely relative, so A and every multiple cA pass alike.  Both are finite,
+    and ``rel`` is below 1: at rel >= 1 a modulus anywhere in [kappa (1 - rel),
+    kappa (1 + rel)] passes, zero entries included."""
 
     rel: float = 1e-9
     abs: float = 0.0
 
     def __post_init__(self):
-        if not (self.rel >= 0 and self.abs >= 0):
-            raise InvalidInputError("tolerances must be nonnegative")
+        # NaN fails both comparisons
+        if not (0 <= self.rel < 1 and 0 <= self.abs < math.inf):
+            raise InvalidInputError(
+                f"rel must lie in [0, 1) and abs in [0, inf), got {self.rel!r}, {self.abs!r}")
         if self.rel == 0 and self.abs == 0:
             raise InvalidInputError("rel and abs tolerance cannot both be zero")
 

@@ -30,6 +30,11 @@ __all__ = [
 
 #: relative gap below which two computed eigenvalues are grouped together
 GROUPING_RTOL = 1e-9
+#: largest order whose dense matrix ``build_jordan`` assembles, as the search caps its
+#: order at MAX_SEARCH_ORDER: a nilpotent certificate's adjugate series is n - 1 dense
+#: products, and ``apportion`` on one block of this order takes about 2.3 s on a 2-CPU
+#: Xeon virtual machine (0.7 s to build the certificate, the rest to print it)
+MAX_DENSE_ORDER = 256
 
 
 @dataclass(frozen=True)
@@ -166,8 +171,12 @@ class EigenResult:
 
 
 def build_jordan(spec: JordanSpec) -> np.ndarray:
-    """Assemble the block-diagonal Jordan matrix described by ``spec``."""
+    """Assemble the block-diagonal Jordan matrix described by ``spec``, of order at most
+    MAX_DENSE_ORDER."""
     n = spec.order
+    if n > MAX_DENSE_ORDER:
+        raise InvalidInputError(
+            f"order {n} exceeds {MAX_DENSE_ORDER}, the largest dense matrix built")
     J = np.zeros((n, n), dtype=complex)
     pos = 0
     for lam, size in spec.blocks:
@@ -195,23 +204,20 @@ def geometric_diagonal(spec: JordanSpec, factor: complex) -> np.ndarray:
     return out
 
 
+def _block_rows(spec: JordanSpec, new_order: list[int]) -> list[int]:
+    """For each row of the Jordan matrix with the blocks in ``new_order``, the row of
+    ``spec``'s Jordan matrix it comes from: J_new = J[rows][:, rows]."""
+    starts = [0]
+    for _, size in spec.blocks:
+        starts.append(starts[-1] + size)
+    return [row for i in new_order for row in range(starts[i], starts[i + 1])]
+
+
 def block_permutation(spec: JordanSpec, new_order: list[int]) -> tuple[JordanSpec, np.ndarray]:
     """Reorder blocks; returns (reordered spec, Q) with J_new = Q J_old Q^T."""
     if sorted(new_order) != list(range(len(spec.blocks))):
         raise InvalidInputError("new_order must be a permutation of the block indices")
-    starts = []
-    pos = 0
-    for _, size in spec.blocks:
-        starts.append(pos)
-        pos += size
-    n = spec.order
-    Q = np.zeros((n, n))
-    dst = 0
-    for idx in new_order:
-        size = spec.blocks[idx][1]
-        for i in range(size):
-            Q[dst + i, starts[idx] + i] = 1.0
-        dst += size
+    Q = np.eye(spec.order)[_block_rows(spec, new_order)]
     return JordanSpec(tuple(spec.blocks[i] for i in new_order)), Q
 
 

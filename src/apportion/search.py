@@ -3,7 +3,7 @@
 M is parameterized by 2n^2 reals, Re(M) then Im(M), held at unit Frobenius
 norm (the image M A M^-1 is scale invariant in M), and every search runs all
 restarts side by side on a batch axis, holding only the restarts still
-running.  An input far from unit scale is searched as A 2^-e.
+running.  Every input is searched as A 2^-e at unit scale (``core.unit_exponent``).
 
 At order 2, where the paper's classification is complete and every outcome
 can be checked against it, the search is Levenberg-Marquardt on the centered
@@ -63,9 +63,6 @@ MAX_HESSIAN_BYTES = 256 * 2**20
 #: this many bytes' worth of rows (at least one): a block's temporaries stay
 #: inside a 2 MiB L2 cache, and far below the stack they update
 UPDATE_BLOCK_BYTES = 128 * 2**10
-#: inputs whose scale 2^e (``core.unit_exponent``) lies outside this range are
-#: searched at unit scale
-SAFE_SCALE = (2.0 ** -64, 2.0 ** 64)
 
 BARRIER_WEIGHT = 1e-6     # log-barrier weight on |det M|
 ARMIJO_C = 1e-4           # sufficient-decrease constant of the line search
@@ -273,6 +270,13 @@ def _initial_points(cfg: SearchConfig, n: int) -> np.ndarray:
                      for r in range(cfg.restarts)])
 
 
+def _require_search_order(n: int) -> None:
+    """Refuse an order above MAX_SEARCH_ORDER; a caller holding a block list checks it
+    before it builds the matrix."""
+    if n > MAX_SEARCH_ORDER:
+        raise SearchBudgetError(f"search is budgeted to order <= {MAX_SEARCH_ORDER}")
+
+
 def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """Seek M making M A M^-1 uniform, up to the configured modulus spread.
 
@@ -290,18 +294,15 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """
     A = as_matrix(A, square=True, name="A")
     n = A.shape[0]
-    if n > MAX_SEARCH_ORDER:
-        raise SearchBudgetError(f"search is budgeted to order <= {MAX_SEARCH_ORDER}")
+    _require_search_order(n)
     R = cfg.restarts
     D = 2 * n * n
     if R * (LM_BYTES_PER_N4 * n**4 if n == 2 else D * D * 8) > MAX_HESSIAN_BYTES:
         raise SearchBudgetError(
             f"{R} restarts at order {n} exceed the {MAX_HESSIAN_BYTES >> 20} MiB search budget")
-    # K(cA) = |c| K(A): far from unit scale the search runs on As = A 2^-e,
-    # reports its spreads times 2^e and certifies against A itself; inside
-    # SAFE_SCALE, As is A and the factor is 1.0
+    # K(cA) = |c| K(A): the search runs on As = A 2^-e, reports its spreads times 2^e
+    # and certifies against A itself
     e = unit_exponent(A)
-    e = 0 if SAFE_SCALE[0] <= math.ldexp(1.0, e) <= SAFE_SCALE[1] else e
     As = times_power_of_two(A, -e) if e else A
     unit = math.ldexp(1.0, e)
     if n == 2:
@@ -568,8 +569,12 @@ def _certify_search_point(x: np.ndarray, A: np.ndarray,
     Minv, rcond = inverse_and_rcond(M)
     if rcond < RCOND_THRESHOLD:
         return None
-    # the absolute floor scales with A, since K(cA) = |c| K(A)
-    tol = Tolerance(rel=cfg.defect_target, abs=cfg.defect_target * float(np.abs(A).max()))
+    # the absolute floor scales with A, since K(cA) = |c| K(A); where max|A| overflows,
+    # every check on A would too
+    floor = cfg.defect_target * float(np.abs(A).max())
+    if floor == math.inf:
+        return None
+    tol = Tolerance(rel=cfg.defect_target, abs=floor)
 
     def build() -> ApportionCertificate:
         B = M @ A @ Minv
@@ -610,6 +615,8 @@ def sigma_estimate(A_or_spec, m_max: int,
     any search); the numerical search runs only on Unknown cases.  The
     reported value is an upper bound: search misses never prove anything.
     """
+    if m_max < 0:
+        raise InvalidInputError(f"m_max must be nonnegative, got {m_max!r}")
     spec, _ = _coerce(A_or_spec)
     n, r = spec.order, spec.rank
     if n + m_max > MAX_SEARCH_ORDER:

@@ -267,6 +267,32 @@ class TestCertificateConsistency:
         rep = verify_certificate(cert, A)
         assert rep.kappa == pytest.approx(values[1], rel=1e-9)
 
+    def test_block_matching_and_reorder_match_the_scan_and_product(self):
+        # the one-pass matching against the first-unused scan, and the index move
+        # against the product with the permutation matrix: equal to the bit
+        from apportion.classifier import _permute_to
+        from apportion.constructors import CertTag, _certificate
+        from apportion.jordan import block_permutation
+
+        rng = np.random.default_rng(17)
+        pool = [(0j, 1), (0j, 2), (1 + 0j, 1), (-2j, 1), (1 + 0j, 2)]
+        for _ in range(50):
+            target = JordanSpec(tuple(pool[i] for i in rng.integers(0, len(pool), 6)))
+            built = tuple(target.blocks[i] for i in rng.permutation(6))
+            used, order = [False] * 6, []
+            for blk in built:
+                idx = next(i for i, b in enumerate(target.blocks) if not used[i] and b == blk)
+                used[idx] = True
+                order.append(idx)
+            _, Q = block_permutation(target, order)
+            n = target.order
+            M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            cert = _certificate(M, np.linalg.inv(M), np.eye(n), 1.0, CertTag.SEARCH)
+            moved = _permute_to(cert, built, target)
+            assert np.array_equal(moved.M, cert.M @ Q)
+            assert np.array_equal(moved.Minv, Q.T @ cert.Minv)
+            assert moved.B is cert.B
+
     def test_raw_conjugated_certificate_refused(self):
         rng = np.random.default_rng(30)
         P = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -399,6 +425,15 @@ class TestRawEntryDispatch:
 
 
 class TestExtremeInputs:
+    def test_many_distinct_blocks_classify_in_linear_time(self):
+        import time
+
+        spec = JordanSpec(tuple((complex(k + 1), 1) for k in range(30_000)))
+        start = time.perf_counter()
+        report = classify(spec)
+        assert time.perf_counter() - start < 3.0
+        assert report.verdict is Verdict.UNKNOWN
+
     @pytest.mark.parametrize("kappa", [math.inf, -math.inf, math.nan])
     def test_non_finite_kappa_not_member(self, kappa):
         for s in (ConstantSet.open_half_line(0.0), ConstantSet.closed_half_line(1.0),

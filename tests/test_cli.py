@@ -414,6 +414,36 @@ class TestEdgeRefusals:
         code, out = run(capsys, ["region", "--lambda1-re", "1", "--resolution", "1002"])
         assert code == 3 and out == ""
 
+    @pytest.mark.parametrize("option, value, transform", [
+        ("--rel", "inf", np.eye(2)), ("--rel", "2", np.eye(2)), ("--rel", "1.0", np.eye(2)),
+        ("--abs", "inf", np.array([[1.0, 5.0], [3.0, 7.0]]))])
+    def test_verify_loose_tolerance_refused(self, tmp_path, capsys, option, value, transform):
+        # diag(1, 2) is NotApportionable; these tolerances used to call its image uniform
+        a = write_doc(tmp_path, "a.json", entries_doc(np.diag([1.0, 2.0])))
+        m = write_doc(tmp_path, "m.json", entries_doc(transform))
+        code = main(["verify", a, m, option, value])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_sigma_negative_padding_refused(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "m.json", jordan_doc([(1 + 0j, 1), (2 + 0j, 1), (3j, 1)]))
+        code, out = run(capsys, ["sigma", path, "--m-max", "-1"])
+        assert code == 3 and out == ""
+
+    @pytest.mark.parametrize("argv", [["apportion", "DOC"], ["verify", "DOC", "DOC"],
+                                      ["search", "DOC"], ["sigma", "DOC", "--m-max", "0"]])
+    def test_large_jordan_document_refused_before_allocation(self, tmp_path, capsys,
+                                                             monkeypatch, argv):
+        def no_allocation(*_args, **_kwargs):
+            raise AssertionError("a dense matrix allocated for a refused order")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        path = write_doc(tmp_path, "m.json", jordan_doc([(0j, 40_000)]))
+        code, out = run(capsys, [path if a == "DOC" else a for a in argv])
+        assert code == 3 and out == ""
+
     def test_search_restart_budget(self, tmp_path, capsys, monkeypatch):
         from apportion import search
 

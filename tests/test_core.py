@@ -58,6 +58,18 @@ class TestIsUniform:
         with pytest.raises(InvalidInputError):
             is_uniform(np.array([[np.nan, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("rel, abs_", [(math.inf, 0.0), (2.0, 0.0), (1.0, 0.0),
+                                           (1e-9, math.inf), (math.nan, 0.0),
+                                           (1e-9, math.nan), (-1e-9, 0.0)])
+    def test_loose_tolerance_refused(self, rel, abs_):
+        # at rel >= 1 a zero entry passes: diag(1, 2) would read as uniform
+        with pytest.raises(InvalidInputError):
+            Tolerance(rel=rel, abs=abs_)
+
+    def test_largest_relative_tolerance_still_refuses_a_zero_entry(self):
+        rep = is_uniform(np.diag([1.0, 2.0]), Tolerance(rel=math.nextafter(1.0, 0.0)))
+        assert not rep.is_uniform
+
     @settings(max_examples=60, deadline=None)
     @given(st.floats(min_value=-3.0, max_value=3.0))
     def test_invariant_under_unit_scalar(self, phase):

@@ -98,6 +98,20 @@ class TestJordanSpec:
             grown = dataclasses.replace(spec, blocks=spec.blocks + ((0j, 2),))
             assert (grown.order, grown.rank) == (spec.order + 2, spec.rank + 1)
 
+    def test_dense_order_refused_before_allocation(self, monkeypatch):
+        from apportion import jordan
+
+        assert build_jordan(JordanSpec(((0j, jordan.MAX_DENSE_ORDER),))).shape == (
+            jordan.MAX_DENSE_ORDER, jordan.MAX_DENSE_ORDER)
+
+        def no_allocation(*_args, **_kwargs):
+            raise AssertionError("a dense matrix allocated above the cap")
+
+        monkeypatch.setattr(jordan.np, "zeros", no_allocation)
+        for n in (jordan.MAX_DENSE_ORDER + 1, 40_000):
+            with pytest.raises(InvalidInputError):
+                build_jordan(JordanSpec(((0j, n),)))
+
     def test_build_and_permutation_match_block_assembly(self):
         from apportion.jordan import block_permutation
 

@@ -143,6 +143,10 @@ class TestSigmaEstimate:
         with pytest.raises(SearchBudgetError):
             sigma_estimate(JordanSpec(((1 + 0j, 1),) * 10), 8, FAST)
 
+    def test_negative_padding_refused(self):
+        with pytest.raises(InvalidInputError):
+            sigma_estimate(JordanSpec(((1 + 0j, 1), (2 + 0j, 1), (3j, 1))), -1, FAST)
+
 
 class TestSearchInternals:
     def test_certified_candidate_inverts_once(self, monkeypatch):
@@ -464,8 +468,8 @@ class TestSearchInternals:
 
 
 class TestSearchScale:
-    # K(cA) = |c| K(A): far from unit scale the search runs at unit scale and
-    # reports spreads and certificates at the input's scale, with no warning
+    # K(cA) = |c| K(A): every input is searched at unit scale, and spreads and
+    # certificates are reported at the input's scale, with no warning
     @pytest.mark.parametrize("scale", [1e-100, 1e100, 1e175, 1e300])
     def test_opposite_pair_found_at_any_scale(self, scale):
         import warnings
@@ -505,10 +509,21 @@ class TestSearchScale:
         assert not out.found
         assert math.isfinite(out.best_defect)
 
-    def test_in_range_input_unscaled(self, monkeypatch):
-        # inside the safe range the search sees the input array itself, on
+    def test_no_certificate_where_the_largest_modulus_overflows(self):
+        # |a| overflows, so the certificate's absolute floor would be infinite
+        import warnings
+
+        A = np.diag([1.5e308 * (1 + 1j), -1.5e308 * (1 + 1j)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = find_apportioning(A, SearchConfig(restarts=4, max_iters=200, seed=1))
+        assert not out.found and out.certificate is None
+
+    def test_in_range_input_scaled(self, monkeypatch):
+        # an input of modest scale is searched at unit scale too, A 2^-e, on
         # the order-2 path (LM residuals) and on the BFGS path alike
         from apportion import search
+        from apportion.core import times_power_of_two, unit_exponent
 
         for name, A in (("_lm_residuals", np.diag([1e-9, -1e-9]).astype(complex)),
                         ("_objective_batch", np.diag([1e-9, -1e-9, 2e-9]).astype(complex))):
@@ -520,4 +535,17 @@ class TestSearchScale:
 
             monkeypatch.setattr(search, name, spy)
             find_apportioning(A, SearchConfig(restarts=2, max_iters=2))
-            assert seen and all(a is A for a in seen)
+            unit = times_power_of_two(A, -unit_exponent(A))
+            assert 1.0 <= np.abs(unit).max() < 2.0
+            assert seen and all(np.array_equal(a, unit) for a in seen)
+
+    @pytest.mark.parametrize("k", [-40, -3, 5, 40, 100])
+    def test_search_is_scale_equivariant(self, k):
+        # one scale rule for every input: 2^k A gives the same M and 2^k times kappa
+        A = np.diag([1, -0.5 + 1j, 0]).astype(complex)
+        cfg = SearchConfig(seed=0, restarts=8)
+        base = find_apportioning(A, cfg)
+        out = find_apportioning(math.ldexp(1.0, k) * A, cfg)
+        assert base.found and out.found
+        assert np.array_equal(out.certificate.M, base.certificate.M)
+        assert out.certificate.kappa == math.ldexp(base.certificate.kappa, k)
