@@ -54,6 +54,25 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+_FLOAT_TYPES = frozenset((float, np.float64))
+
+
+def _emit_floats(obj):
+    """A rectangular nest of lists of finite floats, such as a certificate
+    matrix, formatted by one ``%`` pass over a bracket template (the same
+    17-digit text as ``_format_float``); None for anything else."""
+    leaves = np.array(obj, dtype=object)  # a ragged nest keeps lists as leaves
+    if leaves.size == 0 or not set(map(type, leaves.flat)) <= _FLOAT_TYPES:
+        return None
+    values = leaves.astype(float)
+    if not np.isfinite(values).all():
+        return None
+    template = "%.17g"
+    for k in reversed(values.shape):
+        template = "[" + ",".join([template] * k) + "]"
+    return template % tuple(values.ravel().tolist())
+
+
 def _emit_json(obj) -> str:
     """Serialize with deterministic key order and 17-significant-digit floats."""
     if obj is None:
@@ -69,6 +88,9 @@ def _emit_json(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
+        floats = _emit_floats(obj)
+        if floats is not None:
+            return floats
         return "[" + ",".join(_emit_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = (f"{json.dumps(str(k))}:{_emit_json(v)}" for k, v in obj.items())

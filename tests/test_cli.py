@@ -254,6 +254,42 @@ class TestDeterminism:
         _, out2 = run(capsys, argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize("obj", [
+        [[[0.5, -0.0], [1e-320, -2.5e300]], [[1 / 3, 2.0], [np.float64(-7.25), 1e16]]],
+        [0.1, 0.2, 0.30000000000000004],
+        [[1.0, 2], [3.0, 4.0]],                  # an int leaf
+        [[1.0, True]],                           # a bool leaf
+        [[1.0, float("nan")], [float("inf"), -float("inf")]],
+        [[1.0, 2.0], [3.0]],                     # ragged
+        [[], []],
+        [{"a": [1.5, -0.0]}, "s", None],
+    ])
+    def test_one_pass_floats_match_the_per_number_reference(self, obj):
+        from apportion.cli import _emit_json, _format_float
+
+        def reference(x):
+            if isinstance(x, list):
+                return "[" + ",".join(reference(v) for v in x) + "]"
+            if isinstance(x, dict):
+                return "{" + ",".join(f"{json.dumps(k)}:{reference(v)}" for k, v in x.items()) + "}"
+            if isinstance(x, float):
+                return _format_float(x)
+            return json.dumps(x)
+
+        assert _emit_json(obj) == reference(obj)
+
+    def test_certificate_printed_as_its_numbers(self, tmp_path, capsys):
+        from apportion import JordanSpec, request_certificate
+
+        path = write_doc(tmp_path, "m.json", jordan_doc([(0j, 5)]))
+        code, out = run(capsys, ["apportion", path, "--kappa", "0.75"])
+        assert code == 0
+        doc = json.loads(out)
+        cert = request_certificate(JordanSpec(((0j, 5),)), kappa=0.75)
+        for key in ("M", "Minv", "B"):
+            printed = np.array(doc[key], dtype=float)
+            assert np.array_equal(printed[..., 0] + 1j * printed[..., 1], getattr(cert, key))
+
     def test_seventeen_digit_floats(self, tmp_path, capsys):
         path = write_doc(tmp_path, "m.json", entries_doc(np.diag([1.0, -1.0])))
         _, out = run(capsys, ["classify", path])

@@ -418,6 +418,40 @@ class TestSearchInternals:
             alone = find_apportioning(A, cfg)
             assert alone.restart_defects == (whole.restart_defects[r],)
 
+    @pytest.mark.parametrize("l2, evaluations, with_ten_step_window", [
+        (2.0, 23, 30),
+        (-3.0 - 0.75j, 33, 47),
+    ])
+    def test_lm_refutation_cost(self, monkeypatch, l2, evaluations, with_ten_step_window):
+        # at criterion 7's config the restarts of a refutation end by the
+        # stall rule, so the batched residual evaluations count its cost; a
+        # window of LM_STALL_STEPS = 10 took the third column
+        from apportion import search
+
+        residuals = search._lm_residuals
+        calls = 0
+
+        def counted(X, A):
+            nonlocal calls
+            calls += 1
+            return residuals(X, A)
+
+        monkeypatch.setattr(search, "_lm_residuals", counted)
+        out = find_apportioning(np.diag([1.0, l2]).astype(complex),
+                                SearchConfig(seed=1, restarts=32, defect_target=1e-6))
+        assert not out.found
+        assert calls < with_ten_step_window
+        assert calls == evaluations
+
+    def test_lm_stall_window_keeps_edge_finds(self):
+        # two points of criterion 7's grid that a window of 2 stall steps
+        # loses at its config; the refuted diag(1, 2) stays refuted
+        cfg = SearchConfig(seed=1, restarts=32, defect_target=1e-6)
+        axis = np.linspace(-3.0, 3.0, 41)
+        for l2 in (complex(axis[9], axis[10]), complex(axis[18], axis[22])):  # -1.65-1.5i, -0.3+0.3i
+            assert find_apportioning(np.diag([1.0, l2]), cfg).found, l2
+        assert not find_apportioning(np.diag([1.0, 2.0]).astype(complex), cfg).found
+
     def test_lm_memory_within_its_budget(self):
         # the order-2 search's working set stays below the bytes per restart
         # that its restart budget charges
