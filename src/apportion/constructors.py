@@ -311,15 +311,20 @@ def _nilpotent_core(spec: JordanSpec, kappa: float) -> ApportionCertificate:
     angles = [(j - 1) * math.pi / 3 for j in range(1, n)]
     last = 2 * math.pi / 3 - math.pi * n - sum(angles)
     d = np.array([cmath.exp(1j * a) for a in angles] + [cmath.exp(1j * last)])
-    P = np.eye(n, k=-1)            # the cyclic shift e_j -> e_(j+1 mod n)
-    P[0, n - 1] = 1.0
-    PD = P @ np.diag(d)
-    M0 = np.eye(n, dtype=complex) + PD
-    adj = np.eye(n, dtype=complex)
-    power = np.eye(n, dtype=complex)
-    for _ in range(n - 1):
-        power = power @ (-PD)
-        adj = adj + power
+    cols = np.arange(n)
+    nxt = (cols + 1) % n           # the cyclic shift P: e_j -> e_(j+1 mod n)
+    M0 = np.eye(n, dtype=complex)
+    M0[nxt, cols] = d              # I + P D
+    # (-P D)^k is monomial: column j holds V[k, j] in row j + k mod n, with
+    # V[k, j] = V[k-1, j+1] (-d_j); for k = 0 .. n-1 these rows fill the
+    # adjugate once each
+    V = np.empty((n, n), dtype=complex)
+    V[0] = 1.0
+    minus_d = -d
+    for k in range(1, n):
+        V[k] = V[k - 1][nxt] * minus_d
+    adj = np.empty((n, n), dtype=complex)
+    adj[(cols[:, None] + cols) % n, cols] = V
     det = 1.0 - _THIRD
     M0inv = adj / det
     A = build_jordan(spec)

@@ -108,6 +108,21 @@ class TestNilpotent:
         cert = apportion_nilpotent(JordanSpec(((0j, 2),)), 1.0)
         check_cert(cert, np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 16])
+    def test_inverse_matches_the_dense_series(self, n):
+        # at the base modulus M = I + P D; its inverse, built by index, is the
+        # alternating series of dense powers of P D over det M = 1 - e^(2 pi i/3);
+        # every entry is a product of at most n - 1 unit-modulus phases, so the
+        # two forms round apart by a few eps per factor
+        cert = apportion_nilpotent(JordanSpec(((0j, n),)), KAPPA_13)
+        PD = cert.M - np.eye(n)
+        adj = power = np.eye(n, dtype=complex)
+        for _ in range(n - 1):
+            power = power @ (-PD)
+            adj = adj + power
+        want = adj / (1.0 - cmath.exp(2j * math.pi / 3))
+        assert np.abs(cert.Minv - want).max() <= 8 * n * np.finfo(float).eps
+
     def test_strip_and_pad_path(self):
         spec = JordanSpec(((0j, 2), (0j, 1)))
         cert = apportion_nilpotent(spec, 7.0)
