@@ -30,16 +30,14 @@ re-verified through the core checks.
 Either way the search can only err toward "not found".  ``SearchConfig``
 holds the four settings, ``restarts``, ``max_iters``, ``seed`` and
 ``defect_target``; the other constants are fixed below.  The starting points
-depend only on ``seed``, ``restarts`` and the order, so each such table is
-drawn once and kept, least recently used out first, within START_CACHE_BYTES
-(``_initial_points``); every search gets its own copy.
+depend only on ``seed``, ``restarts`` and the order, so the last table drawn
+is kept (up to START_CACHE_BYTES) and the next search at the same three
+copies it instead of drawing it again (``_initial_points``).
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -70,9 +68,9 @@ MAX_HESSIAN_BYTES = 256 * 2**20
 #: this many bytes' worth of rows (at least one): a block's temporaries stay
 #: inside a 2 MiB L2 cache, and far below the stack they update
 UPDATE_BLOCK_BYTES = 128 * 2**10
-#: bytes of seeded starting points kept between searches (``_initial_points``),
-#: least recently used out first: criterion 7's 32 restarts take 2 KiB and the
-#: default 32 at order 16 128 KiB; a table above this is drawn on every call
+#: bytes of the one table of seeded starting points kept between searches
+#: (``_initial_points``): criterion 7's 32 restarts take 2 KiB and the default
+#: 32 at order 16 128 KiB; a larger table is drawn on every call
 START_CACHE_BYTES = 2**20
 
 BARRIER_WEIGHT = 1e-6     # log-barrier weight on |det M|
@@ -109,8 +107,6 @@ LM_BYTES_PER_N4 = 160
 
 #: the line search's step lengths 1, 1/2, 1/4, ..., exact as repeated products
 _STEPS = np.cumprod([1.0] + [BACKTRACK_FACTOR] * (MAX_BACKTRACKS - 1))
-_OFF_DIAGONAL_2 = ~np.eye(2, dtype=bool)
-_RE_IM_SCALE = np.array([2.0, -2.0]).reshape(2, 1, 1, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -193,11 +189,11 @@ def _det_inv_batch(M: np.ndarray):
         M[bad] = np.eye(n)
     if n != 2:
         return det, np.linalg.inv(M), bad
-    # the adjugate [[d, -b], [-c, a]]: the transposed reversal, with its
-    # off-diagonal negated (a product with -1 + 0j would flip the sign of
-    # some zeros)
-    Minv = M[:, ::-1, ::-1].swapaxes(1, 2).copy()
-    np.negative(Minv, out=Minv, where=_OFF_DIAGONAL_2)
+    Minv = np.empty_like(M)
+    Minv[:, 0, 0] = M[:, 1, 1]
+    Minv[:, 0, 1] = -M[:, 0, 1]
+    Minv[:, 1, 0] = -M[:, 1, 0]
+    Minv[:, 1, 1] = M[:, 0, 0]
     Minv /= det[:, None, None]
     return det, Minv, bad
 
@@ -283,50 +279,30 @@ def _bfgs_update(H: np.ndarray, upd: np.ndarray, s: np.ndarray, y: np.ndarray,
             H[r] = Hr
 
 
-class _StartTables:
-    """Read-only tables of starting points by (seed, restarts, n), kept within
-    START_CACHE_BYTES in all, least recently used out first; thread-safe."""
-
-    def __init__(self):
-        self._tables: OrderedDict = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.Lock()
-
-    def get(self, key) -> Optional[np.ndarray]:
-        with self._lock:
-            table = self._tables.get(key)
-            if table is not None:
-                self._tables.move_to_end(key)
-            return table
-
-    def put(self, key, table: np.ndarray) -> None:
-        if table.nbytes > START_CACHE_BYTES:
-            return
-        table.flags.writeable = False
-        with self._lock:
-            if key in self._tables:  # drawn meanwhile by another thread
-                return
-            self._tables[key] = table
-            self._bytes += table.nbytes
-            while self._bytes > START_CACHE_BYTES:
-                self._bytes -= self._tables.popitem(last=False)[1].nbytes
-
-
-_start_tables = _StartTables()
+#: the last table of starting points drawn, as ((seed, restarts, n), read-only
+#: table), or (None, None); rebound in one assignment by ``_initial_points``
+_last_starts: tuple = (None, None)
 
 
 def _initial_points(cfg: SearchConfig, n: int) -> np.ndarray:
     """The restarts' starting points, row r = default_rng((seed, r)).standard_normal(2 n^2).
 
-    The rows do not depend on A, so a table is drawn once per (seed, restarts,
-    n) and kept in ``_start_tables``; each call gets a fresh writable copy."""
+    The rows do not depend on A, and one process often searches many matrices
+    at one (seed, restarts, n): the last table drawn is kept in
+    ``_last_starts`` if it fits START_CACHE_BYTES, and a search at its key
+    gets a fresh writable copy instead of drawing it again."""
+    global _last_starts
     key = (int(cfg.seed), cfg.restarts, n)
-    table = _start_tables.get(key)
-    if table is None:
-        table = np.empty((cfg.restarts, 2 * n * n))
-        for r, row in enumerate(table):
-            np.random.default_rng((key[0], r)).standard_normal(out=row)
-        _start_tables.put(key, table)
+    last_key, table = _last_starts
+    if last_key == key:
+        return table.copy()
+    table = np.empty((cfg.restarts, 2 * n * n))
+    for r, row in enumerate(table):
+        np.random.default_rng((key[0], r)).standard_normal(out=row)
+    if table.nbytes > START_CACHE_BYTES:
+        return table
+    table.flags.writeable = False
+    _last_starts = (key, table)
     return table.copy()
 
 
@@ -620,10 +596,7 @@ def _refine_jacobian(B: np.ndarray, AMinv: np.ndarray, Minv: np.ndarray) -> np.n
     dB = -np.einsum("...ik,...lj->...klij", B, Minv)
     dB[..., np.arange(n), :, np.arange(n), :] += AMinv
     P = B.conj()[..., None, None, :, :] * dB
-    dv = np.empty(B.shape[:-2] + (2, n, n, n, n))
-    dv[..., 0, :, :, :, :] = P.real
-    dv[..., 1, :, :, :, :] = P.imag
-    dv *= _RE_IM_SCALE  # 2 Re P, then -2 Im P
+    dv = 2.0 * np.concatenate([P.real, -P.imag], axis=-4)
     dv = dv.reshape(B.shape[:-2] + (2 * n * n, n * n))
     return (dv - np.add.reduce(dv, axis=-1, keepdims=True) / (n * n)).swapaxes(-1, -2)
 

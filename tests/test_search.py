@@ -399,63 +399,17 @@ class TestSearchInternals:
         for r in range(5):
             assert np.array_equal(J[r], _refine_jacobian(B[r], AMinv[r], Minv[r]))
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("batch", [(), (5,)])
-    def test_refine_jacobian_matches_concatenate_then_scale(self, n, batch):
-        from apportion.search import _refine_jacobian, _to_matrix
-
-        def reference(B, AMinv, Minv):
-            dB = -np.einsum("...ik,...lj->...klij", B, Minv)
-            dB[..., np.arange(n), :, np.arange(n), :] += AMinv
-            P = B.conj()[..., None, None, :, :] * dB
-            dv = 2.0 * np.concatenate([P.real, -P.imag], axis=-4)
-            dv = dv.reshape(B.shape[:-2] + (2 * n * n, n * n))
-            return (dv - np.add.reduce(dv, axis=-1, keepdims=True) / (n * n)).swapaxes(-1, -2)
-
-        rng = np.random.default_rng(80 + n)
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        A[0] = 0.0  # zero rows of B and A M^-1 give signed zeros in the Jacobian
-        M = _to_matrix(rng.standard_normal(batch + (2 * n * n,)), n)
-        Minv = np.linalg.inv(M)
-        B, AMinv = M @ A @ Minv, A @ Minv
-        J, want = _refine_jacobian(B, AMinv, Minv), reference(B, AMinv, Minv)
-        assert np.array_equal(J, want)
-        assert np.array_equal(np.signbit(J), np.signbit(want))
-
-    def test_order_two_adjugate_is_exact(self):
-        from apportion.search import _det_inv_batch
-
-        rng = np.random.default_rng(90)
-        M = rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2))
-        M[1] = 0.0                    # singular: replaced by I
-        M[2] = [[1.0, 2.0], [2.0, 4.0]]  # singular: dependent rows
-        M[3] = [[1.0, -0.0], [complex(0.0, -0.0), 1.0]]  # signed zeros off the diagonal
-        M[4, 0, 1] = complex(-0.0, 2.0)
-        M[5, 1, 0] = complex(3.0, -0.0)
-        with np.errstate(all="ignore"):
-            det, Minv, bad = _det_inv_batch(M)
-        assert bad.tolist() == [False, True, True] + [False] * 5
-        E = M.copy()
-        E[bad] = np.eye(2)
-        want = np.empty_like(E)       # the adjugate entry by entry, over det
-        want[:, 0, 0], want[:, 0, 1] = E[:, 1, 1], -E[:, 0, 1]
-        want[:, 1, 0], want[:, 1, 1] = -E[:, 1, 0], E[:, 0, 0]
-        want /= det[:, None, None]
-        assert np.array_equal(Minv, want)
-        for part in (np.real, np.imag):
-            assert np.array_equal(np.signbit(part(Minv)), np.signbit(part(want)))
-
     @pytest.mark.parametrize("seed, restarts, n", [
         (0, 1, 2), (1, 32, 2), (np.int64(7), 5, 3), (3, 4, 6),
     ])
     def test_initial_points_are_the_seeded_draws(self, monkeypatch, seed, restarts, n):
         from apportion import search
 
-        monkeypatch.setattr(search, "_start_tables", search._StartTables())
+        monkeypatch.setattr(search, "_last_starts", (None, None))
         cfg = SearchConfig(seed=seed, restarts=restarts)
         want = np.array([np.random.default_rng((seed, r)).standard_normal(2 * n * n)
                          for r in range(restarts)])
-        for _ in range(2):  # drawn, then from the cache
+        for _ in range(2):  # drawn, then from the kept table
             got = search._initial_points(cfg, n)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert got.flags.writeable
@@ -463,7 +417,7 @@ class TestSearchInternals:
         assert search._initial_points(SearchConfig(seed=int(seed), restarts=restarts),
                                       n).tobytes() == want.tobytes()
 
-    def test_start_tables_kept_within_the_byte_cap(self, monkeypatch):
+    def test_start_table_kept_within_the_byte_cap(self, monkeypatch):
         from apportion import search
 
         drawn = []
@@ -473,54 +427,19 @@ class TestSearchInternals:
             drawn.append(seed)
             return default_rng(seed)
 
-        monkeypatch.setattr(search, "_start_tables", search._StartTables())
+        monkeypatch.setattr(search, "_last_starts", (None, None))
         monkeypatch.setattr(np.random, "default_rng", counted)
-        table = 3 * 8 * 8  # bytes of 3 restarts at order 2
-        monkeypatch.setattr(search, "START_CACHE_BYTES", 2 * table)
+        monkeypatch.setattr(search, "START_CACHE_BYTES", 3 * 8 * 8)  # 3 restarts at order 2
 
         def draws(seed, restarts=3):
             del drawn[:]
-            search._initial_points(SearchConfig(seed=seed, restarts=restarts), 2)
+            X = search._initial_points(SearchConfig(seed=seed, restarts=restarts), 2)
+            assert X.flags.writeable and X.shape == (restarts, 8)
             return len(drawn)
 
-        assert [draws(s) for s in (0, 1, 0)] == [3, 3, 0]
-        assert draws(2) == 3          # evicts seed 1, the least recently used
-        assert [draws(0), draws(2), draws(1)] == [0, 0, 3]
-        assert [draws(5, restarts=7), draws(5, restarts=7)] == [7, 7]  # above the cap
-
-    def test_start_tables_shared_by_threads(self, monkeypatch):
-        import sys
-        import threading
-
-        from apportion import search
-
-        cache = search._StartTables()
-        monkeypatch.setattr(search, "_start_tables", cache)
-        monkeypatch.setattr(search, "START_CACHE_BYTES", 4 * 3 * 8 * 8)  # 4 of the 6 tables
-        want = {s: search._initial_points(SearchConfig(seed=s, restarts=3), 2) for s in range(6)}
-        wrong = []
-
-        def worker():
-            for _ in range(40):
-                for s in range(6):
-                    got = search._initial_points(SearchConfig(seed=s, restarts=3), 2)
-                    if got.tobytes() != want[s].tobytes():
-                        wrong.append(s)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and not wrong
-        # a lost update of the byte count would leave it off the tables it counts
-        assert cache._bytes == sum(t.nbytes for t in cache._tables.values())
-        assert cache._bytes <= search.START_CACHE_BYTES
+        assert [draws(0), draws(0), draws(1), draws(0), draws(0)] == [3, 0, 3, 3, 0]
+        assert [draws(5, restarts=4), draws(5, restarts=4)] == [4, 4]  # above the cap
+        assert draws(0) == 0          # and the kept table stays
 
     def test_warm_search_constructs_no_generator(self, monkeypatch):
         cfg = SearchConfig(seed=1, restarts=32, defect_target=1e-6)  # criterion 7's
