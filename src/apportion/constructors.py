@@ -97,8 +97,9 @@ class ApportionCertificate:
         return self.M.shape[0]
 
     def to_json(self) -> dict:
-        def mat(x):
-            return [[[z.real, z.imag] for z in row] for row in np.asarray(x, dtype=complex)]
+        def mat(x):  # [re, im] pairs, nested by row, in one pass
+            x = np.asarray(x, dtype=complex)
+            return np.stack((x.real, x.imag), axis=-1).tolist()
 
         return {
             "order": self.order,

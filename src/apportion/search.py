@@ -11,7 +11,11 @@ squared entry moduli of M A M^-1 (``_lm_search``).  A restart counts as
 found once the relative modulus spread of its image reaches LM_FOUND_SPREAD
 and the image re-verifies through the core checks.  A restart that makes no
 progress for LM_STALL_STEPS = 3 steps in a row stops; on a matrix that is
-not apportionable, that window is most of what each restart costs.
+not apportionable, that window is most of what each restart costs.  A
+rejected step changes only the damping, so each pass tries every running
+restart's next few damping values at once, in one batched solve and one
+residual evaluation, and takes the first that lowers the residual: each
+restart visits the same points, to the bit, as with one trial per pass.
 
 At order 3 and above the objective is the variance of the squared entry
 moduli, with a log-barrier on |det M|, minimized by multi-start BFGS with a
@@ -42,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .classifier import _coerce, classify, request_certificate
 from .constructors import ApportionCertificate, CertTag, _certificate, _certified
@@ -101,12 +106,22 @@ LM_MAX_DAMPING = 1e12     # an LM restart stops once lam passes this ...
 LM_STALL_STEPS = 3
 LM_STALL_RTOL = 1e-3
 LM_FOUND_SPREAD = 1e-12   # relative modulus spread at which an LM point is certified
-#: bytes charged per LM restart at order n, over n^4: tracemalloc peaks read
-#: 118-138 n^4 per restart at n = 2 and 93-109 n^4 at n = 3-6
-LM_BYTES_PER_N4 = 160
+#: bytes charged per LM restart at order n, over n^4.  A pass holds up to
+#: LM_STALL_STEPS trials per restart (``_lm_ladder_depth``): tracemalloc peaks
+#: read 181-191 n^4 per restart at n = 2 (1,024 and 4,096 restarts) and
+#: 103-126 n^4 at n = 3-6 (256 restarts)
+LM_BYTES_PER_N4 = 224
 
 #: the line search's step lengths 1, 1/2, 1/4, ..., exact as repeated products
 _STEPS = np.cumprod([1.0] + [BACKTRACK_FACTOR] * (MAX_BACKTRACKS - 1))
+#: the LM damping factors 1, 4, 16, ... of one pass's ladder; LM_DAMPING_UP is a
+#: power of two, so lam times each is lam after as many rejections, to the bit
+_LM_LADDER = np.cumprod([1.0] + [LM_DAMPING_UP] * (LM_STALL_STEPS - 1))
+#: an order-2 M is flagged singular where |det| is within this multiple of
+#: |M00 M11| + |M01 M10| (``_det_inv_batch``)
+_DET_RTOL = 4 * np.finfo(float).eps
+#: LAPACK's batched solve, as np.linalg.solve calls it for a stack of right-hand sides
+_solve = _umath_linalg.solve
 
 
 @dataclass(frozen=True)
@@ -148,7 +163,9 @@ class SearchOutcome:
     near matrices that are uniformizable only in an unbounded-entry limit.
     ``restarts_used`` is the 1-based index of the winning restart, or the full
     restart count when nothing was found.  ``restart_defects`` holds each
-    restart's best spread for transcript output.
+    restart's best spread for transcript output: after a find, each one's
+    best when the search stopped.  At order 2 the restarts do not run in
+    step (see ``_lm_search``), so some may have run further than the winner.
     """
 
     found: bool
@@ -179,10 +196,20 @@ def _to_matrix(x: np.ndarray, n: int) -> np.ndarray:
 def _det_inv_batch(M: np.ndarray):
     """Batched determinant, inverse and singular-row flag (adjugate form at order 2).
 
+    A row is flagged where det is not finite or |det| < 1e-280, and at order
+    2 also where |det| <= 4 eps (|M00 M11| + |M01 M10|), within the rounding
+    of its two products: a vectorized complex product need not commute to
+    the bit, so equal or proportional rows leave a det of a few ulps.
     Flagged rows get determinant 1 and inverse I, so callers evaluate them harmlessly."""
     n = M.shape[1]
-    det = np.linalg.det(M) if n != 2 else M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-    bad = ~np.isfinite(det) | (np.abs(det) < 1e-280)
+    if n != 2:
+        det = np.linalg.det(M)
+        bad = ~np.isfinite(det) | (np.abs(det) < 1e-280)
+    else:
+        p, q = M[:, 0, 0] * M[:, 1, 1], M[:, 0, 1] * M[:, 1, 0]
+        det = p - q
+        size = np.abs(det)
+        bad = ~np.isfinite(det) | (size < 1e-280) | (size <= _DET_RTOL * (np.abs(p) + np.abs(q)))
     if bad.any():
         det = np.where(bad, 1.0, det)
         M = M.copy()
@@ -435,101 +462,150 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
 
 
 def _lm_residuals(X: np.ndarray, A: np.ndarray):
-    """Centered squared moduli r = v - mean(v), v = |B_ij|^2, of B = M A M^-1, batched.
+    """Residuals of the unit-norm rows of X, packed as ``_lm_search`` holds them.
 
-    X holds unit-norm rows.  Also returns B, A M^-1, M^-1, the modulus spread
-    and the relative spread (max|B| - min|B|) / max|B| (0 for B = 0) of each
-    row; rows whose M is numerically singular or whose image leaves the float
-    range get infinite residuals and spreads."""
+    Returns S, one real row per row of X: X itself, the centered squared
+    moduli r = v - mean(v), v = |B_ij|^2 of B = M A M^-1, the modulus
+    spread, the relative spread (max|B| - min|B|) / max|B| (0 for B = 0)
+    and |r|^2; and C, one complex row per row of X: B, A M^-1 and M^-1.
+    Rows whose M is numerically singular or whose image leaves the float
+    range get infinite residuals, spreads and |r|^2.  Overflow is expected
+    here, so the caller runs it under an errstate that ignores it."""
     R, n = X.shape[0], A.shape[0]
+    n2, D = n * n, X.shape[1]
     M = _to_matrix(X, n)
     _, Minv, bad = _det_inv_batch(M)
-    with np.errstate(over="ignore", invalid="ignore"):
-        AMinv = A @ Minv
-        B = M @ AMinv
-        v = (B.real**2 + B.imag**2).reshape(R, n * n)
-        r = v - np.add.reduce(v, axis=1, keepdims=True) / (n * n)
-        absB = np.sqrt(v)
-        top = absB.max(axis=1)
-        spread = top - absB.min(axis=1)
-        rel = np.where(top > 0.0, spread / top, 0.0)
+    AMinv = A @ Minv
+    B = M @ AMinv
+    v = (B.real**2 + B.imag**2).reshape(R, n2)
+    S = np.empty((R, D + n2 + 3))
+    S[:, :D] = X
+    r = np.subtract(v, np.add.reduce(v, axis=1, keepdims=True) / n2, out=S[:, D:D + n2])
+    absB = np.sqrt(v)
+    top = absB.max(axis=1)
+    spread = np.subtract(top, absB.min(axis=1), out=S[:, D + n2])
+    S[:, D + n2 + 1] = np.where(top > 0.0, spread / top, 0.0)
+    np.einsum("ri,ri->r", r, r, out=S[:, D + n2 + 2])
     bad |= ~np.isfinite(r).all(axis=1)
     if bad.any():
-        r[bad], spread[bad], rel[bad] = np.inf, np.inf, np.inf
-    return r, B, AMinv, Minv, spread, rel
+        S[bad, D:] = np.inf
+    C = np.empty((R, 3, n, n), dtype=complex)
+    C[:, 0], C[:, 1], C[:, 2] = B, AMinv, Minv
+    return S, C
+
+
+def _lm_ladder_depth(stall: np.ndarray, lam: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Damping values lam, 4 lam, 16 lam, ... that each restart tries in its next pass.
+
+    As many as one trial per pass would try if every one were rejected: the
+    LM_STALL_STEPS - stall flat steps the restart has left, the values up to
+    LM_MAX_DAMPING and its ``left`` iterations.  0 where the restart stops."""
+    damped = np.add.reduce(lam[:, None] * _LM_LADDER <= LM_MAX_DAMPING, axis=1)
+    return np.minimum(np.minimum(LM_STALL_STEPS - stall, damped), left).astype(np.intp)
 
 
 def _lm_search(A: np.ndarray, As: np.ndarray, unit: float, cfg: SearchConfig) -> SearchOutcome:
     """Levenberg-Marquardt on the centered squared moduli of M As M^-1, batched over restarts.
 
-    Each iteration takes, for every running restart, the dual-form step
-    delta = -J^T (J J^T + lam tr(J J^T) / n^2 I)^-1 r, an n^2 x n^2 solve with
-    J from ``_refine_jacobian``, and keeps it (back at unit norm) if it lowers
-    |r|^2: lam is divided by LM_DAMPING_DOWN then, down to LM_MIN_DAMPING,
-    and multiplied by LM_DAMPING_UP otherwise.  Every operation acts row by
-    row, so a restart runs to the same bits in any batch.  A restart stops
-    once lam passes LM_MAX_DAMPING, after LM_STALL_STEPS (3) steps in a row
-    that each lower |r|^2 by less than LM_STALL_RTOL relative (a rejected
-    step counts as flat), where J vanishes, or once its relative spread
-    reaches LM_FOUND_SPREAD; in that last case its point is certified
-    against A, and the search ends if that succeeds.  On a matrix that is
-    not apportionable nearly every restart ends by the stall rule, so the
-    window sets the cost of a refutation.
+    A step is the dual-form delta = -J^T (J J^T + lam tr(J J^T) / n^2 I)^-1 r,
+    an n^2 x n^2 solve with J from ``_refine_jacobian``, kept (back at unit
+    norm) if it lowers |r|^2: lam is divided by LM_DAMPING_DOWN then, down
+    to LM_MIN_DAMPING, and multiplied by LM_DAMPING_UP otherwise.  A restart
+    stops once lam passes LM_MAX_DAMPING, after LM_STALL_STEPS (3) steps in
+    a row that each lower |r|^2 by less than LM_STALL_RTOL relative (a
+    rejected step counts as flat), where J vanishes, after ``max_iters``
+    steps, or once its relative spread reaches LM_FOUND_SPREAD; in that last
+    case its point is certified against A, and the search ends if that
+    succeeds.  On a matrix that is not apportionable nearly every restart
+    ends by the stall rule, so the window sets the cost of a refutation.
+
+    A rejected step changes only lam, so each pass tries, for every running
+    restart, the whole ladder lam, 4 lam, 16 lam, ... that it would try one
+    step at a time until one is accepted or it stops (``_lm_ladder_depth``),
+    in one batched solve and one ``_lm_residuals`` call, and takes the first
+    trial that lowers |r|^2.  LM_DAMPING_UP is a power of two, so the ladder
+    holds the same lam bits as repeated rejections, and every operation acts
+    row by row: each restart visits the same points, to the bit, as with one
+    trial per pass and in any batch.  The restarts' iteration counts then
+    drift apart, so a find is the first certified point in pass order, and
+    the others' transcript entries are their bests at that pass.
     """
     n = As.shape[0]
-    n2, diag = n * n, np.arange(n * n)
-    X = _initial_points(cfg, n)
-    R = X.shape[0]
-    X /= np.sqrt(np.einsum("ri,ri->r", X, X))[:, None]
-    r, B, AMinv, Minv, spread, rel = _lm_residuals(X, As)
-    cost = np.einsum("ri,ri->r", r, r)
-    lam = np.full(R, LM_DAMPING)
-    stall = np.zeros(R, dtype=int)
-    best = spread.copy()
-    ids = np.arange(R)  # the restarts still running, as rows of the arrays below
-    running = np.isfinite(cost)
-    for it in range(cfg.max_iters + 1):
-        hit = np.flatnonzero(rel <= LM_FOUND_SPREAD)
-        if hit.size:
-            for k in hit[np.lexsort((ids[hit], spread[hit]))]:
-                cert = _certify_search_point(X[k], A, cfg)
-                if cert is not None:
-                    return SearchOutcome(True, float(spread[k]) * unit, cert, int(ids[k]) + 1,
-                                         tuple(float(d) * unit for d in best))
-            running[hit] = False
-        if it == cfg.max_iters or not running.any():
-            break
-        if not running.all():
-            ids, X, r, B, AMinv, Minv, spread, rel, cost, lam, stall = (
-                a[running] for a in (ids, X, r, B, AMinv, Minv, spread, rel, cost, lam, stall))
-        J = _refine_jacobian(B, AMinv, Minv)
-        with np.errstate(over="ignore", invalid="ignore"):
+    n2, D = n * n, 2 * n * n
+    # the columns of a state row after its point (0:D) and residuals (D:D + n2);
+    # _lm_residuals fills those up to COST
+    SPREAD, REL, COST, LAM, STALL, LEFT, ID = range(D + n2, D + n2 + 7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = _initial_points(cfg, n)
+        R = X.shape[0]
+        X /= np.sqrt(np.einsum("ri,ri->r", X, X))[:, None]
+        S, C = _lm_residuals(X, As)
+        # one real and one complex row per restart still running, so that dropping
+        # restarts and taking trials are one gather each
+        state = np.empty((R, ID + 1))
+        state[:, :LAM] = S
+        state[:, LAM], state[:, STALL], state[:, LEFT] = LM_DAMPING, 0.0, cfg.max_iters
+        state[:, ID] = np.arange(R)
+        best = state[:, SPREAD].copy()
+        depth = _lm_ladder_depth(state[:, STALL], state[:, LAM], state[:, LEFT])
+        running = np.isfinite(state[:, COST]) & (depth > 0)
+        while True:
+            spread, ids = state[:, SPREAD], state[:, ID].astype(np.intp)
+            best[ids] = np.minimum(best[ids], spread)
+            hit = np.flatnonzero(state[:, REL] <= LM_FOUND_SPREAD)
+            if hit.size:
+                for k in hit[np.lexsort((ids[hit], spread[hit]))]:
+                    cert = _certify_search_point(state[k, :D], A, cfg)
+                    if cert is not None:
+                        return SearchOutcome(True, float(spread[k]) * unit, cert, int(ids[k]) + 1,
+                                             tuple(float(d) * unit for d in best))
+                running[hit] = False
+            if not running.any():
+                break
+            if not running.all():
+                state, C, depth = state[running], C[running], depth[running]
+            J = _refine_jacobian(C[:, 0], C[:, 1], C[:, 2])
             K = J @ J.swapaxes(1, 2)
-            mu = lam * np.trace(K, axis1=1, axis2=2) / n2
-            K[:, diag, diag] += mu[:, None]
+            # trial t tries the (t - start[row[t]])-th damping value of restart row[t]
+            end = np.cumsum(depth)
+            start = end - depth
+            row = np.repeat(np.arange(depth.size), depth)
+            t = np.arange(row.size)
+            trial = state[row]
+            lam_t = trial[:, LAM] * _LM_LADDER[t - start[row]]
+            mu = lam_t * np.trace(K, axis1=1, axis2=2)[row] / n2
+            Kt = K[row]
+            Kt.reshape(-1, n2 * n2)[:, ::n2 + 1] += mu[:, None]  # its diagonal
             # J vanishes or overflows: the restart stops
             flat = ~(np.isfinite(mu) & (mu > 0.0))
             if flat.any():
-                K[flat] = np.eye(n2)
-            z = np.linalg.solve(K, r[:, :, None])
-            step = X - (J.swapaxes(1, 2) @ z)[:, :, 0]
+                Kt[flat] = np.eye(n2)
+            # np.linalg.solve's gufunc without its checks; a singular system gives a
+            # non-finite step, whose infinite residuals reject the trial
+            z = _solve(Kt, trial[:, D:D + n2, None], signature="dd->d")
+            step = trial[:, :D] - (J.swapaxes(1, 2)[row] @ z)[:, :, 0]
             step /= np.sqrt(np.einsum("ri,ri->r", step, step))[:, None]
-        r_t, B_t, AMinv_t, Minv_t, spread_t, rel_t = _lm_residuals(step, As)
-        cost_t = np.einsum("ri,ri->r", r_t, r_t)
-        acc = (cost_t < cost) & ~flat
-        gain = np.where(acc, (cost - cost_t) / np.where(acc, cost, 1.0), 0.0)
-        stall = np.where(gain < LM_STALL_RTOL, stall + 1, 0)
-        lam = np.where(acc, np.maximum(lam / LM_DAMPING_DOWN, LM_MIN_DAMPING),
-                       lam * LM_DAMPING_UP)
-        if acc.all():
-            X, r, B, AMinv, Minv, spread, rel, cost = (
-                step, r_t, B_t, AMinv_t, Minv_t, spread_t, rel_t, cost_t)
-        elif acc.any():
-            X[acc], r[acc], B[acc], AMinv[acc], Minv[acc] = (
-                step[acc], r_t[acc], B_t[acc], AMinv_t[acc], Minv_t[acc])
-            spread[acc], rel[acc], cost[acc] = spread_t[acc], rel_t[acc], cost_t[acc]
-        best[ids] = np.minimum(best[ids], spread)
-        running = (lam <= LM_MAX_DAMPING) & (stall < LM_STALL_STEPS) & ~flat
+            del J, K, Kt, z, trial  # freed before the residuals' peak
+            S, Ct = _lm_residuals(step, As)
+            acc = (S[:, COST] < state[row, COST]) & ~flat
+            # each restart's deciding trial: its first accepted or flat one, else its last
+            stop = acc | flat
+            stop[end - 1] = True
+            last = np.minimum.reduceat(np.where(stop, t, row.size), start)
+            tried = last - start + 1
+            acc, flat, lam_t = acc[last], flat[last], lam_t[last]
+            cost = state[:, COST]
+            gain = np.where(acc, (cost - S[last, COST]) / np.where(acc, cost, 1.0), 0.0)
+            state[:, STALL] = np.where(gain < LM_STALL_RTOL, state[:, STALL] + tried, 0.0)
+            state[:, LAM] = np.where(acc, np.maximum(lam_t / LM_DAMPING_DOWN, LM_MIN_DAMPING),
+                                     lam_t * LM_DAMPING_UP)
+            state[:, LEFT] -= tried
+            if acc.any():
+                taken = last[acc]
+                state[acc, :LAM], C[acc] = S[taken], Ct[taken]
+            # a restart runs on while its next ladder is not empty
+            depth = _lm_ladder_depth(state[:, STALL], state[:, LAM], state[:, LEFT])
+            running = (depth > 0) & ~flat
     return SearchOutcome(False, float(best.min()) * unit, None, R,
                          tuple(float(d) * unit for d in best))
 

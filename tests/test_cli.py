@@ -290,6 +290,45 @@ class TestDeterminism:
             printed = np.array(doc[key], dtype=float)
             assert np.array_equal(printed[..., 0] + 1j * printed[..., 1], getattr(cert, key))
 
+    @pytest.mark.parametrize("blocks, tag", [
+        (((0j, 1),) * 3, "zero-matrix"),
+        (((-1.39 + 0.14j, 1),), "order-one"),
+        (((0j, 8), (0j, 4)), "nilpotent"),
+        (((0j, 1), (-0.5 - 0.27j, 1), (0j, 1)), "rank-one"),
+        (((0j, 1), (0.56 + 0.1j, 1), (0j, 1), (0j, 1), (0.96 + 1.11j, 1), (-0.98 - 1.31j, 2),
+          (0j, 1), (0j, 1)), "half-rank"),
+        (((1 + 0j, 1), (-0.5 + 1j, 1), (1 + 0j, 1)), "perturb-identity"),
+        (((1 + 0j, 1), (-1 + 0j, 1)), "two-by-two"),
+        (((0.65 - 0.05j, 2), (0j, 1)), "3x3-template-j2-plus-zero"),
+        (((0j, 2), (-0.55 + 0.93j, 1)), "3x3-template-plus-nilpotent"),
+        (((0j, 1), (0.27 + 1.84j, 1), (1.08 - 0.33j, 1)), "two-by-two-pad-zero"),
+        (((0j, 256),), "nilpotent"),  # the dense cap
+        (None, "signed zeros"),
+    ])
+    def test_certificate_json_matches_the_per_entry_build(self, blocks, tag):
+        # a certificate's matrices are built in one pass each; printed, they
+        # are byte for byte the [z.real, z.imag] of every entry, zero signs too
+        from apportion import (ApportionCertificate, CertTag, JordanSpec, classify,
+                               request_certificate)
+        from apportion.cli import _emit_json
+
+        if blocks is None:
+            z = complex(-0.0, 0.0)
+            M = np.array([[z, 1.0], [complex(0.0, -0.0), -1.5j]])
+            cert = ApportionCertificate(M, M, M.conj(), 1.0, CertTag.SEARCH)
+        else:
+            report = classify(JordanSpec(blocks))
+            assert report.theorem_tag == tag
+            cert = request_certificate(JordanSpec(blocks), report=report)
+        reference = cert.to_json()
+        for key in ("M", "Minv", "B"):
+            reference[key] = [[[z.real, z.imag] for z in row]
+                              for row in np.asarray(getattr(cert, key), dtype=complex)]
+        printed = _emit_json(cert.to_json())
+        assert printed == _emit_json(reference)
+        if blocks is None:
+            assert "[[-0,0],[1,0]]" in printed and "[0,-0]" in printed
+
     def test_seventeen_digit_floats(self, tmp_path, capsys):
         path = write_doc(tmp_path, "m.json", entries_doc(np.diag([1.0, -1.0])))
         _, out = run(capsys, ["classify", path])

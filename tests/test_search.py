@@ -12,6 +12,7 @@ from apportion import (
     defect_objective,
     find_apportioning,
     hadamard_lower_bound,
+    polar_condition_2x2,
     sigma_estimate,
     trace_lower_bound,
     two_by_two_constants,
@@ -19,6 +20,15 @@ from apportion import (
 )
 
 FAST = SearchConfig(restarts=8, max_iters=600, seed=1, defect_target=1e-6)
+
+
+def _lm(A, cfg):
+    """``_lm_search`` on A at any order, scaled as find_apportioning scales it."""
+    from apportion import search
+    from apportion.core import times_power_of_two, unit_exponent
+
+    e = unit_exponent(A)
+    return search._lm_search(A, times_power_of_two(A, -e), math.ldexp(1.0, e), cfg)
 
 
 class TestFindApportioning:
@@ -458,29 +468,127 @@ class TestSearchInternals:
         (np.diag([1.0, 2.0]).astype(complex),
          SearchConfig(seed=1, restarts=32, defect_target=1e-6)),
         (np.array([[1, 1], [0, 1]], dtype=complex), SearchConfig(seed=3, restarts=8)),
+        # orders 3-6, which find_apportioning searches by BFGS, through _lm_search
+        (2 * np.eye(3, dtype=complex), SearchConfig(seed=0, restarts=4)),
+        (build_jordan(JordanSpec(((1 + 0j, 2), (1 + 0j, 1)))), SearchConfig(seed=0, restarts=4)),
+        (build_jordan(JordanSpec(((0j, 2), (0j, 2)))), SearchConfig(seed=0, restarts=4)),
+        (build_jordan(JordanSpec(((0j, 2), (0j, 2), (0j, 1)))), SearchConfig(seed=0, restarts=3)),
+        (build_jordan(JordanSpec(((0j, 2),) * 3)), SearchConfig(seed=0, restarts=3)),
+        (np.diag([1, 1, 1, 1, 1, 2]).astype(complex), SearchConfig(seed=0, restarts=3)),
     ])
     def test_lm_restart_alone_matches_the_batch(self, monkeypatch, A, cfg):
         # every LM operation acts row by row: on a refuted input each restart
         # ends on the same bits whether it runs in the full batch or alone
         from apportion import search
 
-        whole = find_apportioning(A, cfg)
+        whole = _lm(A, cfg)
         assert not whole.found and len(whole.restart_defects) == cfg.restarts
         draw = search._initial_points
         for r in range(cfg.restarts):
             monkeypatch.setattr(search, "_initial_points",
                                 lambda cfg_, n, r=r: draw(cfg_, n)[r:r + 1])
-            alone = find_apportioning(A, cfg)
+            alone = _lm(A, cfg)
             assert alone.restart_defects == (whole.restart_defects[r],)
 
+    @pytest.mark.parametrize("A, cfg", [
+        # criterion 7's refutations, the ones test_lm_refutation_cost counts
+        (np.diag([1.0, 2.0]).astype(complex),
+         SearchConfig(seed=1, restarts=32, defect_target=1e-6)),
+        (np.diag([1.0, -3.0 - 0.75j]), SearchConfig(seed=1, restarts=32, defect_target=1e-6)),
+        (np.array([[1, 1], [0, 1]], dtype=complex), SearchConfig(seed=3, restarts=8)),
+        # the iteration budget ends the ladders
+        (np.diag([1.0, 2.0]).astype(complex), SearchConfig(seed=1, restarts=32, max_iters=2)),
+        (build_jordan(JordanSpec(((0j, 2), (0j, 2)))), SearchConfig(seed=0, restarts=4)),
+    ])
+    def test_lm_ladder_matches_one_trial_per_pass(self, monkeypatch, A, cfg):
+        # a pass tries each restart's damping ladder at once; with one value per
+        # pass every restart takes the same steps, so every outcome of a
+        # refutation is the same to the last bit, in fewer passes
+        from apportion import search
+
+        residuals, depth = search._lm_residuals, search._lm_ladder_depth
+
+        def run():
+            rows = []
+
+            def counted(X, A_):
+                rows.append(X.shape[0])
+                return residuals(X, A_)
+
+            monkeypatch.setattr(search, "_lm_residuals", counted)
+            return _lm(A, cfg), rows
+
+        ladder, ladder_rows = run()
+        monkeypatch.setattr(search, "_lm_ladder_depth", lambda *a: np.minimum(depth(*a), 1))
+        plain, plain_rows = run()
+        assert not plain.found and not ladder.found
+        assert ladder.restart_defects == plain.restart_defects
+        assert ladder.best_defect == plain.best_defect
+        assert ladder.restarts_used == plain.restarts_used
+        assert max(plain_rows) <= cfg.restarts
+        assert max(ladder_rows) <= search.LM_STALL_STEPS * cfg.restarts
+        assert len(ladder_rows) <= len(plain_rows)
+        if cfg.max_iters > 2:
+            assert len(ladder_rows) < len(plain_rows)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_lapack_solve_is_np_linalg_solve(self, n):
+        # the LM step calls LAPACK's gufunc as np.linalg.solve does, without its
+        # checks: the same bits, and a non-finite solution where solve would raise
+        import warnings
+
+        from apportion import search
+
+        rng = np.random.default_rng(80 + n)
+        n2 = n * n
+        J = rng.standard_normal((50, n2, 2 * n2))
+        K = J @ J.swapaxes(1, 2) + rng.uniform(1e-12, 1.0, (50, 1, 1)) * np.eye(n2)
+        b = rng.standard_normal((50, n2, 1))
+        assert search._solve(K, b, signature="dd->d").tobytes() == np.linalg.solve(K, b).tobytes()
+        K[3] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(K, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                z = search._solve(K, b, signature="dd->d")
+        assert not np.isfinite(z[3]).all() and np.isfinite(np.delete(z, 3, axis=0)).all()
+        # such a step has infinite residuals and |r|^2, so its trial is rejected
+        step = np.full((1, 2 * n2), np.nan)
+        with np.errstate(all="ignore"):
+            S, _ = search._lm_residuals(step, np.eye(n, dtype=complex))
+        assert np.isinf(S[0, 2 * n2:]).all()
+
+    @pytest.mark.parametrize("kind", ["equal", "proportional"])
+    def test_order_two_singular_rows_flagged_at_any_draw(self, kind):
+        # det = M00 M11 - M01 M10 of equal or proportional rows is a few ulps,
+        # not 0, where the products' last bits differ; the relative test flags
+        # every such row, and no row of a well-conditioned draw
+        from apportion.search import _det_inv_batch
+
+        rng = np.random.default_rng(90 if kind == "equal" else 91)
+        size = 4000
+        top = rng.standard_normal((size, 2)) + 1j * rng.standard_normal((size, 2))
+        top *= np.exp(rng.uniform(-20.0, 20.0, (size, 1)))
+        c = 1.0 if kind == "equal" else (rng.standard_normal((size, 1))
+                                         + 1j * rng.standard_normal((size, 1)))
+        M = np.stack([top, c * top], axis=1)
+        _, _, bad = _det_inv_batch(M)
+        assert bad.all()
+        Q, _ = np.linalg.qr(rng.standard_normal((size, 2, 2)) + 1j * rng.standard_normal((size, 2, 2)))
+        _, Minv, bad = _det_inv_batch(Q * np.exp(rng.uniform(-20.0, 20.0, (size, 1, 1))))
+        assert not bad.any()
+
     @pytest.mark.parametrize("l2, evaluations, with_ten_step_window", [
-        (2.0, 23, 30),
-        (-3.0 - 0.75j, 33, 47),
+        (2.0, 12, 30),
+        (-3.0 - 0.75j, 19, 47),
     ])
     def test_lm_refutation_cost(self, monkeypatch, l2, evaluations, with_ten_step_window):
         # at criterion 7's config the restarts of a refutation end by the
-        # stall rule, so the batched residual evaluations count its cost; a
-        # window of LM_STALL_STEPS = 10 took the third column
+        # stall rule, so the batched residual evaluations count its cost: one
+        # per pass, each trying every restart's damping ladder (23 and 33
+        # with one value per pass); a window of LM_STALL_STEPS = 10 and one
+        # value per pass took the third column
         from apportion import search
 
         residuals = search._lm_residuals
@@ -506,6 +614,26 @@ class TestSearchInternals:
         for l2 in (complex(axis[9], axis[10]), complex(axis[18], axis[22])):  # -1.65-1.5i, -0.3+0.3i
             assert find_apportioning(np.diag([1.0, l2]), cfg).found, l2
         assert not find_apportioning(np.diag([1.0, 2.0]).astype(complex), cfg).found
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_criterion_7_grid_at_other_seeds(self, seed):
+        # criterion 7 checks its grid at seed 1: every apportionable point is
+        # found and no other one, by the paper's order-2 classification
+        cfg = SearchConfig(seed=seed, restarts=32, defect_target=1e-6)
+        axis = np.linspace(-3.0, 3.0, 41)
+        found = admissible = false_finds = 0
+        for im in axis:
+            for re in axis:
+                l2 = complex(re, im)
+                if abs(l2) <= 1e-9:
+                    continue
+                out = find_apportioning(np.diag([1.0 + 0j, l2]), cfg)
+                if polar_condition_2x2(1.0, l2):
+                    admissible += 1
+                    found += out.found
+                else:
+                    false_finds += out.found
+        assert (found, admissible, false_finds) == (442, 442, 0)
 
     def test_lm_memory_within_its_budget(self):
         # the order-2 search's working set stays below the bytes per restart
