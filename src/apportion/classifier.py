@@ -2,10 +2,11 @@
 
 ``classify`` runs a JordanSpec (any order) or raw entries (order <= 3)
 through one ordered table of rules, one per covered matrix class, and returns
-the first rule's verdict, constant-set description and tag; the same rule
-builds the certificate on request.  Orders 2 and 3 are resolved completely
-up to the families that remain open; the admissible-eigenvalue region for
-order 2 can be sampled and rendered.
+the first rule's verdict, constant-set description and tag; it builds no
+certificate.  The same rule builds one on request, in ``request_certificate``,
+checked against the matrix the caller asked about.  Orders 2 and 3 are
+resolved completely up to the families that remain open; the
+admissible-eigenvalue region for order 2 can be sampled and rendered.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .constructors import (
     two_by_two_constants,
 )
 from .core import as_matrix, times_power_of_two, unit_exponent
-from .errors import InvalidInputError, UnsupportedOrderError
+from .errors import InvalidInputError
 from .jordan import JordanSpec, _block_rows, build_jordan, eigenstructure_small
 from .reports import ClassificationReport, ConstantSet, Verdict
 
@@ -63,12 +64,7 @@ MatrixLike = Union[JordanSpec, np.ndarray, list]
 def _coerce(input_matrix: MatrixLike) -> tuple[JordanSpec, bool]:
     if isinstance(input_matrix, JordanSpec):
         return input_matrix, False
-    M = as_matrix(input_matrix, square=True, name="A")
-    if M.shape[0] > 3:
-        raise UnsupportedOrderError(
-            "raw-entry classification is limited to order 3; supply a JordanSpec"
-        )
-    result = eigenstructure_small(M)
+    result = eigenstructure_small(input_matrix)
     return result.spec, result.approximate
 
 
@@ -88,14 +84,12 @@ class Rule:
     else None.  ``build`` returns a certificate at a member kappa of the
     constants together with the blocks, in order, it was built for, unchecked
     (``request_certificate`` checks it once); refuting and open classes have
-    no builder.  ``certify_on_classify`` attaches a certificate at the default
-    member to the classification report.
+    no builder.  Classification only matches: no rule builds while classifying.
     """
 
     tag: str
     match: Callable[[JordanSpec], Match]
     build: Optional[Callable[[JordanSpec, float], Built]] = None
-    certify_on_classify: bool = False
 
 
 _REFUTED = (Verdict.NOT_APPORTIONABLE, ConstantSet.empty())
@@ -250,7 +244,7 @@ RULES: tuple[Rule, ...] = (
     # a single 2x2 block with nonzero eigenvalue
     Rule("repeated-eigenvalue",
          lambda s: _REFUTED if s.order == 2 and len(s.blocks) == 1 else None),
-    Rule("two-by-two", _match_two_by_two, _build_two_by_two, certify_on_classify=True),
+    Rule("two-by-two", _match_two_by_two, _build_two_by_two),
     Rule("3x3-template-j2-plus-zero",
          lambda s: _match_template(s, (2, 1), 1.0),
          lambda s, k: _build_template(s, TemplateKind.LAMBDA_J2_PLUS_ZERO, (2, 1))),
@@ -284,31 +278,22 @@ def _permute_to(cert: ApportionCertificate, built: tuple,
 
 
 def classify(input_matrix: MatrixLike) -> ClassificationReport:
-    """Verdict, constant set, and certificate availability for a matrix.
+    """Verdict, constant set and rule tag for a matrix; no certificate is built
+    (``request_certificate`` builds one), so the report's ``certificate`` is None.
 
     Raw entries are accepted up to order 3 (the Jordan structure is recovered
     by closed-form eigenvalues and rank tests, and near-degenerate spectra are
     flagged approximate); larger inputs must arrive as a JordanSpec.
     """
-    spec, report = _classified(input_matrix)
-    if (_RULES_BY_TAG[report.theorem_tag].certify_on_classify
-            and report.verdict is Verdict.APPORTIONABLE):
-        report = replace(report, certificate=request_certificate(spec, report=report))
-    return report
-
-
-def _classified(input_matrix: MatrixLike) -> tuple[JordanSpec, ClassificationReport]:
-    """The spec read from the input and its report, with no certificate attached."""
     spec, approximate = _coerce(input_matrix)
-    report = _classify_spec(spec)
-    return spec, replace(report, approximate_eigen=True) if approximate else report
+    return _classify_spec(spec, approximate)
 
 
-def _classify_spec(spec: JordanSpec) -> ClassificationReport:
+def _classify_spec(spec: JordanSpec, approximate: bool = False) -> ClassificationReport:
     for rule in RULES:  # the last rule matches every spec
         found = rule.match(spec)
         if found is not None:
-            return ClassificationReport(*found, rule.tag)
+            return ClassificationReport(*found, rule.tag, approximate_eigen=approximate)
 
 
 def constant_set(input_matrix: MatrixLike,

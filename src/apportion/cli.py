@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .classifier import (
-    _classified,
     admissible_region,
     classify,
     region_to_csv,
@@ -193,8 +192,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_apportion(args) -> int:
     inp = _doc_input(_read_document(args.matrix))
-    # no certificate at classification: the one below is the only one built
-    _, report = _classified(inp)
+    report = classify(inp)
     if report.verdict is Verdict.NOT_APPORTIONABLE:
         print("not apportionable", file=sys.stderr)
         return EXIT_NOT_APPORTIONABLE

@@ -311,6 +311,16 @@ def parse_jordan_arrangement(A, rtol: float = 1e-12):
     return spec
 
 
+def _raw_matrix(A) -> np.ndarray:
+    """Raw entries as a square matrix, refused above order 3, where the closed-form
+    eigenstructure ends: every reader of raw entries checks their order here."""
+    A = as_matrix(A, square=True, name="A")
+    if A.shape[0] > 3:
+        raise UnsupportedOrderError(
+            "raw-entry input is limited to order 3; supply a Jordan block list")
+    return A
+
+
 def input_ordered_spec(A) -> JordanSpec:
     """Block list of a Jordan-arranged matrix, in input order, with eigenvalues
     snapped onto the multiplicity-cluster representatives.
@@ -320,11 +330,7 @@ def input_ordered_spec(A) -> JordanSpec:
     so no certificate can be expressed for it directly.  Eigenvalues snap at the
     grouping tolerance of ``eigenstructure_small``, relative to 2^e below unit scale.
     """
-    A = as_matrix(A, square=True, name="A")
-    if A.shape[0] > 3:
-        raise InvalidInputError(
-            "raw-entry input is limited to order 3; supply a Jordan block list"
-        )
+    A = _raw_matrix(A)
     parsed = parse_jordan_arrangement(A)
     if parsed is None:
         raise InvalidInputError(
@@ -480,10 +486,8 @@ def eigenstructure_small(A) -> EigenResult:
     that of A 2^-e at unit scale (see ``core.unit_exponent``), with the
     eigenvalues scaled back by 2^e.
     """
-    A = as_matrix(A, square=True, name="A")
+    A = _raw_matrix(A)
     n = A.shape[0]
-    if n > 3:
-        raise UnsupportedOrderError("closed-form eigenstructure supports order <= 3 only")
     if n == 1:
         return EigenResult(JordanSpec(((complex(A[0, 0]), 1),)), False)
     e = unit_exponent(A)

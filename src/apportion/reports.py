@@ -188,7 +188,8 @@ class ConstantSet:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Verdict, constant set, supporting rule tag, and optional certificate."""
+    """Verdict, constant set, supporting rule tag, and optional certificate:
+    ``apportion_2x2`` attaches one, while ``classify`` builds none and leaves it None."""
 
     verdict: Verdict
     constants: ConstantSet

@@ -14,6 +14,9 @@ from apportion import (
     Verdict,
     admissible_region,
     apportion_2x2,
+    apportion_A_oplus_zeros,
+    apportion_half_rank,
+    apportion_nilpotent,
     build_jordan,
     classify,
     constant_set,
@@ -22,9 +25,11 @@ from apportion import (
     region_to_csv,
     region_to_svg,
     request_certificate,
+    sigma_estimate,
     two_by_two_constants,
     verify_certificate,
 )
+from apportion import classifier
 
 LAMBDAS = [1.0 + 0j, -2.0 + 0j, 1.0 + 1.0j]
 
@@ -422,6 +427,71 @@ class TestRawEntryDispatch:
         assert rep.verdict is Verdict.APPORTIONABLE
         assert rep.constants.kind == "ClosedHalfLine"
         assert rep.constants.lo == pytest.approx(1.0, rel=1e-7)
+
+
+#: one spec per rule of the case analysis, keyed by the rule's tag
+SPEC_PER_RULE = {
+    "zero-matrix": diag_spec(0, 0),
+    "order-one": JordanSpec(((3 + 4j, 1),)),
+    "scalar-matrix": diag_spec(2, 2),
+    "nilpotent": JordanSpec(((0j, 2),)),
+    "rank-one": diag_spec(3, 0, 0),
+    "half-rank": diag_spec(1, 2, 0, 0),
+    "perturb-identity": JordanSpec(((1 + 0j, 1),) * 4 + ((-1.5 + 0.9j, 1),)),
+    "repeated-eigenvalue": JordanSpec(((2 + 0j, 2),)),
+    "two-by-two": diag_spec(1, -1),
+    "3x3-template-j2-plus-zero": JordanSpec(((2 + 0j, 2), (0j, 1))),
+    "3x3-template-plus-nilpotent": JordanSpec(((2 + 0j, 1), (0j, 2))),
+    "two-by-two-pad-zero": diag_spec(1, -1, 0),
+    "two-by-two-pad-zero-inconclusive": diag_spec(1, 1.1, 0),
+    "open-3x3": diag_spec(1, 2, 3),
+    "order-not-covered": diag_spec(1, 2, 3, 4),
+}
+
+#: Q diag(1, -1) Q^-1 for the integer unimodular Q = [[2, 1], [1, 1]], exact in floats
+CONJUGATED_2X2 = np.array([[3.0, -4.0], [2.0, -3.0]])
+
+
+class TestClassifyBuildsNothing:
+    def test_no_rule_certifies_while_classifying(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify built a certificate")
+
+        monkeypatch.setattr(classifier, "_certified", refuse)
+        assert set(SPEC_PER_RULE) == {rule.tag for rule in classifier.RULES}
+        for tag, spec in SPEC_PER_RULE.items():
+            rep = classify(spec)
+            assert rep.theorem_tag == tag and rep.certificate is None
+        rep = classify(CONJUGATED_2X2)
+        assert rep.theorem_tag == "two-by-two" and rep.verdict is Verdict.APPORTIONABLE
+        assert rep.certificate is None
+        # its entries are not in Jordan-block arrangement, so no certificate fits them
+        with pytest.raises(InvalidInputError, match="Jordan-block arrangement"):
+            request_certificate(CONJUGATED_2X2)
+
+    def test_sigma_estimate_certifies_once(self, monkeypatch):
+        calls = []
+        certified = classifier._certified
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return certified(*args, **kwargs)
+
+        monkeypatch.setattr(classifier, "_certified", counted)
+        report = sigma_estimate(diag_spec(1, -1), 0)
+        assert report.outcomes[0].found and len(calls) == 1
+
+
+@pytest.mark.parametrize("call", [
+    request_certificate,
+    lambda A: apportion_nilpotent(A, 1.0),
+    lambda A: apportion_half_rank(A, 1.0),
+    lambda A: apportion_A_oplus_zeros(A, 1.0),
+], ids=["request_certificate", "apportion_nilpotent", "apportion_half_rank",
+        "apportion_A_oplus_zeros"])
+def test_raw_order_four_unsupported(call):
+    with pytest.raises(UnsupportedOrderError, match="limited to order 3"):
+        call(np.zeros((4, 4)))
 
 
 class TestExtremeInputs:
