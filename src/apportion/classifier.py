@@ -2,9 +2,11 @@
 
 ``classify`` runs a JordanSpec (any order) or raw entries (order <= 3)
 through one ordered table of rules, one per covered matrix class, and returns
-the first rule's verdict, constant-set description and tag; it builds no
-certificate.  The same rule builds one on request, in ``request_certificate``,
-checked against the matrix the caller asked about.  Orders 2 and 3 are
+the first matching rule's verdict, constant-set description and tag; it builds
+no certificate.  Each rule is one function: its match also returns the builder
+for the shape it found.  ``request_certificate`` matches the report's rule
+against the matrix the caller asked about, builds with that builder and
+checks the certificate against that matrix.  Orders 2 and 3 are
 resolved completely up to the families that remain open; the
 admissible-eigenvalue region for order 2 can be sampled and rendered.
 """
@@ -41,7 +43,6 @@ from .constructors import (
     _two_by_two,
     perturb_identity_constants,
     spec_bounds,
-    two_by_two_constants,
 )
 from .core import as_matrix, times_power_of_two, unit_exponent
 from .errors import InvalidInputError
@@ -72,57 +73,62 @@ def _coerce(input_matrix: MatrixLike) -> tuple[JordanSpec, bool]:
 # the rule table
 # ---------------------------------------------------------------------------
 
-Match = Optional[tuple[Verdict, ConstantSet]]
 Built = tuple[ApportionCertificate, tuple]
+Match = Optional[tuple[Verdict, ConstantSet, Optional[Callable[[float], Built]]]]
 
 
 @dataclass(frozen=True)
 class Rule:
     """One matrix class of the case analysis.
 
-    ``match`` returns (verdict, constants) when the spec belongs to the class,
-    else None.  ``build`` returns a certificate at a member kappa of the
-    constants together with the blocks, in order, it was built for, unchecked
-    (``request_certificate`` checks it once); refuting and open classes have
-    no builder.  Classification only matches: no rule builds while classifying.
+    ``match`` returns None when the spec is outside the class, else (verdict,
+    constants, build).  ``build`` is None for refuting and open classes;
+    otherwise it maps a member kappa of the constants to a certificate and the
+    blocks, in order, it was built for, unchecked (``request_certificate``
+    checks it once), bound to the shape the match found.  Classification only
+    matches: no rule builds while classifying.
     """
 
     tag: str
     match: Callable[[JordanSpec], Match]
-    build: Optional[Callable[[JordanSpec, float], Built]] = None
 
 
-_REFUTED = (Verdict.NOT_APPORTIONABLE, ConstantSet.empty())
+_REFUTED = (Verdict.NOT_APPORTIONABLE, ConstantSet.empty(), None)
 
 
 def _unknown(spec: JordanSpec) -> Match:
-    return Verdict.UNKNOWN, ConstantSet.unknown(max(spec_bounds(spec.blocks)))
+    return Verdict.UNKNOWN, ConstantSet.unknown(max(spec_bounds(spec.blocks))), None
+
+
+def _match_zero(spec: JordanSpec) -> Match:
+    if not spec.is_zero_matrix():
+        return None
+    n = spec.order
+    return Verdict.APPORTIONABLE, _nilpotent_constants(spec), lambda k: (
+        _certificate(np.eye(n), np.eye(n), build_jordan(spec), 0.0, CertTag.NILPOTENT),
+        spec.blocks)
 
 
 def _match_rank_one(spec: JordanSpec) -> Match:
-    if spec.rank != 1:
+    """diag(lam, 0, ..., 0) with lam != 0, in any block order."""
+    if spec.rank != 1 or spec.is_nilpotent():
         return None
-    return Verdict.APPORTIONABLE, _rank_one_constants(spec.spectral_radius, spec.order)
-
-
-def _build_rank_one(spec: JordanSpec, kappa: float) -> Built:
-    lam = next(lam for lam, _ in spec.blocks if lam != 0)
-    return _rank_one(lam, spec.order, kappa), ((lam, 1),) + ((0j, 1),) * (spec.order - 1)
+    n, lam = spec.order, next(lam for lam, _ in spec.blocks if lam != 0)
+    return Verdict.APPORTIONABLE, _rank_one_constants(abs(lam), n), lambda k: (
+        _rank_one(lam, n, k), ((lam, 1),) + ((0j, 1),) * (n - 1))
 
 
 def _match_half_rank(spec: JordanSpec) -> Match:
-    if 2 * spec.rank > spec.order:
+    if 2 * spec.rank > spec.order or spec.is_nilpotent():
         return None
-    return Verdict.APPORTIONABLE, _half_rank_constants(spec)
+    return (Verdict.APPORTIONABLE, _half_rank_constants(spec),
+            lambda k: (_half_rank(spec, k), spec.blocks))
 
 
-def _perturb_shape(spec: JordanSpec) -> Optional[tuple[complex, complex, bool]]:
-    """Detect mu * (rank-one perturbation of I): n-1 blocks share an eigenvalue.
-
-    Returns (mu, other eigenvalue, has_size2_block) or None.  ``other`` is the
-    odd eigenvalue out for the diagonalizable shape; for the one-size-2-block
-    shape it equals mu.
-    """
+def _match_perturb(spec: JordanSpec) -> Match:
+    """mu * (rank-one perturbation of I), n >= 3: n-1 blocks share an eigenvalue
+    mu != 0.  Refuted when they are sizes 1, ..., 1, 2; else apportionable
+    exactly when I_(n-1) + [other/mu] is, for the odd eigenvalue out."""
     n = spec.order
     if n < 3:
         return None
@@ -132,66 +138,43 @@ def _perturb_shape(spec: JordanSpec) -> Optional[tuple[complex, complex, bool]]:
             continue
         sizes = sorted(size for lam, size in spec.blocks if lam == mu)
         if len(eigenvalues) == n - 1 and sizes == [1] * (n - 2) + [2]:
-            return mu, mu, True      # all blocks share mu: sizes 1, ..., 1, 2
+            return _REFUTED
         if len(eigenvalues) == n and sizes == [1] * (n - 1):
-            return mu, next(lam for lam in eigenvalues if lam != mu), False
+            other = next(lam for lam in eigenvalues if lam != mu)
+            constants = perturb_identity_constants(n, other / mu)
+            if constants is None:
+                return _REFUTED
+            return Verdict.APPORTIONABLE, constants.scaled(abs(mu)), lambda k: (
+                _scaled(_perturb_identity(n, other / mu, k / abs(mu)), mu),
+                ((mu, 1),) * (n - 1) + ((other, 1),))
     return None
-
-
-def _match_perturb(spec: JordanSpec) -> Match:
-    shape = _perturb_shape(spec)
-    if shape is None:
-        return None
-    mu, other, has_j2 = shape
-    constants = None if has_j2 else perturb_identity_constants(spec.order, other / mu)
-    if constants is None:
-        return _REFUTED
-    return Verdict.APPORTIONABLE, constants.scaled(abs(mu))
-
-
-def _build_perturb(spec: JordanSpec, kappa: float) -> Built:
-    n = spec.order
-    mu, other, _ = _perturb_shape(spec)
-    return (_scaled(_perturb_identity(n, other / mu, kappa / abs(mu)), mu),
-            ((mu, 1),) * (n - 1) + ((other, 1),))
 
 
 def _match_two_by_two(spec: JordanSpec) -> Match:
     """Order 2 with distinct nonzero eigenvalues (every other order-2 spec
     is caught by an earlier rule)."""
-    if spec.order != 2:
+    if spec.order != 2 or len(spec.blocks) != 2:
         return None
-    constants = two_by_two_constants(spec.blocks[0][0], spec.blocks[1][0])
-    return _REFUTED if constants is None else (Verdict.APPORTIONABLE, constants)
+    (l1, _), (l2, _) = spec.blocks
+    found = _order_two(l1, l2)
+    if found is None:
+        return _REFUTED
+    return Verdict.APPORTIONABLE, found[2], lambda k: (
+        _two_by_two(l1, l2, found, k), spec.blocks)
 
 
-def _build_two_by_two(spec: JordanSpec, kappa: float) -> Built:
-    l1, l2 = spec.blocks[0][0], spec.blocks[1][0]
-    return _two_by_two(l1, l2, _order_two(l1, l2), kappa), spec.blocks
-
-
-def _template_eigenvalue(spec: JordanSpec, sizes: tuple[int, int]) -> Optional[complex]:
-    """lam when the blocks are (lam, sizes[0]) and (0, sizes[1]) in either
-    order with lam != 0, else None."""
+def _match_template(spec: JordanSpec, kind: TemplateKind, sizes: tuple[int, int],
+                    divisor: float) -> Match:
+    """Blocks (lam, sizes[0]) and (0, sizes[1]) in either order, lam != 0."""
     if len(spec.blocks) != 2:
         return None
     for (lam, s), (mu, t) in (spec.blocks, spec.blocks[::-1]):
         if lam != 0 and mu == 0 and (s, t) == sizes:
-            return lam
+            constants = ConstantSet.finite([abs(lam) / divisor], exact=False,
+                                           lower_bound=max(spec_bounds(spec.blocks)))
+            return Verdict.APPORTIONABLE, constants, lambda k: (
+                _template(kind, lam), ((lam, sizes[0]), (0j, sizes[1])))
     return None
-
-
-def _match_template(spec: JordanSpec, sizes: tuple[int, int], divisor: float) -> Match:
-    lam = _template_eigenvalue(spec, sizes)
-    if lam is None:
-        return None
-    return Verdict.APPORTIONABLE, ConstantSet.finite(
-        [abs(lam) / divisor], exact=False, lower_bound=max(spec_bounds(spec.blocks)))
-
-
-def _build_template(spec: JordanSpec, kind: TemplateKind, sizes: tuple[int, int]) -> Built:
-    lam = _template_eigenvalue(spec, sizes)
-    return _template(kind, lam), ((lam, sizes[0]), (0j, sizes[1]))
 
 
 def _pair_plus_zero(spec: JordanSpec) -> Optional[tuple[complex, complex]]:
@@ -206,52 +189,43 @@ def _match_pad_zero(spec: JordanSpec) -> Match:
     """diag(l1, l2, 0) whose pair is apportionable at order 2: padding keeps
     its constants, but only one way, so the set is a subset claim."""
     pair = _pair_plus_zero(spec)
-    base = None if pair is None else two_by_two_constants(*pair)
-    if base is None:
+    found = None if pair is None else _order_two(*pair)
+    if found is None:
         return None
-    return Verdict.APPORTIONABLE, replace(
-        base, exact=False, lower_bound=min(base.lower_bound, max(spec_bounds(spec.blocks))))
-
-
-def _build_pad_zero(spec: JordanSpec, kappa: float) -> Built:
-    l1, l2 = _pair_plus_zero(spec)
-    cert = _two_by_two(l1, l2, _order_two(l1, l2), kappa)
-    return _padded(cert), ((l1, 1), (l2, 1), (0j, 1))
+    (l1, l2), base = pair, found[2]
+    constants = replace(base, exact=False,
+                        lower_bound=min(base.lower_bound, max(spec_bounds(spec.blocks))))
+    return Verdict.APPORTIONABLE, constants, lambda k: (
+        _padded(_two_by_two(l1, l2, found, k)), ((l1, 1), (l2, 1), (0j, 1)))
 
 
 #: The case analysis, in order: the first rule that matches decides.
 RULES: tuple[Rule, ...] = (
-    Rule("zero-matrix",
-         lambda s: ((Verdict.APPORTIONABLE, _nilpotent_constants(s))
-                    if s.is_zero_matrix() else None),
-         lambda s, k: (_certificate(np.eye(s.order), np.eye(s.order), build_jordan(s), 0.0,
-                                    CertTag.NILPOTENT), s.blocks)),
+    Rule("zero-matrix", _match_zero),
     Rule("order-one",
-         lambda s: ((Verdict.APPORTIONABLE, _rank_one_constants(abs(s.blocks[0][0]), 1))
-                    if s.order == 1 else None),
-         lambda s, k: (_rank_one(s.blocks[0][0], 1, k), s.blocks)),
+         lambda s: ((Verdict.APPORTIONABLE, _rank_one_constants(abs(s.blocks[0][0]), 1),
+                     lambda k: (_rank_one(s.blocks[0][0], 1, k), s.blocks))
+                    if s.order == 1 else None)),
     # lam * I, lam != 0
     Rule("scalar-matrix",
          lambda s: (_REFUTED if len(set(s.blocks)) == 1 and s.blocks[0][1] == 1
                     and s.blocks[0][0] != 0 else None)),
     Rule("nilpotent",
-         lambda s: ((Verdict.APPORTIONABLE, _nilpotent_constants(s))
-                    if s.is_nilpotent() else None),
-         lambda s, k: (_nilpotent(s, k), s.blocks)),
-    Rule("rank-one", _match_rank_one, _build_rank_one),
-    Rule("half-rank", _match_half_rank, lambda s, k: (_half_rank(s, k), s.blocks)),
-    Rule("perturb-identity", _match_perturb, _build_perturb),
+         lambda s: ((Verdict.APPORTIONABLE, _nilpotent_constants(s),
+                     lambda k: (_nilpotent(s, k), s.blocks))
+                    if s.is_nilpotent() else None)),
+    Rule("rank-one", _match_rank_one),
+    Rule("half-rank", _match_half_rank),
+    Rule("perturb-identity", _match_perturb),
     # a single 2x2 block with nonzero eigenvalue
     Rule("repeated-eigenvalue",
          lambda s: _REFUTED if s.order == 2 and len(s.blocks) == 1 else None),
-    Rule("two-by-two", _match_two_by_two, _build_two_by_two),
+    Rule("two-by-two", _match_two_by_two),
     Rule("3x3-template-j2-plus-zero",
-         lambda s: _match_template(s, (2, 1), 1.0),
-         lambda s, k: _build_template(s, TemplateKind.LAMBDA_J2_PLUS_ZERO, (2, 1))),
+         lambda s: _match_template(s, TemplateKind.LAMBDA_J2_PLUS_ZERO, (2, 1), 1.0)),
     Rule("3x3-template-plus-nilpotent",
-         lambda s: _match_template(s, (1, 2), math.sqrt(3.0)),
-         lambda s, k: _build_template(s, TemplateKind.LAMBDA_PLUS_N2, (1, 2))),
-    Rule("two-by-two-pad-zero", _match_pad_zero, _build_pad_zero),
+         lambda s: _match_template(s, TemplateKind.LAMBDA_PLUS_N2, (1, 2), math.sqrt(3.0))),
+    Rule("two-by-two-pad-zero", _match_pad_zero),
     # the pair fails at order 2, but padding could still help
     Rule("two-by-two-pad-zero-inconclusive",
          lambda s: None if _pair_plus_zero(s) is None else _unknown(s)),
@@ -293,7 +267,7 @@ def _classify_spec(spec: JordanSpec, approximate: bool = False) -> Classificatio
     for rule in RULES:  # the last rule matches every spec
         found = rule.match(spec)
         if found is not None:
-            return ClassificationReport(*found, rule.tag, approximate_eigen=approximate)
+            return ClassificationReport(*found[:2], rule.tag, approximate_eigen=approximate)
 
 
 def constant_set(input_matrix: MatrixLike,
@@ -309,8 +283,10 @@ def request_certificate(input_matrix: MatrixLike, kappa: Optional[float] = None,
 
     ``kappa`` defaults to a deterministic member of the constant set.  Raises
     ConstantNotAchievableError when kappa is outside the (known part of the)
-    set, InvalidInputError when the verdict is not Apportionable, and
-    ConstructionError when the construction leaves the float range.  Raw
+    set, InvalidInputError when the verdict is not Apportionable or the
+    report's rule does not match the input (the certificate is built by that
+    rule, for the shape it matches), and ConstructionError when the
+    construction leaves the float range.  Raw
     entries must already sit in Jordan-block arrangement (certificates are
     built for the input matrix, in its own block order); conjugated raw input
     is refused since recovering a transforming basis for it is out of scope.
@@ -330,10 +306,13 @@ def request_certificate(input_matrix: MatrixLike, kappa: Optional[float] = None,
             raise InvalidInputError("no default constant available for this class")
     kappa = float(kappa)
     rule = _RULES_BY_TAG.get(report.theorem_tag)
-    if rule is None or rule.build is None:
-        raise InvalidInputError(f"no constructive path for tag {report.theorem_tag!r}")
+    found = None if rule is None else rule.match(spec)
+    if found is None or found[2] is None:
+        raise InvalidInputError(
+            f"no constructive path for tag {report.theorem_tag!r} on this matrix")
+    build = found[2]
     A = build_jordan(spec) if isinstance(input_matrix, JordanSpec) else as_matrix(input_matrix)
-    return _certified(lambda: _permute_to(*rule.build(spec, kappa), spec), A, kappa, constants)
+    return _certified(lambda: _permute_to(*build(kappa), spec), A, kappa, constants)
 
 
 # ---------------------------------------------------------------------------

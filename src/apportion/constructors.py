@@ -17,6 +17,7 @@ import cmath
 import contextlib
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -362,7 +363,7 @@ def apportion_nilpotent(spec: JordanSpec, kappa: float) -> ApportionCertificate:
     spec = _coerce_spec(spec)
     if not spec.is_nilpotent():
         raise InvalidInputError("spectrum must be exactly zero")
-    if not (isinstance(kappa, (int, float)) and kappa > 0):
+    if not (isinstance(kappa, numbers.Real) and kappa > 0):
         raise InvalidInputError("kappa must be a positive real")
     kappa = float(kappa)
     return _certified(lambda: _nilpotent(spec, kappa), build_jordan(spec), kappa,

@@ -31,9 +31,9 @@ __all__ = [
 #: relative gap below which two computed eigenvalues are grouped together
 GROUPING_RTOL = 1e-9
 #: largest order whose dense matrix ``build_jordan`` assembles, as the search caps its
-#: order at MAX_SEARCH_ORDER: a nilpotent certificate's adjugate series is n - 1 dense
-#: products, and ``apportion`` on one block of this order takes about 2.3 s on a 2-CPU
-#: Xeon virtual machine (0.7 s to build the certificate, the rest to print it)
+#: order at MAX_SEARCH_ORDER: ``apportion`` on one block of this order takes about 0.65 s
+#: on a 2-CPU Xeon virtual machine, 0.03 s of it to build the certificate (the inverse is
+#: placed by index) and the rest to start, check and print
 MAX_DENSE_ORDER = 256
 
 

@@ -343,9 +343,10 @@ def _require_search_order(n: int) -> None:
 def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """Seek M making M A M^-1 uniform, up to the configured modulus spread.
 
-    Runs the configured restarts in lockstep until one is found, all stall
-    or converge, or the iteration budget ends: at order 2 by
-    Levenberg-Marquardt (``_lm_search``), above it by BFGS.  A BFGS iteration
+    Runs the configured restarts as one batch until one is found, all stall
+    or converge, or the iteration budget ends: at order 2 by Levenberg-Marquardt
+    (``_lm_search``; each restart runs its own damping ladder, so their step
+    counts drift apart), above it by BFGS in lockstep.  A BFGS iteration
     costs one batched objective call for the full steps, plus, when some
     restart must backtrack, about one more for a ladder of its shorter steps
     (see the module docstring); once a restart reaches the target spread, the

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from apportion import (
+    ApportionError,
     ConstantNotAchievableError,
     ConstantSet,
     ConstructionError,
@@ -480,6 +481,27 @@ class TestClassifyBuildsNothing:
         monkeypatch.setattr(classifier, "_certified", counted)
         report = sigma_estimate(diag_spec(1, -1), 0)
         assert report.outcomes[0].found and len(calls) == 1
+
+
+class TestForeignReports:
+    """``request_certificate`` builds with the report's rule, matched against the input."""
+
+    @pytest.mark.parametrize("spec, other", [
+        (JordanSpec(((0j, 2),)), diag_spec(1, -1)),
+        (diag_spec(1, -1), JordanSpec(((0j, 2),))),
+    ], ids=["j2-with-pair-report", "pair-with-j2-report"])
+    def test_report_of_another_class_refused(self, spec, other):
+        with pytest.raises(InvalidInputError, match="no constructive path"):
+            request_certificate(spec, report=classify(other))
+
+    def test_any_report_gives_a_valid_certificate_or_a_refusal(self):
+        for spec in SPEC_PER_RULE.values():
+            for other in SPEC_PER_RULE.values():
+                try:
+                    cert = request_certificate(spec, report=classify(other))
+                except ApportionError:
+                    continue
+                verify_certificate(cert, build_jordan(spec))
 
 
 @pytest.mark.parametrize("call", [

@@ -153,6 +153,19 @@ class TestNilpotent:
         with pytest.raises(InvalidInputError):
             apportion_nilpotent(JordanSpec(((0j, 2),)), 0.0)
 
+    @pytest.mark.parametrize("kappa", [np.int64(1), np.float32(0.5), np.int32(3)])
+    def test_numpy_real_kappa_accepted(self, kappa):
+        # as apportion_rank_one, apportion_half_rank and request_certificate accept it
+        spec = JordanSpec(((0j, 2), (0j, 1)))
+        cert = apportion_nilpotent(spec, kappa)
+        assert cert.kappa == float(kappa)
+        check_cert(cert, build_jordan(spec), float(kappa))
+
+    @pytest.mark.parametrize("kappa", [np.int64(0), np.float32(-0.5), np.float32("nan"), 1j])
+    def test_non_positive_or_non_real_kappa_rejected(self, kappa):
+        with pytest.raises(InvalidInputError):
+            apportion_nilpotent(JordanSpec(((0j, 2),)), kappa)
+
 
 class TestIOplusO:
     def test_minimum_constant_2x2(self):

@@ -653,6 +653,25 @@ class TestSearchInternals:
             tracemalloc.stop()
         assert peak < restarts * search.LM_BYTES_PER_N4 * 2**4
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_lm_memory_within_its_budget_at_higher_orders(self, n):
+        # the same charge per restart holds for the LM search above order 2,
+        # called directly since find_apportioning runs BFGS there
+        import tracemalloc
+
+        from apportion import search
+
+        restarts = 256
+        A = np.diag(np.arange(1.0, n + 1)).astype(complex)
+        search._lm_search(A, A, 1.0, SearchConfig(restarts=2, max_iters=2))  # warm imports
+        tracemalloc.start()
+        try:
+            search._lm_search(A, A, 1.0, SearchConfig(restarts=restarts, max_iters=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < restarts * search.LM_BYTES_PER_N4 * n**4
+
     def test_lm_restart_budget_refused_before_allocation(self, monkeypatch):
         from apportion import search
 
