@@ -5,9 +5,9 @@ through one ordered table of rules, one per covered matrix class, and returns
 the first matching rule's verdict, constant-set description and tag; it builds
 no certificate.  Each rule is one function: its match also returns the builder
 for the shape it found.  ``request_certificate`` matches the report's rule
-against the matrix the caller asked about, builds with that builder and
-checks the certificate against that matrix.  Orders 2 and 3 are
-resolved completely up to the families that remain open; the
+against the matrix the caller asked about, reads kappa against that match's
+constant set, builds with its builder and checks the certificate against that
+matrix.  Orders 2 and 3 are resolved completely up to the open families; the
 admissible-eigenvalue region for order 2 can be sampled and rendered.
 """
 
@@ -281,12 +281,12 @@ def request_certificate(input_matrix: MatrixLike, kappa: Optional[float] = None,
                         ) -> ApportionCertificate:
     """Build a certificate for an Apportionable input at ``kappa``.
 
-    ``kappa`` defaults to a deterministic member of the constant set.  Raises
-    ConstantNotAchievableError when kappa is outside the (known part of the)
-    set, InvalidInputError when the verdict is not Apportionable or the
-    report's rule does not match the input (the certificate is built by that
-    rule, for the shape it matches), and ConstructionError when the
-    construction leaves the float range.  Raw
+    ``kappa`` is read against the constant set of the report's rule matched on the input,
+    the matrix being built, and defaults to a deterministic member of it.  Raises
+    InvalidInputError when kappa is not real, the verdict is not Apportionable or the rule
+    does not match the input (the certificate is built by that rule, for the shape it
+    matches); ConstantNotAchievableError when kappa is outside the (known part of the)
+    set; and ConstructionError when the construction leaves the float range.  Raw
     entries must already sit in Jordan-block arrangement (certificates are
     built for the input matrix, in its own block order); conjugated raw input
     is refused since recovering a transforming basis for it is out of scope.
@@ -299,20 +299,15 @@ def request_certificate(input_matrix: MatrixLike, kappa: Optional[float] = None,
         raise InvalidInputError(
             f"no constructive certificate: verdict is {report.verdict.value}"
         )
-    constants = report.constants
-    if kappa is None:
-        kappa = constants.smallest_member()
-        if kappa is None:
-            raise InvalidInputError("no default constant available for this class")
-    kappa = float(kappa)
     rule = _RULES_BY_TAG.get(report.theorem_tag)
     found = None if rule is None else rule.match(spec)
     if found is None or found[2] is None:
         raise InvalidInputError(
             f"no constructive path for tag {report.theorem_tag!r} on this matrix")
-    build = found[2]
+    _, constants, build = found
     A = build_jordan(spec) if isinstance(input_matrix, JordanSpec) else as_matrix(input_matrix)
-    return _certified(lambda: _permute_to(*build(kappa), spec), A, kappa, constants)
+    return _certified(lambda k: _permute_to(*build(k), spec), A,
+                      constants.smallest_member() if kappa is None else kappa, constants)
 
 
 # ---------------------------------------------------------------------------

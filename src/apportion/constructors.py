@@ -5,10 +5,10 @@ form for one matrix class and returns an ApportionCertificate holding M, its
 inverse, the uniform image B = M A M^-1, and the achieved modulus.  Every
 certificate leaves the package through ``_certified``, whether it comes from a
 constructor, a padding, scaling or reordering helper, ``request_certificate`` or
-the search: a kappa outside its class's ``ConstantSet`` is refused, the build runs
-with floating-point faults raised as ConstructionError, and the finished
-certificate is checked once against the caller's matrix.  The paddings, scalings
-and block permutations inside a build are exact algebra and check nothing.
+the search: a requested kappa is read once, by ``_member``, against its class's
+``ConstantSet``, the build runs with floating-point faults raised as ConstructionError,
+and the finished certificate is checked once against the caller's matrix.  The
+paddings, scalings and block permutations inside a build are exact and check nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .jordan import (
     geometric_diagonal,
     input_ordered_spec,
 )
-from .reports import ClassificationReport, ConstantSet, Verdict
+from .reports import ClassificationReport, ConstantSet, SetShape, Verdict
 
 __all__ = [
     "CertTag",
@@ -145,14 +145,24 @@ def _certificate(M, Minv, B, kappa, tag) -> ApportionCertificate:
                                 float(kappa), tag)
 
 
-def _require_member(kappa: float, constants: ConstantSet) -> None:
-    """The one kappa rule: refuse kappa unless its class's ``constants`` (the set
-    ``classify`` reports) certainly contain it."""
+def _member(kappa, constants: ConstantSet) -> float:
+    """The one kappa reader: the member of ``constants`` a build gets for a caller's kappa.
+    A non-real kappa is InvalidInputError, a non-member ConstantNotAchievableError; a kappa
+    that membership's tolerance admits below a closed half-line is raised to ``lo``, and
+    one near a finite set's value becomes that value."""
+    if not isinstance(kappa, numbers.Real):
+        raise InvalidInputError(f"kappa must be a real number, not {kappa!r}")
+    kappa = float(kappa)
     if constants.contains(kappa) is not True:
         raise ConstantNotAchievableError(
             f"kappa = {kappa!r} is outside the certified part of {constants.describe()}",
             constants=constants,
         )
+    if constants.shape is SetShape.CLOSED_HALF_LINE:
+        return max(kappa, constants.lo)
+    if constants.shape is SetShape.FINITE:
+        return min(constants.values, key=lambda v: abs(v - kappa))
+    return kappa
 
 
 @contextlib.contextmanager
@@ -168,16 +178,16 @@ def _guarded(kappa: Optional[float]):
         raise ConstructionError(f"construction fails in floating point{at}: {exc}") from exc
 
 
-def _certified(build: Callable[[], ApportionCertificate], A, kappa: Optional[float] = None,
+def _certified(build: Callable[[Optional[float]], ApportionCertificate], A, kappa=None,
                constants: Optional[ConstantSet] = None,
                tol: Tolerance = DEFAULT_TOL) -> ApportionCertificate:
-    """The one way a certificate leaves the package: a given ``kappa`` is refused unless
-    ``constants`` contain it, ``build`` runs ``_guarded``, and its certificate is checked
-    once against A (without the residual when A is None)."""
+    """The one way a certificate leaves the package: a given ``kappa`` is read by ``_member``
+    against ``constants``, ``build`` runs ``_guarded`` on the member (None without a kappa),
+    and its certificate is checked once against A (without the residual when A is None)."""
     if kappa is not None:
-        _require_member(kappa, constants)
+        kappa = _member(kappa, constants)
     with _guarded(kappa):
-        cert = build()
+        cert = build(kappa)
         _check(cert, A, tol)
     return cert
 
@@ -203,8 +213,8 @@ def _reordered(cert: ApportionCertificate, rows: list[int], tag: CertTag) -> App
 def reorder_certificate(cert: ApportionCertificate, Q: np.ndarray,
                          A=None) -> ApportionCertificate:
     """Conjugate by a permutation: a certificate for Q A Q^T becomes one for A."""
-    return _certified(lambda: _certificate(cert.M @ Q, Q.T @ cert.Minv, cert.B, cert.kappa,
-                                           cert.theorem_tag), A)
+    return _certified(lambda _: _certificate(cert.M @ Q, Q.T @ cert.Minv, cert.B, cert.kappa,
+                                             cert.theorem_tag), A)
 
 
 def _scaled(cert: ApportionCertificate, mu: complex) -> ApportionCertificate:
@@ -219,7 +229,7 @@ def scale_certificate(cert: ApportionCertificate, mu: complex,
     mu = complex(mu)
     if mu == 0:
         raise InvalidInputError("scale factor must be nonzero")
-    return _certified(lambda: _scaled(cert, mu), A)
+    return _certified(lambda _: _scaled(cert, mu), A)
 
 
 def _coerce_spec(a) -> JordanSpec:
@@ -283,7 +293,7 @@ def _padded(cert: ApportionCertificate) -> ApportionCertificate:
 def pad_by_zero(cert: ApportionCertificate, A=None) -> ApportionCertificate:
     """Extend a certificate for A to one for A + [0], checked against A + [0] if A is given."""
     Ap = None if A is None else np.pad(as_matrix(A, square=True, name="A"), (0, 1))
-    return _certified(lambda: _padded(cert), Ap)
+    return _certified(lambda _: _padded(cert), Ap)
 
 
 def _peel_and_pad(spec: JordanSpec, peel: list[int], build_core, tag: CertTag
@@ -365,8 +375,7 @@ def apportion_nilpotent(spec: JordanSpec, kappa: float) -> ApportionCertificate:
         raise InvalidInputError("spectrum must be exactly zero")
     if not (isinstance(kappa, numbers.Real) and kappa > 0):
         raise InvalidInputError("kappa must be a positive real")
-    kappa = float(kappa)
-    return _certified(lambda: _nilpotent(spec, kappa), build_jordan(spec), kappa,
+    return _certified(lambda k: _nilpotent(spec, k), build_jordan(spec), kappa,
                       _nilpotent_constants(spec))
 
 
@@ -391,11 +400,9 @@ def apportion_I_oplus_O(n: int, kappa: float) -> ApportionCertificate:
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidInputError("n must be a positive integer")
-    kappa = float(kappa)
 
-    def build() -> ApportionCertificate:
-        modulus = max(kappa, 0.5)
-        zeta = 0.5 + 1j * math.sqrt(modulus * modulus - 0.25)
+    def build(kappa: float) -> ApportionCertificate:
+        zeta = 0.5 + 1j * math.sqrt(kappa * kappa - 0.25)
         N = 2 * n
         U = np.empty((N, n), dtype=complex)
         V = np.zeros((n, N), dtype=complex)
@@ -404,7 +411,7 @@ def apportion_I_oplus_O(n: int, kappa: float) -> ApportionCertificate:
             V[k - 1, 2 * k - 1] = 1.0
             V[k - 1, 2 * k - 2] = -1.0
         pair = complete_inverse_pair(U, V)
-        return _certificate(pair.M, pair.Minv, U @ V, modulus, CertTag.I_OPLUS_O)
+        return _certificate(pair.M, pair.Minv, U @ V, kappa, CertTag.I_OPLUS_O)
 
     A = build_jordan(JordanSpec(((1 + 0j, 1),) * n + ((0j, 1),) * n))
     return _certified(build, A, kappa, ConstantSet.closed_half_line(0.5))
@@ -441,9 +448,6 @@ def _half_rank_plan_sorted(spec: JordanSpec, kappa: float) -> HalfRankPlan:
         raise InvalidInputError("internal: plan needs rank exactly half the order")
     mu = spec.diagonal / kappa
     alphas = spec.alphas
-    if np.any(np.abs(mu) >= 2.0):
-        raise ConstantNotAchievableError("kappa must exceed half the spectral radius",
-                                         constants=_half_rank_constants(spec))
     us = np.empty((N, N), dtype=complex)
     vs = np.zeros((r, N), dtype=complex)
     zetas: dict[int, complex] = {}
@@ -486,8 +490,9 @@ def _half_rank_plan_sorted(spec: JordanSpec, kappa: float) -> HalfRankPlan:
 
 def half_rank_plan(spec: JordanSpec, kappa: float) -> HalfRankPlan:
     """Plan for the canonically sorted version of ``spec`` (rank = order/2)."""
+    kappa = _member(kappa, _half_rank_constants(spec))
     with _guarded(kappa):
-        return _half_rank_plan_sorted(spec.canonical(), float(kappa))
+        return _half_rank_plan_sorted(spec.canonical(), kappa)
 
 
 def _half_rank_exact(spec: JordanSpec, kappa: float) -> ApportionCertificate:
@@ -546,14 +551,13 @@ def apportion_half_rank(A_or_spec: Union[JordanSpec, np.ndarray],
     are re-attached by zero padding.
     """
     spec = _coerce_spec(A_or_spec)
-    kappa = float(kappa)
     if spec.is_nilpotent():
         return apportion_nilpotent(spec, kappa)
     n, r = spec.order, spec.rank
     if 2 * r > n:
         raise InvalidInputError(
             f"rank {r} exceeds half the order {n}; this construction does not apply")
-    return _certified(lambda: _half_rank(spec, kappa), build_jordan(spec), kappa,
+    return _certified(lambda k: _half_rank(spec, k), build_jordan(spec), kappa,
                       _half_rank_constants(spec))
 
 
@@ -571,7 +575,7 @@ def apportion_A_oplus_zeros(A_or_spec: Union[JordanSpec, np.ndarray],
         raise InvalidInputError("rank below half the order: no padding is needed")
     m = 2 * r - n
     padded = JordanSpec(spec.blocks + ((0j, 1),) * m)
-    return apportion_half_rank(padded, float(kappa)), m
+    return apportion_half_rank(padded, kappa), m
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +602,7 @@ def spiral_sum(n: int, r: float) -> SpiralSolution:
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise InvalidInputError("n must be an integer >= 2")
     r = float(r)
-    if r < 1.0 / n:
+    if not r >= 1.0 / n:   # a NaN r fails too
         raise InvalidInputError(
             f"r = {r!r} is infeasible: the sum of {n} unit phasors cannot reach 1/r"
         )
@@ -646,7 +650,6 @@ def _rank_one(lam: complex, n: int, kappa: float) -> ApportionCertificate:
     """``apportion_rank_one`` at a member kappa, unchecked."""
     if n == 1:   # a 1x1 matrix is similar only to itself
         return _certificate(np.eye(1), np.eye(1), [[lam]], abs(lam), CertTag.RANK_ONE)
-    kappa = max(kappa, abs(lam) / n)
     r = kappa / abs(lam)
     sol = spiral_sum(n, max(r, 1.0 / n))
     u = np.ones((n, 1), dtype=complex)
@@ -667,8 +670,7 @@ def apportion_rank_one(lam: complex, n: int, kappa: float) -> ApportionCertifica
         raise InvalidInputError("lam must be nonzero; zero spectrum is a nilpotent case")
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidInputError("n must be a positive integer")
-    kappa = float(kappa)
-    return _certified(lambda: _rank_one(lam, n, kappa), np.diag([lam] + [0j] * (n - 1)),
+    return _certified(lambda k: _rank_one(lam, n, k), np.diag([lam] + [0j] * (n - 1)),
                       kappa, _rank_one_constants(abs(lam), n))
 
 
@@ -686,6 +688,8 @@ def perturb_identity_constants(n: int, lam: complex) -> Optional[ConstantSet]:
     otherwise it is the finite family sqrt(Im(lam)^2/(n-2s)^2 + 1/4) over
     s = 0 .. floor((n-1)/2).
     """
+    if not (isinstance(n, (int, np.integer)) and n >= 3):
+        raise InvalidInputError("this construction needs order n >= 3")
     lam = complex(lam)
     if abs(lam.real - (1.0 - n / 2.0)) > RE_CONDITION_ATOL:
         return None
@@ -709,11 +713,11 @@ def _perturb_identity(n: int, lam: complex, target: Optional[float]) -> Apportio
         kappa = math.hypot(0.5, lam.imag / n)
         return _certificate(F, F.conj().T, B, kappa, CertTag.PERTURB_IDENTITY)
 
-    t = float(target)
     constants = perturb_identity_constants(n, lam)
-    finite = constants.shape.value == "finite"
-    # a finite set: snap to the exact member and recover its index s
-    t = min(constants.values, key=lambda v: abs(v - t)) if finite else max(t, 0.5)
+    finite = constants.shape is SetShape.FINITE
+    # a finite set: snap to the exact member and recover its index s (the perturb rule's
+    # member of the set scaled by |mu|, divided by |mu|, can miss it by an ulp)
+    t = min(constants.values, key=lambda v: abs(v - target)) if finite else target
     q = math.sqrt(max(0.0, t * t - 0.25))
     r_plus = n // 2
     if finite and q != 0.0:
@@ -746,15 +750,12 @@ def apportion_perturb_identity(
     last column holds the two conjugate diagonal values.  When Re(lam) misses
     1 - n/2 the refusal is returned as a NotApportionable report, not raised.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 3):
-        raise InvalidInputError("this construction needs order n >= 3")
     lam = complex(lam)
     constants = perturb_identity_constants(n, lam)
     if constants is None:
         return ClassificationReport(Verdict.NOT_APPORTIONABLE, ConstantSet.empty(),
                                     "perturb-identity")
-    target = None if target is None else float(target)
-    return _certified(lambda: _perturb_identity(n, lam, target),
+    return _certified(lambda t: _perturb_identity(n, lam, t),
                       np.diag([1.0] * (n - 1) + [lam]), target, constants)
 
 
@@ -798,6 +799,8 @@ def _order_two(l1: complex, l2: complex) -> Optional[tuple[complex, float, Const
     """(gamma, |gamma|^4, constant set) of diag(l1, l2), or None when it is not
     apportionable: ``_gamma_test`` on the pair at unit scale (``core.unit_exponent``),
     with the set scaled back."""
+    if not (cmath.isfinite(l1) and cmath.isfinite(l2)):
+        raise InvalidInputError("eigenvalues must be finite")
     if l1 == 0 or l2 == 0 or l1 == l2:
         raise InvalidInputError("needs distinct nonzero eigenvalues")
     e = unit_exponent((l1, l2))
@@ -833,10 +836,10 @@ def two_by_two_constants(l1: complex, l2: complex) -> Optional[ConstantSet]:
 def _plan(l1: complex, l2: complex, found: tuple, kappa: Optional[float]) -> TwoByTwoPlan:
     """The plan at a member kappa (default: the smallest); ``found`` is ``_order_two``'s."""
     gamma, g4, constants = found
-    kappa = constants.smallest_member() if kappa is None else float(kappa)
+    kappa = constants.smallest_member() if kappa is None else kappa
     if gamma == 0:
         rho = max(abs(l1), abs(l2))
-        ratio2 = (max(kappa, constants.lo) / rho) ** 2
+        ratio2 = (kappa / rho) ** 2
         omega = math.sqrt(0.5 * ratio2 + 0.25) + 1j * math.sqrt(max(0.0, 0.5 * ratio2 - 0.25))
     elif g4 == 1.0:
         omega = 0j
@@ -858,8 +861,7 @@ def two_by_two_plan(l1: complex, l2: complex,
     if found is None:
         raise InvalidInputError("diag(l1, l2) is not apportionable")
     if kappa is not None:
-        kappa = float(kappa)
-        _require_member(kappa, found[2])
+        kappa = _member(kappa, found[2])
     with _guarded(kappa):
         return _plan(l1, l2, found, kappa)
 
@@ -888,8 +890,7 @@ def apportion_2x2(l1: complex, l2: complex,
     found = _order_two(l1, l2)
     if found is None:
         return ClassificationReport(Verdict.NOT_APPORTIONABLE, ConstantSet.empty(), "two-by-two")
-    target = None if target is None else float(target)
-    cert = _certified(lambda: _two_by_two(l1, l2, found, target), np.diag([l1, l2]), target,
+    cert = _certified(lambda t: _two_by_two(l1, l2, found, t), np.diag([l1, l2]), target,
                       found[2])
     return ClassificationReport(Verdict.APPORTIONABLE, found[2], "two-by-two", cert)
 
@@ -900,6 +901,8 @@ def polar_condition_2x2(l1: complex, l2: complex) -> bool:
     -l2, or l1 is a real multiple of i*l2, or the angle theta between them lies in
     (pi/2, 3pi/2) with |r cos(theta) + 1| < |sin(theta)| for the modulus ratio r."""
     l1, l2 = complex(l1), complex(l2)
+    if not (cmath.isfinite(l1) and cmath.isfinite(l2)):
+        raise InvalidInputError("eigenvalues must be finite")
     if l1 == 0 or l2 == 0:
         raise InvalidInputError("eigenvalues must be nonzero")
     return l1 != l2 and _order_two(l1, l2) is not None
@@ -949,4 +952,4 @@ def _template(kind: TemplateKind, lam: complex) -> ApportionCertificate:
 def apportion_3x3_template(kind: TemplateKind, lam: complex) -> ApportionCertificate:
     """Fixed 3x3 transforms for the two explicitly solved singular families."""
     kind, lam = TemplateKind(kind), complex(lam)
-    return _certified(lambda: _template(kind, lam), build_jordan(_template_spec(kind, lam)))
+    return _certified(lambda _: _template(kind, lam), build_jordan(_template_spec(kind, lam)))

@@ -176,11 +176,11 @@ def _residual_within(B, M, A, tol: Tolerance, bmax: Optional[float] = None
 
 
 def similarity_image(M, A, Minv=None, tol: Tolerance = DEFAULT_TOL):
-    """Compute B = M A M^-1 by a linear solve.
+    """Compute B = M A M^-1.
 
-    The inverse is never formed unless the caller supplies ``Minv``, in which
-    case it is trusted after a product check.  Without ``Minv`` the matrix M
-    must have a reciprocal condition number above ``RCOND_THRESHOLD``.
+    A supplied ``Minv`` is trusted after a product check, and B is the product.  Else M
+    must have rcond above ``RCOND_THRESHOLD`` (computing it forms M^-1, then discards
+    it) and B comes from a linear solve, more accurate than M^-1 for an ill-conditioned M.
     """
     M = as_matrix(M, square=True, name="M")
     A = as_matrix(A, square=True, name="A")

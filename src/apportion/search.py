@@ -691,7 +691,7 @@ def _certify_search_point(x: np.ndarray, A: np.ndarray,
         return None
     tol = Tolerance(rel=cfg.defect_target, abs=floor)
 
-    def build() -> ApportionCertificate:
+    def build(_kappa: None) -> ApportionCertificate:
         B = M @ A @ Minv
         np.abs(B).sum()  # raises, refusing B, where a verifier's plain mean of |B| overflows
         return _certificate(M, Minv, B, is_uniform(B, tol).kappa, CertTag.SEARCH)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -419,6 +420,20 @@ class TestRawEntryDispatch:
         rep = classify(np.diag([1.0, -1.0, 0.0]))
         assert rep.verdict is Verdict.APPORTIONABLE
 
+    @pytest.mark.parametrize("lam", [1, 2j, 0.5, 1e3])
+    @pytest.mark.parametrize("conjugate", [False, True], ids=["jordan", "conjugated"])
+    def test_triple_eigenvalue_in_two_blocks_or_one(self, lam, conjugate):
+        # raw J2(lam) + [lam] and J3(lam), as laid out or conjugated by an integer
+        # unimodular Q: the eigenvalue's geometric multiplicity is 2 and 1
+        Q = np.array([[2, 1, 0], [1, 1, 0], [0, 1, 1]], dtype=complex)
+        Qinv = np.array([[1, -1, 0], [-1, 2, 0], [1, -2, 1]], dtype=complex)
+        for blocks, verdict, tag in (
+                (((lam, 2), (lam, 1)), Verdict.NOT_APPORTIONABLE, "perturb-identity"),
+                (((lam, 3),), Verdict.UNKNOWN, "open-3x3")):
+            A = build_jordan(JordanSpec(tuple((complex(l), s) for l, s in blocks)))
+            rep = classify(Q @ A @ Qinv if conjugate else A)
+            assert (rep.verdict, rep.theorem_tag, rep.approximate_eigen) == (verdict, tag, False)
+
     def test_conjugated_input(self):
         rng = np.random.default_rng(8)
         spec = diag_spec(2, 0)
@@ -493,6 +508,19 @@ class TestForeignReports:
     def test_report_of_another_class_refused(self, spec, other):
         with pytest.raises(InvalidInputError, match="no constructive path"):
             request_certificate(spec, report=classify(other))
+
+    @pytest.mark.parametrize("A, kappa, other, described", [
+        (np.diag([3.0, 0.0, 0.0]), 0.5, np.diag([1.0, 0.0, 0.0]), "[1, inf)"),
+        (np.diag([4.0, -4.0]), 1.0, np.diag([1.0, -1.0]), "[2.82842712475, inf)"),
+    ], ids=["rank-one", "two-by-two"])
+    def test_kappa_read_against_the_matrix_built(self, A, kappa, other, described):
+        # a report of another matrix under the same rule admits kappa, the input's set
+        # does not: the certificate is never moved to another kappa
+        report = classify(other)
+        assert report.theorem_tag == classify(A).theorem_tag
+        assert report.constants.contains(kappa) is True
+        with pytest.raises(ConstantNotAchievableError, match=re.escape(described)):
+            request_certificate(A, kappa=kappa, report=report)
 
     def test_any_report_gives_a_valid_certificate_or_a_refusal(self):
         for spec in SPEC_PER_RULE.values():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from apportion import (
+    ApportionError,
     CertTag,
     ConstantNotAchievableError,
     InvalidInputError,
@@ -27,6 +28,8 @@ from apportion import (
     perturb_identity_constants,
     polar_condition_2x2,
     reorder_certificate,
+    request_certificate,
+    scale_certificate,
     spiral_sum,
     trace_lower_bound,
     two_by_two_constants,
@@ -89,6 +92,20 @@ class TestPadByZero:
             grown[: A.shape[0], : A.shape[0]] = A
             A = grown
         check_cert(cert, A, 0.5)
+
+
+class TestScaleCertificate:
+    def test_scaled_nilpotent(self):
+        # the same M apportions mu A, at |mu| times the modulus
+        mu = 2 + 1j
+        A = build_jordan(JordanSpec(((0j, 2),)))
+        cert = scale_certificate(apportion_nilpotent(JordanSpec(((0j, 2),)), 1.0), mu, mu * A)
+        check_cert(cert, mu * A, math.sqrt(5.0))
+
+    def test_zero_factor_refused(self):
+        cert = apportion_nilpotent(JordanSpec(((0j, 2),)), 1.0)
+        with pytest.raises(InvalidInputError):
+            scale_certificate(cert, 0)
 
 
 class TestNilpotent:
@@ -313,6 +330,17 @@ class TestSpiralSum:
         with pytest.raises(InvalidInputError):
             spiral_sum(4, 0.2)
 
+    def test_nan_r_infeasible(self):
+        with pytest.raises(InvalidInputError, match="infeasible"):
+            spiral_sum(3, float("nan"))
+
+    @pytest.mark.parametrize("r", [1e300, math.inf])
+    def test_huge_r_fails_as_construction(self, r):
+        from apportion import ConstructionError
+
+        with pytest.raises(ConstructionError):
+            spiral_sum(3, r)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 16])
     def test_matches_direct_sum_bisection(self, n):
         # reference: bisection on the modulus of the summed phasors themselves
@@ -400,6 +428,11 @@ class TestPerturbIdentity:
         with pytest.raises(ConstantNotAchievableError):
             apportion_perturb_identity(3, -0.5 + 1j, target=0.7)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, True, 4.0])
+    def test_constants_need_an_integer_order_of_three(self, n):
+        with pytest.raises(InvalidInputError, match="n >= 3"):
+            perturb_identity_constants(n, 1 - n / 2)
+
 
 class TestTwoByTwo:
     def test_opposite_pair_half_line(self):
@@ -472,6 +505,18 @@ class TestTwoByTwo:
             two_by_two_plan(1e-10, 1e-10j, 3 * value)
 
 
+@pytest.mark.parametrize("call", [two_by_two_constants, polar_condition_2x2, two_by_two_plan,
+                                  apportion_2x2])
+@pytest.mark.parametrize("l1, l2", [
+    (math.nan, 1), (1, math.inf), (math.inf, math.inf), (complex(1, math.nan), -1),
+    (-math.inf, 1j),
+])
+def test_non_finite_eigenvalues_refused(call, l1, l2):
+    # as a JordanSpec refuses them: no verdict, plan or report for a non-finite pair
+    with pytest.raises(InvalidInputError, match="finite"):
+        call(l1, l2)
+
+
 class TestPolarCondition:
     def test_opposite(self):
         assert polar_condition_2x2(3.0, -3.0)
@@ -525,6 +570,55 @@ class TestTemplates:
         assert cert.theorem_tag is CertTag.NILPOTENT
         check_cert(cert, build_jordan(JordanSpec(((0j, 2), (0j, 1)))))
 
+
+
+#: order 4, rank 2: the half-rank construction applies exactly
+HALF_RANK_SPEC = JordanSpec(((1 + 0j, 2), (0j, 1), (0j, 1)))
+
+#: every public entry point that takes a caller's kappa, at an input whose set has members
+KAPPA_ENTRY_POINTS = {
+    "apportion_nilpotent": lambda k: apportion_nilpotent(JordanSpec(((0j, 2),)), k),
+    "apportion_I_oplus_O": lambda k: apportion_I_oplus_O(2, k),
+    "apportion_half_rank": lambda k: apportion_half_rank(HALF_RANK_SPEC, k),
+    "apportion_A_oplus_zeros": lambda k: apportion_A_oplus_zeros(
+        JordanSpec(((1 + 0j, 1), (2 + 0j, 1))), k),
+    "apportion_rank_one": lambda k: apportion_rank_one(1, 3, k),
+    "apportion_perturb_identity": lambda k: apportion_perturb_identity(4, -1, k),
+    "apportion_2x2": lambda k: apportion_2x2(1, -1, k),
+    "two_by_two_plan": lambda k: two_by_two_plan(1, -1, k),
+    "half_rank_plan": lambda k: half_rank_plan(HALF_RANK_SPEC, k),
+    "request_certificate": lambda k: request_certificate(JordanSpec(((1 + 0j, 1), (-1 + 0j, 1))),
+                                                         kappa=k),
+}
+
+
+class TestKappaReader:
+    """Every requested kappa is read by one rule: only a real number is taken, and only
+    a member of the set of the matrix being built."""
+
+    @pytest.mark.parametrize("name", list(KAPPA_ENTRY_POINTS))
+    @pytest.mark.parametrize("kappa", [1j, "2"], ids=["complex", "string"])
+    def test_non_real_kappa_is_invalid_input(self, name, kappa):
+        with pytest.raises(InvalidInputError, match="real"):
+            KAPPA_ENTRY_POINTS[name](kappa)
+
+    @pytest.mark.parametrize("name", list(KAPPA_ENTRY_POINTS))
+    def test_nan_kappa_is_no_member(self, name):
+        # apportion_nilpotent refuses a kappa that is not positive before reading it
+        expected = (InvalidInputError if name == "apportion_nilpotent"
+                    else ConstantNotAchievableError)
+        with pytest.raises(ApportionError) as info:
+            KAPPA_ENTRY_POINTS[name](float("nan"))
+        assert type(info.value) is expected
+
+    def test_closed_half_line_raises_kappa_to_its_end(self):
+        cert = apportion_I_oplus_O(1, 0.5 * (1 - 1e-10))
+        assert cert.kappa == 0.5
+
+    def test_finite_set_moves_kappa_to_its_value(self):
+        value = perturb_identity_constants(3, -0.5 + 1j).values[1]
+        cert = apportion_perturb_identity(3, -0.5 + 1j, target=value * (1 + 1e-10))
+        assert cert.kappa == value
 
 
 @pytest.mark.parametrize("call", [
