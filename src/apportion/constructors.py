@@ -30,14 +30,7 @@ from .errors import (
     ConstructionError,
     InvalidInputError,
 )
-from .jordan import (
-    JordanSpec,
-    _block_rows,
-    build_jordan,
-    complete_inverse_pair,
-    geometric_diagonal,
-    input_ordered_spec,
-)
+from .jordan import JordanSpec, _arranged_spec, _block_rows, build_jordan, geometric_diagonal
 from .reports import ClassificationReport, ConstantSet, SetShape, Verdict
 
 __all__ = [
@@ -152,7 +145,10 @@ def _member(kappa, constants: ConstantSet) -> float:
     one near a finite set's value becomes that value."""
     if not isinstance(kappa, numbers.Real):
         raise InvalidInputError(f"kappa must be a real number, not {kappa!r}")
-    kappa = float(kappa)
+    try:
+        kappa = float(kappa)
+    except OverflowError:   # an int beyond the float range, which no set holds
+        kappa = math.inf if kappa > 0 else -math.inf
     if constants.contains(kappa) is not True:
         raise ConstantNotAchievableError(
             f"kappa = {kappa!r} is outside the certified part of {constants.describe()}",
@@ -233,10 +229,9 @@ def scale_certificate(cert: ApportionCertificate, mu: complex,
 
 
 def _coerce_spec(a) -> JordanSpec:
-    """Raw entries must already be a Jordan arrangement (order preserved)."""
-    if isinstance(a, JordanSpec):
-        return a
-    return input_ordered_spec(a)
+    """Raw entries must already be a Jordan arrangement: its blocks, as the entries hold
+    them, in their order."""
+    return a if isinstance(a, JordanSpec) else _arranged_spec(a)
 
 
 def spec_bounds(blocks) -> tuple[float, float]:
@@ -391,12 +386,21 @@ def _split_vector(n2: int, cut: int, hi: complex, lo: complex) -> np.ndarray:
     return v
 
 
+def _inverse_below(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """M^-1 when its first rows V are known (V M = [I | O]): the remaining rows by one
+    solve."""
+    n = M.shape[0]
+    return np.vstack([V, np.linalg.solve(M.T, np.eye(n, dtype=complex)[:, len(V):]).T])
+
+
 def apportion_I_oplus_O(n: int, kappa: float) -> ApportionCertificate:
     """Certificate for I_n + O_n (order 2n) at any kappa >= 1/2.
 
     Columns u_k split at position 2k between -conj(zeta) and zeta with
     Re(zeta) = 1/2, |zeta| = kappa; rows v_k are the adjacent differences
-    e_{2k} - e_{2k-1}.  Their outer-product sum is the uniform image.
+    e_{2k} - e_{2k-1}.  Their outer-product sum is the uniform image.  M is
+    completed by the columns that jump from -1 to 1 at an even position, which
+    every v_k annihilates.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidInputError("n must be a positive integer")
@@ -404,14 +408,14 @@ def apportion_I_oplus_O(n: int, kappa: float) -> ApportionCertificate:
     def build(kappa: float) -> ApportionCertificate:
         zeta = 0.5 + 1j * math.sqrt(kappa * kappa - 0.25)
         N = 2 * n
-        U = np.empty((N, n), dtype=complex)
+        M = np.empty((N, N), dtype=complex)
         V = np.zeros((n, N), dtype=complex)
         for k in range(1, n + 1):
-            U[:, k - 1] = _split_vector(N, 2 * k - 1, zeta, -zeta.conjugate())
+            M[:, k - 1] = _split_vector(N, 2 * k - 1, zeta, -zeta.conjugate())
+            M[:, n + k - 1] = _split_vector(N, 2 * k, 1.0, -1.0)
             V[k - 1, 2 * k - 1] = 1.0
             V[k - 1, 2 * k - 2] = -1.0
-        pair = complete_inverse_pair(U, V)
-        return _certificate(pair.M, pair.Minv, U @ V, kappa, CertTag.I_OPLUS_O)
+        return _certificate(M, _inverse_below(M, V), M[:, :n] @ V, kappa, CertTag.I_OPLUS_O)
 
     A = build_jordan(JordanSpec(((1 + 0j, 1),) * n + ((0j, 1),) * n))
     return _certified(build, A, kappa, ConstantSet.closed_half_line(0.5))
@@ -453,6 +457,7 @@ def _half_rank_plan_sorted(spec: JordanSpec, kappa: float) -> HalfRankPlan:
     zetas: dict[int, complex] = {}
     gammas: dict[int, complex] = {}
     for k in range(1, r + 1):
+        us[:, r + k - 1] = _split_vector(N, 2 * k, 1.0, -1.0)
         m = mu[k - 1]
         if m != 0:
             am = abs(m)
@@ -468,22 +473,16 @@ def _half_rank_plan_sorted(spec: JordanSpec, kappa: float) -> HalfRankPlan:
                                          -cmath.exp(5j * math.pi / 3))
             vs[k - 1, 2 * k - 1] = 1.0
             vs[k - 1, 2 * k - 2] = -1.0
-    for k in range(1, r + 1):
-        us[:, r + k - 1] = _split_vector(N, 2 * k, 1.0, -1.0)
     omega = [1] + [
         ell for ell in range(2, N + 1)
         if mu[ell - 1] != 0 or (ell >= 2 and alphas[ell - 2] == 1)
     ]
     if len(omega) != r:
         raise InvalidInputError("internal: nonzero-column count differs from rank")
+    # omega onto 1..r in order, then the other columns onto r+1..N in order
     phi = [0] * N
-    for j, k in enumerate(omega, start=1):
+    for j, k in enumerate(omega + [k for k in range(1, N + 1) if k not in omega], start=1):
         phi[k - 1] = j
-    nxt = r + 1
-    for k in range(1, N + 1):
-        if phi[k - 1] == 0:
-            phi[k - 1] = nxt
-            nxt += 1
     return HalfRankPlan(zetas=zetas, gammas=gammas, us=us, vs=vs,
                         omega_set=tuple(omega), phi=tuple(phi))
 
@@ -499,28 +498,18 @@ def _half_rank_exact(spec: JordanSpec, kappa: float) -> ApportionCertificate:
     """Construction at rank exactly half the order (any block order)."""
     order = spec.canonical_order()
     sorted_spec = JordanSpec(tuple(spec.blocks[i] for i in order))
-    N = sorted_spec.order
-    r = sorted_spec.rank
     plan = _half_rank_plan_sorted(sorted_spec, kappa)
-    mu = sorted_spec.diagonal / kappa
-    alphas = sorted_spec.alphas
-    phi = plan.phi
-    C = np.zeros((N, N), dtype=complex)
-    for k in plan.omega_set:
-        if mu[k - 1] != 0:
-            C += mu[k - 1] * np.outer(plan.us[:, phi[k - 1] - 1], plan.vs[phi[k - 1] - 1])
-    for k in range(2, N + 1):
-        if alphas[k - 2] == 1:
-            C += np.outer(plan.us[:, phi[k - 2] - 1], plan.vs[phi[k - 1] - 1])
-    B = kappa * C
-    M0 = plan.us
-    bottom = np.linalg.solve(M0.T, np.eye(N, dtype=complex)[:, r:]).T
-    M0inv = np.vstack([plan.vs, bottom])
+    # column j of the Jordan matrix is carried by column phi(j) of us
+    cols = [p - 1 for p in plan.phi]
+    P, Q = plan.us[:, cols], _inverse_below(plan.us, plan.vs)[cols]
+    # T: the sorted Jordan matrix with diagonal mu = lambda / kappa; its columns outside
+    # omega_set vanish, so only the known rows vs of Q enter B
+    T = build_jordan(sorted_spec)
+    np.fill_diagonal(T, sorted_spec.diagonal / kappa)
+    B = kappa * ((P @ T) @ Q)
     svec = geometric_diagonal(sorted_spec, 1.0 / kappa)
-    # column j of the Jordan matrix is carried by column phi(j) of M0
-    cols = [p - 1 for p in phi]
-    sorted_cert = ApportionCertificate(M0[:, cols] * svec[None, :],
-                                       M0inv[cols] / svec[:, None], B, kappa, CertTag.HALF_RANK)
+    sorted_cert = ApportionCertificate(P * svec[None, :], Q / svec[:, None], B, kappa,
+                                       CertTag.HALF_RANK)
     return _reordered(sorted_cert, _block_rows(spec, order), CertTag.HALF_RANK)
 
 
@@ -652,11 +641,16 @@ def _rank_one(lam: complex, n: int, kappa: float) -> ApportionCertificate:
         return _certificate(np.eye(1), np.eye(1), [[lam]], abs(lam), CertTag.RANK_ONE)
     r = kappa / abs(lam)
     sol = spiral_sum(n, max(r, 1.0 / n))
-    u = np.ones((n, 1), dtype=complex)
     vraw = r * np.exp(1j * np.array(sol.thetas))
-    v = (vraw / vraw.sum()).reshape(1, n)       # exact v^T u = 1
-    pair = complete_inverse_pair(u, v)
-    return _certificate(pair.M, pair.Minv, lam * (u @ v), kappa, CertTag.RANK_ONE)
+    v = vraw / vraw.sum()       # v^T 1 = 1
+    # M = [1 | e_j - (v_j/v_0) e_0] has the closed-form inverse I - 1 v^T with row 0 set
+    # to v^T
+    M = np.eye(n, dtype=complex)
+    M[:, 0] = 1.0
+    M[0, 1:] = -v[1:] / v[0]
+    Minv = np.eye(n, dtype=complex) - v
+    Minv[0] = v
+    return _certificate(M, Minv, lam * np.tile(v, (n, 1)), kappa, CertTag.RANK_ONE)
 
 
 def apportion_rank_one(lam: complex, n: int, kappa: float) -> ApportionCertificate:

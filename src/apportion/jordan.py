@@ -321,22 +321,26 @@ def _raw_matrix(A) -> np.ndarray:
     return A
 
 
-def input_ordered_spec(A) -> JordanSpec:
-    """Block list of a Jordan-arranged matrix, in input order, with eigenvalues
-    snapped onto the multiplicity-cluster representatives.
-
-    Raises when the matrix is not numerically in Jordan-block arrangement:
-    recovering a transforming basis for conjugated raw input is out of scope,
-    so no certificate can be expressed for it directly.  Eigenvalues snap at the
-    grouping tolerance of ``eigenstructure_small``, relative to 2^e below unit scale.
-    """
-    A = _raw_matrix(A)
-    parsed = parse_jordan_arrangement(A)
+def _arranged_spec(A) -> JordanSpec:
+    """``parse_jordan_arrangement`` of raw entries, refused when they are not numerically
+    in Jordan-block arrangement: recovering a transforming basis for conjugated raw input
+    is out of scope, so no certificate can be expressed for it directly."""
+    parsed = parse_jordan_arrangement(_raw_matrix(A))
     if parsed is None:
         raise InvalidInputError(
             "raw entries are not in Jordan-block arrangement; supply a Jordan "
             "block list to get a certificate for this matrix"
         )
+    return parsed
+
+
+def input_ordered_spec(A) -> JordanSpec:
+    """Block list of a Jordan-arranged matrix (``_arranged_spec``), in input order, with
+    eigenvalues snapped onto the multiplicity-cluster representatives of
+    ``eigenstructure_small``, at its grouping tolerance relative to 2^e below unit scale.
+    """
+    A = _raw_matrix(A)
+    parsed = _arranged_spec(A)
     reps = {lam for lam, _ in eigenstructure_small(A).spec.blocks}
     unit = 2.0 ** min(unit_exponent(A), 0)
     snapped = []

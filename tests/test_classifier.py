@@ -6,6 +6,7 @@ import pytest
 
 from apportion import (
     ApportionError,
+    CertTag,
     ConstantNotAchievableError,
     ConstantSet,
     ConstructionError,
@@ -530,6 +531,41 @@ class TestForeignReports:
                 except ApportionError:
                     continue
                 verify_certificate(cert, build_jordan(spec))
+
+
+@pytest.mark.parametrize("tag", [tag for tag, spec in SPEC_PER_RULE.items()
+                                 if classify(spec).verdict is Verdict.APPORTIONABLE])
+@pytest.mark.parametrize("kappa", [1e6, 1e300])
+def test_request_at_large_kappa_certifies_or_fails_as_construction(tag, kappa):
+    # never SingularMatrixError: a kappa outside the set is refused, and a member the
+    # floats cannot carry fails the certificate's one check
+    spec = SPEC_PER_RULE[tag]
+    member = classify(spec).constants.contains(kappa)
+    try:
+        verify_certificate(request_certificate(spec, kappa=kappa), build_jordan(spec))
+    except ApportionError as exc:
+        assert type(exc) is (ConstructionError if member else ConstantNotAchievableError), exc
+
+
+class TestRawEntriesReadOnce:
+    """A raw-entry certificate is built for the blocks the entries hold, as they hold
+    them, with no eigenvalue recomputed and snapped onto them."""
+
+    #: [1e-10] + J2(0) in Jordan arrangement: classify groups 1e-10 with the zeros
+    A = np.array([[1e-10, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
+
+    def test_tiny_eigenvalue_is_not_snapped_to_zero(self):
+        cert = request_certificate(self.A)
+        assert cert.theorem_tag is CertTag.THREE_BY_THREE_TEMPLATE
+        assert cert.kappa == pytest.approx(1e-10 / math.sqrt(3), rel=1e-12)
+        image = cert.M @ self.A @ np.linalg.inv(cert.M)
+        assert np.abs(np.abs(image) - cert.kappa).max() <= 1e-9 * cert.kappa
+
+    def test_report_of_the_snapped_blocks_refused(self):
+        report = classify(self.A)
+        assert (report.theorem_tag, report.approximate_eigen) == ("nilpotent", True)
+        with pytest.raises(InvalidInputError, match="no constructive path"):
+            request_certificate(self.A, report=report)
 
 
 @pytest.mark.parametrize("call", [

@@ -107,6 +107,23 @@ class TestApportion:
         assert code == 3
         assert out == ""
 
+    @pytest.mark.parametrize("kappa", [None, "1e-12", "1e-9"])
+    def test_tiny_eigenvalue_beside_nilpotent_block_refused(self, tmp_path, capsys, kappa):
+        # [1e-10] + J2(0) in Jordan arrangement classifies as nilpotent (approximate),
+        # but its certificate is built for the blocks the entries hold, which that rule
+        # does not match: no certificate for a matrix it does not apportion
+        A = np.array([[1e-10, 0, 0], [0, 0, 1], [0, 0, 0]])
+        path = write_doc(tmp_path, "m.json", entries_doc(A))
+        argv = ["apportion", path] + ([] if kappa is None else ["--kappa", kappa])
+        assert run(capsys, argv) == (3, "")
+
+    @pytest.mark.parametrize("kappa, expected", [("1e4", 0), ("1e6", 3)])
+    def test_rank_one_at_large_kappa(self, tmp_path, capsys, kappa, expected):
+        # certified at 1e4 |lam|; beyond the floats' reach the construction exits 3, never 7
+        path = write_doc(tmp_path, "m.json", entries_doc(np.diag([1.0, 0.0, 0.0])))
+        code, _ = run(capsys, ["apportion", path, "--kappa", kappa])
+        assert code == expected
+
     def test_round_trip_verify(self, tmp_path, capsys):
         path = write_doc(tmp_path, "m.json", entries_doc(np.diag([2.0, 0.0])))
         code, out = run(capsys, ["apportion", path, "--kappa", "1.5"])

@@ -204,6 +204,13 @@ class TestIOplusO:
             apportion_I_oplus_O(2, 0.4)
         assert err.value.constants.lo == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_split_column_completion_at_large_constant(self, n):
+        # M is completed by the columns that jump at even positions, and only the rows
+        # below V are solved for
+        A = np.diag([1.0] * n + [0.0] * n).astype(complex)
+        check_cert(apportion_I_oplus_O(n, 1e3), A, 1e3)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_boundary_exact(self, n):
         cert = apportion_I_oplus_O(n, 0.5)
@@ -269,6 +276,29 @@ class TestHalfRank:
         for k in range(1, r + 1):
             if mu[k - 1] != 0:
                 assert plan.phi[k - 1] == k
+
+    def test_image_is_the_sum_of_outer_products(self):
+        # the image, one product kappa (P T) Q, against the construction's sum over the
+        # blocks: mu_k u_phi(k) v_phi(k)^T on the diagonal, u_phi(k-1) v_phi(k)^T inside a block
+        rng = np.random.default_rng(5)
+        checked = 0
+        while checked < 20:
+            spec = random_half_rank_spec(rng, max_order=10).canonical()
+            if 2 * spec.rank != spec.order or spec.is_nilpotent():
+                continue
+            kappa = spec.spectral_radius / 2 + rng.uniform(0.05, 2.0)
+            plan = half_rank_plan(spec, kappa)
+            phi = plan.phi
+            mu, alphas = spec.diagonal / kappa, spec.alphas
+            C = np.zeros((spec.order, spec.order), dtype=complex)
+            for k in plan.omega_set:
+                C += mu[k - 1] * np.outer(plan.us[:, phi[k - 1] - 1], plan.vs[phi[k - 1] - 1])
+            for k in range(2, spec.order + 1):
+                if alphas[k - 2] == 1:
+                    C += np.outer(plan.us[:, phi[k - 2] - 1], plan.vs[phi[k - 1] - 1])
+            B = apportion_half_rank(spec, kappa).B
+            assert np.abs(B - kappa * C).max() <= 1e-14 * kappa
+            checked += 1
 
     def test_random_specs(self):
         rng = np.random.default_rng(12)
@@ -387,6 +417,15 @@ class TestRankOne:
     def test_order_one_matched_relatively(self):
         with pytest.raises(ConstantNotAchievableError):
             apportion_rank_one(1e-14, 1, 2e-14)
+
+    @pytest.mark.parametrize("n", [3, 4, 16])
+    @pytest.mark.parametrize("ratio", [1e3, 1e4])
+    def test_closed_form_inverse_at_large_constant(self, n, ratio):
+        # M = [1 | e_j - (v_j/v_0) e_0] is inverted in closed form, so these members of
+        # the set certify; a generic completion's inverse check refused most of them
+        lam = 0.7 - 0.3j
+        kappa = ratio * abs(lam)
+        check_cert(apportion_rank_one(lam, n, kappa), np.diag([lam] + [0j] * (n - 1)), kappa)
 
 
 class TestPerturbIdentity:
@@ -611,6 +650,16 @@ class TestKappaReader:
             KAPPA_ENTRY_POINTS[name](float("nan"))
         assert type(info.value) is expected
 
+    @pytest.mark.parametrize("name", list(KAPPA_ENTRY_POINTS))
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_int_beyond_float_range_is_no_member(self, name, sign):
+        # a real number, though float() of it overflows: no set holds it
+        expected = (InvalidInputError if name == "apportion_nilpotent" and sign < 0
+                    else ConstantNotAchievableError)
+        with pytest.raises(ApportionError) as info:
+            KAPPA_ENTRY_POINTS[name](sign * 10 ** 400)
+        assert type(info.value) is expected
+
     def test_closed_half_line_raises_kappa_to_its_end(self):
         cert = apportion_I_oplus_O(1, 0.5 * (1 - 1e-10))
         assert cert.kappa == 0.5
@@ -642,6 +691,19 @@ def test_overflowing_construction_refused_quietly(call):
         warnings.simplefilter("error")
         with pytest.raises((ConstructionError, ConstantNotAchievableError)):
             call()
+
+
+@pytest.mark.parametrize("name", list(KAPPA_ENTRY_POINTS))
+@pytest.mark.parametrize("kappa", [1e6, 1e300])
+def test_large_member_kappa_certifies_or_fails_as_construction(name, kappa):
+    # a member the floats cannot carry fails the certificate's one check (exit 3 on the
+    # command line), never an inverse check of its own with SingularMatrixError
+    from apportion import ConstructionError
+
+    try:
+        KAPPA_ENTRY_POINTS[name](kappa)
+    except ApportionError as exc:
+        assert type(exc) is ConstructionError, exc
 
 
 class TestOneCheckPerCertificate:
