@@ -7,8 +7,9 @@ certificate leaves the package through ``_certified``, whether it comes from a
 constructor, a padding, scaling or reordering helper, ``request_certificate`` or
 the search: a requested kappa is read once, by ``_member``, against its class's
 ``ConstantSet``, the build runs with floating-point faults raised as ConstructionError,
-and the finished certificate is checked once against the caller's matrix.  The
-paddings, scalings and block permutations inside a build are exact and check nothing.
+and the finished certificate is checked once against the caller's matrix A: Minv
+inverts M (max|M Minv - I| <= n 1e-10), B is uniform at kappa, and M A Minv = B to within
+kappa's tolerance.  Paddings, scalings and block permutations in a build check nothing.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, Tolerance, UniformityReport, _max, _residual_within,
-                   _uniformity, as_matrix, check_inverse, times_power_of_two, unit_exponent)
+from .core import (DEFAULT_TOL, Tolerance, UniformityReport, _max_modulus, as_matrix,
+                   check_inverse, is_uniform, times_power_of_two, unit_exponent)
 from .errors import (
     ConstantNotAchievableError,
     ConstructionError,
@@ -105,8 +106,17 @@ class ApportionCertificate:
         }
 
 
+def _check_image(B, M, A, Minv, kappa: float, tol: Tolerance) -> None:
+    """ConstructionError unless max|M A Minv - B| <= tol.rel kappa + tol.abs; the product is
+    formed at A's unit scale (A 2^-e, ``unit_exponent``), then scaled back by 2^e exactly."""
+    e = unit_exponent(A)
+    defect = _max_modulus(M @ (times_power_of_two(A, -e) @ Minv) * 2.0 ** e - B)
+    if not defect <= tol.rel * kappa + tol.abs:   # a NaN defect fails too
+        raise ConstructionError(f"image M A Minv differs from B by {defect:.3e}")
+
+
 def _check(cert: ApportionCertificate, A, tol: Tolerance) -> UniformityReport:
-    """Inverse product, uniformity at kappa, residual against A if given; B's report."""
+    """Inverse product, uniformity at kappa, the image against B if A is given; B's report."""
     M, Minv, B = (np.asarray(x, dtype=complex) for x in (cert.M, cert.Minv, cert.B))
     if A is not None:
         A = np.asarray(A, dtype=complex)
@@ -117,8 +127,7 @@ def _check(cert: ApportionCertificate, A, tol: Tolerance) -> UniformityReport:
     ok, inv_err = check_inverse(M, Minv)
     if not ok:
         raise ConstructionError(f"inverse product check failed: {inv_err:.3e}")
-    mods = np.abs(as_matrix(B, name="B"))
-    rep = _uniformity(mods, tol)
+    rep = is_uniform(B, tol)
     if not rep.is_uniform:
         raise ConstructionError(f"image is not uniform: defect {rep.defect:.3e}")
     if abs(rep.kappa - kappa) > 1e-9 * abs(kappa):
@@ -126,9 +135,7 @@ def _check(cert: ApportionCertificate, A, tol: Tolerance) -> UniformityReport:
             f"achieved modulus {rep.kappa!r} does not match requested {kappa!r}"
         )
     if A is not None:
-        ok, res = _residual_within(B, M, A, tol, float(_max(mods, None)))
-        if not ok:
-            raise ConstructionError(f"similarity residual too large: {res:.3e}")
+        _check_image(B, M, A, Minv, kappa, tol)
     return rep
 
 
@@ -189,7 +196,8 @@ def _certified(build: Callable[[Optional[float]], ApportionCertificate], A, kapp
 
 
 def verify_certificate(cert: ApportionCertificate, A, tol: Tolerance = DEFAULT_TOL):
-    """Re-check a certificate against the matrix it claims to apportion.
+    """Re-check a certificate against the matrix A it claims to apportion: max|M Minv - I|
+    <= n 1e-10, B uniform at kappa, and max|M A Minv - B| <= tol.rel kappa + tol.abs.
 
     Returns the UniformityReport of B; raises ConstructionError on any failure.
     """
@@ -595,6 +603,17 @@ def spiral_sum(n: int, r: float) -> SpiralSolution:
         raise InvalidInputError(
             f"r = {r!r} is infeasible: the sum of {n} unit phasors cannot reach 1/r"
         )
+    sol = _spiral_angles(n, r)
+    total = sum(cmath.exp(1j * t) for t in sol.thetas)    # rotated onto the real axis
+    if abs(abs(total) - 1.0 / r) > 1e-12 * max(1.0, 1.0 / r):
+        raise ConstructionError(f"bisection failed to pin the crossing at r = {r!r}")
+    if abs(r * total - 1.0) > 1e-10:
+        raise ConstructionError("phase-sum identity check failed")
+    return sol
+
+
+def _spiral_angles(n: int, r: float) -> SpiralSolution:
+    """``spiral_sum``'s bisection and rotation, unchecked, for n >= 2 and r > 0."""
     y = 1.0 / r
 
     def g(theta: float) -> float:
@@ -615,15 +634,8 @@ def spiral_sum(n: int, r: float) -> SpiralSolution:
             else:
                 lo_t = mid
         rho = hi_t if abs(g(hi_t)) <= abs(g(lo_t)) else lo_t
-    total = sum(cmath.exp(1j * j * rho) for j in range(1, n + 1))
-    if abs(abs(total) - y) > 1e-12 * max(1.0, y):
-        raise ConstructionError(f"bisection failed to pin the crossing at r = {r!r}")
-    alpha = cmath.phase(total)
-    thetas = tuple(j * rho - alpha for j in range(1, n + 1))
-    check = r * sum(cmath.exp(1j * t) for t in thetas)
-    if abs(check - 1.0) > 1e-10:
-        raise ConstructionError("phase-sum identity check failed")
-    return SpiralSolution(rho=rho, alpha=alpha, thetas=thetas)
+    alpha = cmath.phase(sum(cmath.exp(1j * j * rho) for j in range(1, n + 1)))
+    return SpiralSolution(rho, alpha, tuple(j * rho - alpha for j in range(1, n + 1)))
 
 
 def _rank_one_constants(rho: float, n: int) -> ConstantSet:
@@ -640,7 +652,7 @@ def _rank_one(lam: complex, n: int, kappa: float) -> ApportionCertificate:
     if n == 1:   # a 1x1 matrix is similar only to itself
         return _certificate(np.eye(1), np.eye(1), [[lam]], abs(lam), CertTag.RANK_ONE)
     r = kappa / abs(lam)
-    sol = spiral_sum(n, max(r, 1.0 / n))
+    sol = _spiral_angles(n, r)
     vraw = r * np.exp(1j * np.array(sol.thetas))
     v = vraw / vraw.sum()       # v^T 1 = 1
     # M = [1 | e_j - (v_j/v_0) e_0] has the closed-form inverse I - 1 v^T with row 0 set
@@ -721,8 +733,6 @@ def _perturb_identity(n: int, lam: complex, target: Optional[float]) -> Apportio
     w_hi = (0.5 + 1j * q) / (1.0 - lam)
     w_lo = (0.5 - 1j * q) / (1.0 - lam)
     w = np.array([w_hi] * r_plus + [w_lo] * (n - r_plus))
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ConstructionError("column sum check failed; target/spectrum mismatch")
     M = np.zeros((n, n), dtype=complex)
     M[0, : n - 1] = -1.0
     for i in range(1, n):

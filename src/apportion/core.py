@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -103,11 +102,7 @@ def as_matrix(a, *, square=False, name="matrix"):
 
 def is_uniform(B, tol: Tolerance = DEFAULT_TOL) -> UniformityReport:
     """Check whether all entries of B (rectangular allowed) share one modulus."""
-    return _uniformity(np.abs(as_matrix(B, name="B")), tol)
-
-
-def _uniformity(mods: np.ndarray, tol: Tolerance) -> UniformityReport:
-    """``is_uniform`` from the entry moduli of a validated B."""
+    mods = np.abs(as_matrix(B, name="B"))
     # the mean of mods 2^-k times 2^k, with 2^k >= mods.size: the sum cannot overflow, and
     # for moduli above about 1e-300 each step is exact, so this is mods.mean() to the bit
     k = (mods.size - 1).bit_length()
@@ -163,15 +158,8 @@ def check_residual(B, M, A, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
 
     Returns (passed, residual).  A non-finite residual never passes.
     """
-    return _residual_within(B, M, A, tol)
-
-
-def _residual_within(B, M, A, tol: Tolerance, bmax: Optional[float] = None
-                     ) -> tuple[bool, float]:
-    """``check_residual``, taking max|B| as ``bmax`` from a caller that holds B's moduli."""
     res = similarity_residual(B, M, A)
-    mmax = _max_modulus(M)
-    scale = M.shape[0] * mmax * max(_max_modulus(A), _max_modulus(B) if bmax is None else bmax)
+    scale = M.shape[0] * _max_modulus(M) * max(_max_modulus(A), _max_modulus(B))
     return res <= tol.rel * scale + tol.abs, res
 
 
@@ -246,6 +234,7 @@ def unit_exponent(values) -> int:
 def times_power_of_two(x, e: int):
     """x 2^e, exact in each real and imaginary part barring underflow, for a
     complex array or a complex scalar."""
-    if isinstance(x, np.ndarray):
-        return np.ldexp(x.real, e) + 1j * np.ldexp(x.imag, e)
+    if isinstance(x, np.ndarray):   # one ldexp over the real and imaginary parts
+        z = np.ascontiguousarray(x, dtype=complex)
+        return np.ldexp(z.reshape(-1).view(np.float64), e).view(complex).reshape(z.shape)
     return complex(math.ldexp(x.real, e), math.ldexp(x.imag, e))

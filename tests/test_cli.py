@@ -117,9 +117,10 @@ class TestApportion:
         argv = ["apportion", path] + ([] if kappa is None else ["--kappa", kappa])
         assert run(capsys, argv) == (3, "")
 
-    @pytest.mark.parametrize("kappa, expected", [("1e4", 0), ("1e6", 3)])
+    @pytest.mark.parametrize("kappa, expected", [("1e4", 0), ("1e6", 0), ("1e7", 3)])
     def test_rank_one_at_large_kappa(self, tmp_path, capsys, kappa, expected):
-        # certified at 1e4 |lam|; beyond the floats' reach the construction exits 3, never 7
+        # certified at 1e6 |lam|; at 1e7 the inverse product fails (max|M Minv - I| is
+        # 2.2e-9 against 3e-10 at order 3) and the construction exits 3, never 7
         path = write_doc(tmp_path, "m.json", entries_doc(np.diag([1.0, 0.0, 0.0])))
         code, _ = run(capsys, ["apportion", path, "--kappa", kappa])
         assert code == expected

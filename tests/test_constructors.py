@@ -64,6 +64,39 @@ def test_zero_certificate_for_small_matrix_refused():
         verify_certificate(cert, np.diag([1e-10, 2e-10]))
 
 
+# [1e-10] + J2(0) in Jordan arrangement, and the [0] + J2(0) it is mistaken for
+TINY_BESIDE_J2 = np.array([[1e-10, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
+ZERO_BESIDE_J2 = JordanSpec(((0j, 1), (0j, 2)))
+FALSE_CERT_KAPPAS = [1e-12, 1e-9, 1e-6, 1e-3]
+
+
+@pytest.mark.parametrize("kappa", FALSE_CERT_KAPPAS)
+def test_false_certificate_refused(kappa):
+    # the [0] + J2(0) certificate is not one for [1e-10] + J2(0): its true image is off B
+    # by 1e-10, which is 100 kappa at 1e-12 and 1e-7 kappa at 1e-3; the check compares
+    # the image with kappa, however large M is (5.8e11 at kappa 1e-12)
+    from apportion import ConstructionError
+
+    cert = apportion_nilpotent(ZERO_BESIDE_J2, kappa)
+    with pytest.raises(ConstructionError, match="image"):
+        verify_certificate(cert, TINY_BESIDE_J2)
+
+
+@pytest.mark.parametrize("k", [-600, 0, 600])
+@pytest.mark.parametrize("kappa", FALSE_CERT_KAPPAS)
+def test_image_check_is_scale_free(kappa, k):
+    # 2^k times the false pair is refused and 2^k times the true pair certifies, far
+    # outside unit scale either way
+    from apportion import ConstructionError
+
+    cert = apportion_nilpotent(ZERO_BESIDE_J2, kappa)
+    mu = 2.0 ** k
+    with pytest.raises(ConstructionError, match="image"):
+        scale_certificate(cert, mu, A=mu * TINY_BESIDE_J2)
+    A = mu * build_jordan(ZERO_BESIDE_J2)
+    check_cert(scale_certificate(cert, mu, A=A), A, mu * kappa)
+
+
 class TestPadByZero:
     def test_single_entry(self):
         from apportion import ApportionCertificate
@@ -427,6 +460,23 @@ class TestRankOne:
         kappa = ratio * abs(lam)
         check_cert(apportion_rank_one(lam, n, kappa), np.diag([lam] + [0j] * (n - 1)), kappa)
 
+    @pytest.mark.parametrize("n", [3, 4, 16])
+    def test_past_the_phase_sum_check(self, n):
+        # the angles are checked by the certificate's one check, not by spiral_sum's
+        # 1e-10 phase-sum identity, which refused these members.  At 1e7 the build is
+        # past its numerical limit (max|M Minv - I| is about 7 n 1e-10 there), so it
+        # either certifies or raises ConstructionError, never another error
+        from apportion import ConstructionError
+
+        A = np.diag([1.0] + [0.0] * (n - 1))
+        for kappa in (1e5, 1e6):
+            check_cert(apportion_rank_one(1, n, kappa), A, kappa)
+        try:
+            cert = apportion_rank_one(1, n, 1e7)
+        except ConstructionError:
+            return
+        check_cert(cert, A, 1e7)
+
 
 class TestPerturbIdentity:
     def test_even_real_closed_half_line(self):
@@ -712,18 +762,18 @@ class TestOneCheckPerCertificate:
 
     @pytest.fixture
     def residual_checks(self, monkeypatch):
-        # the certificate check runs check_residual's kernel, handing it max|B| from
-        # the moduli of its uniformity step; its arguments start (B, M, A, tol)
+        # the certificate check tests the image M A Minv against B; its arguments
+        # start (B, M, A)
         import apportion.constructors as constructors
 
         calls = []
-        check = constructors._residual_within
+        check = constructors._check_image
 
         def counted(*args):
             calls.append(args)
             return check(*args)
 
-        monkeypatch.setattr(constructors, "_residual_within", counted)
+        monkeypatch.setattr(constructors, "_check_image", counted)
         return calls
 
     def test_constructions(self, residual_checks):
@@ -809,14 +859,14 @@ class TestOneCheckPerCertificate:
 
         cert = apportion_nilpotent(JordanSpec(((0j, 3), (0j, 2))), KAPPA_13)
         reports = []
-        # is_uniform's kernel, on the moduli of B that the residual's scale reuses
-        uniform = constructors._uniformity
+        # the uniformity check, which the certificate check runs once on B
+        uniform = constructors.is_uniform
 
         def counted(*args):
             reports.append(uniform(*args))
             return reports[-1]
 
-        monkeypatch.setattr(constructors, "_uniformity", counted)
+        monkeypatch.setattr(constructors, "is_uniform", counted)
         rep = verify_certificate(cert, build_jordan(JordanSpec(((0j, 3), (0j, 2)))))
         assert reports == [rep] and rep.is_uniform
 

@@ -153,7 +153,7 @@ class TestChecksMatchReference:
     @given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 2**32 - 1),
            st.integers(-60, 60), st.integers(0, 120), st.booleans())
     def test_checks_equal_reference_expressions(self, n, cols, seed, lo, spread, uniform):
-        from apportion.core import _max, _residual_within, check_inverse, check_residual
+        from apportion.core import check_inverse, check_residual
         from apportion.core import similarity_residual
 
         rng = np.random.default_rng(seed)
@@ -177,8 +177,6 @@ class TestChecksMatchReference:
             for tol in (Tolerance(), TOL):
                 expected = _reference_check_residual(C, M, A, tol)
                 assert check_residual(C, M, A, tol) == expected
-                # the certificate check hands over the maximum of the moduli it holds
-                assert _residual_within(C, M, A, tol, float(_max(np.abs(C), None))) == expected
 
     @pytest.mark.parametrize("value, square", [
         ([[np.nan, 1.0], [0.0, 1.0]], False), ([[np.inf, 1.0], [0.0, 1.0]], True),
