@@ -6,8 +6,8 @@ the first matching rule's verdict, constant-set description and tag; it builds
 no certificate.  Each rule is one function: its match also returns the builder
 for the shape it found.  ``request_certificate`` matches the report's rule
 against the matrix the caller asked about, reads kappa against that match's
-constant set, builds with its builder and checks the certificate against that
-matrix.  Orders 2 and 3 are resolved completely up to the open families; the
+constant set, builds with its builder, places the certificate in the matrix's block
+order (``constructors._placed``) and checks it against that matrix.  Orders 2 and 3 are resolved completely up to the open families; the
 admissible-eigenvalue region for order 2 can be sampled and rendered.
 """
 
@@ -30,14 +30,15 @@ from .constructors import (
     _gamma_test,
     _half_rank,
     _half_rank_constants,
+    _identity_plus_zero,
     _nilpotent,
     _nilpotent_constants,
     _order_two,
     _padded,
     _perturb_identity,
+    _placed,
     _rank_one,
     _rank_one_constants,
-    _reordered,
     _scaled,
     _template,
     _two_by_two,
@@ -46,7 +47,7 @@ from .constructors import (
 )
 from .core import as_matrix, times_power_of_two, unit_exponent
 from .errors import InvalidInputError
-from .jordan import JordanSpec, _block_rows, build_jordan, eigenstructure_small
+from .jordan import JordanSpec, build_jordan, eigenstructure_small
 from .reports import ClassificationReport, ConstantSet, Verdict
 
 __all__ = [
@@ -118,11 +119,25 @@ def _match_rank_one(spec: JordanSpec) -> Match:
         _rank_one(lam, n, k), ((lam, 1),) + ((0j, 1),) * (n - 1))
 
 
+def _match_identity_plus_zero(spec: JordanSpec) -> Match:
+    """lam I_n + O_n with n >= 2 and lam != 0, 1-blocks in any order: K is exactly
+    [|lam|/2, inf), from its trace bound up."""
+    n = spec.rank
+    if n < 2 or not spec.order == len(spec.blocks) == 2 * n:
+        return None
+    nonzero = {lam for lam, _ in spec.blocks if lam != 0}
+    if len(nonzero) != 1:
+        return None
+    lam = nonzero.pop()
+    return Verdict.APPORTIONABLE, ConstantSet.closed_half_line(abs(lam) / 2.0), lambda k: (
+        _scaled(_identity_plus_zero(n, k / abs(lam)), lam), ((lam, 1),) * n + ((0j, 1),) * n)
+
+
 def _match_half_rank(spec: JordanSpec) -> Match:
     if 2 * spec.rank > spec.order or spec.is_nilpotent():
         return None
     return (Verdict.APPORTIONABLE, _half_rank_constants(spec),
-            lambda k: (_half_rank(spec, k), spec.blocks))
+            lambda k: _half_rank(spec, k))
 
 
 def _match_perturb(spec: JordanSpec) -> Match:
@@ -212,9 +227,10 @@ RULES: tuple[Rule, ...] = (
                     and s.blocks[0][0] != 0 else None)),
     Rule("nilpotent",
          lambda s: ((Verdict.APPORTIONABLE, _nilpotent_constants(s),
-                     lambda k: (_nilpotent(s, k), s.blocks))
+                     lambda k: _nilpotent(s, k))
                     if s.is_nilpotent() else None)),
     Rule("rank-one", _match_rank_one),
+    Rule("identity-plus-zero", _match_identity_plus_zero),
     Rule("half-rank", _match_half_rank),
     Rule("perturb-identity", _match_perturb),
     # a single 2x2 block with nonzero eigenvalue
@@ -235,20 +251,6 @@ RULES: tuple[Rule, ...] = (
 )
 
 _RULES_BY_TAG = {rule.tag: rule for rule in RULES}
-
-
-def _permute_to(cert: ApportionCertificate, built: tuple,
-                target_spec: JordanSpec) -> ApportionCertificate:
-    """Map a certificate built for the blocks ``built`` onto the requested order, unchecked:
-    each built block takes the first unused target position that holds the same block."""
-    if built == target_spec.blocks:
-        return cert
-    free: dict = {}   # block -> its unused target positions, the first one last
-    for i in reversed(range(len(target_spec.blocks))):
-        free.setdefault(target_spec.blocks[i], []).append(i)
-    # reordering target by `order` reproduces built
-    order = [free[blk].pop() for blk in built]
-    return _reordered(cert, _block_rows(target_spec, order), cert.theorem_tag)
 
 
 def classify(input_matrix: MatrixLike) -> ClassificationReport:
@@ -306,7 +308,7 @@ def request_certificate(input_matrix: MatrixLike, kappa: Optional[float] = None,
             f"no constructive path for tag {report.theorem_tag!r} on this matrix")
     _, constants, build = found
     A = build_jordan(spec) if isinstance(input_matrix, JordanSpec) else as_matrix(input_matrix)
-    return _certified(lambda k: _permute_to(*build(k), spec), A,
+    return _certified(lambda k: _placed(*build(k), spec), A,
                       constants.smallest_member() if kappa is None else kappa, constants)
 
 

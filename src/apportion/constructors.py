@@ -19,7 +19,7 @@ import contextlib
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -204,14 +204,21 @@ def verify_certificate(cert: ApportionCertificate, A, tol: Tolerance = DEFAULT_T
     return _check(cert, as_matrix(A, square=True, name="A"), tol)
 
 
-def _reordered(cert: ApportionCertificate, rows: list[int], tag: CertTag) -> ApportionCertificate:
-    """A certificate for A[rows][:, rows] becomes one for A, unchecked: M's columns and
-    Minv's rows move back to ``rows``, which is exact data movement."""
+def _placed(cert: ApportionCertificate, built: tuple, spec: JordanSpec) -> ApportionCertificate:
+    """A certificate built for the blocks ``built`` becomes one for ``spec``'s order of them,
+    unchecked, by exact data movement: the one code that moves M's columns and Minv's rows.
+    Each built block takes the first unused position of ``spec`` that holds the same block."""
+    if built == spec.blocks:
+        return cert
+    free: dict = {}   # block -> its unused positions in spec, the first one last
+    for i in reversed(range(len(spec.blocks))):
+        free.setdefault(spec.blocks[i], []).append(i)
+    rows = _block_rows(spec, [free[blk].pop() for blk in built])
     M = np.empty(cert.M.shape, dtype=complex)
     Minv = np.empty(cert.Minv.shape, dtype=complex)
     M[:, rows] = cert.M
     Minv[rows] = cert.Minv
-    return _certificate(M, Minv, cert.B, cert.kappa, tag)
+    return _certificate(M, Minv, cert.B, cert.kappa, cert.theorem_tag)
 
 
 def reorder_certificate(cert: ApportionCertificate, Q: np.ndarray,
@@ -300,14 +307,15 @@ def pad_by_zero(cert: ApportionCertificate, A=None) -> ApportionCertificate:
 
 
 def _peel_and_pad(spec: JordanSpec, peel: list[int], build_core, tag: CertTag
-                  ) -> ApportionCertificate:
-    """Build on the blocks outside ``peel`` (zero 1-blocks), re-attach each
-    peeled block by zero padding and permute back to the input order, unchecked."""
-    keep = [i for i in range(len(spec.blocks)) if i not in peel]
-    cert = build_core(JordanSpec(tuple(spec.blocks[i] for i in keep)))
+                  ) -> tuple[ApportionCertificate, tuple]:
+    """Build on the blocks outside ``peel`` (zero 1-blocks) by ``build_core``, which returns a
+    certificate and its blocks, and re-attach each peeled block by zero padding, unchecked:
+    the certificate, stamped ``tag``, and its blocks, the peeled ones last."""
+    core = JordanSpec(tuple(blk for i, blk in enumerate(spec.blocks) if i not in peel))
+    cert, built = build_core(core)
     for _ in peel:
         cert = _padded(cert)
-    return _reordered(cert, _block_rows(spec, keep + peel), tag)
+    return replace(cert, theorem_tag=tag), built + tuple(spec.blocks[i] for i in peel)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +366,11 @@ def _nilpotent_constants(spec: JordanSpec) -> ConstantSet:
     return ConstantSet.zero_only() if spec.is_zero_matrix() else ConstantSet.open_half_line(0.0)
 
 
-def _nilpotent(spec: JordanSpec, kappa: float) -> ApportionCertificate:
-    """``apportion_nilpotent`` at a member kappa, unchecked."""
+def _nilpotent(spec: JordanSpec, kappa: float) -> tuple[ApportionCertificate, tuple]:
+    """``apportion_nilpotent`` at a member kappa, unchecked, and the blocks it was built
+    for: those of size >= 2 in ``spec``'s order, then the 1-blocks."""
     ones = [i for i, (_, s) in enumerate(spec.blocks) if s == 1]
-    return _peel_and_pad(spec, ones, lambda core: _nilpotent_core(core, kappa),
+    return _peel_and_pad(spec, ones, lambda core: (_nilpotent_core(core, kappa), core.blocks),
                          CertTag.NILPOTENT)
 
 
@@ -370,16 +379,15 @@ def apportion_nilpotent(spec: JordanSpec, kappa: float) -> ApportionCertificate:
 
     Size-1 blocks are stripped, the core construction runs on the remaining
     blocks, the stripped blocks are re-attached by zero padding (modulus
-    preserved at each step), and the result is permuted back to the input
-    block order.
+    preserved at each step), and the result is placed in input block order.
     """
     spec = _coerce_spec(spec)
     if not spec.is_nilpotent():
         raise InvalidInputError("spectrum must be exactly zero")
     if not (isinstance(kappa, numbers.Real) and kappa > 0):
         raise InvalidInputError("kappa must be a positive real")
-    return _certified(lambda k: _nilpotent(spec, k), build_jordan(spec), kappa,
-                      _nilpotent_constants(spec))
+    return _certified(lambda k: _placed(*_nilpotent(spec, k), spec), build_jordan(spec),
+                      kappa, _nilpotent_constants(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -412,21 +420,24 @@ def apportion_I_oplus_O(n: int, kappa: float) -> ApportionCertificate:
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidInputError("n must be a positive integer")
-
-    def build(kappa: float) -> ApportionCertificate:
-        zeta = 0.5 + 1j * math.sqrt(kappa * kappa - 0.25)
-        N = 2 * n
-        M = np.empty((N, N), dtype=complex)
-        V = np.zeros((n, N), dtype=complex)
-        for k in range(1, n + 1):
-            M[:, k - 1] = _split_vector(N, 2 * k - 1, zeta, -zeta.conjugate())
-            M[:, n + k - 1] = _split_vector(N, 2 * k, 1.0, -1.0)
-            V[k - 1, 2 * k - 1] = 1.0
-            V[k - 1, 2 * k - 2] = -1.0
-        return _certificate(M, _inverse_below(M, V), M[:, :n] @ V, kappa, CertTag.I_OPLUS_O)
-
     A = build_jordan(JordanSpec(((1 + 0j, 1),) * n + ((0j, 1),) * n))
-    return _certified(build, A, kappa, ConstantSet.closed_half_line(0.5))
+    return _certified(lambda k: _identity_plus_zero(n, k), A, kappa,
+                      ConstantSet.closed_half_line(0.5))
+
+
+def _identity_plus_zero(n: int, kappa: float) -> ApportionCertificate:
+    """``apportion_I_oplus_O`` at a member kappa >= 1/2, unchecked; a kappa below 1/2 (a
+    subnormal eigenvalue's rounding) is numpy's invalid sqrt, raised by ``_guarded``."""
+    zeta = 0.5 + 1j * np.sqrt(kappa * kappa - 0.25)
+    N = 2 * n
+    M = np.empty((N, N), dtype=complex)
+    V = np.zeros((n, N), dtype=complex)
+    for k in range(1, n + 1):
+        M[:, k - 1] = _split_vector(N, 2 * k - 1, zeta, -zeta.conjugate())
+        M[:, n + k - 1] = _split_vector(N, 2 * k, 1.0, -1.0)
+        V[k - 1, 2 * k - 1] = 1.0
+        V[k - 1, 2 * k - 2] = -1.0
+    return _certificate(M, _inverse_below(M, V), M[:, :n] @ V, kappa, CertTag.I_OPLUS_O)
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +513,10 @@ def half_rank_plan(spec: JordanSpec, kappa: float) -> HalfRankPlan:
         return _half_rank_plan_sorted(spec.canonical(), kappa)
 
 
-def _half_rank_exact(spec: JordanSpec, kappa: float) -> ApportionCertificate:
-    """Construction at rank exactly half the order (any block order)."""
-    order = spec.canonical_order()
-    sorted_spec = JordanSpec(tuple(spec.blocks[i] for i in order))
+def _half_rank_exact(spec: JordanSpec, kappa: float) -> tuple[ApportionCertificate, tuple]:
+    """Construction at rank exactly half the order, unchecked, for ``spec``'s blocks in
+    canonical order; returns the certificate and those blocks."""
+    sorted_spec = spec.canonical()
     plan = _half_rank_plan_sorted(sorted_spec, kappa)
     # column j of the Jordan matrix is carried by column phi(j) of us
     cols = [p - 1 for p in plan.phi]
@@ -516,9 +527,8 @@ def _half_rank_exact(spec: JordanSpec, kappa: float) -> ApportionCertificate:
     np.fill_diagonal(T, sorted_spec.diagonal / kappa)
     B = kappa * ((P @ T) @ Q)
     svec = geometric_diagonal(sorted_spec, 1.0 / kappa)
-    sorted_cert = ApportionCertificate(P * svec[None, :], Q / svec[:, None], B, kappa,
-                                       CertTag.HALF_RANK)
-    return _reordered(sorted_cert, _block_rows(spec, order), CertTag.HALF_RANK)
+    return (ApportionCertificate(P * svec[None, :], Q / svec[:, None], B, kappa,
+                                 CertTag.HALF_RANK), sorted_spec.blocks)
 
 
 def _half_rank_constants(spec: JordanSpec) -> ConstantSet:
@@ -527,9 +537,9 @@ def _half_rank_constants(spec: JordanSpec) -> ConstantSet:
                                       lower_bound=max(spec_bounds(spec.blocks)))
 
 
-def _half_rank(spec: JordanSpec, kappa: float) -> ApportionCertificate:
+def _half_rank(spec: JordanSpec, kappa: float) -> tuple[ApportionCertificate, tuple]:
     """``apportion_half_rank`` at a member kappa, unchecked, for a spec that is not
-    nilpotent."""
+    nilpotent, with its blocks: the kept ones sorted, then the peeled zero 1-blocks."""
     m = spec.order - 2 * spec.rank
     # each zero 1-block adds 1 to n - 2r and no other block adds anything: m <= their count
     zero_ones = [i for i, (lam, s) in enumerate(spec.blocks) if lam == 0 and s == 1]
@@ -544,8 +554,8 @@ def apportion_half_rank(A_or_spec: Union[JordanSpec, np.ndarray],
 
     Nilpotent input is delegated to the nilpotent construction.  When the rank
     is strictly below half the order, zero 1-blocks are peeled off until rank
-    equals half the order, the exact construction runs, and the peeled blocks
-    are re-attached by zero padding.
+    equals half the order, the exact construction runs, the peeled blocks are
+    re-attached by zero padding, and the result is placed in input block order.
     """
     spec = _coerce_spec(A_or_spec)
     if spec.is_nilpotent():
@@ -554,8 +564,8 @@ def apportion_half_rank(A_or_spec: Union[JordanSpec, np.ndarray],
     if 2 * r > n:
         raise InvalidInputError(
             f"rank {r} exceeds half the order {n}; this construction does not apply")
-    return _certified(lambda k: _half_rank(spec, k), build_jordan(spec), kappa,
-                      _half_rank_constants(spec))
+    return _certified(lambda k: _placed(*_half_rank(spec, k), spec), build_jordan(spec),
+                      kappa, _half_rank_constants(spec))
 
 
 def apportion_A_oplus_zeros(A_or_spec: Union[JordanSpec, np.ndarray],
@@ -932,7 +942,8 @@ def _template_spec(kind: TemplateKind, lam: complex) -> JordanSpec:
 def _template(kind: TemplateKind, lam: complex) -> ApportionCertificate:
     """``apportion_3x3_template``, unchecked."""
     if lam == 0:
-        return _nilpotent(_template_spec(kind, lam), 1.0)
+        spec = _template_spec(kind, lam)
+        return _placed(*_nilpotent(spec, 1.0), spec)
     w3, w6 = _THIRD, _SIXTH
     if kind is TemplateKind.LAMBDA_J2_PLUS_ZERO:
         M = np.array([[0, 1, 1], [w3, 0, 1], [1, 0, 0]], dtype=complex) @ np.diag([lam, 1, 1])

@@ -21,15 +21,13 @@ At order 3 and above the objective is the variance of the squared entry
 moduli, with a log-barrier on |det M|, minimized by multi-start BFGS with a
 backtracking line search.  Each iteration evaluates the full step of every
 restart in one batched objective call; the restarts that fail the Armijo
-test then try their next steps 1/2, 1/4, ... together, in as few calls as
-keep each within ``restarts`` rows, and take the first step that passes.
-The objective is row-independent and the steps are exact powers of two, so
-this is plain backtracking to the last bit, in fewer calls.  The search
-direction is one batched matrix-vector product and the inverse-Hessian
-update one rank-two matrix product per cache-sized block of restarts.  The
-best candidates are then confirmed by Gauss-Newton refinement of the
-uniformity residuals, re-measured with the true modulus spread, and
-re-verified through the core checks.
+test then backtrack together, one batched call per step length 1/2, 1/4, ...,
+and each keeps the first step that passes.  The search direction is one
+batched matrix-vector product and the inverse-Hessian update one rank-two
+matrix product per cache-sized block of restarts.  The best candidates are
+then confirmed by Gauss-Newton refinement of the uniformity residuals,
+re-measured with the true modulus spread, and re-verified through the core
+checks.
 
 Either way the search can only err toward "not found".  ``SearchConfig``
 holds the four settings, ``restarts``, ``max_iters``, ``seed`` and
@@ -112,8 +110,6 @@ LM_FOUND_SPREAD = 1e-12   # relative modulus spread at which an LM point is cert
 #: 103-126 n^4 at n = 3-6 (256 restarts)
 LM_BYTES_PER_N4 = 224
 
-#: the line search's step lengths 1, 1/2, 1/4, ..., exact as repeated products
-_STEPS = np.cumprod([1.0] + [BACKTRACK_FACTOR] * (MAX_BACKTRACKS - 1))
 #: the LM damping factors 1, 4, 16, ... of one pass's ladder; LM_DAMPING_UP is a
 #: power of two, so lam times each is lam after as many rejections, to the bit
 _LM_LADDER = np.cumprod([1.0] + [LM_DAMPING_UP] * (LM_STALL_STEPS - 1))
@@ -272,14 +268,6 @@ def defect_objective(x: np.ndarray, A):
     return float(f[0]), g[0]
 
 
-def _ladder_length(pending: int, left: int, restarts: int) -> int:
-    """Backtracking steps that each of ``pending`` rows tries in one objective call.
-
-    As many as keep the call within ``restarts`` rows, and at most the
-    ``left`` steps of the backtracking budget."""
-    return min(left, max(1, restarts // pending))
-
-
 def _bfgs_update(H: np.ndarray, upd: np.ndarray, s: np.ndarray, y: np.ndarray,
                  sy: np.ndarray) -> None:
     """BFGS update, in place, of the inverse Hessians H[r] of the rows r where ``upd`` is set.
@@ -347,9 +335,9 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     or converge, or the iteration budget ends: at order 2 by Levenberg-Marquardt
     (``_lm_search``; each restart runs its own damping ladder, so their step
     counts drift apart), above it by BFGS in lockstep.  A BFGS iteration
-    costs one batched objective call for the full steps, plus, when some
-    restart must backtrack, about one more for a ladder of its shorter steps
-    (see the module docstring); once a restart reaches the target spread, the
+    costs one batched objective call for the full steps, plus one more per
+    shorter step length while some restart still backtracks, on those
+    restarts alone; once a restart reaches the target spread, the
     best few candidates are confirmed by Gauss-Newton refinement of the
     uniformity residuals.  A success is accepted only if M passes the
     nonsingularity gate and the image re-verifies as uniform at the target
@@ -367,7 +355,7 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     # K(cA) = |c| K(A): the search runs on As = A 2^-e, reports its spreads times 2^e
     # and certifies against A itself
     e = unit_exponent(A)
-    As = times_power_of_two(A, -e) if e else A
+    As = times_power_of_two(A, -e)
     unit = math.ldexp(1.0, e)
     if n == 2:
         return _lm_search(A, As, unit, cfg)
@@ -401,25 +389,23 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
             p[uphill] = -g[uphill]
             gTp[uphill] = -np.einsum("ri,ri->r", g[uphill], g[uphill])
             H[uphill] = np.eye(D)
-        # Armijo backtracking: the full step (X + p is X + 1.0 * p to the bit)
-        # for every row in one call, then ladders of the shorter steps for the
-        # rows it failed
+        # Armijo backtracking: the full step for every row in one call, then
+        # each shorter step 1/2, 1/4, ... for the rows still failing, one call
+        # per step length
         new_X = X + p
         new_f, new_g, new_s = _objective_batch(new_X, As)
         pend = np.flatnonzero(~(new_f <= f + ARMIJO_C * gTp))
-        depth = 1
-        while pend.size and depth < MAX_BACKTRACKS:
-            k = _ladder_length(pend.size, MAX_BACKTRACKS - depth, R)
-            t = _STEPS[depth:depth + k, None]
-            Xc = (X[pend] + t[:, :, None] * p[pend]).reshape(k * pend.size, D)
+        t = 1.0
+        for _ in range(MAX_BACKTRACKS - 1):
+            if not pend.size:
+                break
+            t *= BACKTRACK_FACTOR
+            Xc = X[pend] + t * p[pend]
             fc, gc, sc = _objective_batch(Xc, As)
-            ok = fc.reshape(k, pend.size) <= f[pend] + ARMIJO_C * t * gTp[pend]
-            hit = ok.any(axis=0)
-            c = ok.argmax(axis=0)[hit] * pend.size + np.flatnonzero(hit)
-            acc = pend[hit]
-            new_X[acc], new_f[acc], new_g[acc], new_s[acc] = Xc[c], fc[c], gc[c], sc[c]
-            pend = pend[~hit]
-            depth += k
+            ok = fc <= f[pend] + ARMIJO_C * t * gTp[pend]
+            acc = pend[ok]
+            new_X[acc], new_f[acc], new_g[acc], new_s[acc] = Xc[ok], fc[ok], gc[ok], sc[ok]
+            pend = pend[~ok]
         if pend.size:  # no step passed: the row keeps its point and freezes
             new_X[pend], new_f[pend], new_g[pend], new_s[pend] = (
                 X[pend], f[pend], g[pend], spread[pend])

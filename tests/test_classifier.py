@@ -69,6 +69,22 @@ class TestVerdictChain:
         assert rep.constants.kind == "ClosedHalfLine"
         assert rep.constants.lo == pytest.approx(3 / 4)
 
+    @pytest.mark.parametrize("lam", [1, -2j, 1e-200, -3e200])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_identity_plus_zero_exact_set(self, n, lam):
+        # K(lam I_n + O_n) is exactly [|lam|/2, inf): its trace bound is reached
+        lams = [lam] * n + [0] * n
+        np.random.default_rng(n).shuffle(lams)
+        spec = diag_spec(*lams)
+        rep = classify(spec)
+        lo = abs(lam) / 2
+        assert rep.theorem_tag == "identity-plus-zero" and rep.verdict is Verdict.APPORTIONABLE
+        assert rep.constants == ConstantSet.closed_half_line(lo)
+        assert rep.constants.exact and rep.constants.lower_bound == lo
+        cert = request_certificate(spec, kappa=lo, report=rep)
+        assert cert.kappa == lo
+        assert verify_certificate(cert, build_jordan(spec)).is_uniform
+
     def test_half_rank_superset(self):
         spec = JordanSpec(((2 + 0j, 2), (0j, 2), (0j, 1), (0j, 1)))
         rep = classify(spec)
@@ -278,8 +294,7 @@ class TestCertificateConsistency:
     def test_block_matching_and_reorder_match_the_scan_and_product(self):
         # the one-pass matching against the first-unused scan, and the index move
         # against the product with the permutation matrix: equal to the bit
-        from apportion.classifier import _permute_to
-        from apportion.constructors import CertTag, _certificate
+        from apportion.constructors import CertTag, _certificate, _placed
         from apportion.jordan import block_permutation
 
         rng = np.random.default_rng(17)
@@ -296,10 +311,26 @@ class TestCertificateConsistency:
             n = target.order
             M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             cert = _certificate(M, np.linalg.inv(M), np.eye(n), 1.0, CertTag.SEARCH)
-            moved = _permute_to(cert, built, target)
+            moved = _placed(cert, built, target)
             assert np.array_equal(moved.M, cert.M @ Q)
             assert np.array_equal(moved.Minv, Q.T @ cert.Minv)
             assert moved.B is cert.B
+
+    def test_one_move_per_certificate(self, monkeypatch):
+        # the half-rank certificate is built for the sorted kept blocks, padded for the
+        # peeled zero 1-blocks and moved to the input's block order once
+        from apportion import constructors
+
+        moves = []
+        block_rows = constructors._block_rows
+        monkeypatch.setattr(constructors, "_block_rows",
+                            lambda *args: moves.append(args) or block_rows(*args))
+        spec = diag_spec(0, 1, 0, -2j, 0, 0)
+        for build in (apportion_half_rank, request_certificate):
+            moves.clear()
+            cert = build(spec, 1.5)
+            verify_certificate(cert, build_jordan(spec))
+            assert len(moves) == 1
 
     def test_raw_conjugated_certificate_refused(self):
         rng = np.random.default_rng(30)
@@ -453,6 +484,7 @@ SPEC_PER_RULE = {
     "scalar-matrix": diag_spec(2, 2),
     "nilpotent": JordanSpec(((0j, 2),)),
     "rank-one": diag_spec(3, 0, 0),
+    "identity-plus-zero": diag_spec(0, 2j, 0, 2j),
     "half-rank": diag_spec(1, 2, 0, 0),
     "perturb-identity": JordanSpec(((1 + 0j, 1),) * 4 + ((-1.5 + 0.9j, 1),)),
     "repeated-eigenvalue": JordanSpec(((2 + 0j, 2),)),
@@ -637,8 +669,8 @@ class TestExtremeInputs:
         assert rep.constants.lo == pytest.approx(unit.constants.lo * scale, rel=1e-12)
 
     def test_lower_bound_near_float_range(self):
-        # tr = 2e308 overflows: the floor is still 5e307, so the set's own default
-        # member 1.5 lo = 7.5e307 is accepted and built
+        # tr = 2e308 overflows: lam I_2 + O_2's closed set still starts at 5e307, its own
+        # default member, which is accepted and built
         import warnings
 
         spec = diag_spec(1e308, 1e308, 0, 0)
@@ -648,7 +680,16 @@ class TestExtremeInputs:
             assert report.constants.lower_bound == report.constants.lo == 5e307
             cert = request_certificate(spec, report=report)
             verify_certificate(cert, build_jordan(spec))
-        assert cert.kappa == 7.5e307
+        assert cert.kappa == 5e307
+
+    @pytest.mark.parametrize("lam", [5e-324, 2.5e-323])
+    def test_identity_plus_zero_subnormal(self, lam):
+        # |lam|/2 rounds below the true end of the set, so the build leaves the float
+        # range: a ConstructionError, not a math domain error
+        spec = diag_spec(lam, 0, lam, 0)
+        assert classify(spec).theorem_tag == "identity-plus-zero"
+        with pytest.raises(ConstructionError, match="floating point"):
+            request_certificate(spec)
 
     def test_raw_triangular_keeps_small_eigenvalues(self):
         # huge entries off the diagonal do not swamp exact small eigenvalues

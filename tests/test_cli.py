@@ -313,6 +313,7 @@ class TestDeterminism:
         (((-1.39 + 0.14j, 1),), "order-one"),
         (((0j, 8), (0j, 4)), "nilpotent"),
         (((0j, 1), (-0.5 - 0.27j, 1), (0j, 1)), "rank-one"),
+        (((1 + 0j, 1), (0j, 1), (1 + 0j, 1), (0j, 1)), "identity-plus-zero"),
         (((0j, 1), (0.56 + 0.1j, 1), (0j, 1), (0j, 1), (0.96 + 1.11j, 1), (-0.98 - 1.31j, 2),
           (0j, 1), (0j, 1)), "half-rank"),
         (((1 + 0j, 1), (-0.5 + 1j, 1), (1 + 0j, 1)), "perturb-identity"),
@@ -578,7 +579,7 @@ class TestEdgeRefusals:
                 assert json.loads(out)["kappa"] == pytest.approx(lower, rel=1e-12)
 
     def test_default_member_near_float_range(self, tmp_path, capsys):
-        # the set (5e307, inf) and its default member 7.5e307 survive an overflowing trace
+        # the set [5e307, inf) and its default member 5e307 survive an overflowing trace
         import warnings
 
         doc = jordan_doc([(1e308 + 0j, 1), (1e308 + 0j, 1), (0j, 1), (0j, 1)])
@@ -587,7 +588,7 @@ class TestEdgeRefusals:
             warnings.simplefilter("error")
             code, out = run(capsys, ["apportion", path])
         assert code == 0
-        assert json.loads(out)["kappa"] == 7.5e307
+        assert json.loads(out)["kappa"] == 5e307
 
     @pytest.mark.parametrize("lams, found", [((1e100, -1e100), True),
                                              ((1e175, 1e175), False)])

@@ -288,40 +288,6 @@ class TestSearchInternals:
         J = _refine_jacobian(B, AMinv, Minv)
         assert np.abs(J - ref).max() <= 64 * np.finfo(float).eps * np.abs(ref).max()
 
-    @pytest.mark.parametrize("blocks, cfg", [
-        ([(1 + 0j, 1), (2 + 0j, 1), (-1 + 0.5j, 1)],
-         SearchConfig(seed=1, restarts=32, defect_target=1e-6)),
-        ([(0j, 3)], SearchConfig(seed=0)),
-        ([(0j, 2), (0j, 2)], SearchConfig(seed=0)),
-    ])
-    def test_ladder_matches_plain_backtracking(self, monkeypatch, blocks, cfg):
-        # the ladder evaluates the steps plain backtracking would try, in fewer
-        # calls: every outcome must be the same to the last bit
-        from apportion import search
-
-        objective = search._objective_batch
-        A = build_jordan(JordanSpec(tuple(blocks)))
-
-        def run():
-            rows = []
-
-            def counted(X, A_):
-                rows.append(X.shape[0])
-                return objective(X, A_)
-
-            monkeypatch.setattr(search, "_objective_batch", counted)
-            return find_apportioning(A, cfg), rows
-
-        batched, batched_rows = run()
-        monkeypatch.setattr(search, "_ladder_length", lambda pending, left, restarts: 1)
-        plain, plain_rows = run()
-        assert batched.found == plain.found
-        assert batched.restarts_used == plain.restarts_used
-        assert batched.restart_defects == plain.restart_defects
-        assert batched.best_defect == plain.best_defect
-        assert max(batched_rows) <= cfg.restarts
-        assert len(batched_rows) < len(plain_rows)
-
     @pytest.mark.parametrize("blocks", [[(0j, 5)], [(0j, 3), (0j, 2)], [(0j, 6)]])
     def test_blocked_update_matches_one_block(self, monkeypatch, blocks):
         # the inverse-Hessian update on one row at a time and on every row at
