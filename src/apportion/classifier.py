@@ -115,7 +115,7 @@ def _match_rank_one(spec: JordanSpec) -> Match:
     if spec.rank != 1 or spec.is_nilpotent():
         return None
     n, lam = spec.order, next(lam for lam, _ in spec.blocks if lam != 0)
-    return Verdict.APPORTIONABLE, _rank_one_constants(abs(lam), n), lambda k: (
+    return Verdict.APPORTIONABLE, _rank_one_constants(lam, n), lambda k: (
         _rank_one(lam, n, k), ((lam, 1),) + ((0j, 1),) * (n - 1))
 
 
@@ -218,7 +218,7 @@ def _match_pad_zero(spec: JordanSpec) -> Match:
 RULES: tuple[Rule, ...] = (
     Rule("zero-matrix", _match_zero),
     Rule("order-one",
-         lambda s: ((Verdict.APPORTIONABLE, _rank_one_constants(abs(s.blocks[0][0]), 1),
+         lambda s: ((Verdict.APPORTIONABLE, _rank_one_constants(s.blocks[0][0], 1),
                      lambda k: (_rank_one(s.blocks[0][0], 1, k), s.blocks))
                     if s.order == 1 else None)),
     # lam * I, lam != 0

@@ -648,12 +648,15 @@ def _spiral_angles(n: int, r: float) -> SpiralSolution:
     return SpiralSolution(rho, alpha, tuple(j * rho - alpha for j in range(1, n + 1)))
 
 
-def _rank_one_constants(rho: float, n: int) -> ConstantSet:
-    """K of diag(lam, 0, ..., 0) of order n with |lam| = rho > 0: {rho} at n = 1,
-    else [rho/n, inf)."""
+def _rank_one_constants(lam: complex, n: int) -> ConstantSet:
+    """K of diag(lam, 0, ..., 0) of order n with lam != 0: {|lam|} at n = 1, else
+    [|lam|/n, inf).  |lam|/n is taken at unit scale (``core.unit_exponent``), so it
+    overflows only where it is out of range itself, and a quotient that underflows is
+    rounded up to the least positive float: 0 is never a member."""
     if n == 1:
-        return ConstantSet.finite([rho])
-    lo = rho / n
+        return ConstantSet.finite([abs(lam)])
+    e = unit_exponent((lam,))
+    lo = max(math.ldexp(abs(times_power_of_two(lam, -e)) / n, e), math.ulp(0.0))
     return ConstantSet.closed_half_line(lo, lower_bound=lo)
 
 
@@ -661,7 +664,9 @@ def _rank_one(lam: complex, n: int, kappa: float) -> ApportionCertificate:
     """``apportion_rank_one`` at a member kappa, unchecked."""
     if n == 1:   # a 1x1 matrix is similar only to itself
         return _certificate(np.eye(1), np.eye(1), [[lam]], abs(lam), CertTag.RANK_ONE)
-    r = kappa / abs(lam)
+    # r = kappa / |lam|, at lam's unit scale, where |lam| does not overflow
+    e = unit_exponent((lam,))
+    r = math.ldexp(kappa, -e) / abs(times_power_of_two(lam, -e))
     sol = _spiral_angles(n, r)
     vraw = r * np.exp(1j * np.array(sol.thetas))
     v = vraw / vraw.sum()       # v^T 1 = 1
@@ -687,7 +692,7 @@ def apportion_rank_one(lam: complex, n: int, kappa: float) -> ApportionCertifica
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidInputError("n must be a positive integer")
     return _certified(lambda k: _rank_one(lam, n, k), np.diag([lam] + [0j] * (n - 1)),
-                      kappa, _rank_one_constants(abs(lam), n))
+                      kappa, _rank_one_constants(lam, n))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ backtracking line search.  Each iteration evaluates the full step of every
 restart in one batched objective call; the restarts that fail the Armijo
 test then backtrack together, one batched call per step length 1/2, 1/4, ...,
 and each keeps the first step that passes.  The search direction is one
-batched matrix-vector product and the inverse-Hessian update one rank-two
-matrix product per cache-sized block of restarts.  The best candidates are
+batched matrix-vector product.  The inverse-Hessian update forms H y and its
+rank-two factors once per iteration, then adds their product to one
+cache-sized block of restarts at a time.  The best candidates are
 then confirmed by Gauss-Newton refinement of the uniformity residuals,
 re-measured with the true modulus spread, and re-verified through the core
 checks.
@@ -118,6 +119,10 @@ _LM_LADDER = np.cumprod([1.0] + [LM_DAMPING_UP] * (LM_STALL_STEPS - 1))
 _DET_RTOL = 4 * np.finfo(float).eps
 #: LAPACK's batched solve, as np.linalg.solve calls it for a stack of right-hand sides
 _solve = _umath_linalg.solve
+#: LAPACK's batched determinant and inverse, as np.linalg.det and np.linalg.inv call
+#: them on complex stacks.  np.linalg.inv turns the gufunc's invalid flag (a singular
+#: LU) into LinAlgError; ``_det_inv_batch`` never passes it a row whose det is 0
+_det, _inv = _umath_linalg.det, _umath_linalg.inv
 
 
 @dataclass(frozen=True)
@@ -199,7 +204,7 @@ def _det_inv_batch(M: np.ndarray):
     Flagged rows get determinant 1 and inverse I, so callers evaluate them harmlessly."""
     n = M.shape[1]
     if n != 2:
-        det = np.linalg.det(M)
+        det = _det(M, signature="D->D")
         bad = ~np.isfinite(det) | (np.abs(det) < 1e-280)
     else:
         p, q = M[:, 0, 0] * M[:, 1, 1], M[:, 0, 1] * M[:, 1, 0]
@@ -211,7 +216,7 @@ def _det_inv_batch(M: np.ndarray):
         M = M.copy()
         M[bad] = np.eye(n)
     if n != 2:
-        return det, np.linalg.inv(M), bad
+        return det, _inv(M, signature="D->D"), bad
     Minv = np.empty_like(M)
     Minv[:, 0, 0] = M[:, 1, 1]
     Minv[:, 0, 1] = -M[:, 0, 1]
@@ -236,7 +241,8 @@ def _objective_batch(X: np.ndarray, A: np.ndarray):
     Xn = X / norms[:, None]
     M = _to_matrix(Xn, n)
     det, Minv, bad = _det_inv_batch(M)
-    B = M @ A @ Minv
+    # M A as one (R n, n) @ (n, n) product: the same bits as the stacked M @ A
+    B = (M.reshape(R * n, n) @ A).reshape(R, n, n) @ Minv
     absB2 = B.real**2 + B.imag**2
     v = absB2.reshape(R, n2)
     # np.add.reduce(..) / n2 is .mean(axis=1) bit for bit, without its wrapper
@@ -273,25 +279,35 @@ def _bfgs_update(H: np.ndarray, upd: np.ndarray, s: np.ndarray, y: np.ndarray,
     """BFGS update, in place, of the inverse Hessians H[r] of the rows r where ``upd`` is set.
 
     With h = H y / sy and c = (sy + y.Hy) / sy^2 the update is
-    H += (c s - h) s^T - s h^T, one (rows, D, 2) @ (rows, 2, D) product per
-    block of rows whose (rows, D, D) product takes at most UPDATE_BLOCK_BYTES,
-    or one row.  Every row gets the same operations at any block size, so the
-    blocks change no bit of the result.  A block holds 50 rows at order 3, so
-    one block covers the default 32 restarts there, and 3 rows at order 6.
+    H += (c s - h) s^T - s h^T.  H y is one batched product through views of
+    the whole stack, and c, h and the two (rows, D, 2) and (rows, 2, D)
+    factors are formed once for the updated rows; only the (rows, D, D)
+    product-and-add runs per block of rows whose product takes at most
+    UPDATE_BLOCK_BYTES, or one row.  Under a partial mask, one block of rows
+    is gathered, updated and written back at a time.  Every row gets
+    the same operations at any block size, so the blocks change no bit of
+    the result.  A block holds 50 rows at order 3, so one block covers the
+    default 32 restarts there, and 3 rows at order 6.
     """
     D = H.shape[1]
     size = max(1, UPDATE_BLOCK_BYTES // (8 * D * D))
     every = upd.all()  # the usual case: update H through views, with no gather
-    rows = None if every else np.flatnonzero(upd)
-    for a in range(0, H.shape[0] if every else rows.size, size):
-        r = slice(a, a + size) if every else rows[a:a + size]
-        Hr, s_r, y_r, sy_r = H[r], s[r], y[r], sy[r]
-        Hy = (Hr @ y_r[:, :, None])[:, :, 0]
-        coeff = (sy_r + np.einsum("ri,ri->r", y_r, Hy)) / sy_r**2
-        h = Hy / sy_r[:, None]
-        Hr += np.stack([coeff[:, None] * s_r - h, -s_r], axis=2) @ np.stack([s_r, h], axis=1)
-        if not every:
-            H[r] = Hr
+    Hy = (H @ y[:, :, None])[:, :, 0]
+    if not every:
+        rows = np.flatnonzero(upd)
+        Hy, s, y, sy = Hy[rows], s[rows], y[rows], sy[rows]
+    coeff = (sy + np.einsum("ri,ri->r", y, Hy)) / sy**2
+    h = Hy / sy[:, None]
+    U = np.stack([coeff[:, None] * s - h, -s], axis=2)
+    V = np.stack([s, h], axis=1)
+    for a in range(0, sy.size, size):
+        b = slice(a, a + size)
+        if every:
+            H[b] += U[b] @ V[b]
+        else:
+            Hr = H[rows[b]]
+            Hr += U[b] @ V[b]
+            H[rows[b]] = Hr
 
 
 #: the last table of starting points drawn, as ((seed, restarts, n), read-only

@@ -682,6 +682,39 @@ class TestExtremeInputs:
             verify_certificate(cert, build_jordan(spec))
         assert cert.kappa == 5e307
 
+    def test_rank_one_subnormal_eigenvalue(self):
+        # |lam|/2 underflows to 0, but the set's end is positive: it is rounded up to the
+        # least positive float, and a request builds a certificate that verifies or
+        # refuses with ConstructionError
+        spec = diag_spec(5e-324, 0)
+        report = classify(spec)
+        assert report.theorem_tag == "rank-one"
+        assert report.constants.lo == report.constants.lower_bound == math.ulp(0.0)
+        assert report.constants.contains(0.0) is False
+        try:
+            cert = request_certificate(spec, report=report)
+        except ConstructionError:
+            return
+        verify_certificate(cert, build_jordan(spec))
+
+    def test_rank_one_eigenvalue_modulus_overflows(self):
+        # |lam| = 2.4e308 leaves the float range and |lam|/3 = 8.01e307 does not: the set
+        # and the build's r = kappa/|lam| read |lam| at unit scale
+        import warnings
+
+        lam = 1.7e308 + 1.7e308j
+        spec = diag_spec(lam, 0, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = classify(spec)
+            assert report.theorem_tag == "rank-one"
+            assert report.constants.lo == pytest.approx(abs(lam / 4) / 3 * 4, rel=1e-15)
+            try:
+                cert = request_certificate(spec, report=report)
+            except ConstructionError:
+                return
+        verify_certificate(cert, build_jordan(spec))
+
     @pytest.mark.parametrize("lam", [5e-324, 2.5e-323])
     def test_identity_plus_zero_subnormal(self, lam):
         # |lam|/2 rounds below the true end of the set, so the build leaves the float

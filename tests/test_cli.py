@@ -639,6 +639,23 @@ class TestScale:
         cert = ApportionCertificate(M, Minv, B, doc["kappa"], CertTag(doc["theorem_tag"]))
         assert verify_certificate(cert, A).kappa == pytest.approx(scale / 3, rel=1e-9)
 
+    @pytest.mark.parametrize("blocks", [[(5e-324 + 0j, 1), (0j, 1)],
+                                        [(1.7e308 + 1.7e308j, 1), (0j, 1), (0j, 1)]])
+    def test_rank_one_at_the_float_range_ends(self, tmp_path, capsys, blocks):
+        # |lam|/2 underflows and |lam| overflows: classify reports a set that holds no 0,
+        # and apportion certifies (the certificate verifies) or exits 3
+        path = write_doc(tmp_path, "m.json", jordan_doc(blocks))
+        code, out = run(capsys, ["classify", path])
+        assert code == 0
+        report = json.loads(out)
+        assert report["theorem_tag"] == "rank-one" and report["constants"]["lo"] > 0
+        code, out = run(capsys, ["apportion", path])
+        assert code in (0, 3)
+        if code == 0:
+            m_path = write_doc(tmp_path, "M.json", {"entries": json.loads(out)["M"]})
+            code, out = run(capsys, ["verify", path, m_path])
+            assert code == 0 and json.loads(out)["is_uniform"] is True
+
     def test_verify_defaults_are_the_library_defaults(self, tmp_path, capsys):
         # no absolute floor: a small non-uniform image is reported as such
         a_path = write_doc(tmp_path, "a.json", entries_doc([[1e-13, 0], [0, 0]]))

@@ -361,6 +361,75 @@ class TestSearchInternals:
             assert np.abs(H[r] - want).max() <= 1e-12 * np.abs(want).max()
             assert np.abs(H[r] @ y[r] - s[r]).max() <= 1e-10 * np.abs(s[r]).max()
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_objective_matches_the_stacked_products(self, n):
+        # M A as one (R n, n) @ (n, n) product and the det / inv gufuncs called directly
+        # give the bits of np.linalg.det, np.linalg.inv and the stacked M @ A @ Minv,
+        # singular rows included
+        from apportion.search import BARRIER_WEIGHT, _objective_batch, _to_matrix
+
+        rng = np.random.default_rng(80 + n)
+        R, n2 = 32, n * n
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        X = rng.standard_normal((R, 2 * n2))
+        X[3] = 0.0
+        X[5, :n], X[5, n2:n2 + n] = 0.0, 0.0  # M's row 0 vanishes
+        norms = np.sqrt(np.einsum("ri,ri->r", X, X))
+        norms = np.where(norms == 0.0, 1.0, norms)
+        Xn = X / norms[:, None]
+        M = _to_matrix(Xn, n)
+        det = np.linalg.det(M)
+        bad = ~np.isfinite(det) | (np.abs(det) < 1e-280)
+        assert bad.tolist() == [r in (3, 5) for r in range(R)]
+        det = np.where(bad, 1.0, det)
+        M[bad] = np.eye(n)
+        Minv = np.linalg.inv(M)
+        B = M @ A @ Minv
+        v = (B.real**2 + B.imag**2).reshape(R, n2)
+        dev = v - np.add.reduce(v, axis=1, keepdims=True) / n2
+        f = np.add.reduce(dev**2, axis=1) / n2 - 2.0 * BARRIER_WEIGHT * np.log(np.abs(det))
+        T = Minv @ (dev.reshape(R, n, n) * B.conj()).transpose(0, 2, 1)
+        gM = ((4.0 / n2) * (A @ T - T @ B).transpose(0, 2, 1)
+              - 2.0 * BARRIER_WEIGHT * Minv.transpose(0, 2, 1))
+        g = np.concatenate([gM.real.reshape(R, n2), -gM.imag.reshape(R, n2)], axis=1)
+        g = (g - np.einsum("ri,ri->r", g, Xn)[:, None] * Xn) / norms[:, None]
+        spread = np.sqrt(v).max(axis=1) - np.sqrt(v).min(axis=1)
+        f[bad], g[bad], spread[bad] = np.inf, 0.0, np.inf
+        for got, want in zip(_objective_batch(X, A), (f, g, spread)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("mask", ["full", "partial"])
+    @pytest.mark.parametrize("block_bytes", [1, 2**62])
+    def test_bfgs_update_matches_per_block_factors(self, monkeypatch, n, mask, block_bytes):
+        # H y, c, h and the factors formed once for all rows give the bits of forming
+        # them per block, through views of H under a full mask and on gathered rows
+        # under a partial one
+        from apportion import search
+
+        monkeypatch.setattr(search, "UPDATE_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(90 + n)
+        R, D = 12, 2 * n * n
+        Q = rng.standard_normal((R, D, D))
+        H = Q @ Q.transpose(0, 2, 1) / D + np.eye(D)
+        s, y = rng.standard_normal((R, D)), rng.standard_normal((R, D))
+        sy = np.einsum("ri,ri->r", s, y)
+        upd = np.ones(R, dtype=bool) if mask == "full" else rng.random(R) < 0.6
+        upd[:2] = True, mask == "full"
+        ref = H.copy()
+        size = max(1, block_bytes // (8 * D * D))
+        rows = np.flatnonzero(upd)
+        for a in range(0, rows.size, size):
+            r = slice(a, a + size) if mask == "full" else rows[a:a + size]
+            Hr, s_r, y_r, sy_r = ref[r], s[r], y[r], sy[r]
+            Hy = (Hr @ y_r[:, :, None])[:, :, 0]
+            coeff = (sy_r + np.einsum("ri,ri->r", y_r, Hy)) / sy_r**2
+            h = Hy / sy_r[:, None]
+            Hr += np.stack([coeff[:, None] * s_r - h, -s_r], axis=2) @ np.stack([s_r, h], axis=1)
+            ref[r] = Hr
+        search._bfgs_update(H, upd, s, y, sy)
+        assert H.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_refine_jacobian_batched_matches_one_matrix(self, n):
         from apportion.search import _refine_jacobian, _to_matrix
