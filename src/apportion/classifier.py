@@ -45,7 +45,7 @@ from .constructors import (
     perturb_identity_constants,
     spec_bounds,
 )
-from .core import as_matrix, times_power_of_two, unit_exponent
+from .core import as_matrix, modulus, times_power_of_two, unit_exponent
 from .errors import InvalidInputError
 from .jordan import JordanSpec, build_jordan, eigenstructure_small
 from .reports import ClassificationReport, ConstantSet, Verdict
@@ -129,8 +129,9 @@ def _match_identity_plus_zero(spec: JordanSpec) -> Match:
     if len(nonzero) != 1:
         return None
     lam = nonzero.pop()
-    return Verdict.APPORTIONABLE, ConstantSet.closed_half_line(abs(lam) / 2.0), lambda k: (
-        _scaled(_identity_plus_zero(n, k / abs(lam)), lam), ((lam, 1),) * n + ((0j, 1),) * n)
+    return Verdict.APPORTIONABLE, ConstantSet.closed_half_line(modulus(lam, over=2.0)), lambda k: (
+        _scaled(_identity_plus_zero(n, modulus(lam, dividing=k)), lam),
+        ((lam, 1),) * n + ((0j, 1),) * n)
 
 
 def _match_half_rank(spec: JordanSpec) -> Match:
@@ -159,8 +160,8 @@ def _match_perturb(spec: JordanSpec) -> Match:
             constants = perturb_identity_constants(n, other / mu)
             if constants is None:
                 return _REFUTED
-            return Verdict.APPORTIONABLE, constants.scaled(abs(mu)), lambda k: (
-                _scaled(_perturb_identity(n, other / mu, k / abs(mu)), mu),
+            return Verdict.APPORTIONABLE, constants.scaled(mu), lambda k: (
+                _scaled(_perturb_identity(n, other / mu, modulus(mu, dividing=k)), mu),
                 ((mu, 1),) * (n - 1) + ((other, 1),))
     return None
 
@@ -185,7 +186,7 @@ def _match_template(spec: JordanSpec, kind: TemplateKind, sizes: tuple[int, int]
         return None
     for (lam, s), (mu, t) in (spec.blocks, spec.blocks[::-1]):
         if lam != 0 and mu == 0 and (s, t) == sizes:
-            constants = ConstantSet.finite([abs(lam) / divisor], exact=False,
+            constants = ConstantSet.finite([modulus(lam, over=divisor)], exact=False,
                                            lower_bound=max(spec_bounds(spec.blocks)))
             return Verdict.APPORTIONABLE, constants, lambda k: (
                 _template(kind, lam), ((lam, sizes[0]), (0j, sizes[1])))
@@ -361,12 +362,16 @@ def admissible_region(lambda1: complex,
     res = np.linspace(re_min, re_max, resolution)
     ims = np.linspace(im_min, im_max, resolution)
     unit_res = np.ldexp(res, -e).tolist()
+    atol = DEGENERATE_ATOL
     samples = []
     for im, unit_im in zip(ims.tolist(), np.ldexp(ims, -e).tolist()):
         for re, unit_re in zip(res.tolist(), unit_res):
             l2 = complex(re, im)
             admissible = None
-            if abs(l2) > DEGENERATE_ATOL and abs(l2 - lambda1) > DEGENERATE_ATOL:
+            # |z| exceeds atol wherever a part does, so |z| is read only at tiny points
+            if ((abs(re) > atol or abs(im) > atol or modulus(l2) > atol)
+                    and (abs(re - lambda1.real) > atol or abs(im - lambda1.imag) > atol
+                         or modulus(l2 - lambda1) > atol)):
                 admissible = _gamma_test(unit_l1, complex(unit_re, unit_im)) is not None
             samples.append(RegionSample(re, im, admissible))
     return samples

@@ -19,13 +19,15 @@ import contextlib
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .core import (DEFAULT_TOL, Tolerance, UniformityReport, _max_modulus, as_matrix,
-                   check_inverse, is_uniform, times_power_of_two, unit_exponent)
+                   check_inverse, floor_bound, is_uniform, modulus, times_power_of_two,
+                   unit_exponent)
 from .errors import (
     ConstantNotAchievableError,
     ConstructionError,
@@ -116,7 +118,8 @@ def _check_image(B, M, A, Minv, kappa: float, tol: Tolerance) -> None:
 
 
 def _check(cert: ApportionCertificate, A, tol: Tolerance) -> UniformityReport:
-    """Inverse product, uniformity at kappa, the image against B if A is given; B's report."""
+    """Inverse product, uniformity at kappa, the image against B if A is given; B's report.
+    kappa is tested against B's finite modulus first, so only a finite kappa sets a tolerance."""
     M, Minv, B = (np.asarray(x, dtype=complex) for x in (cert.M, cert.Minv, cert.B))
     if A is not None:
         A = np.asarray(A, dtype=complex)
@@ -130,7 +133,7 @@ def _check(cert: ApportionCertificate, A, tol: Tolerance) -> UniformityReport:
     rep = is_uniform(B, tol)
     if not rep.is_uniform:
         raise ConstructionError(f"image is not uniform: defect {rep.defect:.3e}")
-    if abs(rep.kappa - kappa) > 1e-9 * abs(kappa):
+    if not abs(rep.kappa - kappa) <= 1e-9 * rep.kappa:   # an inf or NaN kappa fails
         raise ConstructionError(
             f"achieved modulus {rep.kappa!r} does not match requested {kappa!r}"
         )
@@ -230,7 +233,7 @@ def reorder_certificate(cert: ApportionCertificate, Q: np.ndarray,
 
 def _scaled(cert: ApportionCertificate, mu: complex) -> ApportionCertificate:
     """A certificate for A becomes one for mu*A, unchecked; the same M works unchanged."""
-    return _certificate(cert.M, cert.Minv, mu * cert.B, abs(mu) * cert.kappa,
+    return _certificate(cert.M, cert.Minv, mu * cert.B, modulus(mu, times=cert.kappa),
                         cert.theorem_tag)
 
 
@@ -249,21 +252,32 @@ def _coerce_spec(a) -> JordanSpec:
     return a if isinstance(a, JordanSpec) else _arranged_spec(a)
 
 
+_LOG_MAX, _LOG2 = math.log(sys.float_info.max), math.log(2.0)
+
+
+def _log_modulus(lam: complex) -> float:
+    """log |lam|, also past the float range, by way of |lam|/2 (``core.modulus``)."""
+    m = modulus(lam)
+    return math.log(m) if m < math.inf else math.log(modulus(lam, over=2.0)) + _LOG2
+
+
 def spec_bounds(blocks) -> tuple[float, float]:
     """(trace bound, determinant bound) of the Jordan matrix of ``blocks``, its
-    (eigenvalue, size) pairs; no constant lies below either.  The trace is taken at unit
-    scale (``core.unit_exponent``), the determinant in log space, so neither overflows
-    unless the bound itself does."""
+    (eigenvalue, size) pairs; no constant lies below either.  The trace is summed at unit
+    scale (``core.unit_exponent``), the determinant in log space, each modulus is read by
+    ``core.modulus``, and a bound past the float range is the largest float
+    (``core.floor_bound``), so neither overflows."""
     n = sum(size for _, size in blocks)
     e = unit_exponent([lam for lam, _ in blocks])
     tr = sum(times_power_of_two(lam, -e) * size for lam, size in blocks)
-    trace_bound = math.ldexp(abs(tr) / n, e)
+    trace_bound = floor_bound(modulus(tr, over=n, scale=e))
     if any(lam == 0 for lam, _ in blocks):
-        det_bound = 0.0
-    else:
-        logdet = sum(size * math.log(abs(lam)) for lam, size in blocks)
-        det_bound = math.exp(logdet / n) / math.sqrt(n)
-    return trace_bound, det_bound
+        return trace_bound, 0.0
+    g = sum(size * _log_modulus(lam) for lam, size in blocks) / n
+    # exp(g), the moduli's geometric mean, can be past the float range where the bound is not
+    det_bound = (math.exp(g) / math.sqrt(n) if g < _LOG_MAX
+                 else math.exp(g - _LOG2) / math.sqrt(n) * 2.0)
+    return trace_bound, floor_bound(det_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +484,10 @@ def _half_rank_plan_sorted(spec: JordanSpec, kappa: float) -> HalfRankPlan:
     if 2 * r != N:
         raise InvalidInputError("internal: plan needs rank exactly half the order")
     mu = spec.diagonal / kappa
+    if np.count_nonzero(mu) != np.count_nonzero(spec.diagonal):
+        raise ConstructionError(
+            f"construction fails in floating point at kappa = {kappa!r}: an eigenvalue "
+            "divided by kappa underflows to 0")
     alphas = spec.alphas
     us = np.empty((N, N), dtype=complex)
     vs = np.zeros((r, N), dtype=complex)
@@ -479,7 +497,7 @@ def _half_rank_plan_sorted(spec: JordanSpec, kappa: float) -> HalfRankPlan:
         us[:, r + k - 1] = _split_vector(N, 2 * k, 1.0, -1.0)
         m = mu[k - 1]
         if m != 0:
-            am = abs(m)
+            am = modulus(m)
             zeta = am / 2.0 + 1j * math.sqrt(4.0 - am * am) / 2.0
             gamma = ((zeta.conjugate() ** 2 - 1.0) * m) ** k
             zetas[k] = zeta
@@ -533,7 +551,8 @@ def _half_rank_exact(spec: JordanSpec, kappa: float) -> tuple[ApportionCertifica
 
 def _half_rank_constants(spec: JordanSpec) -> ConstantSet:
     """Known part of K at rank <= order/2: every kappa above half the spectral radius."""
-    return ConstantSet.open_half_line(spec.spectral_radius / 2.0, exact=False,
+    rho_half = modulus(*(lam for lam, _ in spec.blocks), over=2.0)
+    return ConstantSet.open_half_line(rho_half, exact=False,
                                       lower_bound=max(spec_bounds(spec.blocks)))
 
 
@@ -650,23 +669,19 @@ def _spiral_angles(n: int, r: float) -> SpiralSolution:
 
 def _rank_one_constants(lam: complex, n: int) -> ConstantSet:
     """K of diag(lam, 0, ..., 0) of order n with lam != 0: {|lam|} at n = 1, else
-    [|lam|/n, inf).  |lam|/n is taken at unit scale (``core.unit_exponent``), so it
-    overflows only where it is out of range itself, and a quotient that underflows is
-    rounded up to the least positive float: 0 is never a member."""
+    [|lam|/n, inf), by ``core.modulus``; a quotient that underflows is rounded up to the
+    least positive float, so 0 is never a member."""
     if n == 1:
-        return ConstantSet.finite([abs(lam)])
-    e = unit_exponent((lam,))
-    lo = max(math.ldexp(abs(times_power_of_two(lam, -e)) / n, e), math.ulp(0.0))
+        return ConstantSet.finite([modulus(lam)])
+    lo = max(modulus(lam, over=n), math.ulp(0.0))
     return ConstantSet.closed_half_line(lo, lower_bound=lo)
 
 
 def _rank_one(lam: complex, n: int, kappa: float) -> ApportionCertificate:
     """``apportion_rank_one`` at a member kappa, unchecked."""
     if n == 1:   # a 1x1 matrix is similar only to itself
-        return _certificate(np.eye(1), np.eye(1), [[lam]], abs(lam), CertTag.RANK_ONE)
-    # r = kappa / |lam|, at lam's unit scale, where |lam| does not overflow
-    e = unit_exponent((lam,))
-    r = math.ldexp(kappa, -e) / abs(times_power_of_two(lam, -e))
+        return _certificate(np.eye(1), np.eye(1), [[lam]], modulus(lam), CertTag.RANK_ONE)
+    r = modulus(lam, dividing=kappa)
     sol = _spiral_angles(n, r)
     vraw = r * np.exp(1j * np.array(sol.thetas))
     v = vraw / vraw.sum()       # v^T 1 = 1
@@ -801,11 +816,14 @@ def _gamma_test(l1: complex, l2: complex) -> Optional[tuple[complex, float]]:
     gamma = (l2+l1)/(l2-l1) must vanish (to 1e-12 of the pair) or satisfy
     Re(gamma^2) < |gamma|^4 <= 1.  |gamma|^4 within 4e-12 of 1 counts as 1, so
     pure-imaginary ratios sit on |gamma| = 1; the strict inequality keeps a 1e-12
-    margin, as its boundary would give certificates with unbounded entries."""
-    s = l1 + l2
+    margin, as its boundary would give certificates with unbounded entries.  |gamma| > 2
+    is refused before the quotient, which overflows where l2 - l1 underflows."""
+    s, d = l1 + l2, l2 - l1
     if abs(s) <= 1e-12 * max(abs(l1), abs(l2)):
         return 0j, 0.0
-    gamma = s / (l2 - l1)
+    if abs(s) > 2.0 * abs(d):
+        return None
+    gamma = s / d
     g4 = abs(gamma) ** 4
     if abs(g4 - 1.0) <= 4e-12:
         g4 = 1.0
@@ -828,12 +846,11 @@ def _order_two(l1: complex, l2: complex) -> Optional[tuple[complex, float, Const
     if found is None:
         return None
     gamma, g4 = found
-    unit = math.ldexp(1.0, e)
     if gamma == 0:
-        lo = max(abs(u1), abs(u2)) / math.sqrt(2.0) * unit
+        lo = modulus(l1, l2, over=math.sqrt(2.0))
     else:
-        lo = abs((u1 + u2) / 2.0) * math.sqrt(
-            1.0 + (1.0 - g4) / (2.0 * (g4 - (gamma * gamma).real))) * unit
+        lo = modulus((u1 + u2) / 2.0, scale=e, times=math.sqrt(
+            1.0 + (1.0 - g4) / (2.0 * (g4 - (gamma * gamma).real))))
     # the bounds are sharp for some pairs: rounding must not lift them above lo
     bound = min(lo, max(spec_bounds(((l1, 1), (l2, 1)))))
     return gamma, g4, (ConstantSet.closed_half_line(lo, lower_bound=bound) if gamma == 0
@@ -857,8 +874,7 @@ def _plan(l1: complex, l2: complex, found: tuple, kappa: Optional[float]) -> Two
     gamma, g4, constants = found
     kappa = constants.smallest_member() if kappa is None else kappa
     if gamma == 0:
-        rho = max(abs(l1), abs(l2))
-        ratio2 = (kappa / rho) ** 2
+        ratio2 = modulus(l1, l2, dividing=kappa) ** 2
         omega = math.sqrt(0.5 * ratio2 + 0.25) + 1j * math.sqrt(max(0.0, 0.5 * ratio2 - 0.25))
     elif g4 == 1.0:
         omega = 0j
@@ -956,7 +972,7 @@ def _template(kind: TemplateKind, lam: complex) -> ApportionCertificate:
             [[0, 0, 1], [1, -1, w3], [0, 1, -w3]], dtype=complex
         )
         B = lam * np.array([[1, -1, w3], [w3, -w3, -1], [1, -1, 1 + w3]], dtype=complex)
-        kappa = abs(lam)
+        kappa = modulus(lam)
     else:
         M = np.array([[0, 1, w3], [1, 0, w6], [1, 1, 0]], dtype=complex) @ np.diag([1, lam, 1])
         Minv = (1.0 / (1.0 + w6)) * np.diag([1, 1 / lam, 1]) @ np.array(
@@ -965,7 +981,7 @@ def _template(kind: TemplateKind, lam: complex) -> ApportionCertificate:
         )
         # equals conj(w6) * (lam/(1+w6)) [[1,1,-1],[-w6,w3,w6],[1-w6,1+w3,w6-1]]
         B = (M @ build_jordan(_template_spec(kind, lam))) @ Minv
-        kappa = abs(lam) / math.sqrt(3.0)
+        kappa = modulus(lam, over=math.sqrt(3.0))
     return _certificate(M, Minv, B, kappa, CertTag.THREE_BY_THREE_TEMPLATE)
 
 

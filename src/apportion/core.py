@@ -10,6 +10,7 @@ pure function of its inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ __all__ = [
     "hadamard_lower_bound",
     "unit_exponent",
     "times_power_of_two",
+    "modulus",
+    "floor_bound",
 ]
 
 #: rcond threshold below which a transforming matrix is treated as singular.
@@ -199,21 +202,24 @@ def similarity_image(M, A, Minv=None, tol: Tolerance = DEFAULT_TOL):
 
 
 def trace_lower_bound(A) -> float:
-    """|tr(A)| / n: every achievable modulus of A is at least this.  Computed at unit
-    scale (``unit_exponent``), so it overflows only where the bound itself does."""
+    """|tr(A)| / n: every achievable modulus of A is at least this.  The trace is taken
+    at unit scale (``unit_exponent``), and the bound by ``modulus`` and ``floor_bound``."""
     A = as_matrix(A, square=True, name="A")
     e = unit_exponent(A)
-    return math.ldexp(float(abs(np.trace(times_power_of_two(A, -e)))) / A.shape[0], e)
+    return floor_bound(modulus(complex(np.trace(times_power_of_two(A, -e))),
+                               over=A.shape[0], scale=e))
 
 
 def hadamard_lower_bound(A) -> float:
-    """n^(-1/2) |det(A)|^(1/n), computed in log space at unit scale; 0 for singular A."""
+    """n^(-1/2) |det(A)|^(1/n), computed in log space at unit scale and scaled back by
+    ``modulus``; 0 for singular A, the largest float past the range (``floor_bound``)."""
     A = as_matrix(A, square=True, name="A")
     e = unit_exponent(A)
     sign, logdet = np.linalg.slogdet(times_power_of_two(A, -e))
     if sign == 0:
         return 0.0
-    return math.ldexp(math.exp(float(logdet) / A.shape[0]) / math.sqrt(A.shape[0]), e)
+    return floor_bound(modulus(math.exp(float(logdet) / A.shape[0]),
+                               over=math.sqrt(A.shape[0]), scale=e))
 
 
 def unit_exponent(values) -> int:
@@ -238,3 +244,36 @@ def times_power_of_two(x, e: int):
         z = np.ascontiguousarray(x, dtype=complex)
         return np.ldexp(z.reshape(-1).view(np.float64), e).view(complex).reshape(z.shape)
     return complex(math.ldexp(x.real, e), math.ldexp(x.imag, e))
+
+
+def modulus(*values: complex, over: float = 1.0, times: float | None = None,
+            dividing: float | None = None, scale: int = 0) -> float:
+    """The one modulus read: |z|/over, or x |z| with ``times`` = x, or x/|z| with
+    ``dividing`` = x, where |z| is the largest modulus of ``values`` 2^scale (complex
+    scalars, nonzero for ``dividing``).
+
+    |z| is taken of the values 2^-e at their unit scale (e as in ``unit_exponent``), x and
+    ``over`` enter by their mantissas, and the powers of two are applied last, so the
+    result is inf exactly where it is past the float range, and in range it is
+    abs(z)/over, x*abs(z) or x/abs(z) to the bit."""
+    e = unit_exponent(values)
+    m = max([abs(times_power_of_two(z, -e)) for z in values if z], default=0.0)
+    e += scale
+    if dividing is not None:
+        x, k = math.frexp(dividing)
+        m, e = x / m, k - e
+    elif times is not None:
+        x, k = math.frexp(times)
+        m, e = m * x, e + k
+    elif over != 1.0:
+        x, k = math.frexp(over)
+        m, e = m / x, e - k
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.inf
+
+
+def floor_bound(bound: float) -> float:
+    """A lower bound past the float range is the largest float: a floor is never rounded up."""
+    return min(bound, sys.float_info.max)

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (INVERSE_PAIR_TOL, _max_modulus, as_matrix, check_inverse, check_residual,
-                   times_power_of_two, unit_exponent)
+                   modulus, times_power_of_two, unit_exponent)
 from .errors import InvalidInputError, SingularMatrixError, UnsupportedOrderError
 
 __all__ = [
@@ -98,7 +98,8 @@ class JordanSpec:
 
     @property
     def spectral_radius(self) -> float:
-        return max(abs(lam) for lam, _ in self.blocks)
+        """max |lam| (``core.modulus``): inf past the float range."""
+        return modulus(*(lam for lam, _ in self.blocks))
 
     def is_nilpotent(self) -> bool:
         return all(lam == 0 for lam, _ in self.blocks)
@@ -109,10 +110,14 @@ class JordanSpec:
     def canonical_order(self) -> list[int]:
         """Block indices sorted by descending |eigenvalue|, descending size,
         ascending arg (stable among equal blocks)."""
+        # |lam| < 2^(e + 1.5) passes the float range only at e = 1023, where |lam|/2
+        # cannot: no two moduli tie at inf, and in range the key is |lam| itself
+        s = 1 if unit_exponent([lam for lam, _ in self.blocks]) >= 1023 else 0
+
         def key(i):
             lam, size = self.blocks[i]
             arg = cmath.phase(lam) % (2 * math.pi) if lam != 0 else 0.0
-            return (-abs(lam), -size, arg)
+            return (-abs(times_power_of_two(lam, -s)), -size, arg)
 
         return sorted(range(len(self.blocks)), key=key)
 

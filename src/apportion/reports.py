@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
+from .core import floor_bound, modulus
 from .errors import InvalidInputError
 
 __all__ = ["Verdict", "SetShape", "ConstantSet", "ClassificationReport"]
@@ -42,7 +44,10 @@ class ConstantSet:
     ``exact`` distinguishes a fully determined set from a certified subset
     (containment proven one way only).  ``lower_bound`` is the unconditional
     floor from the trace/determinant bounds; it is informative for every
-    shape and is the only content of the UNKNOWN shape.
+    shape and is the only content of the UNKNOWN shape.  Ends, values and the
+    floor are finite: an end or value past the float range is refused
+    (InvalidInputError), since no float kappa can be a member, and a floor past it
+    is reported as the largest float (``core.floor_bound``).
     """
 
     shape: SetShape
@@ -52,10 +57,14 @@ class ConstantSet:
     lower_bound: float = 0.0
 
     def __post_init__(self):
-        if self.lo < 0 or self.lower_bound < 0:
-            raise InvalidInputError("constant-set endpoints must be nonnegative")
+        # NaN fails the comparisons too
+        if not (0 <= self.lo < math.inf and 0 <= self.lower_bound < math.inf
+                and (not self.values or all(0 <= v < math.inf for v in self.values))):
+            raise InvalidInputError(f"constant-set end {self.lo!r}, values {self.values!r} and "
+                                    f"floor {self.lower_bound!r} must be finite and >= 0: "
+                                    "past the float range no kappa is a member")
         if self.shape is SetShape.FINITE:
-            if not self.values or any(v <= 0 for v in self.values):
+            if not self.values or 0 in self.values:
                 raise InvalidInputError("finite constant sets hold positive values")
             object.__setattr__(self, "values", tuple(sorted(self.values)))
 
@@ -141,23 +150,24 @@ class ConstantSet:
         if self.shape is SetShape.CLOSED_HALF_LINE:
             return self.lo
         if self.shape is SetShape.OPEN_HALF_LINE:
-            # relative to lo, as K(cA) = |c| K(A); lo = 0 only for nilpotent A, whose
-            # constants are every kappa > 0 at any scale
-            return 1.5 * self.lo if self.lo > 0 else 0.5
+            # relative to lo, as K(cA) = |c| K(A), and a float; lo = 0 only for nilpotent A,
+            # whose constants are every kappa > 0 at any scale
+            return min(1.5 * self.lo, sys.float_info.max) if self.lo > 0 else 0.5
         if self.shape is SetShape.FINITE:
             return self.values[0]
         return None
 
-    def scaled(self, factor: float) -> "ConstantSet":
-        """The set of a matrix scaled by a scalar of modulus ``factor``."""
-        if factor <= 0:
-            raise InvalidInputError("scale factor must be positive")
+    def scaled(self, mu: complex) -> "ConstantSet":
+        """The set of mu A for a scalar mu != 0: ends, values and floor times |mu|, as
+        K(mu A) = |mu| K(A) (``core.modulus``, ``core.floor_bound``)."""
+        if not mu:
+            raise InvalidInputError("scale factor must be nonzero")
         return ConstantSet(
             shape=self.shape,
-            lo=self.lo * factor,
-            values=tuple(v * factor for v in self.values),
+            lo=modulus(mu, times=self.lo),
+            values=tuple(modulus(mu, times=v) for v in self.values),
             exact=self.exact,
-            lower_bound=self.lower_bound * factor,
+            lower_bound=floor_bound(modulus(mu, times=self.lower_bound)),
         )
 
     def describe(self) -> str:

@@ -35,6 +35,9 @@ from apportion import (
 from apportion import classifier
 
 LAMBDAS = [1.0 + 0j, -2.0 + 0j, 1.0 + 1.0j]
+#: an eigenvalue whose modulus, 2.4e308, is past the float range, and the largest float
+HUGE = 1.7e308 + 1.7e308j
+LARGEST = 1.7976931348623157e308
 
 
 def diag_spec(*lams):
@@ -761,6 +764,105 @@ class TestExtremeInputs:
                 cert = request_certificate(spec)
                 rep = verify_certificate(cert, build_jordan(spec))
             assert rep.kappa == pytest.approx(0.75 * s, rel=1e-9), k
+
+    # H = 1.7e308 (1 + i): |H| = 2.4e308 is past the float range, and |H|/2, |H|/sqrt(2)
+    # are not; no rule, bound or build may read |H| with an OverflowError
+
+    def test_order_one_modulus_past_range_refused(self):
+        # K = {|H|} has no float member: the set is refused, as invalid input
+        for target in (JordanSpec(((HUGE, 1),)), np.array([[HUGE]])):
+            with pytest.raises(InvalidInputError, match="float range"):
+                classify(target)
+            with pytest.raises(InvalidInputError, match="float range"):
+                request_certificate(target)
+
+    def test_bounds_past_range_are_the_largest_float(self):
+        from apportion.constructors import spec_bounds
+        from apportion.core import hadamard_lower_bound, trace_lower_bound
+
+        assert spec_bounds(((HUGE, 1),)) == (LARGEST, LARGEST)
+        assert trace_lower_bound([[HUGE]]) == hadamard_lower_bound([[HUGE]]) == LARGEST
+
+    def test_template_value_past_range_refused(self):
+        with pytest.raises(InvalidInputError, match="float range"):
+            classify(JordanSpec(((HUGE, 2), (0j, 1))))
+
+    @pytest.mark.parametrize("lams, tag, lo", [
+        ((HUGE, HUGE, 0, 0), "identity-plus-zero", 1.2020815280171307e308),
+        ((HUGE, 1, 0, 0), "half-rank", 1.2020815280171307e308),
+    ])
+    def test_half_modulus_in_range(self, lams, tag, lo):
+        import warnings
+
+        spec = diag_spec(*lams)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = classify(spec)
+            assert report.theorem_tag == tag and report.constants.lo == lo
+            try:
+                cert = request_certificate(spec, report=report)
+            except ConstructionError:
+                return
+        verify_certificate(cert, build_jordan(spec))
+
+    @pytest.mark.parametrize("target", [diag_spec(HUGE, -HUGE),
+                                        np.diag([HUGE, -HUGE])])
+    def test_opposite_pair_past_range(self, target):
+        # gamma = 0: K = [rho/sqrt(2), inf) = [1.7e308, inf), and rho = |H| is past the range
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = classify(target)
+            assert report.theorem_tag == "two-by-two"
+            assert report.constants.lo == pytest.approx(1.7e308, rel=1e-15)
+            try:
+                cert = request_certificate(target, report=report)
+            except ConstructionError:
+                return
+        verify_certificate(cert, build_jordan(diag_spec(HUGE, -HUGE)))
+
+    def test_determinant_bound_past_range_not_rounded_up(self):
+        # |det|^(1/2) / sqrt(2) = |H| / sqrt(2) = 1.7e308 is in range: not the largest float
+        from apportion.constructors import spec_bounds
+
+        trace, det = spec_bounds(((HUGE, 1), (-HUGE, 1)))
+        assert trace == 0.0
+        assert det == pytest.approx(1.7e308, rel=1e-13) and det <= 1.7e308
+
+    @pytest.mark.parametrize("lams, tag", [
+        ((HUGE, HUGE), "scalar-matrix"),
+        ((HUGE, HUGE, HUGE, -1.7e308 + 1.7e308j), "perturb-identity"),
+    ])
+    def test_refuted_past_range(self, lams, tag):
+        from apportion.constructors import spec_bounds
+
+        report = classify(diag_spec(*lams))
+        assert (report.verdict, report.theorem_tag) == (Verdict.NOT_APPORTIONABLE, tag)
+        trace, det = spec_bounds(diag_spec(*lams).blocks)
+        assert trace == LARGEST and 1e308 < det < LARGEST
+
+    def test_region_past_range(self):
+        # |lambda2 - H| is past the float range at every point; only lambda2 = 0 is skipped
+        samples = admissible_region(HUGE, ((-3.0, 3.0), (-3.0, 3.0)), 5)
+        assert len(samples) == 25
+        assert [(s.re, s.im) for s in samples if s.admissible is None] == [(0.0, 0.0)]
+
+    @pytest.mark.parametrize("lams", [(-1e300 - 1e-300j, -1e300 - 5e-324j),
+                                      (-1e-300 - 1e300j, 1 - 1e300j, 0)])
+    def test_pair_difference_underflows_at_unit_scale(self, lams):
+        # l2 - l1 is 0 or subnormal at the pair's unit scale: |gamma| > 2, refuted without
+        # dividing by it or raising it to the fourth power
+        report = classify(diag_spec(*lams))
+        assert report.theorem_tag in ("two-by-two", "two-by-two-pad-zero-inconclusive")
+        assert report.verdict is not Verdict.APPORTIONABLE
+
+    def test_half_rank_quotient_underflow_is_a_construction_failure(self):
+        # lam / kappa underflows to 0 at every member kappa (all above 5e299)
+        spec = diag_spec(5e-324, 1e300, 0, 0)
+        assert classify(spec).theorem_tag == "half-rank"
+        with pytest.raises(ConstructionError, match="floating point"):
+            request_certificate(spec)
 
     def test_region_resolution_capped(self):
         from apportion.classifier import MAX_REGION_RESOLUTION

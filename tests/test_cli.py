@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apportion.cli import main
 
@@ -662,3 +664,94 @@ class TestScale:
         m_path = write_doc(tmp_path, "m.json", entries_doc(np.eye(2)))
         code, out = run(capsys, ["verify", a_path, m_path])
         assert code == 0 and json.loads(out)["is_uniform"] is False
+
+
+#: an eigenvalue whose modulus, 2.4e308, is past the float range, and the largest float
+HUGE = 1.7e308 + 1.7e308j
+LARGEST = 1.7976931348623157e308
+
+
+class TestFloatRangeEnds:
+    """Finite documents whose eigenvalue moduli pass the float range exit with a code,
+    never a traceback: a constant set with no float member is invalid input (3), a
+    bound past the range is the largest float, and the rest classify and build."""
+
+    @pytest.mark.parametrize("doc, commands, expected", [
+        (jordan_doc([(HUGE, 1)]), ["classify", "apportion"], (3,)),
+        (entries_doc([[HUGE]]), ["classify", "apportion", "sigma"], (3,)),
+        (jordan_doc([(HUGE, 2), (0j, 1)]), ["classify", "apportion"], (3,)),
+        (jordan_doc([(HUGE, 1), (HUGE, 1), (0j, 1), (0j, 1)]), ["classify"], (0,)),
+        (jordan_doc([(HUGE, 1), (HUGE, 1), (0j, 1), (0j, 1)]), ["apportion"], (0, 3)),
+        (jordan_doc([(HUGE, 1), (1 + 0j, 1), (0j, 1), (0j, 1)]), ["classify"], (0,)),
+        (jordan_doc([(HUGE, 1), (1 + 0j, 1), (0j, 1), (0j, 1)]), ["apportion"], (0, 3)),
+        (jordan_doc([(HUGE, 1), (-HUGE, 1)]), ["classify", "bounds"], (0,)),
+        (jordan_doc([(HUGE, 1), (-HUGE, 1)]), ["apportion"], (0, 3)),
+        (entries_doc(np.diag([HUGE, -HUGE])), ["classify"], (0,)),
+        (entries_doc(np.diag([HUGE, -HUGE])), ["apportion"], (0, 3)),
+        (jordan_doc([(HUGE, 1), (HUGE, 1)]), ["classify", "bounds"], (0,)),
+        (jordan_doc([(HUGE, 1)] * 3 + [(-1.7e308 + 1.7e308j, 1)]), ["classify", "bounds"],
+         (0,)),
+    ])
+    def test_exit_code(self, tmp_path, capsys, doc, commands, expected):
+        path = write_doc(tmp_path, "m.json", doc)
+        for command in commands:
+            extra = ["--m-max", "0"] if command == "sigma" else []
+            code = main([command, path, *extra])
+            captured = capsys.readouterr()
+            assert code in expected, command
+            if code == 3:
+                assert captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("doc", [jordan_doc([(HUGE, 1)]), entries_doc([[HUGE]])])
+    def test_bounds_past_range_are_the_largest_float(self, tmp_path, capsys, doc):
+        code, out = run(capsys, ["bounds", write_doc(tmp_path, "m.json", doc)])
+        assert code == 0
+        assert json.loads(out) == {"trace_lower_bound": LARGEST,
+                                   "hadamard_lower_bound": LARGEST, "order": 1}
+
+    def test_determinant_bound_past_range(self, tmp_path, capsys):
+        # |H| / sqrt(2) = 1.7e308 is in range: reported as itself, not the largest float
+        path = write_doc(tmp_path, "m.json", jordan_doc([(HUGE, 1), (-HUGE, 1)]))
+        code, out = run(capsys, ["bounds", path])
+        assert code == 0
+        bound = json.loads(out)["hadamard_lower_bound"]
+        assert bound == pytest.approx(1.7e308, rel=1e-13) and bound <= 1.7e308
+
+    def test_region_past_range(self, capsys):
+        code, out = run(capsys, ["region", "--lambda1-re", "1.7e308", "--lambda1-im", "1.7e308",
+                                 "--resolution", "5"])
+        assert code == 0
+        assert out.count("\n") == 26 and out.count("skip") == 1
+
+
+_PARTS = (0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7e308)
+
+
+@st.composite
+def extreme_blocks(draw):
+    """Jordan blocks of total order 1-6 whose eigenvalue parts are 0, 1 or near either
+    end of the float range, of either sign."""
+    part = st.sampled_from(_PARTS + tuple(-x for x in _PARTS if x))
+    blocks, order = [], draw(st.integers(1, 6))
+    while order:
+        size = draw(st.integers(1, order))
+        blocks.append((complex(draw(part), draw(part)), size))
+        order -= size
+    return blocks
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(blocks=extreme_blocks())
+def test_float_range_ends_exit_with_a_code(tmp_path_factory, blocks):
+    # classify, bounds and apportion end with an exit code, never a traceback or a
+    # RuntimeWarning
+    import contextlib
+    import io
+    import warnings
+
+    path = write_doc(tmp_path_factory.mktemp("doc"), "m.json", jordan_doc(blocks))
+    for command in ("classify", "bounds", "apportion"):
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, path]) in (0, 3, 4, 5, 6), command

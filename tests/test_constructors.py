@@ -883,3 +883,16 @@ class TestOneCheckPerCertificate:
         with pytest.raises(InvalidInputError, match="order mismatch"):
             call(cert)
         assert residual_checks == []
+
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan])
+    def test_non_finite_kappa_fails_the_check(self, kappa):
+        # B scaled by 1e6 with kappa inf would pass a kappa test relative to kappa and an
+        # image tolerance of rel * kappa = inf: kappa is compared with B's measured modulus
+        import dataclasses
+
+        from apportion import ConstructionError
+
+        cert = apportion_2x2(1, -1).certificate
+        forged = dataclasses.replace(cert, B=1e6 * cert.B, kappa=kappa)
+        with pytest.raises(ConstructionError, match="does not match"):
+            verify_certificate(forged, np.diag([1.0, -1.0]))

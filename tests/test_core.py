@@ -217,6 +217,38 @@ class TestUnitExponent:
             assert times_power_of_two(zs, e) == z
 
 
+class TestModulus:
+    def test_matches_abs_to_the_bit_in_range(self):
+        # seeded z with parts from 1e-290 to 1e290: |z|/d, x |z| and x/|z| at unit scale are
+        # the plain quotients and products, bit for bit
+        import random
+
+        from apportion.core import modulus
+
+        rng = random.Random(29)
+        for _ in range(20_000):
+            z = complex(*(rng.choice((-1, 1)) * 10 ** rng.uniform(-290, 290) for _ in "ri"))
+            x = 10 ** rng.uniform(-10, 10)
+            for d in (1.0, 2.0, 3.0, math.sqrt(3.0), float(rng.randint(4, 256))):
+                assert modulus(z, over=d) == abs(z) / d
+            assert modulus(z, times=x) == x * abs(z)
+            assert modulus(z, dividing=x) == x / abs(z)
+            w = z * rng.uniform(0.1, 2.0)
+            assert modulus(z, w) == max(abs(z), abs(w))
+
+    def test_past_the_float_range(self):
+        from apportion.core import floor_bound, modulus
+
+        huge = 1.7e308 + 1.7e308j           # |huge| = 2.4e308
+        assert modulus(huge) == modulus(huge, times=2.0) == math.inf
+        assert modulus(huge, over=2.0) == pytest.approx(1.2020815280171307e308, rel=1e-15)
+        assert modulus(huge, dividing=1e300) == pytest.approx(1e-8 / 2.4041630560342617, rel=1e-15)
+        assert modulus(5e-324, dividing=1.0) == math.inf
+        assert modulus(1.5, scale=1024) == math.inf and modulus(1.0, scale=-1080) == 0.0
+        largest = 1.7976931348623157e308
+        assert floor_bound(math.inf) == floor_bound(largest) == largest
+
+
 class TestResidualIsRelative:
     def test_zero_image_of_a_small_matrix_refused(self):
         from apportion.core import check_residual

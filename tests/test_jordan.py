@@ -154,6 +154,14 @@ class TestJordanSpec:
         assert mods == sorted(mods, reverse=True)
         assert canon.blocks[-1][0] == 0 and canon.blocks[0][1] == 2
 
+    def test_canonical_order_past_the_float_range(self):
+        # |H| and |0.9 H| both exceed the largest float: the order still follows the moduli
+        H = 1.7e308 * (1 + 1j)
+        blocks = ((0.9 * H, 2), (H, 1), (0j, 1))
+        for perm in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
+            canon = JordanSpec(tuple(blocks[i] for i in perm)).canonical()
+            assert canon.blocks == ((H, 1), (0.9 * H, 2), (0j, 1))
+
 
 class TestScaleJordan:
     def test_two_block_by_two(self):
