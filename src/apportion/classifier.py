@@ -121,7 +121,8 @@ def _match_rank_one(spec: JordanSpec) -> Match:
 
 def _match_identity_plus_zero(spec: JordanSpec) -> Match:
     """lam I_n + O_n with n >= 2 and lam != 0, 1-blocks in any order: K is exactly
-    [|lam|/2, inf), from its trace bound up."""
+    [|lam|/2, inf), from its trace bound up, its end rounded up to the least positive
+    float where |lam|/2 underflows (as rank one's is), so 0 is never a member."""
     n = spec.rank
     if n < 2 or not spec.order == len(spec.blocks) == 2 * n:
         return None
@@ -129,7 +130,8 @@ def _match_identity_plus_zero(spec: JordanSpec) -> Match:
     if len(nonzero) != 1:
         return None
     lam = nonzero.pop()
-    return Verdict.APPORTIONABLE, ConstantSet.closed_half_line(modulus(lam, over=2.0)), lambda k: (
+    lo = max(modulus(lam, over=2.0), math.ulp(0.0))
+    return Verdict.APPORTIONABLE, ConstantSet.closed_half_line(lo), lambda k: (
         _scaled(_identity_plus_zero(n, modulus(lam, dividing=k)), lam),
         ((lam, 1),) * n + ((0j, 1),) * n)
 

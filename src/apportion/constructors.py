@@ -25,7 +25,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, Tolerance, UniformityReport, _max_modulus, as_matrix,
+from .core import (DEFAULT_TOL, Tolerance, UniformityReport, _image, _max_modulus, as_matrix,
                    check_inverse, floor_bound, is_uniform, modulus, times_power_of_two,
                    unit_exponent)
 from .errors import (
@@ -33,7 +33,8 @@ from .errors import (
     ConstructionError,
     InvalidInputError,
 )
-from .jordan import JordanSpec, _arranged_spec, _block_rows, build_jordan, geometric_diagonal
+from .jordan import (JordanSpec, _arranged_spec, _block_rows, _inverse_below, build_jordan,
+                     geometric_diagonal)
 from .reports import ClassificationReport, ConstantSet, SetShape, Verdict
 
 __all__ = [
@@ -109,10 +110,9 @@ class ApportionCertificate:
 
 
 def _check_image(B, M, A, Minv, kappa: float, tol: Tolerance) -> None:
-    """ConstructionError unless max|M A Minv - B| <= tol.rel kappa + tol.abs; the product is
-    formed at A's unit scale (A 2^-e, ``unit_exponent``), then scaled back by 2^e exactly."""
-    e = unit_exponent(A)
-    defect = _max_modulus(M @ (times_power_of_two(A, -e) @ Minv) * 2.0 ** e - B)
+    """ConstructionError unless max|M A Minv - B| <= tol.rel kappa + tol.abs, with the
+    product formed as ``similarity_image`` forms it (``core._image``)."""
+    defect = _max_modulus(_image(M, A, Minv) - B)
     if not defect <= tol.rel * kappa + tol.abs:   # a NaN defect fails too
         raise ConstructionError(f"image M A Minv differs from B by {defect:.3e}")
 
@@ -414,13 +414,6 @@ def _split_vector(n2: int, cut: int, hi: complex, lo: complex) -> np.ndarray:
     v[:cut] = lo
     v[cut:] = hi
     return v
-
-
-def _inverse_below(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """M^-1 when its first rows V are known (V M = [I | O]): the remaining rows by one
-    solve."""
-    n = M.shape[0]
-    return np.vstack([V, np.linalg.solve(M.T, np.eye(n, dtype=complex)[:, len(V):]).T])
 
 
 def apportion_I_oplus_O(n: int, kappa: float) -> ApportionCertificate:
@@ -912,8 +905,13 @@ def _two_by_two(l1: complex, l2: complex, found: tuple,
     # computed value keeps M @ Minv at the exact identity in floats
     det = plan.a * plan.d - b * plan.c
     Minv = np.array([[plan.d, -b], [-plan.c, plan.a]]) / det
-    B = (l2 - l1) * np.array([[(gamma - omega) / 2.0, b], [-b, (gamma + omega) / 2.0]])
-    return _certificate(M, Minv, B, float(np.abs(B).mean()), CertTag.TWO_BY_TWO)
+    # B and its mean modulus at the pair's unit scale (``core.unit_exponent``), scaled back
+    # by 2^e: l2 - l1 and the sum of the moduli pass the float range before B's entries do
+    e = unit_exponent((l1, l2))
+    B = (times_power_of_two(l2, -e) - times_power_of_two(l1, -e)) * np.array(
+        [[(gamma - omega) / 2.0, b], [-b, (gamma + omega) / 2.0]])
+    return _certificate(M, Minv, times_power_of_two(B, e),
+                        math.ldexp(float(np.abs(B).mean()), e), CertTag.TWO_BY_TWO)
 
 
 def apportion_2x2(l1: complex, l2: complex,

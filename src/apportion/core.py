@@ -24,9 +24,7 @@ __all__ = [
     "as_matrix",
     "is_uniform",
     "similarity_image",
-    "similarity_residual",
     "check_inverse",
-    "check_residual",
     "reciprocal_condition",
     "inverse_and_rcond",
     "trace_lower_bound",
@@ -46,7 +44,7 @@ INVERSE_PAIR_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative/absolute tolerance pair used by uniformity and residual checks; the
+    """Relative/absolute tolerance pair used by uniformity and image checks; the
     default is purely relative, so A and every multiple cA pass alike.  Both are finite,
     and ``rel`` is below 1: at rel >= 1 a modulus anywhere in [kappa (1 - rel),
     kappa (1 + rel)] passes, zero entries included."""
@@ -123,14 +121,20 @@ def reciprocal_condition(M) -> float:
 
 
 def inverse_and_rcond(M) -> tuple[np.ndarray | None, float]:
-    """M^-1 (None for a singular M) and ``reciprocal_condition(M)``, from one inversion."""
+    """M^-1 (None for a singular M) and ``reciprocal_condition(M)``, from one inversion of
+    M 2^-e at its unit scale (``unit_exponent``), where no norm overflows, scaled back by
+    2^-e.  LAPACK's inverse commutes with scaling by a power of two, so in range this is
+    numpy's inverse of M to the bit; an entry past the float range is inf."""
     M = as_matrix(M, square=True, name="M")
+    e = unit_exponent(M)
+    M = times_power_of_two(M, -e)
     try:
         Minv = np.linalg.inv(M)
     except np.linalg.LinAlgError:
         return None, 0.0
     rcond = 1.0 / float(np.linalg.norm(M, 1) * np.linalg.norm(Minv, 1))
-    return Minv, (rcond if math.isfinite(rcond) else 0.0)
+    with np.errstate(over="ignore"):
+        return times_power_of_two(Minv, -e), (rcond if math.isfinite(rcond) else 0.0)
 
 
 def _max_modulus(x) -> float:
@@ -151,53 +155,46 @@ def check_inverse(M, Minv) -> tuple[bool, float]:
     return err <= n * INVERSE_PAIR_TOL, err
 
 
-def similarity_residual(B, M, A) -> float:
-    """Max-norm of B@M - M@A, the defining residual of B = M A M^-1."""
-    return _max_modulus(B @ M - M @ A)
+def _image(M, A, Minv) -> np.ndarray:
+    """M A Minv, the one product that forms or checks an image: taken at A's unit scale
+    (A 2^-e, ``unit_exponent``), then scaled back by 2^e exactly."""
+    e = unit_exponent(A)
+    return M @ (times_power_of_two(A, -e) @ Minv) * 2.0 ** e
 
 
-def check_residual(B, M, A, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
-    """Whether B = M A M^-1 holds to ``tol``, relative to the order and entry sizes.
+def similarity_image(M, A, Minv=None):
+    """Compute B = M A M^-1 by ``_image``.
 
-    Returns (passed, residual).  A non-finite residual never passes.
-    """
-    res = similarity_residual(B, M, A)
-    scale = M.shape[0] * _max_modulus(M) * max(_max_modulus(A), _max_modulus(B))
-    return res <= tol.rel * scale + tol.abs, res
-
-
-def similarity_image(M, A, Minv=None, tol: Tolerance = DEFAULT_TOL):
-    """Compute B = M A M^-1.
-
-    A supplied ``Minv`` is trusted after a product check, and B is the product.  Else M
-    must have rcond above ``RCOND_THRESHOLD`` (computing it forms M^-1, then discards
-    it) and B comes from a linear solve, more accurate than M^-1 for an ill-conditioned M.
+    A supplied ``Minv`` is used after a product check (``check_inverse``).  Else M must
+    have rcond above ``RCOND_THRESHOLD``, and B is formed from M 2^-e at its unit scale and
+    that matrix's inverse (``inverse_and_rcond``): M A M^-1 is (cM) A (cM)^-1.  An image
+    whose entries or moduli leave the float range is InvalidInputError.
     """
     M = as_matrix(M, square=True, name="M")
     A = as_matrix(A, square=True, name="A")
     if M.shape != A.shape:
         raise InvalidInputError(f"order mismatch: M is {M.shape}, A is {A.shape}")
-    if Minv is not None:
-        Minv = as_matrix(Minv, square=True, name="Minv")
-        if Minv.shape != M.shape:
-            raise InvalidInputError("Minv order mismatch")
-        ok, err = check_inverse(M, Minv)
-        if not ok:
-            raise SingularMatrixError(
-                f"supplied inverse fails the product check: max|M Minv - I| = {err:.3e}"
-            )
-        B = (M @ A) @ Minv
-    else:
-        rcond = reciprocal_condition(M)
-        if rcond < RCOND_THRESHOLD:
-            raise SingularMatrixError(
-                f"M is singular or near-singular (rcond = {rcond:.3e})", rcond=rcond
-            )
-        # solve B M = M A for B, i.e. M^T B^T = (M A)^T
-        B = np.linalg.solve(M.T, (M @ A).T).T
-    ok, res = check_residual(B, M, A, tol)
-    if not ok:
-        raise SingularMatrixError(f"similarity residual too large: {res:.3e}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if Minv is not None:
+            Minv = as_matrix(Minv, square=True, name="Minv")
+            if Minv.shape != M.shape:
+                raise InvalidInputError("Minv order mismatch")
+            ok, err = check_inverse(M, Minv)
+            if not ok:
+                raise SingularMatrixError(
+                    f"supplied inverse fails the product check: max|M Minv - I| = {err:.3e}"
+                )
+        else:
+            M = times_power_of_two(M, -unit_exponent(M))
+            Minv, rcond = inverse_and_rcond(M)
+            if rcond < RCOND_THRESHOLD:
+                raise SingularMatrixError(
+                    f"M is singular or near-singular (rcond = {rcond:.3e})", rcond=rcond
+                )
+        B = _image(M, A, Minv)
+        # a complex modulus past the range is inf without a floating-point flag
+        if not np.isfinite(np.abs(B)).all():
+            raise InvalidInputError("the image M A M^-1 leaves the float range")
     return B
 
 
@@ -215,8 +212,10 @@ def hadamard_lower_bound(A) -> float:
     ``modulus``; 0 for singular A, the largest float past the range (``floor_bound``)."""
     A = as_matrix(A, square=True, name="A")
     e = unit_exponent(A)
-    sign, logdet = np.linalg.slogdet(times_power_of_two(A, -e))
-    if sign == 0:
+    # LAPACK may return a zero pivot for a subnormal one: a logdet of -inf, read as singular
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sign, logdet = np.linalg.slogdet(times_power_of_two(A, -e))
+    if sign == 0 or not math.isfinite(logdet):
         return 0.0
     return floor_bound(modulus(math.exp(float(logdet) / A.shape[0]),
                                over=math.sqrt(A.shape[0]), scale=e))

@@ -11,8 +11,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (INVERSE_PAIR_TOL, _max_modulus, as_matrix, check_inverse, check_residual,
-                   modulus, times_power_of_two, unit_exponent)
+from .core import (INVERSE_PAIR_TOL, _max_modulus, as_matrix, check_inverse, modulus,
+                   times_power_of_two, unit_exponent)
 from .errors import InvalidInputError, SingularMatrixError, UnsupportedOrderError
 
 __all__ = [
@@ -231,8 +231,7 @@ def scale_jordan(spec: JordanSpec, lam: complex) -> tuple[JordanSpec, np.ndarray
 
     Returns the scaled spec together with S = diag(1, lam, ..., lam^(n-1)),
     which satisfies S (lam * J) S^-1 = J_scaled.  A lam with a power in S that is
-    zero or not finite is refused; otherwise the identity is re-verified
-    numerically, as J_scaled S = S (lam * J), before returning.
+    zero or not finite, or with an entry of S (lam * J) that is not finite, is refused.
     """
     lam = complex(lam)
     if lam == 0:
@@ -244,7 +243,7 @@ def scale_jordan(spec: JordanSpec, lam: complex) -> tuple[JordanSpec, np.ndarray
         powers = lam ** np.arange(n).astype(complex)
         S = np.diag(powers)
         ok = (np.all(np.isfinite(powers) & (powers != 0))
-              and check_residual(build_jordan(scaled), S, lam * build_jordan(spec))[0])
+              and np.isfinite(S @ (lam * build_jordan(spec))).all())
     if not ok:
         raise InvalidInputError(
             "scaling verification failed; |lam| too extreme for this order"
@@ -275,12 +274,15 @@ def complete_inverse_pair(U, V) -> InversePair:
     rc = (sv[-1] / sv[0]) ** 2 if sv[0] > 0 else 0.0
     if rc < 1e-13:
         raise SingularMatrixError("V is rank deficient; completion impossible", rcond=rc)
-    Uprime = Vh[m:].conj().T
-    M = np.hstack([U, Uprime])
-    # V' = [O | I] M^-1: the bottom rows of the inverse
-    bottom = np.linalg.solve(M.T, np.eye(n, dtype=complex)[:, m:]).T
-    Minv = np.vstack([V, bottom])
-    return InversePair(M=M, Minv=Minv)
+    M = np.hstack([U, Vh[m:].conj().T])
+    return InversePair(M=M, Minv=_inverse_below(M, V))
+
+
+def _inverse_below(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """M^-1 when its first rows V are known (V M = [I | O]): the remaining rows,
+    [O | I] M^-1, by one solve."""
+    n = M.shape[0]
+    return np.vstack([V, np.linalg.solve(M.T, np.eye(n, dtype=complex)[:, len(V):]).T])
 
 
 #: |disc| below this (scaled) marks an algebraically multiple root
@@ -292,28 +294,31 @@ def parse_jordan_arrangement(A, rtol: float = 1e-12):
 
     The block order of the input is preserved (no canonicalization), so a
     certificate built from the result applies to the input matrix itself.
-    A superdiagonal entry is compared with 1 at ``rtol``, every other entry
-    at ``rtol`` times max|A|; anything that is not numerically a Jordan
-    arrangement returns None.
+    A superdiagonal entry is compared with 1 at ``rtol``; every other entry is
+    read on A 2^-e at unit scale (``core.unit_exponent``), where no difference
+    overflows, at ``rtol`` times max|A 2^-e|; anything that is not numerically a
+    Jordan arrangement returns None.
     """
     A = as_matrix(A, square=True, name="A")
     n = A.shape[0]
-    scale = _max_modulus(A)
+    U = times_power_of_two(A, -unit_exponent(A))
+    tol = rtol * _max_modulus(U)
+    R = U.copy()    # U less J 2^-e, without J's superdiagonal ones, which are compared with 1
     blocks = []
     i = 0
     while i < n:
-        lam = complex(A[i, i])
+        lam = U[i, i]
+        R[i, i] = 0.0
         size = 1
         while (i + size < n
                and abs(A[i + size - 1, i + size] - 1.0) <= rtol
-               and abs(A[i + size, i + size] - lam) <= rtol * scale):
+               and abs(U[i + size, i + size] - lam) <= tol):
+            R[i + size - 1, i + size] = 0.0
+            R[i + size, i + size] -= lam
             size += 1
-        blocks.append((lam, size))
+        blocks.append((complex(A[i, i]), size))
         i += size
-    spec = JordanSpec(tuple(blocks))
-    if _max_modulus(A - build_jordan(spec)) > rtol * scale:
-        return None
-    return spec
+    return JordanSpec(tuple(blocks)) if _max_modulus(R) <= tol else None
 
 
 def _raw_matrix(A) -> np.ndarray:
@@ -493,7 +498,9 @@ def eigenstructure_small(A) -> EigenResult:
     Below unit scale, and wherever the characteristic polynomial of A
     overflows, as it does for entries near the float range, the structure is
     that of A 2^-e at unit scale (see ``core.unit_exponent``), with the
-    eigenvalues scaled back by 2^e.
+    eigenvalues scaled back by 2^e.  Entries whose parts span so wide a range
+    that a floating-point fault occurs there too (a subnormal pivot in the
+    determinant) are InvalidInputError.
     """
     A = _raw_matrix(A)
     n = A.shape[0]
@@ -502,11 +509,19 @@ def eigenstructure_small(A) -> EigenResult:
     e = unit_exponent(A)
     if e >= 0:
         try:
-            with np.errstate(over="raise", invalid="raise"):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
                 return _eigenstructure(A, n)
         except (OverflowError, FloatingPointError, InvalidInputError):
             pass  # InvalidInputError: a root overflowed to a non-finite eigenvalue
-    res = _eigenstructure(times_power_of_two(A, -e), n)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            res = _eigenstructure(times_power_of_two(A, -e), n)
+    except (OverflowError, FloatingPointError, InvalidInputError) as exc:
+        parts = np.abs(np.concatenate((A.real, A.imag)))
+        raise InvalidInputError(
+            f"raw entries with parts from {parts[parts > 0].min():.3g} to {parts.max():.3g} "
+            "span too wide a range for their eigenvalues at unit scale; supply a Jordan "
+            "block list") from exc
     return EigenResult(res.spec.scaled(2.0 ** e).canonical(), res.approximate)
 
 

@@ -718,13 +718,15 @@ class TestExtremeInputs:
                 return
         verify_certificate(cert, build_jordan(spec))
 
-    @pytest.mark.parametrize("lam", [5e-324, 2.5e-323])
-    def test_identity_plus_zero_subnormal(self, lam):
-        # |lam|/2 rounds below the true end of the set, so the build leaves the float
-        # range: a ConstructionError, not a math domain error
+    @pytest.mark.parametrize("lam, match", [(5e-324, "image is not uniform"),
+                                            (2.5e-323, "floating point")])
+    def test_identity_plus_zero_subnormal(self, lam, match):
+        # |lam|/2 rounds below the true end of the set (to 0 at 5e-324, so the end is the
+        # least positive float), and the build is a ConstructionError, not a math domain
+        # error: its image is not uniform, or it leaves the float range
         spec = diag_spec(lam, 0, lam, 0)
         assert classify(spec).theorem_tag == "identity-plus-zero"
-        with pytest.raises(ConstructionError, match="floating point"):
+        with pytest.raises(ConstructionError, match=match):
             request_certificate(spec)
 
     def test_raw_triangular_keeps_small_eigenvalues(self):

@@ -717,6 +717,80 @@ class TestFloatRangeEnds:
         bound = json.loads(out)["hadamard_lower_bound"]
         assert bound == pytest.approx(1.7e308, rel=1e-13) and bound <= 1.7e308
 
+    #: R(pi/8), the rotation by pi/8, and the documents of raw entries near the ends
+    ROT = np.array([[math.cos(math.pi / 8), -math.sin(math.pi / 8)],
+                    [math.sin(math.pi / 8), math.cos(math.pi / 8)]])
+    WIDE_IMAGE = [[1e-300 + 1.7e308j, -5e-324 + 1.7e308j], [1.7e308j, -1.7e308 + 5e-324j]]
+    WIDE_PARTS = [[1e-300 - 5e-324j, -1.7e308 + 1e-300j], [-1.0, 2.0]]
+
+    @staticmethod
+    def _quiet_main(argv):
+        """main's exit code, stdout and stderr, and the warnings it raised."""
+        import contextlib
+        import io
+        import warnings
+
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+    def test_verify_inverts_at_unit_scale(self, tmp_path):
+        # M = 1e308 (1 + i) R(pi/8) is well conditioned: the image is uniform at 1/sqrt(2),
+        # as under R(pi/8), not a singular transform
+        a_path = write_doc(tmp_path, "a.json", entries_doc(np.diag([1.0, -1.0])))
+        outs = []
+        for M in (1e308 * (1 + 1j) * self.ROT, self.ROT):
+            m_path = write_doc(tmp_path, "m.json", entries_doc(M))
+            code, out, _, caught = self._quiet_main(["verify", a_path, m_path])
+            assert code == 0 and caught == []
+            outs.append(json.loads(out))
+        assert outs[0]["is_uniform"] is True
+        assert outs[0]["kappa"] == pytest.approx(1 / math.sqrt(2.0), rel=1e-15)
+        assert outs[0]["kappa"] == pytest.approx(outs[1]["kappa"], rel=1e-15)
+
+    def test_verify_image_past_the_range(self, tmp_path):
+        a_path = write_doc(tmp_path, "a.json", entries_doc(self.WIDE_IMAGE))
+        m_path = write_doc(tmp_path, "m.json", entries_doc([[1.0, 0.5], [0.0, 1.0]]))
+        code, out, err, caught = self._quiet_main(["verify", a_path, m_path])
+        assert (code, out, caught) == (3, "", [])
+        assert "leaves the float range" in err
+
+    def test_arrangement_read_at_unit_scale(self, tmp_path):
+        # read as diag(H1, H2), which classify also reads: a two-by-two certificate
+        h1, h2 = 1.7e308 - 1.7e308j, 1.7e308j
+        path = write_doc(tmp_path, "a.json", entries_doc([[h1, 1.0], [0.0, h2]]))
+        code, out, err, caught = self._quiet_main(["apportion", path])
+        assert code in (0, 3) and caught == [], err
+        assert "no constructive path" not in err
+        if code == 0:
+            assert json.loads(out)["theorem_tag"] == "TwoByTwo"
+            m_path = write_doc(tmp_path, "m.json", {"entries": json.loads(out)["M"]})
+            code, out, _, caught = self._quiet_main(["verify", path, m_path])
+            assert code == 0 and caught == [] and json.loads(out)["is_uniform"] is True
+
+    @pytest.mark.parametrize("command", ["classify", "apportion", "sigma"])
+    def test_parts_wider_than_unit_scale_refused(self, tmp_path, command):
+        path = write_doc(tmp_path, "a.json", entries_doc(self.WIDE_PARTS))
+        extra = ["--m-max", "0"] if command == "sigma" else []
+        code, out, err, caught = self._quiet_main([command, path, *extra])
+        assert (code, out, caught) == (3, "", [])
+        assert "span too wide a range" in err
+
+    def test_bounds_of_parts_wider_than_unit_scale(self, tmp_path):
+        path = write_doc(tmp_path, "a.json", entries_doc(self.WIDE_PARTS))
+        code, out, _, caught = self._quiet_main(["bounds", path])
+        assert (code, out, caught) == (
+            0, '{"trace_lower_bound":1,"hadamard_lower_bound":0,"order":2}\n', [])
+
+    def test_identity_plus_zero_at_the_least_float(self, tmp_path):
+        path = write_doc(tmp_path, "a.json", jordan_doc([(5e-324 + 0j, 1), (0j, 1)] * 2))
+        code, out, _, caught = self._quiet_main(["classify", path])
+        assert code == 0 and caught == []
+        assert json.loads(out)["constants"]["description"] == "[4.94065645841e-324, inf)"
+
     def test_region_past_range(self, capsys):
         code, out = run(capsys, ["region", "--lambda1-re", "1.7e308", "--lambda1-im", "1.7e308",
                                  "--resolution", "5"])
@@ -755,3 +829,31 @@ def test_float_range_ends_exit_with_a_code(tmp_path_factory, blocks):
                 contextlib.redirect_stderr(io.StringIO()):
             warnings.simplefilter("error", RuntimeWarning)
             assert main([command, path]) in (0, 3, 4, 5, 6), command
+
+
+@st.composite
+def extreme_entries(draw, n):
+    """A raw order-n matrix whose entry parts are 0, 1 or near either end of the float
+    range, of either sign."""
+    part = st.sampled_from(_PARTS + tuple(-x for x in _PARTS if x))
+    return np.array([[complex(draw(part), draw(part)) for _ in range(n)] for _ in range(n)])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_raw_float_range_ends_exit_with_a_code(tmp_path_factory, data, n):
+    # raw entries: classify, apportion, bounds and verify end with an exit code, never a
+    # traceback or a warning
+    import contextlib
+    import io
+    import warnings
+
+    tmp = tmp_path_factory.mktemp("doc")
+    path = write_doc(tmp, "a.json", entries_doc(data.draw(extreme_entries(n))))
+    m_path = write_doc(tmp, "m.json", entries_doc(data.draw(extreme_entries(n))))
+    for argv in (["classify", path], ["apportion", path], ["bounds", path],
+                 ["verify", path, m_path]):
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error")
+            assert main(argv) in (0, 3, 4, 5, 6, 7), argv

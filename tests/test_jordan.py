@@ -301,6 +301,22 @@ class TestParseArrangement:
         with pytest.raises(InvalidInputError):
             input_ordered_spec(A)
 
+    def test_read_at_unit_scale(self):
+        # max|A| overflows, so a tolerance taken at A's own scale is inf and reads J2(H1);
+        # at unit scale the entries are diag(H1, H2) plus a one, off the diagonal's block
+        import warnings
+
+        h1, h2 = 1.7e308 - 1.7e308j, 1.7e308j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = parse_jordan_arrangement(np.array([[h1, 1.0], [0.0, h2]]))
+            assert spec.blocks == ((h1, 1), (h2, 1))
+            # the ones are compared with 1 itself: 2^1074 is past the float range
+            tiny = -5e-324 - 5e-324j
+            assert parse_jordan_arrangement(np.array([[tiny]])).blocks == ((tiny, 1),)
+            assert parse_jordan_arrangement(np.array([[tiny, 1.0], [0.0, tiny]])).blocks == (
+                (tiny, 2),)
+
 
 class TestEigenstructure2x2:
     def test_nilpotent(self):
@@ -379,6 +395,17 @@ class TestEigenstructureSmall:
             A = build_jordan(spec) * scale
             want = JordanSpec(tuple((lam * scale, size) for lam, size in spec.blocks))
             assert specs_close(eigenstructure_small(A).spec, want.canonical(), tol=1e-12 * scale)
+
+    def test_parts_past_the_range_of_unit_scale_refused(self):
+        # at unit scale the entries -1 and 2 are subnormal, and LAPACK's LU takes a zero
+        # pivot: a refusal that names the entries' range, without a warning
+        import warnings
+
+        A = np.array([[1e-300 - 5e-324j, -1.7e308 + 1e-300j], [-1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="span too wide a range"):
+                eigenstructure_small(A)
 
     def test_overflowing_discriminant_rescaled(self):
         # 4|det| passes the float range without an exception
