@@ -9,51 +9,6 @@ the open families, and falls back to a seeded numerical search for the rest.
 
 __version__ = "0.1.0"
 
-from .classifier import (
-    RegionSample,
-    admissible_region,
-    classify,
-    constant_set,
-    region_to_csv,
-    region_to_svg,
-    request_certificate,
-)
-from .constructors import (
-    ApportionCertificate,
-    CertTag,
-    HalfRankPlan,
-    SpiralSolution,
-    TemplateKind,
-    TwoByTwoPlan,
-    apportion_2x2,
-    apportion_3x3_template,
-    apportion_A_oplus_zeros,
-    apportion_half_rank,
-    apportion_I_oplus_O,
-    apportion_nilpotent,
-    apportion_perturb_identity,
-    apportion_rank_one,
-    half_rank_plan,
-    pad_by_zero,
-    perturb_identity_constants,
-    polar_condition_2x2,
-    reorder_certificate,
-    scale_certificate,
-    spiral_sum,
-    two_by_two_constants,
-    two_by_two_plan,
-    verify_certificate,
-)
-from .core import (
-    DEFAULT_TOL,
-    Tolerance,
-    UniformityReport,
-    hadamard_lower_bound,
-    is_uniform,
-    reciprocal_condition,
-    similarity_image,
-    trace_lower_bound,
-)
 from .errors import (
     ApportionError,
     ConstantNotAchievableError,
@@ -63,24 +18,34 @@ from .errors import (
     SingularMatrixError,
     UnsupportedOrderError,
 )
-from .jordan import (
-    EigenResult,
-    InversePair,
-    JordanSpec,
-    build_jordan,
-    complete_inverse_pair,
-    eigenstructure_2x2,
-    eigenstructure_small,
-    input_ordered_spec,
-    parse_jordan_arrangement,
-    scale_jordan,
-)
 from .reports import ClassificationReport, ConstantSet, SetShape, Verdict
+from .rules import (TemplateKind, classify, constant_set, perturb_identity_constants,
+                    two_by_two_constants)
+from .scalar import DEFAULT_TOL, Tolerance
+from .spec import JordanSpec
 
-#: names of the search module, imported on first access (PEP 562): only the
-#: search and sigma commands pay for compiling it
-_SEARCH_NAMES = frozenset({"SearchConfig", "SearchOutcome", "SigmaReport",
-                           "find_apportioning", "defect_objective", "sigma_estimate"})
+#: the numeric layer, by module: each name is imported on first access (PEP 562), and
+#: with it numpy, so ``import apportion`` and the theory layer above load no numpy, and
+#: only the search and sigma commands pay for compiling the search
+_NUMERIC = {
+    "core": ("UniformityReport", "is_uniform", "similarity_image", "reciprocal_condition",
+             "trace_lower_bound", "hadamard_lower_bound"),
+    "jordan": ("InversePair", "EigenResult", "build_jordan", "scale_jordan",
+               "complete_inverse_pair", "eigenstructure_2x2", "eigenstructure_small",
+               "parse_jordan_arrangement", "input_ordered_spec"),
+    "constructors": ("CertTag", "ApportionCertificate", "verify_certificate",
+                     "reorder_certificate", "scale_certificate", "pad_by_zero",
+                     "apportion_nilpotent", "apportion_I_oplus_O", "HalfRankPlan",
+                     "half_rank_plan", "apportion_half_rank", "apportion_A_oplus_zeros",
+                     "SpiralSolution", "spiral_sum", "apportion_rank_one",
+                     "apportion_perturb_identity", "TwoByTwoPlan", "two_by_two_plan",
+                     "apportion_2x2", "polar_condition_2x2", "apportion_3x3_template"),
+    "classifier": ("request_certificate", "RegionSample", "admissible_region",
+                   "region_to_csv", "region_to_svg"),
+    "search": ("SearchConfig", "SearchOutcome", "SigmaReport", "find_apportioning",
+               "defect_objective", "sigma_estimate"),
+}
+_MODULE_OF = {name: module for module, names in _NUMERIC.items() for name in names}
 
 __all__ = [
     "__version__",
@@ -116,15 +81,16 @@ __all__ = [
 
 
 def __getattr__(name):
-    if name != "search" and name not in _SEARCH_NAMES:
+    module = name if name in _NUMERIC else _MODULE_OF.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import importlib
 
-    search = importlib.import_module(".search", __name__)
-    for lazy in _SEARCH_NAMES:
-        globals()[lazy] = getattr(search, lazy)
+    loaded = importlib.import_module("." + module, __name__)
+    for lazy in _NUMERIC[module]:
+        globals()[lazy] = getattr(loaded, lazy)
     return globals()[name]
 
 
 def __dir__():
-    return sorted(set(globals()) | _SEARCH_NAMES | {"search"})
+    return sorted(set(globals()) | set(_MODULE_OF) | set(_NUMERIC))

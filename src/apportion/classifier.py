@@ -1,54 +1,30 @@
-"""Classification of matrices by apportionability.
+"""Certificates for classified matrices, and the admissible region at order 2.
 
-``classify`` runs a JordanSpec (any order) or raw entries (order <= 3)
-through one ordered table of rules, one per covered matrix class, and returns
-the first matching rule's verdict, constant-set description and tag; it builds
-no certificate.  Each rule is one function: its match also returns the builder
-for the shape it found.  ``request_certificate`` matches the report's rule
-against the matrix the caller asked about, reads kappa against that match's
-constant set, builds with its builder, places the certificate in the matrix's block
-order (``constructors._placed``) and checks it against that matrix.  Orders 2 and 3 are resolved completely up to the open families; the
-admissible-eigenvalue region for order 2 can be sampled and rendered.
+``classify`` and its one table of rules live in ``rules``, which imports no numpy; this
+module re-exports them.  ``request_certificate`` matches the report's rule against the
+matrix the caller asked about, reads kappa against that match's constant set, builds with
+its builder, places the certificate in the matrix's block order (``constructors._placed``)
+and checks it against that matrix.  Orders 2 and 3 are resolved completely up to the open
+families; the admissible-eigenvalue region for order 2 can be sampled and rendered.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .constructors import (
-    ApportionCertificate,
-    CertTag,
-    TemplateKind,
-    _certificate,
-    _certified,
-    _coerce_spec,
-    _gamma_test,
-    _half_rank,
-    _half_rank_constants,
-    _identity_plus_zero,
-    _nilpotent,
-    _nilpotent_constants,
-    _order_two,
-    _padded,
-    _perturb_identity,
-    _placed,
-    _rank_one,
-    _rank_one_constants,
-    _scaled,
-    _template,
-    _two_by_two,
-    perturb_identity_constants,
-    spec_bounds,
-)
+from .constructors import ApportionCertificate, _certified, _coerce_spec, _placed
 from .core import as_matrix, modulus, times_power_of_two, unit_exponent
 from .errors import InvalidInputError
-from .jordan import JordanSpec, build_jordan, eigenstructure_small
-from .reports import ClassificationReport, ConstantSet, Verdict
+from .jordan import build_jordan
+from .reports import ClassificationReport, Verdict
+# RULES, classify and constant_set are re-exported from the theory layer
+from .rules import (RULES, MatrixLike, _classify_spec, _gamma_test, _RULES_BY_TAG, classify,
+                    constant_set)
+from .spec import JordanSpec
 
 __all__ = [
     "classify",
@@ -59,226 +35,6 @@ __all__ = [
     "region_to_csv",
     "region_to_svg",
 ]
-
-MatrixLike = Union[JordanSpec, np.ndarray, list]
-
-
-def _coerce(input_matrix: MatrixLike) -> tuple[JordanSpec, bool]:
-    if isinstance(input_matrix, JordanSpec):
-        return input_matrix, False
-    result = eigenstructure_small(input_matrix)
-    return result.spec, result.approximate
-
-
-# ---------------------------------------------------------------------------
-# the rule table
-# ---------------------------------------------------------------------------
-
-Built = tuple[ApportionCertificate, tuple]
-Match = Optional[tuple[Verdict, ConstantSet, Optional[Callable[[float], Built]]]]
-
-
-@dataclass(frozen=True)
-class Rule:
-    """One matrix class of the case analysis.
-
-    ``match`` returns None when the spec is outside the class, else (verdict,
-    constants, build).  ``build`` is None for refuting and open classes;
-    otherwise it maps a member kappa of the constants to a certificate and the
-    blocks, in order, it was built for, unchecked (``request_certificate``
-    checks it once), bound to the shape the match found.  Classification only
-    matches: no rule builds while classifying.
-    """
-
-    tag: str
-    match: Callable[[JordanSpec], Match]
-
-
-_REFUTED = (Verdict.NOT_APPORTIONABLE, ConstantSet.empty(), None)
-
-
-def _unknown(spec: JordanSpec) -> Match:
-    return Verdict.UNKNOWN, ConstantSet.unknown(max(spec_bounds(spec.blocks))), None
-
-
-def _match_zero(spec: JordanSpec) -> Match:
-    if not spec.is_zero_matrix():
-        return None
-    n = spec.order
-    return Verdict.APPORTIONABLE, _nilpotent_constants(spec), lambda k: (
-        _certificate(np.eye(n), np.eye(n), build_jordan(spec), 0.0, CertTag.NILPOTENT),
-        spec.blocks)
-
-
-def _match_rank_one(spec: JordanSpec) -> Match:
-    """diag(lam, 0, ..., 0) with lam != 0, in any block order."""
-    if spec.rank != 1 or spec.is_nilpotent():
-        return None
-    n, lam = spec.order, next(lam for lam, _ in spec.blocks if lam != 0)
-    return Verdict.APPORTIONABLE, _rank_one_constants(lam, n), lambda k: (
-        _rank_one(lam, n, k), ((lam, 1),) + ((0j, 1),) * (n - 1))
-
-
-def _match_identity_plus_zero(spec: JordanSpec) -> Match:
-    """lam I_n + O_n with n >= 2 and lam != 0, 1-blocks in any order: K is exactly
-    [|lam|/2, inf), from its trace bound up, its end rounded up to the least positive
-    float where |lam|/2 underflows (as rank one's is), so 0 is never a member."""
-    n = spec.rank
-    if n < 2 or not spec.order == len(spec.blocks) == 2 * n:
-        return None
-    nonzero = {lam for lam, _ in spec.blocks if lam != 0}
-    if len(nonzero) != 1:
-        return None
-    lam = nonzero.pop()
-    lo = max(modulus(lam, over=2.0), math.ulp(0.0))
-    return Verdict.APPORTIONABLE, ConstantSet.closed_half_line(lo), lambda k: (
-        _scaled(_identity_plus_zero(n, modulus(lam, dividing=k)), lam),
-        ((lam, 1),) * n + ((0j, 1),) * n)
-
-
-def _match_half_rank(spec: JordanSpec) -> Match:
-    if 2 * spec.rank > spec.order or spec.is_nilpotent():
-        return None
-    return (Verdict.APPORTIONABLE, _half_rank_constants(spec),
-            lambda k: _half_rank(spec, k))
-
-
-def _match_perturb(spec: JordanSpec) -> Match:
-    """mu * (rank-one perturbation of I), n >= 3: n-1 blocks share an eigenvalue
-    mu != 0.  Refuted when they are sizes 1, ..., 1, 2; else apportionable
-    exactly when I_(n-1) + [other/mu] is, for the odd eigenvalue out."""
-    n = spec.order
-    if n < 3:
-        return None
-    eigenvalues = [lam for lam, _ in spec.blocks]
-    for mu, count in Counter(eigenvalues).items():
-        if mu == 0 or count != n - 1:
-            continue
-        sizes = sorted(size for lam, size in spec.blocks if lam == mu)
-        if len(eigenvalues) == n - 1 and sizes == [1] * (n - 2) + [2]:
-            return _REFUTED
-        if len(eigenvalues) == n and sizes == [1] * (n - 1):
-            other = next(lam for lam in eigenvalues if lam != mu)
-            constants = perturb_identity_constants(n, other / mu)
-            if constants is None:
-                return _REFUTED
-            return Verdict.APPORTIONABLE, constants.scaled(mu), lambda k: (
-                _scaled(_perturb_identity(n, other / mu, modulus(mu, dividing=k)), mu),
-                ((mu, 1),) * (n - 1) + ((other, 1),))
-    return None
-
-
-def _match_two_by_two(spec: JordanSpec) -> Match:
-    """Order 2 with distinct nonzero eigenvalues (every other order-2 spec
-    is caught by an earlier rule)."""
-    if spec.order != 2 or len(spec.blocks) != 2:
-        return None
-    (l1, _), (l2, _) = spec.blocks
-    found = _order_two(l1, l2)
-    if found is None:
-        return _REFUTED
-    return Verdict.APPORTIONABLE, found[2], lambda k: (
-        _two_by_two(l1, l2, found, k), spec.blocks)
-
-
-def _match_template(spec: JordanSpec, kind: TemplateKind, sizes: tuple[int, int],
-                    divisor: float) -> Match:
-    """Blocks (lam, sizes[0]) and (0, sizes[1]) in either order, lam != 0."""
-    if len(spec.blocks) != 2:
-        return None
-    for (lam, s), (mu, t) in (spec.blocks, spec.blocks[::-1]):
-        if lam != 0 and mu == 0 and (s, t) == sizes:
-            constants = ConstantSet.finite([modulus(lam, over=divisor)], exact=False,
-                                           lower_bound=max(spec_bounds(spec.blocks)))
-            return Verdict.APPORTIONABLE, constants, lambda k: (
-                _template(kind, lam), ((lam, sizes[0]), (0j, sizes[1])))
-    return None
-
-
-def _pair_plus_zero(spec: JordanSpec) -> Optional[tuple[complex, complex]]:
-    """The two nonzero eigenvalues of diag(l1, l2, 0) in any order, else None."""
-    if spec.order != 3 or len(spec.blocks) != 3:
-        return None
-    nonzero = [lam for lam, _ in spec.blocks if lam != 0]
-    return tuple(nonzero) if len(nonzero) == 2 else None
-
-
-def _match_pad_zero(spec: JordanSpec) -> Match:
-    """diag(l1, l2, 0) whose pair is apportionable at order 2: padding keeps
-    its constants, but only one way, so the set is a subset claim."""
-    pair = _pair_plus_zero(spec)
-    found = None if pair is None else _order_two(*pair)
-    if found is None:
-        return None
-    (l1, l2), base = pair, found[2]
-    constants = replace(base, exact=False,
-                        lower_bound=min(base.lower_bound, max(spec_bounds(spec.blocks))))
-    return Verdict.APPORTIONABLE, constants, lambda k: (
-        _padded(_two_by_two(l1, l2, found, k)), ((l1, 1), (l2, 1), (0j, 1)))
-
-
-#: The case analysis, in order: the first rule that matches decides.
-RULES: tuple[Rule, ...] = (
-    Rule("zero-matrix", _match_zero),
-    Rule("order-one",
-         lambda s: ((Verdict.APPORTIONABLE, _rank_one_constants(s.blocks[0][0], 1),
-                     lambda k: (_rank_one(s.blocks[0][0], 1, k), s.blocks))
-                    if s.order == 1 else None)),
-    # lam * I, lam != 0
-    Rule("scalar-matrix",
-         lambda s: (_REFUTED if len(set(s.blocks)) == 1 and s.blocks[0][1] == 1
-                    and s.blocks[0][0] != 0 else None)),
-    Rule("nilpotent",
-         lambda s: ((Verdict.APPORTIONABLE, _nilpotent_constants(s),
-                     lambda k: _nilpotent(s, k))
-                    if s.is_nilpotent() else None)),
-    Rule("rank-one", _match_rank_one),
-    Rule("identity-plus-zero", _match_identity_plus_zero),
-    Rule("half-rank", _match_half_rank),
-    Rule("perturb-identity", _match_perturb),
-    # a single 2x2 block with nonzero eigenvalue
-    Rule("repeated-eigenvalue",
-         lambda s: _REFUTED if s.order == 2 and len(s.blocks) == 1 else None),
-    Rule("two-by-two", _match_two_by_two),
-    Rule("3x3-template-j2-plus-zero",
-         lambda s: _match_template(s, TemplateKind.LAMBDA_J2_PLUS_ZERO, (2, 1), 1.0)),
-    Rule("3x3-template-plus-nilpotent",
-         lambda s: _match_template(s, TemplateKind.LAMBDA_PLUS_N2, (1, 2), math.sqrt(3.0))),
-    Rule("two-by-two-pad-zero", _match_pad_zero),
-    # the pair fails at order 2, but padding could still help
-    Rule("two-by-two-pad-zero-inconclusive",
-         lambda s: None if _pair_plus_zero(s) is None else _unknown(s)),
-    # J3(lam), J2(lam) + [mu] and three distinct nonzero eigenvalues
-    Rule("open-3x3", lambda s: _unknown(s) if s.order == 3 else None),
-    Rule("order-not-covered", _unknown),
-)
-
-_RULES_BY_TAG = {rule.tag: rule for rule in RULES}
-
-
-def classify(input_matrix: MatrixLike) -> ClassificationReport:
-    """Verdict, constant set and rule tag for a matrix; no certificate is built
-    (``request_certificate`` builds one), so the report's ``certificate`` is None.
-
-    Raw entries are accepted up to order 3 (the Jordan structure is recovered
-    by closed-form eigenvalues and rank tests, and near-degenerate spectra are
-    flagged approximate); larger inputs must arrive as a JordanSpec.
-    """
-    spec, approximate = _coerce(input_matrix)
-    return _classify_spec(spec, approximate)
-
-
-def _classify_spec(spec: JordanSpec, approximate: bool = False) -> ClassificationReport:
-    for rule in RULES:  # the last rule matches every spec
-        found = rule.match(spec)
-        if found is not None:
-            return ClassificationReport(*found[:2], rule.tag, approximate_eigen=approximate)
-
-
-def constant_set(input_matrix: MatrixLike,
-                 report: Optional[ClassificationReport] = None) -> ConstantSet:
-    """The constant-set description of a matrix (reusing a prior report)."""
-    return (report or classify(input_matrix)).constants
 
 
 def request_certificate(input_matrix: MatrixLike, kappa: Optional[float] = None,

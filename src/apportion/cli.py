@@ -8,33 +8,30 @@ invocations produce byte-identical output.  Diagnostics go to stderr.
 Exit codes: 0 success, 2 malformed input document, 3 invalid or unsupported
 input, 4 not apportionable, 5 verdict unknown, 6 requested constant not
 achievable, 7 singular transform.
+
+A subcommand imports the numeric layer, and with it numpy, only where it needs an array:
+``classify`` and ``bounds`` on a Jordan document, and every malformed document, run on the
+theory layer (``rules``) alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import gc
 import json
 import math
+import numbers
 import sys
-
-import numpy as np
+from itertools import chain
 
 from . import __version__
-from .classifier import (
-    admissible_region,
-    classify,
-    region_to_csv,
-    region_to_svg,
-    request_certificate,
-)
-from .constructors import (TemplateKind, apportion_3x3_template, apportion_I_oplus_O,
-                           apportion_nilpotent, spec_bounds)
-from .core import DEFAULT_TOL, Tolerance, as_matrix, hadamard_lower_bound, is_uniform, similarity_image, trace_lower_bound
 from .errors import (ApportionError, ConstantNotAchievableError, InvalidInputError,
                      SingularMatrixError)
-from .jordan import JordanSpec, build_jordan
 from .reports import Verdict
+from .rules import TemplateKind, classify, spec_bounds
+from .scalar import DEFAULT_TOL, Tolerance
+from .spec import JordanSpec
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -53,23 +50,28 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-_FLOAT_TYPES = frozenset((float, np.float64))
+_NESTS = (list, tuple)
 
 
 def _emit_floats(obj):
     """A rectangular nest of lists of finite floats, such as a certificate
     matrix, formatted by one ``%`` pass over a bracket template (the same
-    17-digit text as ``_format_float``); None for anything else."""
-    leaves = np.array(obj, dtype=object)  # a ragged nest keeps lists as leaves
-    if leaves.size == 0 or not set(map(type, leaves.flat)) <= _FLOAT_TYPES:
-        return None
-    values = leaves.astype(float)
-    if not np.isfinite(values).all():
+    17-digit text as ``_format_float``); None for anything else.  numpy's
+    float64 is a float, so its values pass too."""
+    shape, items = [len(obj)], obj
+    while items and type(items[0]) in _NESTS:   # one level deeper, if every item is a nest
+        k = len(items[0])
+        if not all(type(x) in _NESTS and len(x) == k for x in items):
+            return None
+        shape.append(k)
+        items = list(chain.from_iterable(items))
+    if (not items or not all(isinstance(x, float) for x in items)
+            or not all(map(math.isfinite, items))):
         return None
     template = "%.17g"
-    for k in reversed(values.shape):
+    for k in reversed(shape):
         template = "[" + ",".join([template] * k) + "]"
-    return template % tuple(values.ravel().tolist())
+    return template % tuple(items)
 
 
 def _emit_json(obj) -> str:
@@ -80,12 +82,12 @@ def _emit_json(obj) -> str:
         return "true"
     if obj is False:
         return "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, numbers.Integral):   # int and numpy's integer types
+        return str(int(obj))
+    if isinstance(obj, numbers.Real):       # float and numpy's floating types
+        return _format_float(float(obj))
     if isinstance(obj, (list, tuple)):
         floats = _emit_floats(obj)
         if floats is not None:
@@ -123,10 +125,23 @@ class _ParseFailure(Exception):
     pass
 
 
+def _part(x) -> float:
+    """A real or imaginary part of a raw entry: a number (not a boolean) or numeric text,
+    read by float(), with an integer past the float range read as an infinity."""
+    if type(x) is bool:
+        raise TypeError("a part must be a number, not a boolean")
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _parse_matrix_document(doc: dict):
     """A document holds exactly one of 'entries' (with optional 'order') or 'jordan'.
 
-    Returns (ndarray or None, JordanSpec or None).
+    Raw entries are validated in Python (the [re, im] pairs, a nonempty square of finite
+    entries, the declared order) before their array is built, so a malformed document is
+    refused without loading numpy.  Returns (ndarray or None, JordanSpec or None).
     """
     has_entries = "entries" in doc
     has_jordan = "jordan" in doc
@@ -139,13 +154,15 @@ def _parse_matrix_document(doc: dict):
             raise _ParseFailure(f"bad jordan block list: {exc}") from exc
     entries = doc["entries"]
     try:
-        rows = [[complex(float(re), float(im)) for re, im in row] for row in entries]
+        rows = [[complex(_part(re), _part(im)) for re, im in row] for row in entries]
     except (TypeError, ValueError) as exc:
         raise _ParseFailure(f"entries must be an array of [re, im] pairs: {exc}") from exc
-    try:
-        M = as_matrix(rows, square=True, name="entries")
-    except InvalidInputError as exc:
-        raise _ParseFailure(str(exc)) from exc
+    n = len(rows)
+    if not n or any(len(row) != n for row in rows):
+        raise _ParseFailure(f"entries: expected a nonempty square matrix, got {n} rows of "
+                            f"lengths {sorted({len(row) for row in rows})}")
+    if not all(cmath.isfinite(z) for row in rows for z in row):
+        raise _ParseFailure("entries: entries must be finite")
     if "order" in doc:
         try:
             order = int(doc["order"])
@@ -153,9 +170,11 @@ def _parse_matrix_document(doc: dict):
                 raise ValueError(f"{doc['order']!r} is fractional")
         except (TypeError, ValueError, OverflowError) as exc:
             raise _ParseFailure(f"'order' must be an integer: {exc}") from exc
-        if order != M.shape[0]:
+        if order != n:
             raise _ParseFailure("declared order does not match the entry array shape")
-    return M, None
+    from .core import as_matrix
+
+    return as_matrix(rows, square=True, name="entries"), None
 
 
 def _doc_input(doc: dict):
@@ -163,17 +182,23 @@ def _doc_input(doc: dict):
     return spec if spec is not None else M
 
 
-def _doc_matrix(doc: dict) -> np.ndarray:
+def _doc_matrix(doc: dict):
     M, spec = _parse_matrix_document(doc)
-    return build_jordan(spec) if spec is not None else M
+    if spec is None:
+        return M
+    from .jordan import build_jordan
+
+    return build_jordan(spec)
 
 
 def _bounds_json(M, spec) -> dict:
-    """Both lower bounds: from the block list for a Jordan document, from the
+    """Both lower bounds: from the block list for a Jordan document (no numpy), from the
     dense matrix for raw entries."""
     if spec is not None:
         trace_bound, det_bound = spec_bounds(spec.blocks)
     else:
+        from .core import hadamard_lower_bound, trace_lower_bound
+
         trace_bound, det_bound = trace_lower_bound(M), hadamard_lower_bound(M)
     return {"trace_lower_bound": trace_bound, "hadamard_lower_bound": det_bound}
 
@@ -199,6 +224,8 @@ def _cmd_apportion(args) -> int:
     if report.verdict is Verdict.UNKNOWN:
         print("apportionability unknown for this class", file=sys.stderr)
         return EXIT_UNKNOWN
+    from .classifier import request_certificate
+
     # checked once, against the document's raw entries when it holds them
     cert = request_certificate(inp, kappa=args.kappa, report=report)
     out = cert.to_json()
@@ -210,6 +237,8 @@ def _cmd_apportion(args) -> int:
 def _cmd_verify(args) -> int:
     A = _doc_matrix(_read_document(args.matrix))
     M = _doc_matrix(_read_document(args.transform))
+    from .core import is_uniform, similarity_image
+
     tol = Tolerance(rel=args.rel, abs=args.abs)
     B = similarity_image(M, A)
     rep = is_uniform(B, tol)
@@ -230,6 +259,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_region(args) -> int:
+    from .classifier import admissible_region, region_to_csv, region_to_svg
+
     lambda1 = complex(args.lambda1_re, args.lambda1_im)
     box = ((args.re_min, args.re_max), (args.im_min, args.im_max))
     samples = admissible_region(lambda1, box, args.resolution)
@@ -255,9 +286,10 @@ def _search_config(args):
 
 
 def _cmd_search(args) -> int:
+    A, spec = _parse_matrix_document(_read_document(args.matrix))
+    from .jordan import build_jordan
     from .search import _require_search_order, find_apportioning
 
-    A, spec = _parse_matrix_document(_read_document(args.matrix))
     if spec is not None:
         _require_search_order(spec.order)
         A = build_jordan(spec)
@@ -267,15 +299,18 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_sigma(args) -> int:
+    inp = _doc_input(_read_document(args.matrix))
     from .search import sigma_estimate
 
-    inp = _doc_input(_read_document(args.matrix))
     report = sigma_estimate(inp, args.m_max, _search_config(args))
     _print_json(report.to_json(with_transcript=args.verbose))
     return EXIT_OK
 
 
 def _cmd_demo(_args) -> int:
+    from .constructors import apportion_3x3_template, apportion_I_oplus_O, apportion_nilpotent
+    from .core import is_uniform
+
     nilpotent = JordanSpec(((0j, 3), (0j, 2)))
     cases = []
     for name, cert in (
@@ -384,10 +419,14 @@ def run() -> int:
     """Process entry (``python -m apportion.cli`` and the ``apportion`` script).
 
     Freezes the import-time heap first, so the cyclic collector never walks
-    numpy's and the package's objects again, during the call or at exit.
+    the package's objects again during the call, and freezes the heap again after
+    it: a command that needs arrays imports numpy during the call, and the
+    interpreter's final collection at exit then walks none of it.
     """
     gc.freeze()
-    return main()
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

@@ -19,23 +19,25 @@ import contextlib
 import enum
 import math
 import numbers
-import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .core import (DEFAULT_TOL, Tolerance, UniformityReport, _image, _max_modulus, as_matrix,
-                   check_inverse, floor_bound, is_uniform, modulus, times_power_of_two,
-                   unit_exponent)
+                   check_inverse, is_uniform, modulus, times_power_of_two, unit_exponent)
 from .errors import (
     ConstantNotAchievableError,
     ConstructionError,
     InvalidInputError,
 )
-from .jordan import (JordanSpec, _arranged_spec, _block_rows, _inverse_below, build_jordan,
-                     geometric_diagonal)
+from .jordan import _arranged_spec, _block_rows, _inverse_below, build_jordan, geometric_diagonal
 from .reports import ClassificationReport, ConstantSet, SetShape, Verdict
+# spec_bounds is re-exported: the bounds of a block list live with the theory in ``rules``
+from .rules import (TemplateKind, _half_rank_constants, _nilpotent_constants, _order_two,
+                    _rank_one_constants, perturb_identity_constants, spec_bounds,
+                    two_by_two_constants)
+from .spec import JordanSpec
 
 __all__ = [
     "CertTag",
@@ -252,34 +254,6 @@ def _coerce_spec(a) -> JordanSpec:
     return a if isinstance(a, JordanSpec) else _arranged_spec(a)
 
 
-_LOG_MAX, _LOG2 = math.log(sys.float_info.max), math.log(2.0)
-
-
-def _log_modulus(lam: complex) -> float:
-    """log |lam|, also past the float range, by way of |lam|/2 (``core.modulus``)."""
-    m = modulus(lam)
-    return math.log(m) if m < math.inf else math.log(modulus(lam, over=2.0)) + _LOG2
-
-
-def spec_bounds(blocks) -> tuple[float, float]:
-    """(trace bound, determinant bound) of the Jordan matrix of ``blocks``, its
-    (eigenvalue, size) pairs; no constant lies below either.  The trace is summed at unit
-    scale (``core.unit_exponent``), the determinant in log space, each modulus is read by
-    ``core.modulus``, and a bound past the float range is the largest float
-    (``core.floor_bound``), so neither overflows."""
-    n = sum(size for _, size in blocks)
-    e = unit_exponent([lam for lam, _ in blocks])
-    tr = sum(times_power_of_two(lam, -e) * size for lam, size in blocks)
-    trace_bound = floor_bound(modulus(tr, over=n, scale=e))
-    if any(lam == 0 for lam, _ in blocks):
-        return trace_bound, 0.0
-    g = sum(size * _log_modulus(lam) for lam, size in blocks) / n
-    # exp(g), the moduli's geometric mean, can be past the float range where the bound is not
-    det_bound = (math.exp(g) / math.sqrt(n) if g < _LOG_MAX
-                 else math.exp(g - _LOG2) / math.sqrt(n) * 2.0)
-    return trace_bound, floor_bound(det_bound)
-
-
 # ---------------------------------------------------------------------------
 # padding by a zero row/column
 # ---------------------------------------------------------------------------
@@ -375,9 +349,10 @@ def _nilpotent_core(spec: JordanSpec, kappa: float) -> ApportionCertificate:
     return ApportionCertificate(M, Minv, B, kappa, CertTag.NILPOTENT)
 
 
-def _nilpotent_constants(spec: JordanSpec) -> ConstantSet:
-    """K of a nilpotent Jordan matrix: {0} for the zero matrix, else every kappa > 0."""
-    return ConstantSet.zero_only() if spec.is_zero_matrix() else ConstantSet.open_half_line(0.0)
+def _zero(spec: JordanSpec) -> ApportionCertificate:
+    """The zero matrix's certificate, unchecked: M = I and B = O, at kappa 0."""
+    n = spec.order
+    return _certificate(np.eye(n), np.eye(n), build_jordan(spec), 0.0, CertTag.NILPOTENT)
 
 
 def _nilpotent(spec: JordanSpec, kappa: float) -> tuple[ApportionCertificate, tuple]:
@@ -542,13 +517,6 @@ def _half_rank_exact(spec: JordanSpec, kappa: float) -> tuple[ApportionCertifica
                                  CertTag.HALF_RANK), sorted_spec.blocks)
 
 
-def _half_rank_constants(spec: JordanSpec) -> ConstantSet:
-    """Known part of K at rank <= order/2: every kappa above half the spectral radius."""
-    rho_half = modulus(*(lam for lam, _ in spec.blocks), over=2.0)
-    return ConstantSet.open_half_line(rho_half, exact=False,
-                                      lower_bound=max(spec_bounds(spec.blocks)))
-
-
 def _half_rank(spec: JordanSpec, kappa: float) -> tuple[ApportionCertificate, tuple]:
     """``apportion_half_rank`` at a member kappa, unchecked, for a spec that is not
     nilpotent, with its blocks: the kept ones sorted, then the peeled zero 1-blocks."""
@@ -660,16 +628,6 @@ def _spiral_angles(n: int, r: float) -> SpiralSolution:
     return SpiralSolution(rho, alpha, tuple(j * rho - alpha for j in range(1, n + 1)))
 
 
-def _rank_one_constants(lam: complex, n: int) -> ConstantSet:
-    """K of diag(lam, 0, ..., 0) of order n with lam != 0: {|lam|} at n = 1, else
-    [|lam|/n, inf), by ``core.modulus``; a quotient that underflows is rounded up to the
-    least positive float, so 0 is never a member."""
-    if n == 1:
-        return ConstantSet.finite([modulus(lam)])
-    lo = max(modulus(lam, over=n), math.ulp(0.0))
-    return ConstantSet.closed_half_line(lo, lower_bound=lo)
-
-
 def _rank_one(lam: complex, n: int, kappa: float) -> ApportionCertificate:
     """``apportion_rank_one`` at a member kappa, unchecked."""
     if n == 1:   # a 1x1 matrix is similar only to itself
@@ -706,30 +664,6 @@ def apportion_rank_one(lam: complex, n: int, kappa: float) -> ApportionCertifica
 # ---------------------------------------------------------------------------
 # rank-one perturbations of the identity
 # ---------------------------------------------------------------------------
-
-RE_CONDITION_ATOL = 1e-9
-
-
-def perturb_identity_constants(n: int, lam: complex) -> Optional[ConstantSet]:
-    """Constant set of I_(n-1) + [lam] for n >= 3, or None when Re(lam) != 1 - n/2.
-
-    For even n with real lam the set is the closed half-line from 1/2;
-    otherwise it is the finite family sqrt(Im(lam)^2/(n-2s)^2 + 1/4) over
-    s = 0 .. floor((n-1)/2).
-    """
-    if not (isinstance(n, (int, np.integer)) and n >= 3):
-        raise InvalidInputError("this construction needs order n >= 3")
-    lam = complex(lam)
-    if abs(lam.real - (1.0 - n / 2.0)) > RE_CONDITION_ATOL:
-        return None
-    im = lam.imag
-    tb = math.hypot(n / 2.0, im) / n          # |trace| / n, the sharp floor
-    if n % 2 == 0 and abs(im) <= RE_CONDITION_ATOL:
-        return ConstantSet.closed_half_line(0.5, lower_bound=0.5)
-    values = sorted({math.sqrt(im * im / (n - 2 * s) ** 2 + 0.25)
-                     for s in range(0, (n - 1) // 2 + 1)})
-    return ConstantSet.finite(values, lower_bound=tb)
-
 
 def _perturb_identity(n: int, lam: complex, target: Optional[float]) -> ApportionCertificate:
     """``apportion_perturb_identity`` at a member target, unchecked, for an
@@ -800,66 +734,6 @@ class TwoByTwoPlan:
     a: complex
     c: complex
     d: complex
-
-
-def _gamma_test(l1: complex, l2: complex) -> Optional[tuple[complex, float]]:
-    """The paper's order-2 test at a scale where l1 +- l2 cannot overflow:
-    (gamma, |gamma|^4) when diag(l1, l2) is apportionable, else None.
-
-    gamma = (l2+l1)/(l2-l1) must vanish (to 1e-12 of the pair) or satisfy
-    Re(gamma^2) < |gamma|^4 <= 1.  |gamma|^4 within 4e-12 of 1 counts as 1, so
-    pure-imaginary ratios sit on |gamma| = 1; the strict inequality keeps a 1e-12
-    margin, as its boundary would give certificates with unbounded entries.  |gamma| > 2
-    is refused before the quotient, which overflows where l2 - l1 underflows."""
-    s, d = l1 + l2, l2 - l1
-    if abs(s) <= 1e-12 * max(abs(l1), abs(l2)):
-        return 0j, 0.0
-    if abs(s) > 2.0 * abs(d):
-        return None
-    gamma = s / d
-    g4 = abs(gamma) ** 4
-    if abs(g4 - 1.0) <= 4e-12:
-        g4 = 1.0
-    if g4 <= 1.0 and (gamma * gamma).real < g4 - 1e-12:
-        return gamma, g4
-    return None
-
-
-def _order_two(l1: complex, l2: complex) -> Optional[tuple[complex, float, ConstantSet]]:
-    """(gamma, |gamma|^4, constant set) of diag(l1, l2), or None when it is not
-    apportionable: ``_gamma_test`` on the pair at unit scale (``core.unit_exponent``),
-    with the set scaled back."""
-    if not (cmath.isfinite(l1) and cmath.isfinite(l2)):
-        raise InvalidInputError("eigenvalues must be finite")
-    if l1 == 0 or l2 == 0 or l1 == l2:
-        raise InvalidInputError("needs distinct nonzero eigenvalues")
-    e = unit_exponent((l1, l2))
-    u1, u2 = times_power_of_two(l1, -e), times_power_of_two(l2, -e)
-    found = _gamma_test(u1, u2)
-    if found is None:
-        return None
-    gamma, g4 = found
-    if gamma == 0:
-        lo = modulus(l1, l2, over=math.sqrt(2.0))
-    else:
-        lo = modulus((u1 + u2) / 2.0, scale=e, times=math.sqrt(
-            1.0 + (1.0 - g4) / (2.0 * (g4 - (gamma * gamma).real))))
-    # the bounds are sharp for some pairs: rounding must not lift them above lo
-    bound = min(lo, max(spec_bounds(((l1, 1), (l2, 1)))))
-    return gamma, g4, (ConstantSet.closed_half_line(lo, lower_bound=bound) if gamma == 0
-                       else ConstantSet.finite([lo], lower_bound=bound))
-
-
-def two_by_two_constants(l1: complex, l2: complex) -> Optional[ConstantSet]:
-    """Constant set of diag(l1, l2) (distinct, nonzero), or None if empty.
-
-    Achievability holds exactly when gamma = (l2+l1)/(l2-l1) vanishes or
-    Re(gamma^2) < |gamma|^4 <= 1; the set is a closed half-line from
-    rho/sqrt(2) when gamma = 0 and a singleton otherwise.  The pair is
-    evaluated at unit scale (``core.unit_exponent``) and the set scaled back.
-    """
-    found = _order_two(complex(l1), complex(l2))
-    return None if found is None else found[2]
 
 
 def _plan(l1: complex, l2: complex, found: tuple, kappa: Optional[float]) -> TwoByTwoPlan:
@@ -944,13 +818,6 @@ def polar_condition_2x2(l1: complex, l2: complex) -> bool:
 # ---------------------------------------------------------------------------
 # the two explicit 3x3 families
 # ---------------------------------------------------------------------------
-
-class TemplateKind(str, enum.Enum):
-    #: size-2 block with eigenvalue lam, plus a zero: modulus |lam|
-    LAMBDA_J2_PLUS_ZERO = "LambdaJ2PlusZero"
-    #: eigenvalue lam plus a size-2 nilpotent block: modulus |lam|/sqrt(3)
-    LAMBDA_PLUS_N2 = "LambdaPlusN2"
-
 
 def _template_spec(kind: TemplateKind, lam: complex) -> JordanSpec:
     """The Jordan blocks of a family: (lam, 2) + (0, 1), or (lam, 1) + (0, 2)."""

@@ -10,12 +10,13 @@ pure function of its inputs.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import scalar
 from .errors import InvalidInputError, SingularMatrixError
+from .scalar import DEFAULT_TOL, Tolerance, _exponent_of, floor_bound, modulus
 
 __all__ = [
     "Tolerance",
@@ -41,27 +42,6 @@ RCOND_THRESHOLD = 1e-12
 #: max-norm threshold (scaled by order) for accepting a claimed inverse.
 INVERSE_PAIR_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Relative/absolute tolerance pair used by uniformity and image checks; the
-    default is purely relative, so A and every multiple cA pass alike.  Both are finite,
-    and ``rel`` is below 1: at rel >= 1 a modulus anywhere in [kappa (1 - rel),
-    kappa (1 + rel)] passes, zero entries included."""
-
-    rel: float = 1e-9
-    abs: float = 0.0
-
-    def __post_init__(self):
-        # NaN fails both comparisons
-        if not (0 <= self.rel < 1 and 0 <= self.abs < math.inf):
-            raise InvalidInputError(
-                f"rel must lie in [0, 1) and abs in [0, inf), got {self.rel!r}, {self.abs!r}")
-        if self.rel == 0 and self.abs == 0:
-            raise InvalidInputError("rel and abs tolerance cannot both be zero")
-
-
-DEFAULT_TOL = Tolerance()
 
 #: ``x.max()`` as ``_max(x, None)``: the ufunc reduction without the method's wrapper,
 #: which costs more than the work on small matrices
@@ -222,57 +202,18 @@ def hadamard_lower_bound(A) -> float:
 
 
 def unit_exponent(values) -> int:
-    """The e that brings the largest real or imaginary part of ``values`` (an array or
-    a sequence of complex scalars) into [1, 2) as 2^-e times it; 0 when all vanish.
-
-    K(cA) = |c| K(A), so this one rule decides scale: a caller analyses A 2^-e, exactly,
-    and scales its answer back by 2^e."""
-    if isinstance(values, np.ndarray):
-        top = float(_max(np.maximum(np.abs(values.real), np.abs(values.imag)), None))
-    else:
-        top = 0.0
-        for z in values:
-            top = max(top, abs(z.real), abs(z.imag))
-    return math.frexp(top)[1] - 1 if top else 0
+    """``scalar.unit_exponent`` extended to arrays: the e that brings the largest real or
+    imaginary part of an array, or of a sequence of complex scalars, into [1, 2) as 2^-e
+    times it; 0 when all vanish."""
+    if not isinstance(values, np.ndarray):
+        return scalar.unit_exponent(values)
+    return _exponent_of(float(_max(np.maximum(np.abs(values.real), np.abs(values.imag)), None)))
 
 
 def times_power_of_two(x, e: int):
-    """x 2^e, exact in each real and imaginary part barring underflow, for a
-    complex array or a complex scalar."""
-    if isinstance(x, np.ndarray):   # one ldexp over the real and imaginary parts
-        z = np.ascontiguousarray(x, dtype=complex)
-        return np.ldexp(z.reshape(-1).view(np.float64), e).view(complex).reshape(z.shape)
-    return complex(math.ldexp(x.real, e), math.ldexp(x.imag, e))
-
-
-def modulus(*values: complex, over: float = 1.0, times: float | None = None,
-            dividing: float | None = None, scale: int = 0) -> float:
-    """The one modulus read: |z|/over, or x |z| with ``times`` = x, or x/|z| with
-    ``dividing`` = x, where |z| is the largest modulus of ``values`` 2^scale (complex
-    scalars, nonzero for ``dividing``).
-
-    |z| is taken of the values 2^-e at their unit scale (e as in ``unit_exponent``), x and
-    ``over`` enter by their mantissas, and the powers of two are applied last, so the
-    result is inf exactly where it is past the float range, and in range it is
-    abs(z)/over, x*abs(z) or x/abs(z) to the bit."""
-    e = unit_exponent(values)
-    m = max([abs(times_power_of_two(z, -e)) for z in values if z], default=0.0)
-    e += scale
-    if dividing is not None:
-        x, k = math.frexp(dividing)
-        m, e = x / m, k - e
-    elif times is not None:
-        x, k = math.frexp(times)
-        m, e = m * x, e + k
-    elif over != 1.0:
-        x, k = math.frexp(over)
-        m, e = m / x, e - k
-    try:
-        return math.ldexp(m, e)
-    except OverflowError:
-        return math.inf
-
-
-def floor_bound(bound: float) -> float:
-    """A lower bound past the float range is the largest float: a floor is never rounded up."""
-    return min(bound, sys.float_info.max)
+    """``scalar.times_power_of_two`` extended to arrays: x 2^e, exact in each real and
+    imaginary part barring underflow, for a complex array or a complex scalar."""
+    if not isinstance(x, np.ndarray):
+        return scalar.times_power_of_two(x, e)
+    z = np.ascontiguousarray(x, dtype=complex)   # one ldexp over the real and imaginary parts
+    return np.ldexp(z.reshape(-1).view(np.float64), e).view(complex).reshape(z.shape)

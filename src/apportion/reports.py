@@ -13,8 +13,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import floor_bound, modulus
 from .errors import InvalidInputError
+from .scalar import floor_bound, modulus
 
 __all__ = ["Verdict", "SetShape", "ConstantSet", "ClassificationReport"]
 
@@ -47,7 +47,7 @@ class ConstantSet:
     shape and is the only content of the UNKNOWN shape.  Ends, values and the
     floor are finite: an end or value past the float range is refused
     (InvalidInputError), since no float kappa can be a member, and a floor past it
-    is reported as the largest float (``core.floor_bound``).
+    is reported as the largest float (``scalar.floor_bound``).
     """
 
     shape: SetShape
@@ -159,7 +159,7 @@ class ConstantSet:
 
     def scaled(self, mu: complex) -> "ConstantSet":
         """The set of mu A for a scalar mu != 0: ends, values and floor times |mu|, as
-        K(mu A) = |mu| K(A) (``core.modulus``, ``core.floor_bound``)."""
+        K(mu A) = |mu| K(A) (``scalar.modulus``, ``scalar.floor_bound``)."""
         if not mu:
             raise InvalidInputError("scale factor must be nonzero")
         return ConstantSet(

@@ -47,13 +47,15 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .classifier import _coerce, classify, request_certificate
+from .classifier import request_certificate
 from .constructors import ApportionCertificate, CertTag, _certificate, _certified
 from .core import (RCOND_THRESHOLD, Tolerance, as_matrix, inverse_and_rcond, is_uniform,
                    times_power_of_two, unit_exponent)
 from .errors import ConstructionError, InvalidInputError, SearchBudgetError
-from .jordan import JordanSpec, build_jordan
+from .jordan import build_jordan
 from .reports import Verdict
+from .rules import _coerce, classify
+from .spec import JordanSpec
 
 __all__ = [
     "SearchConfig",

@@ -31,6 +31,15 @@ def run(capsys, argv):
     return code, out
 
 
+#: raw-entry documents with a part that is not a finite number: integers past the float
+#: range, which float() refuses, and a boolean
+BAD_NUMBERS = {
+    "integer-past-range": '{"entries": [[[1' + "0" * 400 + ', 0]]]}',
+    "negative-integer-past-range": '{"entries": [[[0, -1' + "0" * 400 + ']]]}',
+    "boolean": '{"entries": [[[true, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+}
+
+
 class TestClassify:
     def test_nilpotent_block(self, tmp_path, capsys):
         path = write_doc(tmp_path, "m.json", jordan_doc([(0j, 2)]))
@@ -404,6 +413,20 @@ class TestEdgeRefusals:
         doc = {**entries_doc(np.diag([1.0, 2.0])), "order": order}
         path = write_doc(tmp_path, "m.json", doc)
         code = main(["classify", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [BAD_NUMBERS[name] for name in BAD_NUMBERS],
+                             ids=list(BAD_NUMBERS))
+    @pytest.mark.parametrize("command", ["classify", "bounds", "apportion", "verify", "search"])
+    def test_bad_number_in_entries(self, tmp_path, capsys, text, command):
+        # an integer past the float range is refused as 1e400 is (it was an OverflowError
+        # traceback), and a boolean as in a Jordan document (it was read as 1)
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        code = main([command, str(path)] + ([str(path)] if command == "verify" else []))
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -857,3 +880,148 @@ def test_raw_float_range_ends_exit_with_a_code(tmp_path_factory, data, n):
                 contextlib.redirect_stderr(io.StringIO()):
             warnings.simplefilter("error")
             assert main(argv) in (0, 3, 4, 5, 6, 7), argv
+
+
+class TestWithoutNumpy:
+    """``classify`` and ``bounds`` on a Jordan document, and a malformed document, run on
+    the theory layer alone: in a child whose import of numpy fails they print what an
+    ordinary child prints, byte for byte, with the same exit codes."""
+
+    #: the console-script CI step's documents: one per constructive rule (two-by-two's
+    #: set is finite) and the huge-* ones, whose moduli pass the float range
+    RULE_BLOCKS = {
+        "zero-matrix": [(0j, 1)] * 3,
+        "order-one": [(-1.39 + 0.14j, 1)],
+        "nilpotent": [(0j, 8), (0j, 4)],
+        "rank-one": [(0j, 1), (-0.5 - 0.27j, 1), (0j, 1)],
+        "identity-plus-zero": [(1 + 0j, 1), (0j, 1), (1 + 0j, 1), (0j, 1)],
+        "half-rank": [(0j, 1), (0.56 + 0.1j, 1), (0j, 1), (0j, 1), (0.96 + 1.11j, 1),
+                      (-0.98 - 1.31j, 2), (0j, 1), (0j, 1)],
+        "perturb-identity": [(1 + 0j, 1), (-0.5 + 1j, 1), (1 + 0j, 1)],
+        "two-by-two": [(1 + 0j, 1), (-1 + 0j, 1)],
+        "two-by-two-finite": [(1 + 0j, 1), (1j, 1)],
+        "3x3-template-j2-plus-zero": [(0.65 - 0.05j, 2), (0j, 1)],
+        "3x3-template-plus-nilpotent": [(0j, 2), (-0.55 + 0.93j, 1)],
+        "two-by-two-pad-zero": [(0j, 1), (0.27 + 1.84j, 1), (1.08 - 0.33j, 1)],
+        "huge-one": [(HUGE, 1)],
+        "huge-template": [(HUGE, 2), (0j, 1)],
+        "huge-ipz": [(HUGE, 1), (HUGE, 1), (0j, 1), (0j, 1)],
+        "huge-half": [(HUGE, 1), (1 + 0j, 1), (0j, 1), (0j, 1)],
+        "huge-pair": [(HUGE, 1), (-HUGE, 1)],
+        "huge-scalar": [(HUGE, 1), (HUGE, 1)],
+        "huge-perturb": [(HUGE, 1)] * 3 + [(-1.7e308 + 1.7e308j, 1)],
+    }
+
+    #: runs each argument list of argv[1:] (JSON) through cli.main, the import of numpy
+    #: failing when argv[0] is "block", and prints [exit code, stdout] per call
+    CHILD = (
+        "import contextlib, io, json, sys\n"
+        "class Refuse:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'numpy':\n"
+        "            raise ImportError('numpy is blocked')\n"
+        "if sys.argv[1] == 'block':\n"
+        "    sys.meta_path.insert(0, Refuse())\n"
+        "from apportion.cli import main\n"
+        "results = []\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        results.append([main(argv), out.getvalue()])\n"
+        "print(json.dumps([results, 'numpy' in sys.modules]))\n"
+    )
+
+    def test_classify_and_bounds_match_a_child_with_numpy(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import apportion
+
+        paths = [write_doc(tmp_path, f"{name}.json", jordan_doc(blocks))
+                 for name, blocks in self.RULE_BLOCKS.items()]
+        for name, text in BAD_NUMBERS.items():
+            (tmp_path / f"{name}.json").write_text(text)
+            paths.append(str(tmp_path / f"{name}.json"))
+        paths.append(write_doc(tmp_path, "bad-order.json",
+                               {**entries_doc(np.diag([1.0, 2.0])), "order": "x"}))
+        calls = json.dumps([[command, path] for path in paths
+                            for command in ("classify", "bounds")])
+        src = os.path.dirname(os.path.dirname(apportion.__file__))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        runs = {}
+        for mode in ("block", "load"):
+            proc = subprocess.run([sys.executable, "-c", self.CHILD, mode, calls], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs[mode] = json.loads(proc.stdout)
+        (blocked, numpy_loaded), (loaded, _) = runs["block"], runs["load"]
+        assert blocked == loaded and not numpy_loaded
+        codes = [code for code, _ in blocked]
+        assert codes.count(2) == 2 * (len(BAD_NUMBERS) + 1) and set(codes) <= {0, 2, 3}
+
+
+def _reference_emit_json(obj) -> str:
+    """The formatter as it was with a numpy object array, the reference for
+    ``cli._emit_json``."""
+    from apportion.cli import _format_float
+
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        leaves = np.array(obj, dtype=object)  # a ragged nest keeps lists as leaves
+        if leaves.size and set(map(type, leaves.flat)) <= {float, np.float64}:
+            values = leaves.astype(float)
+            if np.isfinite(values).all():
+                template = "%.17g"
+                for k in reversed(values.shape):
+                    template = "[" + ",".join([template] * k) + "]"
+                return template % tuple(values.ravel().tolist())
+        return "[" + ",".join(_reference_emit_json(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(str(k))}:{_reference_emit_json(v)}" for k, v in obj.items())
+        return "{" + ",".join(items) + "}"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+#: floats with the edge cases drawn often: signed zeros, subnormals, NaN and infinities
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, float("nan"), float("inf"), -float("inf")]))
+_FLOAT_LEAVES = st.one_of(_FLOATS, _FLOATS.map(np.float64))
+_LEAVES = st.one_of(_FLOAT_LEAVES, st.integers(-2**70, 2**70), st.booleans())
+
+
+@st.composite
+def rectangular_nests(draw, leaves):
+    """A nest of lists (some tuples) of one shape, of up to 3 axes of up to 3 items."""
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+
+    def fill(dims):
+        if not dims:
+            return draw(leaves)
+        nest = [fill(dims[1:]) for _ in range(dims[0])]
+        return tuple(nest) if draw(st.booleans()) else nest
+
+    return fill(shape)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(obj=st.one_of(
+    rectangular_nests(_FLOAT_LEAVES), rectangular_nests(_LEAVES),
+    st.recursive(_LEAVES, lambda nest: st.lists(nest, max_size=4)
+                 | st.lists(nest, max_size=4).map(tuple), max_leaves=24)))
+def test_emit_json_matches_the_object_array_formatter(obj):
+    from apportion.cli import _emit_json
+
+    assert _emit_json(obj) == _reference_emit_json(obj)
+    assert _emit_json({"x": obj}) == _reference_emit_json({"x": obj})

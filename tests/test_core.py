@@ -383,6 +383,18 @@ def test_search_module_loads_on_first_access():
     assert _child_stdout(code).split() == ["False", "True", "True", "True"]
 
 
+def test_theory_layer_loads_no_numpy():
+    # the numeric names resolve on first access, each to its module's own object
+    code = (
+        "import sys, apportion, apportion.cli\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'numpy'])\n"
+        "f = apportion.build_jordan\n"
+        "print(f is apportion.jordan.build_jordan is sys.modules['apportion.jordan']"
+        ".build_jordan, 'numpy' in sys.modules, 'jordan' in dir(apportion))\n"
+    )
+    assert _child_stdout(code).split("\n") == ["[]", "True True True"]
+
+
 def test_star_import_binds_all():
     code = (
         "import apportion\n"

@@ -317,6 +317,24 @@ class TestParseArrangement:
             assert parse_jordan_arrangement(np.array([[tiny, 1.0], [0.0, tiny]])).blocks == (
                 (tiny, 2),)
 
+    @pytest.mark.parametrize("diag", [(1.7e308 - 1.7e308j, 1.7e308j),
+                                      (1.7e308j, 1.7e308 - 1.7e308j),
+                                      (1.7e308 - 1.7e308j, 0j, 1.7e308j)])
+    def test_snap_read_at_unit_scale(self, diag):
+        # |H1| = 2.4e308 is past the float range: the snap reads its moduli on the
+        # entries' unit scale, and keeps the input order of eigenstructure_small's values
+        import warnings
+
+        A = np.diag(diag)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = input_ordered_spec(A)
+            reps = {lam for lam, _ in eigenstructure_small(A).spec.blocks}
+        assert {lam for lam, _ in spec.blocks} == reps
+        assert [size for _, size in spec.blocks] == [1] * len(diag)
+        for (lam, _), d in zip(spec.blocks, diag):
+            assert abs(lam / 4 - d / 4) <= 1e-9 * abs(d / 4)
+
 
 class TestEigenstructure2x2:
     def test_nilpotent(self):
