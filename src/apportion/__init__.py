@@ -40,8 +40,8 @@ _NUMERIC = {
                      "SpiralSolution", "spiral_sum", "apportion_rank_one",
                      "apportion_perturb_identity", "TwoByTwoPlan", "two_by_two_plan",
                      "apportion_2x2", "polar_condition_2x2", "apportion_3x3_template"),
-    "classifier": ("request_certificate", "RegionSample", "admissible_region",
-                   "region_to_csv", "region_to_svg"),
+    "classifier": ("request_certificate",),
+    "region": ("RegionSample", "admissible_region", "region_to_csv", "region_to_svg"),
     "search": ("SearchConfig", "SearchOutcome", "SigmaReport", "find_apportioning",
                "defect_objective", "sigma_estimate"),
 }
@@ -68,8 +68,9 @@ __all__ = [
     "polar_condition_2x2", "TemplateKind", "apportion_3x3_template",
     # classifier
     "Verdict", "SetShape", "ConstantSet", "ClassificationReport", "classify",
-    "constant_set", "request_certificate", "RegionSample", "admissible_region",
-    "region_to_csv", "region_to_svg",
+    "constant_set", "request_certificate",
+    # region
+    "RegionSample", "admissible_region", "region_to_csv", "region_to_svg",
     # search
     "SearchConfig", "SearchOutcome", "SigmaReport", "find_apportioning",
     "defect_objective", "sigma_estimate",

@@ -136,6 +136,13 @@ def _part(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _entry(pair) -> complex:
+    """A raw entry: a JSON array of exactly two parts, [re, im]."""
+    if type(pair) is not list or len(pair) != 2:
+        raise TypeError(f"{json.dumps(pair)[:40]} is not one")
+    return complex(_part(pair[0]), _part(pair[1]))
+
+
 def _parse_matrix_document(doc: dict):
     """A document holds exactly one of 'entries' (with optional 'order') or 'jordan'.
 
@@ -154,7 +161,7 @@ def _parse_matrix_document(doc: dict):
             raise _ParseFailure(f"bad jordan block list: {exc}") from exc
     entries = doc["entries"]
     try:
-        rows = [[complex(_part(re), _part(im)) for re, im in row] for row in entries]
+        rows = [[_entry(pair) for pair in row] for row in entries]
     except (TypeError, ValueError) as exc:
         raise _ParseFailure(f"entries must be an array of [re, im] pairs: {exc}") from exc
     n = len(rows)
@@ -259,17 +266,17 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    from .classifier import admissible_region, region_to_csv, region_to_svg
+    from .region import region_text
 
     lambda1 = complex(args.lambda1_re, args.lambda1_im)
     box = ((args.re_min, args.re_max), (args.im_min, args.im_max))
-    samples = admissible_region(lambda1, box, args.resolution)
-    text = region_to_csv(samples) if args.format == "csv" else region_to_svg(samples)
+    # checked before the output is opened, and written one row block at a time
+    chunks = region_text(lambda1, box, args.resolution, args.format)
     if args.output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     return EXIT_OK
 
 

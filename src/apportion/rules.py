@@ -96,11 +96,12 @@ def _half_rank_constants(spec: JordanSpec) -> ConstantSet:
 
 
 def _rank_one_constants(lam: complex, n: int) -> ConstantSet:
-    """K of diag(lam, 0, ..., 0) of order n with lam != 0: {|lam|} at n = 1, else
-    [|lam|/n, inf), by ``scalar.modulus``; a quotient that underflows is rounded up to the
-    least positive float, so 0 is never a member."""
+    """K of diag(lam, 0, ..., 0) of order n with lam != 0: {|lam|} at n = 1, with floor
+    |lam|, else [|lam|/n, inf), by ``scalar.modulus``; a quotient that underflows is rounded
+    up to the least positive float, so 0 is never a member."""
     if n == 1:
-        return ConstantSet.finite([modulus(lam)])
+        lam_abs = modulus(lam)
+        return ConstantSet.finite([lam_abs], lower_bound=floor_bound(lam_abs))
     lo = max(modulus(lam, over=n), math.ulp(0.0))
     return ConstantSet.closed_half_line(lo, lower_bound=lo)
 

@@ -55,6 +55,12 @@ class TestVerdictChain:
         assert rep.verdict is Verdict.APPORTIONABLE
         assert rep.constants.values == (5.0,)
 
+    def test_order_one_floor(self):
+        # K = {|lam|}: the floor is |lam| too, as for every other exact set
+        for lam, want in ((3 + 4j, 5.0), (5e-324, 5e-324), (-1e300, 1e300)):
+            constants = classify(JordanSpec(((lam, 1),))).constants
+            assert constants.lower_bound == constants.values[0] == want
+
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_scalar_matrix(self, lam):
         rep = classify(diag_spec(lam, lam))

@@ -39,6 +39,14 @@ BAD_NUMBERS = {
     "boolean": '{"entries": [[[true, 0], [0, 0]], [[0, 0], [1, 0]]]}',
 }
 
+#: raw-entry documents whose entry is not an [re, im] array: two-character text and a
+#: two-key object were read as one (exit 0), three parts were refused already
+NOT_PAIRS = {
+    "text": '{"entries": [["12"]]}',
+    "object": '{"entries": [[{"3": 0, "4": 0}]]}',
+    "three-parts": '{"entries": [[[1, 2, 3]]]}',
+}
+
 
 class TestClassify:
     def test_nilpotent_block(self, tmp_path, capsys):
@@ -431,6 +439,26 @@ class TestEdgeRefusals:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", list(NOT_PAIRS.values()), ids=list(NOT_PAIRS))
+    @pytest.mark.parametrize("command",
+                             ["classify", "bounds", "apportion", "verify", "search", "sigma"])
+    def test_entry_not_a_pair(self, tmp_path, capsys, text, command):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        code = main([command, str(path)] + ([str(path)] if command == "verify" else []))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: entries must be an array of [re, im] pairs")
+        assert captured.err.count("\n") == 1
+
+    def test_numeric_text_parts_accepted(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"entries": [[["3", "4"]]]}')
+        code, out = run(capsys, ["classify", str(path)])
+        assert code == 0
+        assert json.loads(out)["constants"]["values"] == [5.0]
 
     @pytest.mark.parametrize("order", [2, 2.0])
     def test_integral_order_accepted(self, tmp_path, capsys, order):
