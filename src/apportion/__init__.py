@@ -9,6 +9,8 @@ the open families, and falls back to a seeded numerical search for the rest.
 
 __version__ = "0.1.0"
 
+import types
+
 from .errors import (
     ApportionError,
     ConstantNotAchievableError,
@@ -39,46 +41,19 @@ _NUMERIC = {
                      "half_rank_plan", "apportion_half_rank", "apportion_A_oplus_zeros",
                      "SpiralSolution", "spiral_sum", "apportion_rank_one",
                      "apportion_perturb_identity", "TwoByTwoPlan", "two_by_two_plan",
-                     "apportion_2x2", "polar_condition_2x2", "apportion_3x3_template"),
-    "classifier": ("request_certificate",),
+                     "apportion_2x2", "polar_condition_2x2", "apportion_3x3_template",
+                     "request_certificate"),
     "region": ("RegionSample", "admissible_region", "region_to_csv", "region_to_svg"),
     "search": ("SearchConfig", "SearchOutcome", "SigmaReport", "find_apportioning",
                "defect_objective", "sigma_estimate"),
 }
 _MODULE_OF = {name: module for module, names in _NUMERIC.items() for name in names}
 
-__all__ = [
-    "__version__",
-    # core
-    "Tolerance", "DEFAULT_TOL", "UniformityReport", "is_uniform",
-    "similarity_image", "reciprocal_condition", "trace_lower_bound",
-    "hadamard_lower_bound",
-    # jordan
-    "JordanSpec", "InversePair", "EigenResult", "build_jordan", "scale_jordan",
-    "complete_inverse_pair", "eigenstructure_2x2", "eigenstructure_small",
-    "parse_jordan_arrangement", "input_ordered_spec",
-    # constructors
-    "CertTag", "ApportionCertificate", "verify_certificate",
-    "reorder_certificate", "scale_certificate", "pad_by_zero",
-    "apportion_nilpotent", "apportion_I_oplus_O", "HalfRankPlan",
-    "half_rank_plan", "apportion_half_rank", "apportion_A_oplus_zeros",
-    "SpiralSolution", "spiral_sum", "apportion_rank_one",
-    "perturb_identity_constants", "apportion_perturb_identity",
-    "TwoByTwoPlan", "two_by_two_plan", "two_by_two_constants", "apportion_2x2",
-    "polar_condition_2x2", "TemplateKind", "apportion_3x3_template",
-    # classifier
-    "Verdict", "SetShape", "ConstantSet", "ClassificationReport", "classify",
-    "constant_set", "request_certificate",
-    # region
-    "RegionSample", "admissible_region", "region_to_csv", "region_to_svg",
-    # search
-    "SearchConfig", "SearchOutcome", "SigmaReport", "find_apportioning",
-    "defect_objective", "sigma_estimate",
-    # errors
-    "ApportionError", "InvalidInputError", "UnsupportedOrderError",
-    "SingularMatrixError", "ConstantNotAchievableError", "SearchBudgetError",
-    "ConstructionError",
-]
+#: the version, the theory names imported above (not the submodules that importing them
+#: binds) and the numeric names
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)] + list(_MODULE_OF)
 
 
 def __getattr__(name):

@@ -231,7 +231,7 @@ def _cmd_apportion(args) -> int:
     if report.verdict is Verdict.UNKNOWN:
         print("apportionability unknown for this class", file=sys.stderr)
         return EXIT_UNKNOWN
-    from .classifier import request_certificate
+    from .constructors import request_certificate
 
     # checked once, against the document's raw entries when it holds them
     cert = request_certificate(inp, kappa=args.kappa, report=report)

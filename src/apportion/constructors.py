@@ -2,8 +2,11 @@
 
 Each public ``apportion_*`` function builds a transforming matrix M in closed
 form for one matrix class and returns an ApportionCertificate holding M, its
-inverse, the uniform image B = M A M^-1, and the achieved modulus.  Every
-certificate leaves the package through ``_certified``, whether it comes from a
+inverse, the uniform image B = M A M^-1, and the achieved modulus.
+``request_certificate`` builds one for a classified matrix: it matches the report's
+rule (``rules``) against that matrix, builds with the match's builder, places the
+certificate in the matrix's block order (``_placed``) and checks it against that matrix.
+Every certificate leaves the package through ``_certified``, whether it comes from a
 constructor, a padding, scaling or reordering helper, ``request_certificate`` or
 the search: a requested kappa is read once, by ``_member``, against its class's
 ``ConstantSet``, the build runs with floating-point faults raised as ConstructionError,
@@ -24,8 +27,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, Tolerance, UniformityReport, _image, _max_modulus, as_matrix,
-                   check_inverse, is_uniform, modulus, times_power_of_two, unit_exponent)
+from .core import (UniformityReport, _image, _max_modulus, as_matrix, check_inverse, is_uniform,
+                   times_power_of_two, unit_exponent)
 from .errors import (
     ConstantNotAchievableError,
     ConstructionError,
@@ -33,10 +36,10 @@ from .errors import (
 )
 from .jordan import _arranged_spec, _block_rows, _inverse_below, build_jordan, geometric_diagonal
 from .reports import ClassificationReport, ConstantSet, SetShape, Verdict
-# spec_bounds is re-exported: the bounds of a block list live with the theory in ``rules``
-from .rules import (TemplateKind, _half_rank_constants, _nilpotent_constants, _order_two,
-                    _rank_one_constants, perturb_identity_constants, spec_bounds,
-                    two_by_two_constants)
+from .rules import (_RULES_BY_TAG, MatrixLike, TemplateKind, _classify_spec,
+                    _half_rank_constants, _nilpotent_constants, _order_two, _rank_one_constants,
+                    perturb_identity_constants)
+from .scalar import DEFAULT_TOL, Tolerance, _integer, modulus
 from .spec import JordanSpec
 
 __all__ = [
@@ -55,15 +58,13 @@ __all__ = [
     "SpiralSolution",
     "spiral_sum",
     "apportion_rank_one",
-    "perturb_identity_constants",
     "apportion_perturb_identity",
     "TwoByTwoPlan",
     "two_by_two_plan",
-    "two_by_two_constants",
     "apportion_2x2",
     "polar_condition_2x2",
-    "TemplateKind",
     "apportion_3x3_template",
+    "request_certificate",
 ]
 
 _SIXTH = cmath.exp(1j * math.pi / 3)        # primitive twelfth root, e^(i pi/3)
@@ -152,10 +153,10 @@ def _certificate(M, Minv, B, kappa, tag) -> ApportionCertificate:
 
 def _member(kappa, constants: ConstantSet) -> float:
     """The one kappa reader: the member of ``constants`` a build gets for a caller's kappa.
-    A non-real kappa is InvalidInputError, a non-member ConstantNotAchievableError; a kappa
-    that membership's tolerance admits below a closed half-line is raised to ``lo``, and
-    one near a finite set's value becomes that value."""
-    if not isinstance(kappa, numbers.Real):
+    A non-real kappa, or a bool, is InvalidInputError, a non-member
+    ConstantNotAchievableError; a kappa that membership's tolerance admits below a closed
+    half-line is raised to ``lo``, and one near a finite set's value becomes that value."""
+    if type(kappa) is bool or not isinstance(kappa, numbers.Real):
         raise InvalidInputError(f"kappa must be a real number, not {kappa!r}")
     try:
         kappa = float(kappa)
@@ -252,6 +253,40 @@ def _coerce_spec(a) -> JordanSpec:
     """Raw entries must already be a Jordan arrangement: its blocks, as the entries hold
     them, in their order."""
     return a if isinstance(a, JordanSpec) else _arranged_spec(a)
+
+
+def request_certificate(input_matrix: MatrixLike, kappa: Optional[float] = None,
+                        report: Optional[ClassificationReport] = None
+                        ) -> ApportionCertificate:
+    """Build a certificate for an Apportionable input at ``kappa``.
+
+    ``kappa`` is read against the constant set of the report's rule matched on the input,
+    the matrix being built, and defaults to a deterministic member of it.  Raises
+    InvalidInputError when kappa is not real, the verdict is not Apportionable or the rule
+    does not match the input (the certificate is built by that rule, for the shape it
+    matches); ConstantNotAchievableError when kappa is outside the (known part of the)
+    set; and ConstructionError when the construction leaves the float range.  Raw
+    entries must already sit in Jordan-block arrangement (certificates are
+    built for the input matrix, in its own block order); conjugated raw input
+    is refused since recovering a transforming basis for it is out of scope.
+    The certificate is checked once, against the raw entries themselves when
+    they are given, else against the Jordan matrix of the spec.
+    """
+    spec = _coerce_spec(input_matrix)
+    report = report or _classify_spec(spec)
+    if report.verdict is not Verdict.APPORTIONABLE:
+        raise InvalidInputError(
+            f"no constructive certificate: verdict is {report.verdict.value}"
+        )
+    rule = _RULES_BY_TAG.get(report.theorem_tag)
+    found = None if rule is None else rule.match(spec)
+    if found is None or found[2] is None:
+        raise InvalidInputError(
+            f"no constructive path for tag {report.theorem_tag!r} on this matrix")
+    _, constants, build = found
+    A = build_jordan(spec) if isinstance(input_matrix, JordanSpec) else as_matrix(input_matrix)
+    return _certified(lambda k: _placed(*build(k), spec), A,
+                      constants.smallest_member() if kappa is None else kappa, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +435,7 @@ def apportion_I_oplus_O(n: int, kappa: float) -> ApportionCertificate:
     completed by the columns that jump from -1 to 1 at an even position, which
     every v_k annihilates.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidInputError("n must be a positive integer")
+    n = _integer(n, 1, refusal="n must be a positive integer")
     A = build_jordan(JordanSpec(((1 + 0j, 1),) * n + ((0j, 1),) * n))
     return _certified(lambda k: _identity_plus_zero(n, k), A, kappa,
                       ConstantSet.closed_half_line(0.5))
@@ -586,8 +620,7 @@ def spiral_sum(n: int, r: float) -> SpiralSolution:
     pinned by bisection on that interval, then all angles are rotated so the
     sum lands on the real axis.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise InvalidInputError("n must be an integer >= 2")
+    n = _integer(n, 2, refusal="n must be an integer >= 2")
     r = float(r)
     if not r >= 1.0 / n:   # a NaN r fails too
         raise InvalidInputError(
@@ -655,8 +688,7 @@ def apportion_rank_one(lam: complex, n: int, kappa: float) -> ApportionCertifica
     lam = complex(lam)
     if lam == 0:
         raise InvalidInputError("lam must be nonzero; zero spectrum is a nilpotent case")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidInputError("n must be a positive integer")
+    n = _integer(n, 1, refusal="n must be a positive integer")
     return _certified(lambda k: _rank_one(lam, n, k), np.diag([lam] + [0j] * (n - 1)),
                       kappa, _rank_one_constants(lam, n))
 

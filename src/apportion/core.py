@@ -19,8 +19,6 @@ from .errors import InvalidInputError, SingularMatrixError
 from .scalar import DEFAULT_TOL, Tolerance, _exponent_of, floor_bound, modulus
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
     "UniformityReport",
     "as_matrix",
     "is_uniform",
@@ -32,8 +30,6 @@ __all__ = [
     "hadamard_lower_bound",
     "unit_exponent",
     "times_power_of_two",
-    "modulus",
-    "floor_bound",
 ]
 
 #: rcond threshold below which a transforming matrix is treated as singular.

@@ -17,7 +17,6 @@ from .errors import InvalidInputError, SingularMatrixError, UnsupportedOrderErro
 from .spec import JordanSpec
 
 __all__ = [
-    "JordanSpec",
     "InversePair",
     "EigenResult",
     "build_jordan",
@@ -171,22 +170,24 @@ def _inverse_below(M: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 #: |disc| below this (scaled) marks an algebraically multiple root
 _MULTIPLE_RTOL = 1e-12
+#: relative tolerance of ``parse_jordan_arrangement``'s reading of a Jordan arrangement
+ARRANGEMENT_RTOL = 1e-12
 
 
-def parse_jordan_arrangement(A, rtol: float = 1e-12):
+def parse_jordan_arrangement(A):
     """Read off the block list of a matrix already in Jordan form, or None.
 
     The block order of the input is preserved (no canonicalization), so a
     certificate built from the result applies to the input matrix itself.
-    A superdiagonal entry is compared with 1 at ``rtol``; every other entry is
+    A superdiagonal entry is compared with 1 at ARRANGEMENT_RTOL; every other entry is
     read on A 2^-e at unit scale (``core.unit_exponent``), where no difference
-    overflows, at ``rtol`` times max|A 2^-e|; anything that is not numerically a
+    overflows, at ARRANGEMENT_RTOL times max|A 2^-e|; anything that is not numerically a
     Jordan arrangement returns None.
     """
     A = as_matrix(A, square=True, name="A")
     n = A.shape[0]
     U = times_power_of_two(A, -unit_exponent(A))
-    tol = rtol * _max_modulus(U)
+    tol = ARRANGEMENT_RTOL * _max_modulus(U)
     R = U.copy()    # U less J 2^-e, without J's superdiagonal ones, which are compared with 1
     blocks = []
     i = 0
@@ -195,7 +196,7 @@ def parse_jordan_arrangement(A, rtol: float = 1e-12):
         R[i, i] = 0.0
         size = 1
         while (i + size < n
-               and abs(A[i + size - 1, i + size] - 1.0) <= rtol
+               and abs(A[i + size - 1, i + size] - 1.0) <= ARRANGEMENT_RTOL
                and abs(U[i + size, i + size] - lam) <= tol):
             R[i + size - 1, i + size] = 0.0
             R[i + size, i + size] -= lam

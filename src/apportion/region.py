@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .rules import _gamma_test
-from .scalar import modulus, times_power_of_two, unit_exponent
+from .scalar import _integer, modulus, times_power_of_two, unit_exponent
 
 __all__ = [
     "RegionSample",
@@ -119,10 +119,8 @@ def _region_blocks(lambda1: complex,
     lambda1 = complex(lambda1)
     if lambda1 == 0:
         raise InvalidInputError("lambda1 must be nonzero")
-    if not (isinstance(resolution, (int, np.integer))
-            and 2 <= resolution <= MAX_REGION_RESOLUTION):
-        raise InvalidInputError(
-            f"resolution must be an integer in [2, {MAX_REGION_RESOLUTION}]")
+    _integer(resolution, 2, MAX_REGION_RESOLUTION,
+             refusal=f"resolution must be an integer in [2, {MAX_REGION_RESOLUTION}]")
     (re_min, re_max), (im_min, im_max) = box
     if not (re_min < re_max and im_min < im_max):
         raise InvalidInputError("box must have positive extent on both axes")
@@ -203,44 +201,44 @@ def region_to_csv(samples: list[RegionSample]) -> str:
 _SVG_FILL = ("#e0e0e0", "#2e7d32")      # indexed by the code: 0 and 1
 
 
-def _svg_rects(xs, ys, codes, cell_px: int) -> str:
+def _svg_rects(xs, ys, codes) -> str:
     """One cell rectangle per non-degenerate sample, at pixel corners xs, ys."""
-    return "".join([f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" '
+    return "".join([f'<rect x="{x}" y="{y}" width="{CELL_PX}" height="{CELL_PX}" '
                     f'fill="{_SVG_FILL[c]}"/>\n'
                     for x, y, c in zip(xs, ys, codes) if c >= 0])
 
 
-def _svg_frame(re_values, im_values, cell_px: int):
+def _svg_frame(re_values, im_values):
     """(x of, y of, head, tail) for an SVG raster of samples at these coordinates: each
     distinct value's pixel corner (the imaginary axis points up), and the text before and
     after the cells: the canvas, and the axes through re = 0 and im = 0 when inside."""
     res, ims = sorted(set(re_values)), sorted(set(im_values))
-    x_of = {v: i * cell_px for i, v in enumerate(res)}
-    y_of = {v: (len(ims) - 1 - i) * cell_px for i, v in enumerate(ims)}
-    w, h = len(res) * cell_px, len(ims) * cell_px
+    x_of = {v: i * CELL_PX for i, v in enumerate(res)}
+    y_of = {v: (len(ims) - 1 - i) * CELL_PX for i, v in enumerate(ims)}
+    w, h = len(res) * CELL_PX, len(ims) * CELL_PX
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
             f'viewBox="0 0 {w} {h}">\n'
             f'<rect x="0" y="0" width="{w}" height="{h}" fill="#ffffff"/>\n')
     tail = []
     if res[0] <= 0.0 <= res[-1] and res[-1] > res[0]:
-        fx = (0.0 - res[0]) / (res[-1] - res[0]) * (w - cell_px) + cell_px / 2
+        fx = (0.0 - res[0]) / (res[-1] - res[0]) * (w - CELL_PX) + CELL_PX / 2
         tail.append(f'<line x1="{fx:.2f}" y1="0" x2="{fx:.2f}" y2="{h}" '
                     f'stroke="#000000" stroke-width="1"/>\n')
     if ims[0] <= 0.0 <= ims[-1] and ims[-1] > ims[0]:
-        fy = h - ((0.0 - ims[0]) / (ims[-1] - ims[0]) * (h - cell_px) + cell_px / 2)
+        fy = h - ((0.0 - ims[0]) / (ims[-1] - ims[0]) * (h - CELL_PX) + CELL_PX / 2)
         tail.append(f'<line x1="0" y1="{fy:.2f}" x2="{w}" y2="{fy:.2f}" '
                     f'stroke="#000000" stroke-width="1"/>\n')
     return x_of, y_of, head, "".join(tail) + "</svg>\n"
 
 
-def region_to_svg(samples: list[RegionSample], cell_px: int = CELL_PX) -> str:
-    """Self-contained SVG raster of the region: two cell colors plus axes."""
+def region_to_svg(samples: list[RegionSample]) -> str:
+    """Self-contained SVG raster of the region, CELL_PX pixels per cell: two cell colors
+    plus axes."""
     if not samples:
         raise InvalidInputError("no samples to render")
-    x_of, y_of, head, tail = _svg_frame([s.re for s in samples], [s.im for s in samples],
-                                        cell_px)
+    x_of, y_of, head, tail = _svg_frame([s.re for s in samples], [s.im for s in samples])
     return head + _svg_rects([x_of[s.re] for s in samples], [y_of[s.im] for s in samples],
-                             [_CODE[s.admissible] for s in samples], cell_px) + tail
+                             [_CODE[s.admissible] for s in samples]) + tail
 
 
 def region_text(lambda1: complex,
@@ -267,7 +265,7 @@ def _csv_chunks(res, ims, blocks):
 
 
 def _svg_chunks(res, ims, blocks):
-    x_of, y_of, head, tail = _svg_frame(res, ims, CELL_PX)
+    x_of, y_of, head, tail = _svg_frame(res, ims)
     xs = [x_of[x] for x in res]
     yield head
     n, start = len(res), 0
@@ -275,6 +273,6 @@ def _svg_chunks(res, ims, blocks):
         k = len(flags)
         yield _svg_rects(chain.from_iterable(repeat(xs, k)),
                          chain.from_iterable(repeat(y_of[y], n) for y in ims[start:start + k]),
-                         flags.ravel().tolist(), CELL_PX)
+                         flags.ravel().tolist())
         start += k
     yield tail

@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import numbers
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -23,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .errors import InvalidInputError
 from .reports import ClassificationReport, ConstantSet, Verdict
-from .scalar import floor_bound, modulus, times_power_of_two, unit_exponent
+from .scalar import _integer, floor_bound, modulus, times_power_of_two, unit_exponent
 from .spec import JordanSpec
 
 if TYPE_CHECKING:
@@ -116,8 +115,7 @@ def perturb_identity_constants(n: int, lam: complex) -> Optional[ConstantSet]:
     otherwise it is the finite family sqrt(Im(lam)^2/(n-2s)^2 + 1/4) over
     s = 0 .. floor((n-1)/2).
     """
-    if not ((type(n) is int or isinstance(n, numbers.Integral)) and n >= 3):
-        raise InvalidInputError("this construction needs order n >= 3")
+    n = _integer(n, 3, refusal="this construction needs order n >= 3")
     lam = complex(lam)
     if abs(lam.real - (1.0 - n / 2.0)) > RE_CONDITION_ATOL:
         return None
@@ -213,8 +211,9 @@ class Rule:
     ``match`` returns None when the spec is outside the class, else (verdict,
     constants, build).  ``build`` is None for refuting and open classes;
     otherwise it maps a member kappa of the constants to a certificate and the
-    blocks, in order, it was built for, unchecked (``request_certificate``
-    checks it once), bound to the shape the match found.  Classification only
+    blocks, in order, it was built for, unchecked
+    (``constructors.request_certificate`` checks it once), bound to the shape the match
+    found.  Classification only
     matches: no rule builds while classifying.
     """
 
@@ -407,7 +406,8 @@ def _coerce(input_matrix: MatrixLike) -> tuple[JordanSpec, bool]:
 
 def classify(input_matrix: MatrixLike) -> ClassificationReport:
     """Verdict, constant set and rule tag for a matrix; no certificate is built
-    (``request_certificate`` builds one), so the report's ``certificate`` is None.
+    (``constructors.request_certificate`` builds one), so the report's ``certificate``
+    is None.
 
     Raw entries are accepted up to order 3 (the Jordan structure is recovered
     by closed-form eigenvalues and rank tests, and near-degenerate spectra are

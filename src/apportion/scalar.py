@@ -11,6 +11,7 @@ takes complex scalars and sequences of them; ``core`` extends ``unit_exponent`` 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -102,3 +103,12 @@ def modulus(*values: complex, over: float = 1.0, times: float | None = None,
 def floor_bound(bound: float) -> float:
     """A lower bound past the float range is the largest float: a floor is never rounded up."""
     return min(bound, sys.float_info.max)
+
+
+def _integer(value, lo: int, hi: float = math.inf, *, refusal: str) -> int:
+    """The one integer reader: ``value`` as an int in [lo, hi].  An int or another integral
+    type (numpy's) is read; a bool, a non-integral number (2.0 too) or a value out of
+    range is InvalidInputError(refusal)."""
+    if type(value) is bool or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise InvalidInputError(refusal)
+    return int(value)

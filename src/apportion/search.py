@@ -47,14 +47,15 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .classifier import request_certificate
-from .constructors import ApportionCertificate, CertTag, _certificate, _certified
-from .core import (RCOND_THRESHOLD, Tolerance, as_matrix, inverse_and_rcond, is_uniform,
+from .constructors import (ApportionCertificate, CertTag, _certificate, _certified,
+                           request_certificate)
+from .core import (RCOND_THRESHOLD, as_matrix, inverse_and_rcond, is_uniform,
                    times_power_of_two, unit_exponent)
 from .errors import ConstructionError, InvalidInputError, SearchBudgetError
 from .jordan import build_jordan
 from .reports import Verdict
 from .rules import _coerce, classify
+from .scalar import Tolerance, _integer
 from .spec import JordanSpec
 
 __all__ = [
@@ -142,16 +143,15 @@ class SearchConfig:
     defect_target: float = 1e-8
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1:
-            raise InvalidInputError("restarts and max_iters must be positive")
+        for value in (self.restarts, self.max_iters):
+            _integer(value, 1, refusal="restarts and max_iters must be positive integers")
         # the target scales the found test, the candidate window and the certificate's
         # tolerance, so a loose one finds 2 I_3, which no M makes uniform, with B = 2 I;
         # NaN fails both comparisons
         if not 0 < self.defect_target < 1:
             raise InvalidInputError(
                 f"defect_target must lie in (0, 1), got {self.defect_target!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InvalidInputError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _integer(self.seed, 0, refusal=f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -734,8 +734,7 @@ def sigma_estimate(A_or_spec, m_max: int,
     any search); the numerical search runs only on Unknown cases.  The
     reported value is an upper bound: search misses never prove anything.
     """
-    if m_max < 0:
-        raise InvalidInputError(f"m_max must be nonnegative, got {m_max!r}")
+    _integer(m_max, 0, refusal=f"m_max must be a nonnegative integer, got {m_max!r}")
     spec, _ = _coerce(A_or_spec)
     n, r = spec.order, spec.rank
     if n + m_max > MAX_SEARCH_ORDER:

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import InvalidInputError
-from .scalar import modulus, times_power_of_two, unit_exponent
+from .scalar import _integer, modulus, times_power_of_two, unit_exponent
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,10 +42,11 @@ class JordanSpec:
             lam = complex(lam)
             if not cmath.isfinite(lam):
                 raise InvalidInputError("block eigenvalues must be finite")
-            # an int, or another integral type (numpy's): the ABC test costs 1 us, so last
-            if not (type(size) is int or isinstance(size, numbers.Integral)) or size < 1:
-                raise InvalidInputError(f"block size must be a positive integer, got {size!r}")
-            size = int(size)
+            # an int is read here: ``scalar._integer``'s ABC test costs 1 us, so it reads
+            # the rest (numpy's integers, and refuses a bool)
+            if type(size) is not int or size < 1:
+                size = _integer(size, 1,
+                                refusal=f"block size must be a positive integer, got {size!r}")
             norm.append((lam, size))
             order += size
             zeros += lam == 0

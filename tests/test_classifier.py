@@ -32,7 +32,7 @@ from apportion import (
     two_by_two_constants,
     verify_certificate,
 )
-from apportion import classifier
+from apportion import constructors, rules
 
 LAMBDAS = [1.0 + 0j, -2.0 + 0j, 1.0 + 1.0j]
 #: an eigenvalue whose modulus, 2.4e308, is past the float range, and the largest float
@@ -515,8 +515,8 @@ class TestClassifyBuildsNothing:
         def refuse(*args, **kwargs):
             raise AssertionError("classify built a certificate")
 
-        monkeypatch.setattr(classifier, "_certified", refuse)
-        assert set(SPEC_PER_RULE) == {rule.tag for rule in classifier.RULES}
+        monkeypatch.setattr(constructors, "_certified", refuse)
+        assert set(SPEC_PER_RULE) == {rule.tag for rule in rules.RULES}
         for tag, spec in SPEC_PER_RULE.items():
             rep = classify(spec)
             assert rep.theorem_tag == tag and rep.certificate is None
@@ -529,13 +529,13 @@ class TestClassifyBuildsNothing:
 
     def test_sigma_estimate_certifies_once(self, monkeypatch):
         calls = []
-        certified = classifier._certified
+        certified = constructors._certified
 
         def counted(*args, **kwargs):
             calls.append(args)
             return certified(*args, **kwargs)
 
-        monkeypatch.setattr(classifier, "_certified", counted)
+        monkeypatch.setattr(constructors, "_certified", counted)
         report = sigma_estimate(diag_spec(1, -1), 0)
         assert report.outcomes[0].found and len(calls) == 1
 
@@ -785,7 +785,7 @@ class TestExtremeInputs:
                 request_certificate(target)
 
     def test_bounds_past_range_are_the_largest_float(self):
-        from apportion.constructors import spec_bounds
+        from apportion.rules import spec_bounds
         from apportion.core import hadamard_lower_bound, trace_lower_bound
 
         assert spec_bounds(((HUGE, 1),)) == (LARGEST, LARGEST)
@@ -832,7 +832,7 @@ class TestExtremeInputs:
 
     def test_determinant_bound_past_range_not_rounded_up(self):
         # |det|^(1/2) / sqrt(2) = |H| / sqrt(2) = 1.7e308 is in range: not the largest float
-        from apportion.constructors import spec_bounds
+        from apportion.rules import spec_bounds
 
         trace, det = spec_bounds(((HUGE, 1), (-HUGE, 1)))
         assert trace == 0.0
@@ -843,7 +843,7 @@ class TestExtremeInputs:
         ((HUGE, HUGE, HUGE, -1.7e308 + 1.7e308j), "perturb-identity"),
     ])
     def test_refuted_past_range(self, lams, tag):
-        from apportion.constructors import spec_bounds
+        from apportion.rules import spec_bounds
 
         report = classify(diag_spec(*lams))
         assert (report.verdict, report.theorem_tag) == (Verdict.NOT_APPORTIONABLE, tag)
@@ -873,7 +873,7 @@ class TestExtremeInputs:
             request_certificate(spec)
 
     def test_region_resolution_capped(self):
-        from apportion.classifier import MAX_REGION_RESOLUTION
+        from apportion.region import MAX_REGION_RESOLUTION
 
         box = ((-1.0, 1.0), (-1.0, 1.0))
         with pytest.raises(InvalidInputError):

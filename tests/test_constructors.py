@@ -12,6 +12,7 @@ from apportion import (
     JordanSpec,
     TemplateKind,
     Verdict,
+    admissible_region,
     apportion_2x2,
     apportion_3x3_template,
     apportion_A_oplus_zeros,
@@ -710,6 +711,20 @@ class TestKappaReader:
             KAPPA_ENTRY_POINTS[name](sign * 10 ** 400)
         assert type(info.value) is expected
 
+    @pytest.mark.parametrize("name", list(KAPPA_ENTRY_POINTS))
+    @pytest.mark.parametrize("kappa", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_bool_kappa_is_invalid_input(self, name, kappa):
+        # True is not kappa = 1.0, as the document readers refuse a boolean
+        with pytest.raises(InvalidInputError, match="real"):
+            KAPPA_ENTRY_POINTS[name](kappa)
+
+    def test_bool_kappa_refused_where_one_is_a_member(self):
+        spec = JordanSpec(((0j, 2), (0j, 1)))
+        for call in (lambda: request_certificate(spec, kappa=True),
+                     lambda: apportion_nilpotent(spec, True)):
+            with pytest.raises(InvalidInputError):
+                call()
+
     def test_closed_half_line_raises_kappa_to_its_end(self):
         cert = apportion_I_oplus_O(1, 0.5 * (1 - 1e-10))
         assert cert.kappa == 0.5
@@ -718,6 +733,32 @@ class TestKappaReader:
         value = perturb_identity_constants(3, -0.5 + 1j).values[1]
         cert = apportion_perturb_identity(3, -0.5 + 1j, target=value * (1 + 1e-10))
         assert cert.kappa == value
+
+
+INTEGER_ENTRY_POINTS = {
+    "apportion_I_oplus_O": lambda n: apportion_I_oplus_O(n, 1.0),
+    "apportion_rank_one": lambda n: apportion_rank_one(1, n, 1.0),
+    "spiral_sum": lambda n: spiral_sum(n, 1.0),
+    "perturb_identity_constants": lambda n: perturb_identity_constants(n, -1.0),
+    "admissible_region": lambda n: admissible_region(1.0, ((-1.0, 1.0), (-1.0, 1.0)), n),
+}
+
+
+class TestIntegerReader:
+    """Every integer argument is read by one rule: an int or a numpy integer is taken, and a
+    bool or any other number is invalid input, never a bare TypeError."""
+
+    @pytest.mark.parametrize("name", list(INTEGER_ENTRY_POINTS))
+    @pytest.mark.parametrize("n", [True, 3.0, 2.5, "3", None],
+                             ids=["bool", "integral-float", "float", "string", "none"])
+    def test_non_integer_is_invalid_input(self, name, n):
+        with pytest.raises(InvalidInputError):
+            INTEGER_ENTRY_POINTS[name](n)
+
+    @pytest.mark.parametrize("name", list(INTEGER_ENTRY_POINTS))
+    def test_numpy_integer_is_read_as_int(self, name):
+        assert repr(INTEGER_ENTRY_POINTS[name](np.int64(4))) == repr(
+            INTEGER_ENTRY_POINTS[name](4))
 
 
 @pytest.mark.parametrize("call", [

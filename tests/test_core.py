@@ -1,6 +1,10 @@
+import ast
 import cmath
+import importlib
 import math
 import os
+import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -403,6 +407,28 @@ def test_star_import_binds_all():
         "print(SearchConfig is apportion.search.SearchConfig)\n"
     )
     assert _child_stdout(code).split("\n") == ["[]", "True"]
+
+
+def test_each_name_has_one_home():
+    # ``apportion.__all__`` and ``_NUMERIC`` list each name once, and each module's
+    # ``__all__`` and ``_NUMERIC`` entry name only what that module itself defines
+    import apportion
+
+    numeric = [name for names in apportion._NUMERIC.values() for name in names]
+    assert len(numeric) == len(set(numeric))
+    assert len(apportion.__all__) == len(set(apportion.__all__))
+    for info in pkgutil.iter_modules(apportion.__path__):
+        module = importlib.import_module("apportion." + info.name)
+        defined = set()
+        for node in ast.parse(pathlib.Path(module.__file__).read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        listed = set(getattr(module, "__all__", ()))
+        listed |= set(apportion._NUMERIC.get(info.name, ()))
+        assert listed <= defined, f"apportion.{info.name} lists {sorted(listed - defined)}"
 
 
 class TestBounds:

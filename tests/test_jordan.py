@@ -48,6 +48,16 @@ class TestJordanSpec:
         with pytest.raises(InvalidInputError):
             JordanSpec(())
 
+    @pytest.mark.parametrize("size", [True, np.True_, 1.0, "1"])
+    def test_non_integer_size_rejected(self, size):
+        # as ``from_json`` refuses a boolean: True is not the block size 1
+        with pytest.raises(InvalidInputError):
+            JordanSpec(((0j, size),))
+
+    def test_numpy_integer_size_read_as_int(self):
+        blocks = JordanSpec(((0j, np.int64(2)), (1j, np.uint8(1)))).blocks
+        assert blocks == ((0j, 2), (1j, 1)) and all(type(s) is int for _, s in blocks)
+
     def test_json_round_trip_exact(self):
         spec = JordanSpec(((0.1 + 0.2j, 2), (-1.5j, 1), (3.0, 3)))
         assert JordanSpec.from_json(spec.to_json()).blocks == spec.blocks

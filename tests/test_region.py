@@ -192,5 +192,5 @@ class TestBudgets:
         assert proc.returncode == 0 and proc.stdout.count("\n") == 1 + 201 * 201
         imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
         assert "apportion.region" in imported
-        for module in ("constructors", "jordan", "core", "classifier"):
+        for module in ("constructors", "jordan", "core"):
             assert "apportion." + module not in imported

@@ -157,6 +157,28 @@ class TestSigmaEstimate:
         with pytest.raises(InvalidInputError):
             sigma_estimate(JordanSpec(((1 + 0j, 1), (2 + 0j, 1), (3j, 1))), -1, FAST)
 
+    @pytest.mark.parametrize("m_max", [1.5, True, "1"])
+    def test_non_integer_padding_refused(self, m_max):
+        with pytest.raises(InvalidInputError):
+            sigma_estimate(JordanSpec(((1 + 0j, 1), (-1 + 0j, 1))), m_max, FAST)
+
+
+class TestSearchConfig:
+    @pytest.mark.parametrize("field", ["restarts", "max_iters", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.0, 2.5, "2"],
+                             ids=["bool", "integral-float", "float", "string"])
+    def test_non_integer_count_refused(self, field, value):
+        # restarts=2.5 raised a bare TypeError at the search, and max_iters=1.5 ran
+        # silently at order 2
+        with pytest.raises(InvalidInputError):
+            SearchConfig(**{field: value})
+
+    def test_numpy_integer_counts_taken(self):
+        cfg = SearchConfig(restarts=np.int64(8), max_iters=np.int64(600), seed=np.int64(1),
+                           defect_target=1e-6)
+        A = np.diag([1.0, -1.0]).astype(complex)
+        assert find_apportioning(A, cfg).to_json() == find_apportioning(A, FAST).to_json()
+
 
 class TestSearchInternals:
     def test_certified_candidate_inverts_once(self, monkeypatch):
