@@ -1,11 +1,13 @@
 """Constructive apportionment routines.
 
-Each public ``apportion_*`` function builds a transforming matrix M in closed
-form for one matrix class and returns an ApportionCertificate holding M, its
-inverse, the uniform image B = M A M^-1, and the achieved modulus.
-``request_certificate`` builds one for a classified matrix: it matches the report's
-rule (``rules``) against that matrix, builds with the match's builder, places the
-certificate in the matrix's block order (``_placed``) and checks it against that matrix.
+Each public ``apportion_*`` function returns an ApportionCertificate (M, its inverse,
+the uniform image B = M A M^-1 and the achieved modulus), built in closed form by its
+matrix class's rule (``rules.RULES``) through one route, ``_by_rule``: it matches the rule
+on a JordanSpec, builds with the match's builder, places the certificate in the spec's
+block order (``_placed``) and checks it against the caller's matrix.
+``request_certificate`` takes a classified matrix's rule; the constructors call it on
+their class's spec, but half rank and I + O, whose inputs can classify under an earlier
+rule, name theirs.  Only the perturbed identity's Fourier route is built outside it.
 Every certificate leaves the package through ``_certified``, whether it comes from a
 constructor, a padding, scaling or reordering helper, ``request_certificate`` or
 the search: a requested kappa is read once, by ``_member``, against its class's
@@ -37,8 +39,7 @@ from .errors import (
 from .jordan import _arranged_spec, _block_rows, _inverse_below, build_jordan, geometric_diagonal
 from .reports import ClassificationReport, ConstantSet, SetShape, Verdict
 from .rules import (_RULES_BY_TAG, MatrixLike, TemplateKind, _classify_spec,
-                    _half_rank_constants, _nilpotent_constants, _order_two, _rank_one_constants,
-                    perturb_identity_constants)
+                    _half_rank_constants, _order_two, perturb_identity_constants)
 from .scalar import DEFAULT_TOL, Tolerance, _integer, modulus
 from .spec import JordanSpec
 
@@ -255,6 +256,19 @@ def _coerce_spec(a) -> JordanSpec:
     return a if isinstance(a, JordanSpec) else _arranged_spec(a)
 
 
+def _by_rule(tag: str, spec: JordanSpec, A, kappa=None) -> ApportionCertificate:
+    """The certificate of rule ``tag`` for ``spec``, checked against A: the rule is matched
+    on ``spec``, kappa is read against that match's constant set (its default member when
+    kappa is None), and the build, placed in ``spec``'s block order, is checked once."""
+    rule = _RULES_BY_TAG.get(tag)
+    found = None if rule is None else rule.match(spec)
+    if found is None or found[2] is None:
+        raise InvalidInputError(f"no constructive path for tag {tag!r} on this matrix")
+    _, constants, build = found
+    return _certified(lambda k: _placed(*build(k), spec), A,
+                      constants.smallest_member() if kappa is None else kappa, constants)
+
+
 def request_certificate(input_matrix: MatrixLike, kappa: Optional[float] = None,
                         report: Optional[ClassificationReport] = None
                         ) -> ApportionCertificate:
@@ -278,15 +292,8 @@ def request_certificate(input_matrix: MatrixLike, kappa: Optional[float] = None,
         raise InvalidInputError(
             f"no constructive certificate: verdict is {report.verdict.value}"
         )
-    rule = _RULES_BY_TAG.get(report.theorem_tag)
-    found = None if rule is None else rule.match(spec)
-    if found is None or found[2] is None:
-        raise InvalidInputError(
-            f"no constructive path for tag {report.theorem_tag!r} on this matrix")
-    _, constants, build = found
     A = build_jordan(spec) if isinstance(input_matrix, JordanSpec) else as_matrix(input_matrix)
-    return _certified(lambda k: _placed(*build(k), spec), A,
-                      constants.smallest_member() if kappa is None else kappa, constants)
+    return _by_rule(report.theorem_tag, spec, A, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +406,8 @@ def _nilpotent(spec: JordanSpec, kappa: float) -> tuple[ApportionCertificate, tu
 
 
 def apportion_nilpotent(spec: JordanSpec, kappa: float) -> ApportionCertificate:
-    """Apportion any nonzero nilpotent Jordan matrix at any modulus kappa > 0.
+    """Apportion a nilpotent Jordan matrix at a member kappa of its set: any kappa > 0,
+    or kappa = 0 for the zero matrix (M = I, B = O).
 
     Size-1 blocks are stripped, the core construction runs on the remaining
     blocks, the stripped blocks are re-attached by zero padding (modulus
@@ -408,10 +416,7 @@ def apportion_nilpotent(spec: JordanSpec, kappa: float) -> ApportionCertificate:
     spec = _coerce_spec(spec)
     if not spec.is_nilpotent():
         raise InvalidInputError("spectrum must be exactly zero")
-    if not (isinstance(kappa, numbers.Real) and kappa > 0):
-        raise InvalidInputError("kappa must be a positive real")
-    return _certified(lambda k: _placed(*_nilpotent(spec, k), spec), build_jordan(spec),
-                      kappa, _nilpotent_constants(spec))
+    return request_certificate(spec, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +441,8 @@ def apportion_I_oplus_O(n: int, kappa: float) -> ApportionCertificate:
     every v_k annihilates.
     """
     n = _integer(n, 1, refusal="n must be a positive integer")
-    A = build_jordan(JordanSpec(((1 + 0j, 1),) * n + ((0j, 1),) * n))
-    return _certified(lambda k: _identity_plus_zero(n, k), A, kappa,
-                      ConstantSet.closed_half_line(0.5))
+    spec = JordanSpec(((1 + 0j, 1),) * n + ((0j, 1),) * n)
+    return _by_rule("identity-plus-zero", spec, build_jordan(spec), kappa)
 
 
 def _identity_plus_zero(n: int, kappa: float) -> ApportionCertificate:
@@ -578,8 +582,7 @@ def apportion_half_rank(A_or_spec: Union[JordanSpec, np.ndarray],
     if 2 * r > n:
         raise InvalidInputError(
             f"rank {r} exceeds half the order {n}; this construction does not apply")
-    return _certified(lambda k: _placed(*_half_rank(spec, k), spec), build_jordan(spec),
-                      kappa, _half_rank_constants(spec))
+    return _by_rule("half-rank", spec, build_jordan(spec), kappa)
 
 
 def apportion_A_oplus_zeros(A_or_spec: Union[JordanSpec, np.ndarray],
@@ -689,8 +692,7 @@ def apportion_rank_one(lam: complex, n: int, kappa: float) -> ApportionCertifica
     if lam == 0:
         raise InvalidInputError("lam must be nonzero; zero spectrum is a nilpotent case")
     n = _integer(n, 1, refusal="n must be a positive integer")
-    return _certified(lambda k: _rank_one(lam, n, k), np.diag([lam] + [0j] * (n - 1)),
-                      kappa, _rank_one_constants(lam, n))
+    return request_certificate(JordanSpec(((lam, 1),) + ((0j, 1),) * (n - 1)), kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +750,10 @@ def apportion_perturb_identity(
     if constants is None:
         return ClassificationReport(Verdict.NOT_APPORTIONABLE, ConstantSet.empty(),
                                     "perturb-identity")
-    return _certified(lambda t: _perturb_identity(n, lam, t),
-                      np.diag([1.0] * (n - 1) + [lam]), target, constants)
+    spec = JordanSpec(((1 + 0j, 1),) * (n - 1) + ((lam, 1),))
+    if target is not None:
+        return request_certificate(spec, target)
+    return _certified(lambda _: _perturb_identity(n, lam, None), build_jordan(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -829,8 +833,7 @@ def apportion_2x2(l1: complex, l2: complex,
     found = _order_two(l1, l2)
     if found is None:
         return ClassificationReport(Verdict.NOT_APPORTIONABLE, ConstantSet.empty(), "two-by-two")
-    cert = _certified(lambda t: _two_by_two(l1, l2, found, t), np.diag([l1, l2]), target,
-                      found[2])
+    cert = request_certificate(JordanSpec(((l1, 1), (l2, 1))), target)
     return ClassificationReport(Verdict.APPORTIONABLE, found[2], "two-by-two", cert)
 
 
@@ -858,10 +861,7 @@ def _template_spec(kind: TemplateKind, lam: complex) -> JordanSpec:
 
 
 def _template(kind: TemplateKind, lam: complex) -> ApportionCertificate:
-    """``apportion_3x3_template``, unchecked."""
-    if lam == 0:
-        spec = _template_spec(kind, lam)
-        return _placed(*_nilpotent(spec, 1.0), spec)
+    """``apportion_3x3_template`` at lam != 0, unchecked."""
     w3, w6 = _THIRD, _SIXTH
     if kind is TemplateKind.LAMBDA_J2_PLUS_ZERO:
         M = np.array([[0, 1, 1], [w3, 0, 1], [1, 0, 0]], dtype=complex) @ np.diag([lam, 1, 1])
@@ -885,4 +885,4 @@ def _template(kind: TemplateKind, lam: complex) -> ApportionCertificate:
 def apportion_3x3_template(kind: TemplateKind, lam: complex) -> ApportionCertificate:
     """Fixed 3x3 transforms for the two explicitly solved singular families."""
     kind, lam = TemplateKind(kind), complex(lam)
-    return _certified(lambda _: _template(kind, lam), build_jordan(_template_spec(kind, lam)))
+    return request_certificate(_template_spec(kind, lam), 1.0 if lam == 0 else None)

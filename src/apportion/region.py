@@ -180,21 +180,10 @@ def _csv_rows(re_texts, im_texts, codes) -> str:
     return "".join([f"{r},{i},{_CSV_FLAG[c]}\n" for r, i, c in zip(re_texts, im_texts, codes)])
 
 
-class _Text17(dict):
-    """x -> f"{x:.17g}", formatting each distinct nonzero x once; a zero is
-    formatted every time, since 0.0 and -0.0 are one key but two texts."""
-
-    def __missing__(self, x):
-        text = f"{x:.17g}"
-        if x:
-            self[x] = text
-        return text
-
-
 def region_to_csv(samples: list[RegionSample]) -> str:
     """CSV rows ``re,im,admissible`` with admissible in {0, 1, skip}."""
-    text = _Text17()
-    return _CSV_HEAD + _csv_rows([text[s.re] for s in samples], [text[s.im] for s in samples],
+    return _CSV_HEAD + _csv_rows([f"{s.re:.17g}" for s in samples],
+                                 [f"{s.im:.17g}" for s in samples],
                                  [_CODE[s.admissible] for s in samples])
 
 

@@ -245,11 +245,12 @@ def _match_rank_one(spec: JordanSpec) -> Match:
 
 
 def _match_identity_plus_zero(spec: JordanSpec) -> Match:
-    """lam I_n + O_n with n >= 2 and lam != 0, 1-blocks in any order: K is exactly
-    [|lam|/2, inf), from its trace bound up, its end rounded up to the least positive
-    float where |lam|/2 underflows (as rank one's is), so 0 is never a member."""
+    """lam I_n + O_n with n >= 1 and lam != 0, 1-blocks in any order (``classify`` reaches it
+    at n >= 2 only, as rank one comes first): K is exactly [|lam|/2, inf), from its trace
+    bound up, its end rounded up to the least positive float where |lam|/2 underflows (as
+    rank one's is), so 0 is never a member."""
     n = spec.rank
-    if n < 2 or not spec.order == len(spec.blocks) == 2 * n:
+    if not spec.order == len(spec.blocks) == 2 * n:
         return None
     nonzero = {lam for lam, _ in spec.blocks if lam != 0}
     if len(nonzero) != 1:

@@ -201,8 +201,17 @@ class TestNilpotent:
             apportion_nilpotent(JordanSpec(((1 + 0j, 2),)), 1.0)
 
     def test_nonpositive_kappa_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ConstantNotAchievableError):
             apportion_nilpotent(JordanSpec(((0j, 2),)), 0.0)
+
+    @pytest.mark.parametrize("spec", [JordanSpec(((0j, 1),)), JordanSpec(((0j, 1), (0j, 1)))])
+    def test_zero_matrix_at_zero(self, spec):
+        # K(O) = {0}: M = I and B = O, as request_certificate builds it
+        cert = apportion_nilpotent(spec, 0.0)
+        n = spec.order
+        assert cert.kappa == 0.0 and cert.theorem_tag is CertTag.NILPOTENT
+        assert np.array_equal(cert.M, np.eye(n)) and np.array_equal(cert.B, np.zeros((n, n)))
+        check_cert(cert, build_jordan(spec), 0.0)
 
     @pytest.mark.parametrize("kappa", [np.int64(1), np.float32(0.5), np.int32(3)])
     def test_numpy_real_kappa_accepted(self, kappa):
@@ -212,10 +221,14 @@ class TestNilpotent:
         assert cert.kappa == float(kappa)
         check_cert(cert, build_jordan(spec), float(kappa))
 
-    @pytest.mark.parametrize("kappa", [np.int64(0), np.float32(-0.5), np.float32("nan"), 1j])
-    def test_non_positive_or_non_real_kappa_rejected(self, kappa):
-        with pytest.raises(InvalidInputError):
+    @pytest.mark.parametrize("kappa, error", [
+        (np.int64(0), ConstantNotAchievableError), (np.float32(-0.5), ConstantNotAchievableError),
+        (np.float32("nan"), ConstantNotAchievableError), (1j, InvalidInputError)])
+    def test_non_positive_or_non_real_kappa_rejected(self, kappa, error):
+        # a real kappa outside (0, inf) is no member, as at every other entry point
+        with pytest.raises(ApportionError) as info:
             apportion_nilpotent(JordanSpec(((0j, 2),)), kappa)
+        assert type(info.value) is error
 
 
 class TestIOplusO:
@@ -694,22 +707,17 @@ class TestKappaReader:
 
     @pytest.mark.parametrize("name", list(KAPPA_ENTRY_POINTS))
     def test_nan_kappa_is_no_member(self, name):
-        # apportion_nilpotent refuses a kappa that is not positive before reading it
-        expected = (InvalidInputError if name == "apportion_nilpotent"
-                    else ConstantNotAchievableError)
         with pytest.raises(ApportionError) as info:
             KAPPA_ENTRY_POINTS[name](float("nan"))
-        assert type(info.value) is expected
+        assert type(info.value) is ConstantNotAchievableError
 
     @pytest.mark.parametrize("name", list(KAPPA_ENTRY_POINTS))
     @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
     def test_int_beyond_float_range_is_no_member(self, name, sign):
         # a real number, though float() of it overflows: no set holds it
-        expected = (InvalidInputError if name == "apportion_nilpotent" and sign < 0
-                    else ConstantNotAchievableError)
         with pytest.raises(ApportionError) as info:
             KAPPA_ENTRY_POINTS[name](sign * 10 ** 400)
-        assert type(info.value) is expected
+        assert type(info.value) is ConstantNotAchievableError
 
     @pytest.mark.parametrize("name", list(KAPPA_ENTRY_POINTS))
     @pytest.mark.parametrize("kappa", [True, np.True_], ids=["bool", "numpy-bool"])
@@ -937,3 +945,136 @@ class TestOneCheckPerCertificate:
         forged = dataclasses.replace(cert, B=1e6 * cert.B, kappa=kappa)
         with pytest.raises(ConstructionError, match="does not match"):
             verify_certificate(forged, np.diag([1.0, -1.0]))
+
+
+#: I_256 + [lam] with Re(lam) = 1 - 257/2: its set is finite, and its order one past the cap
+PERTURB_257 = complex(1 - 257 / 2, 0.3)
+
+
+class TestOrderBudget:
+    """Every public constructor builds the matrix it checks by ``build_jordan``, so each
+    refuses an order past ``jordan.MAX_DENSE_ORDER`` (256), as request_certificate does."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: apportion_rank_one(1.0, 257, 1.0),
+        # |lam|/n, the least member of K(diag(lam, 0, ..., 0))
+        lambda: apportion_rank_one(1.0, 257, 1 / 257),
+        lambda: apportion_perturb_identity(257, PERTURB_257),
+        lambda: apportion_perturb_identity(
+            257, PERTURB_257, target=perturb_identity_constants(257, PERTURB_257).values[0]),
+        lambda: request_certificate(JordanSpec(((1 + 0j, 1),) + ((0j, 1),) * 256), kappa=1.0),
+        lambda: request_certificate(JordanSpec(((1 + 0j, 1),) * 256 + ((PERTURB_257, 1),))),
+    ], ids=["rank-one", "rank-one-least", "perturb-identity", "perturb-identity-least",
+            "request-rank-one", "request-perturb-identity"])
+    def test_order_past_the_cap_refused(self, call):
+        with pytest.raises(InvalidInputError, match="exceeds 256"):
+            call()
+
+
+def _same_certificate(cert, want):
+    assert np.array_equal(cert.M, want.M) and np.array_equal(cert.Minv, want.Minv)
+    assert np.array_equal(cert.B, want.B)
+    assert (cert.kappa, cert.theorem_tag) == (want.kappa, want.theorem_tag)
+
+
+def _by_rule(tag, spec, kappa):
+    from apportion.constructors import _by_rule
+
+    return _by_rule(tag, spec, build_jordan(spec), kappa)
+
+
+def _template_spec(kind, lam):
+    from apportion.constructors import _template_spec
+
+    return _template_spec(kind, complex(lam))
+
+
+def _route_cases():
+    """(constructor call, the rule route's call on its class's spec), on the inputs of the
+    tests above and a seeded sweep of lam, n and kappa."""
+    cases = []
+
+    def add(call, route):
+        cases.append((call, route))
+
+    for spec, kappa in [(JordanSpec(((0j, 3), (0j, 2))), KAPPA_13), (JordanSpec(((0j, 2),)), 1.0),
+                        (JordanSpec(((0j, 2), (0j, 1))), 7.0), (JordanSpec(((0j, 1), (0j, 3))), 2.5),
+                        (JordanSpec(((0j, 1), (0j, 1))), 0.0)]:
+        add(lambda s=spec, k=kappa: apportion_nilpotent(s, k),
+            lambda s=spec, k=kappa: request_certificate(s, k))
+    for n, kappa in [(1, 0.5), (3, 2.0), (2, 0.5 * (1 - 1e-10)), (4, 1e3)]:
+        spec = JordanSpec(((1 + 0j, 1),) * n + ((0j, 1),) * n)
+        add(lambda n=n, k=kappa: apportion_I_oplus_O(n, k),
+            lambda s=spec, k=kappa: _by_rule("identity-plus-zero", s, k))
+    for spec, kappa in [(JordanSpec(((2 + 0j, 1), (0j, 1))), 1.5),
+                        (JordanSpec(((1 + 0j, 2), (0j, 1), (0j, 1))), 1.0),
+                        (JordanSpec(((1 + 0j, 1), (1 + 0j, 1), (0j, 1), (0j, 1))), 0.7)]:
+        add(lambda s=spec, k=kappa: apportion_half_rank(s, k),
+            lambda s=spec, k=kappa: _by_rule("half-rank", s, k))
+    for lam, n, kappa in [(2.0, 2, 1.0), (1.0, 3, 1 / 3), (1j, 2, 5.0), (3 + 4j, 1, 5.0),
+                          (0.7 - 0.3j, 16, 1e4 * abs(0.7 - 0.3j))]:
+        spec = JordanSpec(((complex(lam), 1),) + ((0j, 1),) * (n - 1))
+        add(lambda a=(lam, n, kappa): apportion_rank_one(*a),
+            lambda s=spec, k=kappa: request_certificate(s, k))
+    for n, lam, target in [(4, -1.0, 0.5), (3, -0.5 + 1j, None), (3, -0.5 - 2.0j, None)]:
+        spec = JordanSpec(((1 + 0j, 1),) * (n - 1) + ((complex(lam), 1),))
+        for t in perturb_identity_constants(n, lam).values or (target,):
+            add(lambda a=(n, lam, t): apportion_perturb_identity(*a),
+                lambda s=spec, t=t: request_certificate(s, t))
+    for l1, l2, target in [(1.0, -1.0, None), (1.0, 1j, None), (1.0, -1.0, 2.0)]:
+        spec = JordanSpec(((complex(l1), 1), (complex(l2), 1)))
+        add(lambda a=(l1, l2, target): apportion_2x2(*a).certificate,
+            lambda s=spec, t=target: request_certificate(s, t))
+    for kind in TemplateKind:
+        for lam in (1.0, 2.0 - 1.0j, 0.0):
+            add(lambda a=(kind, lam): apportion_3x3_template(*a),
+                lambda s=_template_spec(kind, lam), lam=lam: request_certificate(
+                    s, 1.0 if lam == 0 else None))
+
+    rng = np.random.default_rng(34)
+    for _ in range(12):
+        lam = complex(rng.standard_normal(), rng.standard_normal())
+        n = int(rng.integers(1, 12))
+        kappa = abs(lam) / n * rng.uniform(1.0, 20.0)
+        spec = JordanSpec(((lam, 1),) + ((0j, 1),) * (n - 1))
+        add(lambda a=(lam, n, kappa): apportion_rank_one(*a),
+            lambda s=spec, k=kappa: request_certificate(s, k))
+        m = int(rng.integers(1, 6))
+        kappa = rng.uniform(0.5, 10.0)
+        spec = JordanSpec(((1 + 0j, 1),) * m + ((0j, 1),) * m)
+        add(lambda a=(m, kappa): apportion_I_oplus_O(*a),
+            lambda s=spec, k=kappa: _by_rule("identity-plus-zero", s, k))
+        spec = random_half_rank_spec(rng, max_order=8)
+        kappa = spec.spectral_radius / 2 + rng.uniform(0.05, 2.0)
+        route = ((lambda s=spec, k=kappa: request_certificate(s, k)) if spec.is_nilpotent()
+                 else (lambda s=spec, k=kappa: _by_rule("half-rank", s, k)))
+        add(lambda s=spec, k=kappa: apportion_half_rank(s, k), route)
+        sizes = rng.permutation([int(rng.integers(2, 5))] + list(rng.integers(1, 4, size=2)))
+        nilpotent = JordanSpec(tuple((0j, int(size)) for size in sizes))
+        kappa = 10.0 ** rng.uniform(-3, 3)
+        add(lambda s=nilpotent, k=kappa: apportion_nilpotent(s, k),
+            lambda s=nilpotent, k=kappa: request_certificate(s, k))
+        p = int(rng.integers(3, 8))
+        lam = complex(1 - p / 2, rng.uniform(-2.0, 2.0))
+        spec = JordanSpec(((1 + 0j, 1),) * (p - 1) + ((lam, 1),))
+        for t in perturb_identity_constants(p, lam).values:
+            add(lambda a=(p, lam, t): apportion_perturb_identity(*a),
+                lambda s=spec, t=t: request_certificate(s, t))
+        l1, l2 = (complex(rng.standard_normal(), rng.standard_normal()) for _ in range(2))
+        if two_by_two_constants(l1, l2) is not None:
+            spec = JordanSpec(((l1, 1), (l2, 1)))
+            add(lambda a=(l1, l2): apportion_2x2(*a).certificate,
+                lambda s=spec: request_certificate(s))
+        kind = list(TemplateKind)[int(rng.integers(2))]
+        add(lambda a=(kind, lam): apportion_3x3_template(*a),
+            lambda s=_template_spec(kind, lam): request_certificate(s))
+    return cases
+
+
+def test_each_constructor_builds_by_the_rule_route():
+    # request_certificate on the class's spec, or the half-rank and I + O rules themselves,
+    # whose inputs can classify under an earlier rule
+    cases = _route_cases()
+    assert len(cases) > 100
+    for call, route in cases:
+        _same_certificate(call(), route())
