@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import enum
+import gc
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -36,10 +37,11 @@ from .errors import (
     ConstructionError,
     InvalidInputError,
 )
-from .jordan import _arranged_spec, _block_rows, _inverse_below, build_jordan, geometric_diagonal
+from .jordan import (_arranged_spec, _block_rows, _inverse_below, _require_dense_order,
+                     build_jordan, geometric_diagonal)
 from .reports import ClassificationReport, ConstantSet, SetShape, Verdict
-from .rules import (_RULES_BY_TAG, MatrixLike, TemplateKind, _classify_spec,
-                    _half_rank_constants, _order_two, perturb_identity_constants)
+from .rules import (_PERTURB_ORDER_REFUSAL, _RULES_BY_TAG, MatrixLike, TemplateKind,
+                    _classify_spec, _half_rank_constants, _order_two, perturb_identity_constants)
 from .scalar import DEFAULT_TOL, Tolerance, _integer, modulus
 from .spec import JordanSpec
 
@@ -99,18 +101,28 @@ class ApportionCertificate:
         return self.M.shape[0]
 
     def to_json(self) -> dict:
+        """The certificate as JSON types.  The cyclic collector is paused across the
+        conversions, and left as it was found, even on error: ``tolist`` allocates three
+        nested lists of n^2 pairs, which would run it many times to find no cycle (on
+        J_256 most of the call's time)."""
         def mat(x):  # [re, im] pairs, nested by row, in one pass
             x = np.asarray(x, dtype=complex)
             return np.stack((x.real, x.imag), axis=-1).tolist()
 
-        return {
-            "order": self.order,
-            "kappa": self.kappa,
-            "theorem_tag": self.theorem_tag.value,
-            "M": mat(self.M),
-            "Minv": mat(self.Minv),
-            "B": mat(self.B),
-        }
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return {
+                "order": self.order,
+                "kappa": self.kappa,
+                "theorem_tag": self.theorem_tag.value,
+                "M": mat(self.M),
+                "Minv": mat(self.Minv),
+                "B": mat(self.B),
+            }
+        finally:
+            if collecting:
+                gc.enable()
 
 
 def _check_image(B, M, A, Minv, kappa: float, tol: Tolerance) -> None:
@@ -441,6 +453,7 @@ def apportion_I_oplus_O(n: int, kappa: float) -> ApportionCertificate:
     every v_k annihilates.
     """
     n = _integer(n, 1, refusal="n must be a positive integer")
+    _require_dense_order(2 * n)
     spec = JordanSpec(((1 + 0j, 1),) * n + ((0j, 1),) * n)
     return _by_rule("identity-plus-zero", spec, build_jordan(spec), kappa)
 
@@ -692,6 +705,7 @@ def apportion_rank_one(lam: complex, n: int, kappa: float) -> ApportionCertifica
     if lam == 0:
         raise InvalidInputError("lam must be nonzero; zero spectrum is a nilpotent case")
     n = _integer(n, 1, refusal="n must be a positive integer")
+    _require_dense_order(n)
     return request_certificate(JordanSpec(((lam, 1),) + ((0j, 1),) * (n - 1)), kappa)
 
 
@@ -745,6 +759,8 @@ def apportion_perturb_identity(
     last column holds the two conjugate diagonal values.  When Re(lam) misses
     1 - n/2 the refusal is returned as a NotApportionable report, not raised.
     """
+    n = _integer(n, 3, refusal=_PERTURB_ORDER_REFUSAL)
+    _require_dense_order(n)
     lam = complex(lam)
     constants = perturb_identity_constants(n, lam)
     if constants is None:

@@ -30,6 +30,9 @@ __all__ = [
 
 #: relative gap below which two computed eigenvalues are grouped together
 GROUPING_RTOL = 1e-9
+#: largest order the numerical search runs at, and ``_intertwiner`` solves at: its
+#: n^2 x n^2 system holds n^4 complex entries, 1 MiB at this order
+MAX_SEARCH_ORDER = 16
 #: largest order whose dense matrix ``build_jordan`` assembles, as the search caps its
 #: order at MAX_SEARCH_ORDER: ``apportion`` on one block of this order takes about 0.65 s
 #: on a 2-CPU Xeon virtual machine, 0.03 s of it to build the certificate (the inverse is
@@ -58,13 +61,19 @@ class EigenResult:
     approximate: bool
 
 
+def _require_dense_order(n: int) -> None:
+    """Refuse an order past MAX_DENSE_ORDER; a caller that reads the order from its
+    arguments checks it before it builds anything of that order."""
+    if n > MAX_DENSE_ORDER:
+        raise InvalidInputError(
+            f"order {n} exceeds {MAX_DENSE_ORDER}, the largest dense matrix built")
+
+
 def build_jordan(spec: JordanSpec) -> np.ndarray:
     """Assemble the block-diagonal Jordan matrix described by ``spec``, of order at most
     MAX_DENSE_ORDER."""
     n = spec.order
-    if n > MAX_DENSE_ORDER:
-        raise InvalidInputError(
-            f"order {n} exceeds {MAX_DENSE_ORDER}, the largest dense matrix built")
+    _require_dense_order(n)
     J = np.zeros((n, n), dtype=complex)
     pos = 0
     for lam, size in spec.blocks:
@@ -166,6 +175,30 @@ def _inverse_below(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     [O | I] M^-1, by one solve."""
     n = M.shape[0]
     return np.vstack([V, np.linalg.solve(M.T, np.eye(n, dtype=complex)[:, len(V):]).T])
+
+
+def _intertwiner(A: np.ndarray, B: np.ndarray, blocks, seed: int) -> np.ndarray:
+    """An M with M A = B M, for B similar to A, whose Jordan blocks are ``blocks``
+    ((eigenvalue, size) pairs, as a JordanSpec holds them).
+
+    The intertwiners are the null space of L = I (x) B - A^T (x) I acting on vec(M) (by
+    columns), of dimension d = sum over eigenvalues of sum_ij min(p_i, p_j) for its block
+    sizes p: the trailing d right singular vectors of L span it, and M is one combination
+    of them with coefficients drawn from ``seed``, so equal calls give equal bits.  A
+    generic combination is nonsingular; the caller's check decides.  An order above
+    MAX_SEARCH_ORDER is refused before L is formed."""
+    n = A.shape[0]
+    if n > MAX_SEARCH_ORDER:
+        raise InvalidInputError(
+            f"order {n} exceeds {MAX_SEARCH_ORDER}, the largest intertwiner solved")
+    sizes: dict = {}
+    for lam, size in blocks:
+        sizes.setdefault(lam, []).append(size)
+    d = sum(min(p, q) for group in sizes.values() for p in group for q in group)
+    eye = np.eye(n)
+    Vh = np.linalg.svd(np.kron(eye, B) - np.kron(A.T, eye))[2]
+    c = np.random.default_rng(seed).standard_normal((2, d))
+    return ((c[0] + 1j * c[1]) @ Vh[-d:].conj()).reshape(n, n, order="F")
 
 
 #: |disc| below this (scaled) marks an algebraically multiple root

@@ -106,6 +106,7 @@ def _rank_one_constants(lam: complex, n: int) -> ConstantSet:
 
 
 RE_CONDITION_ATOL = 1e-9
+_PERTURB_ORDER_REFUSAL = "this construction needs order n >= 3"
 
 
 def perturb_identity_constants(n: int, lam: complex) -> Optional[ConstantSet]:
@@ -115,7 +116,7 @@ def perturb_identity_constants(n: int, lam: complex) -> Optional[ConstantSet]:
     otherwise it is the finite family sqrt(Im(lam)^2/(n-2s)^2 + 1/4) over
     s = 0 .. floor((n-1)/2).
     """
-    n = _integer(n, 3, refusal="this construction needs order n >= 3")
+    n = _integer(n, 3, refusal=_PERTURB_ORDER_REFUSAL)
     lam = complex(lam)
     if abs(lam.real - (1.0 - n / 2.0)) > RE_CONDITION_ATOL:
         return None

@@ -17,7 +17,16 @@ restart's next few damping values at once, in one batched solve and one
 residual evaluation, and takes the first that lowers the residual: each
 restart visits the same points, to the bit, as with one trial per pass.
 
-At order 3 and above the objective is the variance of the squared entry
+At order 3 and above, a non-nilpotent A with one Jordan block per eigenvalue
+(``_image_blocks``, read from A's eigenvalues and the ranks of A - mu I) is
+first searched in image space (``_image_search``): B = kappa exp(i Theta) is
+solved for, by Levenberg-Marquardt on Theta and log kappa, one restart at a
+time, until B's eigenvalues (or, where an eigenvalue repeats, its power sums)
+are A's; such a B is similar to A, and M comes from B's and A's eigenvectors
+or from ``jordan._intertwiner``.  Where that route is not taken or finds
+nothing, the M search below runs, as it would without it.
+
+The M search's objective is the variance of the squared entry
 moduli, with a log-barrier on |det M|, minimized by multi-start BFGS with a
 backtracking line search.  Each iteration evaluates the full step of every
 restart in one batched objective call; the restarts that fail the Armijo
@@ -52,7 +61,7 @@ from .constructors import (ApportionCertificate, CertTag, _certificate, _certifi
 from .core import (RCOND_THRESHOLD, as_matrix, inverse_and_rcond, is_uniform,
                    times_power_of_two, unit_exponent)
 from .errors import ConstructionError, InvalidInputError, SearchBudgetError
-from .jordan import build_jordan
+from .jordan import MAX_SEARCH_ORDER, _intertwiner, build_jordan
 from .reports import Verdict
 from .rules import _coerce, classify
 from .scalar import Tolerance, _integer
@@ -67,7 +76,6 @@ __all__ = [
     "sigma_estimate",
 ]
 
-MAX_SEARCH_ORDER = 16
 #: ceiling on the search's working memory, in bytes: the restarts x (2n^2)^2
 #: BFGS inverse-Hessian stack, or restarts x LM_BYTES_PER_N4 x n^4 at order 2
 MAX_HESSIAN_BYTES = 256 * 2**20
@@ -113,6 +121,19 @@ LM_FOUND_SPREAD = 1e-12   # relative modulus spread at which an LM point is cert
 #: read 181-191 n^4 per restart at n = 2 (1,024 and 4,096 restarts) and
 #: 103-126 n^4 at n = 3-6 (256 restarts)
 LM_BYTES_PER_N4 = 224
+
+#: the image route (``_image_search``): eigenvalues of A 2^-e within this multiple of its
+#: Frobenius norm form one cluster, and a cluster is one Jordan block where the matrix
+#: minus the cluster's mean has rank n - 1 at the same tolerance (``_image_blocks``)
+IMAGE_STRUCTURE_RTOL = 1e-6
+#: the largest order at which a repeated eigenvalue takes the image route: its power sums
+#: failed from order 10
+IMAGE_POWER_SUM_MAX_ORDER = 8
+#: an image restart starts at this multiple of sqrt(sum |lam_i|^2) / n, the least kappa
+#: whose uniform image can hold the spectrum (Schur's inequality)
+IMAGE_KAPPA_START = 1.5
+#: an image restart has converged, and its point is certified, once |r|^2 is this small
+IMAGE_FOUND_COST = 1e-26
 
 #: the LM damping factors 1, 4, 16, ... of one pass's ladder; LM_DAMPING_UP is a
 #: power of two, so lam times each is lam after as many rejections, to the bit
@@ -161,7 +182,8 @@ class SearchOutcome:
     ``found`` requires more than a spread below ``defect_target``.  At order
     2 the winning point's relative spread must reach LM_FOUND_SPREAD; at
     higher orders it must refine to well below the target under a
-    Gauss-Newton pass on the uniformity residuals.
+    Gauss-Newton pass on the uniformity residuals, or come from the image
+    route, whose B has A's spectrum to |r|^2 <= IMAGE_FOUND_COST.
     So ``best_defect`` can sit below ``defect_target`` with ``found`` False
     near matrices that are uniformizable only in an unbounded-entry limit.
     ``restarts_used`` is the 1-based index of the winning restart, or the full
@@ -169,6 +191,11 @@ class SearchOutcome:
     restart's best spread for transcript output: after a find, each one's
     best when the search stopped.  At order 2 the restarts do not run in
     step (see ``_lm_search``), so some may have run further than the winner.
+    On an image-route find (``_image_search``) the restarts run one at a time:
+    ``best_defect`` is the certificate's modulus spread max|B| - min|B|,
+    ``restarts_used`` the winner's index, and ``restart_defects`` one entry per
+    restart run, the winner last: each one's final spectral residual |r|, in
+    units of A's eigenvalues, not a modulus spread.
     """
 
     found: bool
@@ -349,7 +376,12 @@ def _require_search_order(n: int) -> None:
 def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """Seek M making M A M^-1 uniform, up to the configured modulus spread.
 
-    Runs the configured restarts as one batch until one is found, all stall
+    At order 3 and above, a non-nilpotent A with one Jordan block per eigenvalue
+    is first searched in image space (``_image_search``): up to ``restarts``
+    restarts of at most ``max_iters`` steps each, one after another, and the
+    first that certifies is the outcome (see SearchOutcome for its fields).
+    Otherwise, or when that route finds nothing, the M search
+    runs the configured restarts as one batch until one is found, all stall
     or converge, or the iteration budget ends: at order 2 by Levenberg-Marquardt
     (``_lm_search``; each restart runs its own damping ladder, so their step
     counts drift apart), above it by BFGS in lockstep.  A BFGS iteration
@@ -377,6 +409,11 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     unit = math.ldexp(1.0, e)
     if n == 2:
         return _lm_search(A, As, unit, cfg)
+    blocks = _image_blocks(As)
+    if blocks is not None:
+        outcome = _image_search(A, As, unit, cfg, blocks)
+        if outcome is not None:
+            return outcome
     X = _initial_points(cfg, n)
     f, g, spread = _objective_batch(X, As)
     H = np.broadcast_to(np.eye(D), (R, D, D)).copy()
@@ -613,6 +650,189 @@ def _lm_search(A: np.ndarray, As: np.ndarray, unit: float, cfg: SearchConfig) ->
             running = (depth > 0) & ~flat
     return SearchOutcome(False, float(best.min()) * unit, None, R,
                          tuple(float(d) * unit for d in best))
+
+
+def _image_blocks(As: np.ndarray) -> Optional[tuple]:
+    """As's Jordan blocks as (eigenvalue, size) pairs where As is non-derogatory and not
+    nilpotent, else None: which route the search takes, never a verdict.
+
+    The eigenvalues are clustered by single linkage at IMAGE_STRUCTURE_RTOL |As|_F, and a
+    cluster of m > 1 is one block of size m where As - mu I, mu the cluster's mean, has
+    rank n - 1 at that tolerance.  A repeated eigenvalue above IMAGE_POWER_SUM_MAX_ORDER
+    is left to the M search too."""
+    n = As.shape[0]
+    tol = IMAGE_STRUCTURE_RTOL * float(np.linalg.norm(As))
+    lam = np.linalg.eigvals(As)
+    if not np.abs(lam).max() > tol:
+        return None
+    near = np.abs(lam[:, None] - lam) <= tol
+    for _ in range(n.bit_length()):  # paths of up to 2^n.bit_length() >= n links
+        near = near @ near
+    blocks, placed = [], np.zeros(n, dtype=bool)
+    for members in near:
+        if placed[members].any():
+            continue
+        placed |= members
+        size = int(np.count_nonzero(members))
+        mu = complex(lam[members].mean())
+        if size > 1 and (n > IMAGE_POWER_SUM_MAX_ORDER or np.count_nonzero(
+                np.linalg.svd(As - mu * np.eye(n), compute_uv=False) > tol) != n - 1):
+            return None
+        blocks.append((mu, size))
+    return tuple(blocks)
+
+
+def _image(p: np.ndarray, n: int) -> np.ndarray:
+    """B = exp(log kappa + i Theta) for p holding Theta by rows, then log kappa."""
+    return np.exp(p[-1] + 1j * p[:-1].reshape(n, n))
+
+
+def _spectrum_residual(p: np.ndarray, lam: np.ndarray):
+    """The eigenvalues mu of B = ``_image(p)`` less their greedy nearest matches among lam,
+    as [Re; Im], and the state (B, mu, W, match) with B's eigenvectors W."""
+    n = lam.size
+    B = _image(p, n)
+    mu, W = np.linalg.eig(B)
+    dist = np.abs(mu[:, None] - lam)
+    match = np.empty(n, dtype=np.intp)
+    for _ in range(n):  # the closest pair left, then the next
+        i, j = divmod(int(np.argmin(dist)), n)
+        match[i] = j
+        dist[i, :] = dist[:, j] = np.inf
+    d = mu - lam[match]
+    return np.concatenate([d.real, d.imag]), (B, mu, W, match)
+
+
+def _spectrum_jacobian(state, _lam: np.ndarray) -> np.ndarray:
+    """d mu_i / d theta_ab = i B_ab (W^-1)_ia W_bi and d mu_i / d log kappa = mu_i, as
+    [Re; Im] rows."""
+    B, mu, W, _ = state
+    n = mu.size
+    J = np.empty((n, n * n + 1), dtype=complex)
+    J[:, :-1] = (1j * np.linalg.inv(W)[:, :, None] * W.T[:, None, :] * B).reshape(n, n * n)
+    J[:, -1] = mu
+    return np.concatenate([J.real, J.imag])
+
+
+def _power_residual(p: np.ndarray, target):
+    """The weighted power sums w_k (tr(B^k) - sum_i lam_i^k), k = 1 .. n, of B = ``_image(p)``,
+    as [Re; Im], and the state (B, powers B^0 .. B^n); target is (sum_i lam_i^k, w_k), with
+    w_k = 1 / (k rho^(k-1)) for rho = max |lam_i|, so that each term moves as an
+    eigenvalue does."""
+    sums, w = target
+    n = sums.size
+    B = _image(p, n)
+    powers = np.empty((n + 1, n, n), dtype=complex)
+    powers[0] = np.eye(n)
+    for k in range(n):
+        powers[k + 1] = powers[k] @ B
+    d = w * (np.trace(powers[1:], axis1=1, axis2=2) - sums)
+    return np.concatenate([d.real, d.imag]), (B, powers)
+
+
+def _power_jacobian(state, target) -> np.ndarray:
+    """d tr(B^k) / d theta_ab = k i (B^(k-1))_ba B_ab and d tr(B^k) / d log kappa = k tr(B^k),
+    weighted, as [Re; Im] rows."""
+    B, powers = state
+    n = B.shape[0]
+    wk = target[1] * np.arange(1, n + 1)
+    J = np.empty((n, n * n + 1), dtype=complex)
+    J[:, :-1] = (1j * wk[:, None, None] * powers[:-1].swapaxes(1, 2) * B).reshape(n, n * n)
+    J[:, -1] = wk * np.trace(powers[1:], axis1=1, axis2=2)
+    return np.concatenate([J.real, J.imag])
+
+
+def _image_lm(p: np.ndarray, residual, jacobian, target, steps: int, free_kappa: bool):
+    """Levenberg-Marquardt from p on ``residual(p, target)``: the last accepted point as
+    (p, |r|^2, state).
+
+    A step is the dual-form -J^T (J J^T + lam tr(J J^T) / rows I)^-1 r, kept if it lowers
+    |r|^2, with the damping rules of ``_lm_search``; log kappa stays put unless
+    ``free_kappa``.  The restart stops once |r|^2 reaches IMAGE_FOUND_COST, after
+    LM_STALL_STEPS accepted steps in a row that each lower it by less than LM_STALL_RTOL
+    relative, once lam passes LM_MAX_DAMPING, after ``steps`` steps, or where a Jacobian
+    or a solve fails.  A rejected step only raises lam: counted as flat too, it stopped
+    restarts that were about to converge, and 34 of 264 searches (random diagonal
+    matrices of order 3-16 and non-derogatory Jordan matrices, seeds 0-2) went on to the
+    M search, against none.  A point whose |r|^2 is not finite is rejected."""
+    r, state = residual(p, target)
+    cost = float(r @ r)
+    lam, stall, J = LM_DAMPING, 0, None
+    for _ in range(steps):
+        if not cost > IMAGE_FOUND_COST or stall >= LM_STALL_STEPS or lam > LM_MAX_DAMPING:
+            break
+        try:
+            if J is None:
+                J = jacobian(state, target)
+                if not free_kappa:
+                    J[:, -1] = 0.0
+                K = J @ J.T
+            Kd = K + lam * np.trace(K) / K.shape[0] * np.eye(K.shape[0])
+            q = p - J.T @ np.linalg.solve(Kd, r)
+            rq, state_q = residual(q, target)
+        except np.linalg.LinAlgError:
+            break
+        cost_q = float(rq @ rq)
+        if cost_q < cost:
+            stall = stall + 1 if cost - cost_q < LM_STALL_RTOL * cost else 0
+            p, r, state, cost, J = q, rq, state_q, cost_q, None
+            lam = max(lam / LM_DAMPING_DOWN, LM_MIN_DAMPING)
+        else:
+            lam *= LM_DAMPING_UP
+    return p, cost, state
+
+
+def _image_search(A: np.ndarray, As: np.ndarray, unit: float, cfg: SearchConfig, blocks,
+                  kappa: Optional[float] = None) -> Optional[SearchOutcome]:
+    """Seek B = kappa exp(i Theta) similar to As, whose Jordan blocks are ``blocks``, one
+    restart at a time: the first point that certifies against A, or None.
+
+    Distinct eigenvalues are matched by ``_spectrum_residual``, and M = W P V^-1 maps A's
+    eigenvectors V onto B's, W, permuted by the match P; a repeated eigenvalue by the power
+    sums of ``_power_residual``, and M is ``jordan._intertwiner(As, B, blocks, seed)``.
+    Restart r starts from Theta = the first n^2 entries of ``_initial_points``' row r, at
+    log kappa = IMAGE_KAPPA_START times the Schur floor, or at ``kappa`` (at A's scale),
+    which then stays fixed.  Every candidate is certified by ``_certify_search_point``.
+    A find's ``best_defect`` is its certificate's modulus spread, ``restarts_used`` the
+    1-based index of its restart, and ``restart_defects`` holds each restart tried, the
+    find's included, by its final residual norm |r| (in eigenvalue units) times ``unit``."""
+    n = As.shape[0]
+    if len(blocks) == n:
+        lam, V = np.linalg.eig(As)
+        residual, jacobian, target = _spectrum_residual, _spectrum_jacobian, lam
+    else:
+        lam = np.array([mu for mu, size in blocks for _ in range(size)])
+        k = np.arange(1, n + 1)[:, None]
+        rho = float(np.abs(lam).max())
+        residual, jacobian = _power_residual, _power_jacobian
+        target = ((lam ** k).sum(axis=1), 1.0 / (k[:, 0] * rho ** (k[:, 0] - 1)))
+    if kappa is None:
+        log_kappa = math.log(IMAGE_KAPPA_START * float(np.sqrt(np.vdot(lam, lam).real)) / n)
+    else:
+        log_kappa = math.log(kappa / unit)
+    X = _initial_points(cfg, n)
+    defects = []
+    for r in range(cfg.restarts):
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, cost, state = _image_lm(np.append(X[r, :n * n], log_kappa), residual, jacobian,
+                                       target, cfg.max_iters, kappa is None)
+        defects.append(math.sqrt(cost) * unit)
+        if not cost <= IMAGE_FOUND_COST:
+            continue
+        if residual is _spectrum_residual:
+            _, _, W, match = state
+            try:
+                M = W[:, np.argsort(match)] @ np.linalg.inv(V)
+            except np.linalg.LinAlgError:
+                continue
+        else:
+            M = _intertwiner(As, state[0], blocks, cfg.seed)
+        cert = _certify_search_point(np.concatenate([M.real.ravel(), M.imag.ravel()]), A, cfg)
+        if cert is not None:
+            mods = np.abs(cert.B)
+            return SearchOutcome(True, float(mods.max() - mods.min()), cert, r + 1,
+                                 tuple(defects))
+    return None
 
 
 def _normalized_image(x: np.ndarray, A: np.ndarray):

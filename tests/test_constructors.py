@@ -805,6 +805,48 @@ def test_large_member_kappa_certifies_or_fails_as_construction(name, kappa):
         assert type(exc) is ConstructionError, exc
 
 
+class TestCertificateJson:
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_collector_left_as_found(self, collecting):
+        # to_json pauses the cyclic collector and restores its state, even on error
+        import dataclasses
+        import gc
+
+        cert = apportion_rank_one(1.0, 3, 1.0)
+        broken = dataclasses.replace(cert, B="not a matrix")
+        was = gc.isenabled()
+        try:
+            gc.enable() if collecting else gc.disable()
+            doc = cert.to_json()
+            assert gc.isenabled() is collecting
+            with pytest.raises(ValueError):
+                broken.to_json()
+            assert gc.isenabled() is collecting
+        finally:
+            gc.enable() if was else gc.disable()
+        assert doc["M"] == [[[z.real, z.imag] for z in row] for row in cert.M.tolist()]
+
+    def test_no_collection_during_the_conversions(self):
+        # J_64's three matrices become 12,288 small lists, which ran the collector
+        import gc
+
+        cert = request_certificate(JordanSpec(((0j, 64),)))
+        runs = []
+
+        def record(phase, info):
+            runs.append(phase)
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(record)
+        try:
+            cert.to_json()
+        finally:
+            gc.callbacks.remove(record)
+            gc.enable() if was else gc.disable()
+        assert runs == []
+
+
 class TestOneCheckPerCertificate:
     """Each returned certificate is checked once, against the caller's matrix; the
     paddings and permutations that build it check nothing."""
@@ -969,6 +1011,27 @@ class TestOrderBudget:
     def test_order_past_the_cap_refused(self, call):
         with pytest.raises(InvalidInputError, match="exceeds 256"):
             call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: apportion_rank_one(1.0, 10**6, 1.0),
+        lambda: apportion_I_oplus_O(10**6, 1.0),
+        lambda: apportion_perturb_identity(10**6, complex(1 - 10**6 / 2, 0.3)),
+        # a lam that misses Re(lam) = 1 - n/2 is refused by its order first too
+        lambda: apportion_perturb_identity(10**6, 0.0),
+    ], ids=["rank-one", "identity-plus-zero", "perturb-identity", "perturb-identity-missed"])
+    def test_order_refused_before_it_allocates(self, call):
+        # the order is read from the arguments: no JordanSpec or constant set of that
+        # order is built first (77-154 MiB each)
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match=r"order [12]000000 exceeds 256"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def _same_certificate(cert, want):

@@ -440,3 +440,45 @@ class TestEigenstructureSmall:
         A = np.diag([-2.0, 3.0]) * 2.0 ** 510
         spec = eigenstructure_small(A).spec
         assert spec.blocks == ((3 * 2.0 ** 510 + 0j, 1), (-2 * 2.0 ** 510 + 0j, 1))
+
+
+class TestIntertwiner:
+    @pytest.mark.parametrize("blocks", [
+        ((2 + 0j, 1), (-1j, 1)),
+        ((1 + 0j, 2), (-0.7 + 0j, 1)),
+        ((0j, 2), (0j, 1)),                   # derogatory: the commutant has dimension 5
+        ((1 + 0j, 1), (1 + 0j, 1), (2 + 0j, 1)),
+        ((1j, 3), (1j, 1), (0.5 + 0j, 2)),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_transports_a_conjugated_jordan_matrix(self, blocks, seed):
+        # B = P J P^-1 with a well-conditioned P: M J = B M with M nonsingular, and
+        # equal calls give equal bits
+        from apportion.core import inverse_and_rcond
+        from apportion.jordan import _intertwiner
+
+        spec = JordanSpec(blocks)
+        J = build_jordan(spec)
+        P = random_nonsingular(np.random.default_rng(seed), spec.order)
+        B = P @ J @ np.linalg.inv(P)
+        M = _intertwiner(J, B, spec.blocks, seed)
+        Minv, rcond = inverse_and_rcond(M)
+        assert rcond > 1e-6
+        assert np.abs(M @ J @ Minv - B).max() <= 1e-10 * np.abs(B).max()
+        assert np.array_equal(_intertwiner(J, B, spec.blocks, seed), M)
+
+    def test_order_past_the_search_cap_refused_before_it_allocates(self):
+        import tracemalloc
+
+        from apportion.jordan import _intertwiner
+
+        A = np.eye(17, dtype=complex)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="exceeds 16"):
+                _intertwiner(A, A, ((1 + 0j, 1),) * 17, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # L alone would hold 17^4 complex entries, 1.3 MB
+        assert peak < 2**16

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from apportion import (
     InvalidInputError,
@@ -814,12 +816,18 @@ class TestSearchScale:
 
     def test_in_range_input_scaled(self, monkeypatch):
         # an input of modest scale is searched at unit scale too, A 2^-e, on
-        # the order-2 path (LM residuals) and on the BFGS path alike
+        # the order-2 path (LM residuals), the image route (its residual's
+        # targets are the eigenvalues of A 2^-e) and the BFGS path alike
         from apportion import search
         from apportion.core import times_power_of_two, unit_exponent
 
-        for name, A in (("_lm_residuals", np.diag([1e-9, -1e-9]).astype(complex)),
-                        ("_objective_batch", np.diag([1e-9, -1e-9, 2e-9]).astype(complex))):
+        for name, A, target in (
+                ("_lm_residuals", np.diag([1e-9, -1e-9]).astype(complex), lambda u: u),
+                ("_spectrum_residual", np.diag([1e-9, -1e-9, 2e-9]).astype(complex),
+                 lambda u: np.linalg.eig(u)[0]),
+                # a repeated eigenvalue in two blocks: the image route does not take it
+                ("_objective_batch", np.diag([1e-9, 1e-9, -2e-9]).astype(complex),
+                 lambda u: u)):
             seen = []
 
             def spy(X, A_, evaluate=getattr(search, name)):
@@ -830,7 +838,7 @@ class TestSearchScale:
             find_apportioning(A, SearchConfig(restarts=2, max_iters=2))
             unit = times_power_of_two(A, -unit_exponent(A))
             assert 1.0 <= np.abs(unit).max() < 2.0
-            assert seen and all(np.array_equal(a, unit) for a in seen)
+            assert seen and all(np.array_equal(a, target(unit)) for a in seen)
 
     @pytest.mark.parametrize("k", [-40, -3, 5, 40, 100])
     def test_search_is_scale_equivariant(self, k):
@@ -842,3 +850,133 @@ class TestSearchScale:
         assert base.found and out.found
         assert np.array_equal(out.certificate.M, base.certificate.M)
         assert out.certificate.kappa == math.ldexp(base.certificate.kappa, k)
+
+
+def _route(A, blocks, cfg, kappa=None):
+    """``_image_search`` on A for ``blocks``, scaled as find_apportioning scales it."""
+    from apportion import search
+    from apportion.core import times_power_of_two, unit_exponent
+
+    e = unit_exponent(A)
+    return search._image_search(A, times_power_of_two(A, -e), math.ldexp(1.0, e), cfg, blocks,
+                                kappa)
+
+
+def _search_tol(A, cfg):
+    from apportion import Tolerance
+
+    return Tolerance(rel=cfg.defect_target, abs=cfg.defect_target * float(np.abs(A).max()))
+
+
+#: refuted order-2 pairs (distinct eigenvalues, the spectrum residual) and refuted specs
+#: with a repeated eigenvalue, searched as one block per eigenvalue (the power sums)
+_REFUTED_PAIRS = st.tuples(
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=4.0, allow_nan=False),
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=4.0, allow_nan=False)).map(
+    lambda pair: JordanSpec(((pair[0], 1), (pair[1], 1))))
+_ROUTE_EIGENVALUES = st.sampled_from(
+    (1 + 0j, -1 + 0j, 2 + 0j, 1j, -0.5 + 1j, 0.5 + 0.5j, complex(math.cos(2), math.sin(2))))
+_REFUTED_REPEATS = st.one_of(
+    st.tuples(_ROUTE_EIGENVALUES, st.sampled_from((3, 4))).map(
+        lambda lam_n: JordanSpec(((lam_n[0], 1),) * lam_n[1])),
+    st.tuples(_ROUTE_EIGENVALUES, _ROUTE_EIGENVALUES).map(
+        lambda pair: JordanSpec(((pair[0], 1), (pair[0], 1), (pair[1], 1)))))
+#: measurement 14's non-derogatory Jordan inputs, one block per eigenvalue
+_NON_DEROGATORY = [
+    [(1, 2), (-2, 1)], [(0.5j, 2), (1, 1)], [(1, 2), (-2, 1), (3j, 1)], [(1, 3), (-1, 1)],
+    [(1, 2), (-1, 2)], [(1, 4), (-3, 1)], [(1, 3), (1j, 2), (-2, 1)],
+]
+
+
+def _random_diagonals():
+    """Ten fixed random diagonal matrices (standard complex normal eigenvalues) of each
+    even order 8-16."""
+    rng = np.random.default_rng(21)
+    return [np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            for n in (8, 10, 12, 14, 16) for _ in range(10)]
+
+
+class TestImageRoute:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(st.one_of(_REFUTED_PAIRS, _REFUTED_REPEATS), st.sampled_from((-40, 40)),
+           st.sampled_from((None, 1.0, 1.5, 3.0, 16.0)))
+    def test_route_never_finds_what_classify_refutes(self, spec, k, c):
+        # the route called directly, past its eligibility: one block per distinct
+        # eigenvalue, with kappa free or fixed at c times the proven floor
+        from apportion import Verdict, classify
+
+        assume(classify(spec).verdict is Verdict.NOT_APPORTIONABLE)
+        A = build_jordan(spec) * 2.0 ** k
+        sizes = {}
+        for lam, size in spec.blocks:
+            sizes[lam] = sizes.get(lam, 0) + size
+        kappa = None if c is None else c * max(trace_lower_bound(A), hadamard_lower_bound(A))
+        cfg = SearchConfig(restarts=4, max_iters=300, seed=0, defect_target=1e-6)
+        assert _route(A, tuple(sizes.items()), cfg, kappa) is None
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_diagonals_found(self, seed):
+        cfg = SearchConfig(seed=seed)
+        for A in _random_diagonals():
+            out = find_apportioning(A, cfg)
+            assert out.found, (A.shape[0], np.diag(A))
+            verify_certificate(out.certificate, A, tol=_search_tol(A, cfg))
+
+    @pytest.mark.parametrize("blocks", _NON_DEROGATORY)
+    def test_non_derogatory_jordan_found(self, blocks):
+        from apportion import search
+
+        A = build_jordan(JordanSpec(tuple((complex(lam), size) for lam, size in blocks)))
+        assert search._image_blocks(A) is not None
+        for seed in (0, 1, 2):
+            cfg = SearchConfig(seed=seed)
+            out = find_apportioning(A, cfg)
+            assert out.found
+            verify_certificate(out.certificate, A, tol=_search_tol(A, cfg))
+
+    @pytest.mark.parametrize("blocks, eligible", [
+        ([(1, 1), (2, 1), (-1 + 0.5j, 1)], True),
+        ([(1, 2), (-0.7, 1)], True),
+        ([(1, 1), (2, 1), (0, 1)], True),
+        ([(0, 3)], False),                            # nilpotent
+        ([(0, 2), (0, 2)], False),                    # nilpotent and derogatory
+        ([(1.5, 1), (0, 1), (0, 1)], False),          # 0 in two blocks
+        ([(1, 1), (1, 1), (2, 1), (3, 1)], False),    # 1 in two blocks
+        ([(1, 5), (2, 4)], False),                    # a repeated eigenvalue above order 8
+        ([(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (8, 1), (9, 1)], True),
+    ])
+    def test_eligibility(self, blocks, eligible):
+        from apportion import search
+
+        A = build_jordan(JordanSpec(tuple((complex(lam), size) for lam, size in blocks)))
+        assert (search._image_blocks(A) is not None) is eligible
+
+    def test_route_find_reports_its_restart(self):
+        # a find's spread is its certificate's, and the transcript ends at the winner
+        A = np.diag([1, 2, -1 + 0.5j]).astype(complex)
+        out = find_apportioning(A, SearchConfig(seed=0))
+        mods = np.abs(out.certificate.B)
+        assert out.best_defect == float(mods.max() - mods.min())
+        assert len(out.restart_defects) == out.restarts_used
+        assert out.restart_defects[-1] <= 1e-12
+
+    def test_miss_falls_back_to_the_m_search(self, monkeypatch):
+        # two steps per restart converge nowhere: the route runs, finds nothing, and
+        # the outcome is the M search's alone, as where the route is not taken
+        from apportion import search
+
+        A = np.diag([1, 2, -1 + 0.5j]).astype(complex)
+        cfg = SearchConfig(restarts=4, max_iters=2, seed=1)
+        routed = []
+
+        def spy(*args, route=search._image_search):
+            routed.append(route(*args))
+            return routed[-1]
+
+        monkeypatch.setattr(search, "_image_search", spy)
+        after_route = find_apportioning(A, cfg)
+        assert routed == [None]
+        monkeypatch.setattr(search, "_image_blocks", lambda As: None)
+        alone = find_apportioning(A, cfg)
+        assert len(routed) == 1
+        assert after_route.to_json(True) == alone.to_json(True)
