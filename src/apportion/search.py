@@ -17,14 +17,16 @@ restart's next few damping values at once, in one batched solve and one
 residual evaluation, and takes the first that lowers the residual: each
 restart visits the same points, to the bit, as with one trial per pass.
 
-At order 3 and above, a non-nilpotent A with one Jordan block per eigenvalue
-(``_image_blocks``, read from A's eigenvalues and the ranks of A - mu I) is
-first searched in image space (``_image_search``): B = kappa exp(i Theta) is
-solved for, by Levenberg-Marquardt on Theta and log kappa, one restart at a
-time, until B's eigenvalues (or, where an eigenvalue repeats, its power sums)
-are A's; such a B is similar to A, and M comes from B's and A's eigenvectors
-or from ``jordan._intertwiner``.  Where that route is not taken or finds
-nothing, the M search below runs, as it would without it.
+At order 3 and above, a hook input A, non-nilpotent with at most one Jordan
+block larger than 1 x 1 per eigenvalue (``_image_blocks``, read from A's
+eigenvalues and the ranks of A - mu I and its square), is first searched in
+image space (``_image_search``): B = kappa exp(i Theta) is solved for, by
+Levenberg-Marquardt on Theta and log kappa, one restart at a time, until B's
+eigenvalues are A's, or, where an eigenvalue repeats, its power sums are A's
+and rank(B - mu I) = n - g for each eigenvalue mu in g >= 2 blocks; such a B is
+similar to A, and M comes from B's and A's eigenvectors or from
+``jordan._intertwiner``.  Where that route is not taken or finds nothing, the
+M search below runs, as it would without it.
 
 The M search's objective is the variance of the squared entry
 moduli, with a log-barrier on |det M|, minimized by multi-start BFGS with a
@@ -50,6 +52,7 @@ copies it instead of drawing it again (``_initial_points``).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -123,8 +126,8 @@ LM_FOUND_SPREAD = 1e-12   # relative modulus spread at which an LM point is cert
 LM_BYTES_PER_N4 = 224
 
 #: the image route (``_image_search``): eigenvalues of A 2^-e within this multiple of its
-#: Frobenius norm form one cluster, and a cluster is one Jordan block where the matrix
-#: minus the cluster's mean has rank n - 1 at the same tolerance (``_image_blocks``)
+#: Frobenius norm form one cluster, whose blocks are read from the ranks of the matrix
+#: minus the cluster's mean, and of its square, at the same tolerance (``_image_blocks``)
 IMAGE_STRUCTURE_RTOL = 1e-6
 #: the largest order at which a repeated eigenvalue takes the image route: its power sums
 #: failed from order 10
@@ -376,11 +379,12 @@ def _require_search_order(n: int) -> None:
 def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """Seek M making M A M^-1 uniform, up to the configured modulus spread.
 
-    At order 3 and above, a non-nilpotent A with one Jordan block per eigenvalue
-    is first searched in image space (``_image_search``): up to ``restarts``
-    restarts of at most ``max_iters`` steps each, one after another, and the
-    first that certifies is the outcome (see SearchOutcome for its fields).
-    Otherwise, or when that route finds nothing, the M search
+    At order 3 and above, a hook input (``_image_blocks``: not nilpotent, at most one
+    Jordan block larger than 1 x 1 per eigenvalue) is first searched in image space
+    (``_image_search``): up to ``restarts`` restarts of at most ``max_iters`` steps
+    each, one after another, and the first that certifies is the outcome (see
+    SearchOutcome for its fields).  Otherwise, or when that route finds nothing (so a
+    hook input that is not apportionable pays for both), the M search
     runs the configured restarts as one batch until one is found, all stall
     or converge, or the iteration budget ends: at order 2 by Levenberg-Marquardt
     (``_lm_search``; each restart runs its own damping ladder, so their step
@@ -653,13 +657,16 @@ def _lm_search(A: np.ndarray, As: np.ndarray, unit: float, cfg: SearchConfig) ->
 
 
 def _image_blocks(As: np.ndarray) -> Optional[tuple]:
-    """As's Jordan blocks as (eigenvalue, size) pairs where As is non-derogatory and not
-    nilpotent, else None: which route the search takes, never a verdict.
+    """As's Jordan blocks as (eigenvalue, size) pairs where As is a hook input, else None:
+    which route the search takes, never a verdict.
 
-    The eigenvalues are clustered by single linkage at IMAGE_STRUCTURE_RTOL |As|_F, and a
-    cluster of m > 1 is one block of size m where As - mu I, mu the cluster's mean, has
-    rank n - 1 at that tolerance.  A repeated eigenvalue above IMAGE_POWER_SUM_MAX_ORDER
-    is left to the M search too."""
+    A hook input is not nilpotent and has at most one block larger than 1 x 1 at each
+    eigenvalue.  The eigenvalues are clustered by single linkage at IMAGE_STRUCTURE_RTOL
+    |As|_F; for a cluster of m > 1 at its mean mu, C = As - mu I has g = n - rank(C)
+    blocks at that tolerance, and it is taken iff rank(C) - rank(C^2) <= 1, as one block
+    of size m - g + 1 and g - 1 of size 1.  A scalar matrix (g = n), whose only B is
+    mu I, and a repeated eigenvalue above IMAGE_POWER_SUM_MAX_ORDER are left to the M
+    search."""
     n = As.shape[0]
     tol = IMAGE_STRUCTURE_RTOL * float(np.linalg.norm(As))
     lam = np.linalg.eigvals(As)
@@ -675,10 +682,18 @@ def _image_blocks(As: np.ndarray) -> Optional[tuple]:
         placed |= members
         size = int(np.count_nonzero(members))
         mu = complex(lam[members].mean())
-        if size > 1 and (n > IMAGE_POWER_SUM_MAX_ORDER or np.count_nonzero(
-                np.linalg.svd(As - mu * np.eye(n), compute_uv=False) > tol) != n - 1):
-            return None
-        blocks.append((mu, size))
+        g = 1
+        if size > 1:
+            if n > IMAGE_POWER_SUM_MAX_ORDER:
+                return None
+            C = As - mu * np.eye(n)
+            s = np.linalg.svd(C, compute_uv=False)
+            rank = int(np.count_nonzero(s > tol))
+            g = n - rank
+            if not 1 <= g <= min(size, n - 1) or (g > 1 and rank - np.count_nonzero(
+                    np.linalg.svd(C @ C, compute_uv=False) > tol * s[0]) > 1):
+                return None
+        blocks += [(mu, size - g + 1)] + [(mu, 1)] * (g - 1)
     return tuple(blocks)
 
 
@@ -716,29 +731,46 @@ def _spectrum_jacobian(state, _lam: np.ndarray) -> np.ndarray:
 
 def _power_residual(p: np.ndarray, target):
     """The weighted power sums w_k (tr(B^k) - sum_i lam_i^k), k = 1 .. n, of B = ``_image(p)``,
-    as [Re; Im], and the state (B, powers B^0 .. B^n); target is (sum_i lam_i^k, w_k), with
-    w_k = 1 / (k rho^(k-1)) for rho = max |lam_i|, so that each term moves as an
-    eigenvalue does."""
-    sums, w = target
+    then for each (mu, g) of target's ranks U^H (B - mu I) V, as [Re; Im], and the state (B,
+    powers B^0 .. B^n, frames (U, V)).  Target is (sum_i lam_i^k, w_k, ranks), w_k =
+    1 / (k rho^(k-1)) for rho = max |lam_i|, so that each term moves as an eigenvalue does.
+    U, V are the trailing g singular vectors of B - mu I, so the g x g rank term is diag of
+    its g least singular values: 0 where rank(B - mu I) <= n - g."""
+    sums, w, ranks = target
     n = sums.size
     B = _image(p, n)
     powers = np.empty((n + 1, n, n), dtype=complex)
     powers[0] = np.eye(n)
     for k in range(n):
         powers[k + 1] = powers[k] @ B
-    d = w * (np.trace(powers[1:], axis1=1, axis2=2) - sums)
-    return np.concatenate([d.real, d.imag]), (B, powers)
+    d = [w * (np.trace(powers[1:], axis1=1, axis2=2) - sums)]
+    frames = []
+    for mu, g in ranks:
+        U, sv, Vh = np.linalg.svd(B - mu * powers[0])
+        frames.append((U[:, -g:], Vh[-g:].conj().T))
+        d.append(np.diag(sv[-g:]).ravel())
+    d = np.concatenate(d)
+    return np.concatenate([d.real, d.imag]), (B, powers, frames)
 
 
 def _power_jacobian(state, target) -> np.ndarray:
     """d tr(B^k) / d theta_ab = k i (B^(k-1))_ba B_ab and d tr(B^k) / d log kappa = k tr(B^k),
-    weighted, as [Re; Im] rows."""
-    B, powers = state
+    weighted; d (U^H B V)_ij / d theta_ab = conj(U_ai) i B_ab V_bj and U^H B V for log kappa,
+    in the frames held fixed; as [Re; Im] rows."""
+    B, powers, frames = state
     n = B.shape[0]
     wk = target[1] * np.arange(1, n + 1)
     J = np.empty((n, n * n + 1), dtype=complex)
     J[:, :-1] = (1j * wk[:, None, None] * powers[:-1].swapaxes(1, 2) * B).reshape(n, n * n)
     J[:, -1] = wk * np.trace(powers[1:], axis1=1, axis2=2)
+    rows = [J]
+    for U, V in frames:
+        Uh, g = U.conj().T, U.shape[1]
+        Jr = np.empty((g * g, n * n + 1), dtype=complex)
+        Jr[:, :-1] = (Uh[:, None, :, None] * (1j * B) * V.T[:, None, :]).reshape(g * g, n * n)
+        Jr[:, -1] = (Uh @ B @ V).ravel()
+        rows.append(Jr)
+    J = np.concatenate(rows)
     return np.concatenate([J.real, J.imag])
 
 
@@ -750,11 +782,12 @@ def _image_lm(p: np.ndarray, residual, jacobian, target, steps: int, free_kappa:
     |r|^2, with the damping rules of ``_lm_search``; log kappa stays put unless
     ``free_kappa``.  The restart stops once |r|^2 reaches IMAGE_FOUND_COST, after
     LM_STALL_STEPS accepted steps in a row that each lower it by less than LM_STALL_RTOL
-    relative, once lam passes LM_MAX_DAMPING, after ``steps`` steps, or where a Jacobian
-    or a solve fails.  A rejected step only raises lam: counted as flat too, it stopped
-    restarts that were about to converge, and 34 of 264 searches (random diagonal
+    relative, once lam passes LM_MAX_DAMPING, after ``steps`` steps, or where a Jacobian,
+    ``eig`` or ``inv`` fails.  A rejected step only raises lam: counted as flat too, it
+    stopped restarts that were about to converge, and 34 of 264 searches (random diagonal
     matrices of order 3-16 and non-derogatory Jordan matrices, seeds 0-2) went on to the
-    M search, against none.  A point whose |r|^2 is not finite is rejected."""
+    M search, against none.  A step that is not finite (a singular solve) or a point whose
+    |r|^2 is not finite is rejected."""
     r, state = residual(p, target)
     cost = float(r @ r)
     lam, stall, J = LM_DAMPING, 0, None
@@ -768,7 +801,10 @@ def _image_lm(p: np.ndarray, residual, jacobian, target, steps: int, free_kappa:
                     J[:, -1] = 0.0
                 K = J @ J.T
             Kd = K + lam * np.trace(K) / K.shape[0] * np.eye(K.shape[0])
-            q = p - J.T @ np.linalg.solve(Kd, r)
+            q = p - J.T @ _solve(Kd, r[:, None], signature="dd->d")[:, 0]
+            if not np.isfinite(q).all():  # a singular solve: rejected
+                lam *= LM_DAMPING_UP
+                continue
             rq, state_q = residual(q, target)
         except np.linalg.LinAlgError:
             break
@@ -789,7 +825,8 @@ def _image_search(A: np.ndarray, As: np.ndarray, unit: float, cfg: SearchConfig,
 
     Distinct eigenvalues are matched by ``_spectrum_residual``, and M = W P V^-1 maps A's
     eigenvectors V onto B's, W, permuted by the match P; a repeated eigenvalue by the power
-    sums of ``_power_residual``, and M is ``jordan._intertwiner(As, B, blocks, seed)``.
+    sums of ``_power_residual``, with a rank term for each eigenvalue in g >= 2 blocks, and M
+    is ``jordan._intertwiner(As, B, blocks, seed)``.
     Restart r starts from Theta = the first n^2 entries of ``_initial_points``' row r, at
     log kappa = IMAGE_KAPPA_START times the Schur floor, or at ``kappa`` (at A's scale),
     which then stays fixed.  Every candidate is certified by ``_certify_search_point``.
@@ -797,7 +834,8 @@ def _image_search(A: np.ndarray, As: np.ndarray, unit: float, cfg: SearchConfig,
     1-based index of its restart, and ``restart_defects`` holds each restart tried, the
     find's included, by its final residual norm |r| (in eigenvalue units) times ``unit``."""
     n = As.shape[0]
-    if len(blocks) == n:
+    count = Counter(mu for mu, _ in blocks)
+    if len(count) == n:
         lam, V = np.linalg.eig(As)
         residual, jacobian, target = _spectrum_residual, _spectrum_jacobian, lam
     else:
@@ -805,7 +843,8 @@ def _image_search(A: np.ndarray, As: np.ndarray, unit: float, cfg: SearchConfig,
         k = np.arange(1, n + 1)[:, None]
         rho = float(np.abs(lam).max())
         residual, jacobian = _power_residual, _power_jacobian
-        target = ((lam ** k).sum(axis=1), 1.0 / (k[:, 0] * rho ** (k[:, 0] - 1)))
+        target = ((lam ** k).sum(axis=1), 1.0 / (k[:, 0] * rho ** (k[:, 0] - 1)),
+                  tuple((mu, g) for mu, g in count.items() if g > 1))
     if kappa is None:
         log_kappa = math.log(IMAGE_KAPPA_START * float(np.sqrt(np.vdot(lam, lam).real)) / n)
     else:

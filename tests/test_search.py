@@ -817,17 +817,23 @@ class TestSearchScale:
     def test_in_range_input_scaled(self, monkeypatch):
         # an input of modest scale is searched at unit scale too, A 2^-e, on
         # the order-2 path (LM residuals), the image route (its residual's
-        # targets are the eigenvalues of A 2^-e) and the BFGS path alike
+        # targets are the eigenvalues of A 2^-e, and its rank term's eigenvalue
+        # is one of them) and the BFGS path alike
         from apportion import search
         from apportion.core import times_power_of_two, unit_exponent
 
-        for name, A, target in (
-                ("_lm_residuals", np.diag([1e-9, -1e-9]).astype(complex), lambda u: u),
+        for name, A, matches in (
+                ("_lm_residuals", np.diag([1e-9, -1e-9]).astype(complex),
+                 lambda u, a: np.array_equal(a, u)),
                 ("_spectrum_residual", np.diag([1e-9, -1e-9, 2e-9]).astype(complex),
-                 lambda u: np.linalg.eig(u)[0]),
-                # a repeated eigenvalue in two blocks: the image route does not take it
-                ("_objective_batch", np.diag([1e-9, 1e-9, -2e-9]).astype(complex),
-                 lambda u: u)):
+                 lambda u, a: np.array_equal(a, np.linalg.eig(u)[0])),
+                # a repeated eigenvalue in two blocks of size 1: a hook input
+                ("_power_residual", np.diag([1e-9, 1e-9, -2e-9]).astype(complex),
+                 lambda u, a: a[2] == ((u[0, 0], 2),)),
+                # J2 + J2 at one eigenvalue is not a hook input: the image route does not
+                # take it
+                ("_objective_batch", 1e-9 * build_jordan(JordanSpec(((1, 2), (1, 2)))),
+                 lambda u, a: np.array_equal(a, u))):
             seen = []
 
             def spy(X, A_, evaluate=getattr(search, name)):
@@ -838,7 +844,7 @@ class TestSearchScale:
             find_apportioning(A, SearchConfig(restarts=2, max_iters=2))
             unit = times_power_of_two(A, -unit_exponent(A))
             assert 1.0 <= np.abs(unit).max() < 2.0
-            assert seen and all(np.array_equal(a, target(unit)) for a in seen)
+            assert seen and all(matches(unit, a) for a in seen)
 
     @pytest.mark.parametrize("k", [-40, -3, 5, 40, 100])
     def test_search_is_scale_equivariant(self, k):
@@ -886,6 +892,29 @@ _NON_DEROGATORY = [
     [(1, 2), (-2, 1)], [(0.5j, 2), (1, 1)], [(1, 2), (-2, 1), (3j, 1)], [(1, 3), (-1, 1)],
     [(1, 2), (-1, 2)], [(1, 4), (-3, 1)], [(1, 3), (1j, 2), (-2, 1)],
 ]
+
+#: refuted hook inputs, searched with their true blocks (the rank term): diag(lam, lam, mu),
+#: lam I_4 + [mu] and I_3 + O_1
+_REFUTED_HOOKS = st.one_of(
+    st.tuples(_ROUTE_EIGENVALUES, _ROUTE_EIGENVALUES, st.sampled_from((2, 4))).map(
+        lambda t: JordanSpec(((t[0], 1),) * t[2] + ((t[1], 1),))),
+    st.just(JordanSpec(((1 + 0j, 1),) * 3 + ((0j, 1),))))
+#: hook inputs found by the rank term: search-orders' four derogatory rows, then
+#: diag(1, 1, 2, 3), diag(1, 1, -1, -1, 2), J2(1) + [1] + [2] and diag(1, 2, 3, 0, 0)
+_HOOKS = [
+    [(1.5, 1), (0, 1), (0, 1)], [(1, 1), (-0.5 + 1j, 1), (0, 1), (0, 1)],
+    [(0.8, 2), (0, 1), (0, 1)], [(0, 2), (1.2j, 1), (0, 1)],
+    [(1, 1), (1, 1), (2, 1), (3, 1)], [(1, 1), (1, 1), (-1, 1), (-1, 1), (2, 1)],
+    [(1, 2), (1, 1), (2, 1)], [(1, 1), (2, 1), (3, 1), (0, 1), (0, 1)],
+]
+
+
+def _doubled_diagonals():
+    """Ten fixed random diagonal matrices of each order 4, 6 and 8, each eigenvalue (standard
+    complex normal) twice."""
+    rng = np.random.default_rng(22)
+    return [np.diag(np.repeat(rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2), 2))
+            for n in (4, 6, 8) for _ in range(10)]
 
 
 def _random_diagonals():
@@ -940,10 +969,14 @@ class TestImageRoute:
         ([(1, 1), (2, 1), (0, 1)], True),
         ([(0, 3)], False),                            # nilpotent
         ([(0, 2), (0, 2)], False),                    # nilpotent and derogatory
-        ([(1.5, 1), (0, 1), (0, 1)], False),          # 0 in two blocks
-        ([(1, 1), (1, 1), (2, 1), (3, 1)], False),    # 1 in two blocks
+        ([(1.5, 1), (0, 1), (0, 1)], True),           # 0 in two blocks: a hook
+        ([(1, 1), (1, 1), (2, 1), (3, 1)], True),     # 1 in two blocks: a hook
         ([(1, 5), (2, 4)], False),                    # a repeated eigenvalue above order 8
         ([(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (8, 1), (9, 1)], True),
+        ([(0, 2), (1.2j, 1), (0, 1)], True),          # J2(0) + [0]: a hook
+        ([(1, 2), (1, 2)], False),                    # two blocks larger than 1 x 1
+        ([(2, 1)] * 3, False),                        # scalar
+        ([(1, 1), (1, 1)] + [(k, 1) for k in range(2, 9)], False),  # a repeat above order 8
     ])
     def test_eligibility(self, blocks, eligible):
         from apportion import search
@@ -980,3 +1013,85 @@ class TestImageRoute:
         alone = find_apportioning(A, cfg)
         assert len(routed) == 1
         assert after_route.to_json(True) == alone.to_json(True)
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(_REFUTED_HOOKS, st.sampled_from((-40, 40)),
+           st.sampled_from((None, 1.0, 1.5, 3.0, 16.0)))
+    def test_route_never_finds_refuted_hooks(self, spec, k, c):
+        # the route called directly with the true blocks, so that the rank term runs
+        from apportion import Verdict, classify
+
+        assume(classify(spec).verdict is Verdict.NOT_APPORTIONABLE)
+        A = build_jordan(spec) * 2.0 ** k
+        kappa = None if c is None else c * max(trace_lower_bound(A), hadamard_lower_bound(A))
+        cfg = SearchConfig(restarts=4, max_iters=300, seed=0, defect_target=1e-6)
+        assert _route(A, spec.blocks, cfg, kappa) is None
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hooks_found_by_the_route(self, seed):
+        # a route find's transcript ends at its winner; the M search's holds every restart
+        cfg = SearchConfig(seed=seed)
+        hooks = [build_jordan(JordanSpec(tuple((complex(lam), size) for lam, size in blocks)))
+                 for blocks in _HOOKS]
+        for A in hooks + _doubled_diagonals():
+            out = find_apportioning(A, cfg)
+            assert out.found and len(out.restart_defects) == out.restarts_used, np.diag(A)
+            verify_certificate(out.certificate, A, tol=_search_tol(A, cfg))
+
+    @pytest.mark.parametrize("blocks, hook", [
+        ([(0, 2), (1.2j, 1), (0, 1)], [(0, 2), (0, 1), (1.2j, 1)]),
+        ([(1, 1), (1, 2), (1, 1), (2, 1)], [(1, 2), (1, 1), (1, 1), (2, 1)]),
+        ([(1, 1), (1, 1), (1, 1), (0, 1)], [(1, 1), (1, 1), (1, 1), (0, 1)]),
+    ])
+    def test_hook_blocks(self, blocks, hook):
+        # one block of size m - g + 1 and g - 1 of size 1 per eigenvalue, in any order
+        from apportion import search
+
+        A = build_jordan(JordanSpec(tuple((complex(lam), size) for lam, size in blocks)))
+        assert sorted(search._image_blocks(A), key=repr) == sorted(
+            ((complex(lam), size) for lam, size in hook), key=repr)
+
+    def test_rank_term_jacobian_matches_central_differences(self):
+        # in the frames (U, V) of the point, the rank term is U^H (B - mu I) V
+        from apportion import search
+
+        rng = np.random.default_rng(5)
+        n, mu, g = 4, 0.5 + 0.25j, 2
+        sums, w = rng.standard_normal(n) + 0j, np.ones(n)
+        target = (sums, w, ((mu, g),))
+        p = np.append(rng.standard_normal(n * n), 0.1)
+        _, state = search._power_residual(p, target)
+        U, V = state[2][0]
+        J = search._power_jacobian(state, target)
+        rows = 2 * (n + g * g)
+        assert J.shape == (rows, n * n + 1)
+
+        def term(q):
+            t = (U.conj().T @ (search._image(q, n) - mu * np.eye(n)) @ V).ravel()
+            return np.concatenate([t.real, t.imag])
+
+        h = 1e-6
+        for j in range(n * n + 1):
+            e = np.zeros(n * n + 1)
+            e[j] = h
+            num = (term(p + e) - term(p - e)) / (2 * h)
+            got = np.concatenate([J[n:n + g * g, j], J[2 * n + g * g:, j]])
+            assert np.abs(got - num).max() < 1e-7
+
+    def test_singular_step_rejected(self):
+        # J = 0 leaves the damped system singular: its non-finite step is rejected, as a
+        # step that does not lower |r|^2 is, and the residual is never evaluated there
+        from apportion import search
+
+        seen = []
+
+        def residual(p, _target):
+            seen.append(p.copy())
+            return np.array([1.0, 2.0]), "state"
+
+        p0 = np.array([0.1, 0.2, 0.3])
+        with np.errstate(invalid="ignore"):
+            p, cost, state = search._image_lm(p0, residual, lambda *_: np.zeros((2, 3)),
+                                              None, 100, True)
+        assert np.array_equal(p, p0) and cost == 5.0 and state == "state"
+        assert len(seen) == 1
