@@ -4,10 +4,10 @@ Each public ``apportion_*`` function returns an ApportionCertificate (M, its inv
 the uniform image B = M A M^-1 and the achieved modulus), built in closed form by its
 matrix class's rule (``rules.RULES``) through one route, ``_by_rule``: it matches the rule
 on a JordanSpec, builds with the match's builder, places the certificate in the spec's
-block order (``_placed``) and checks it against the caller's matrix.
-``request_certificate`` takes a classified matrix's rule; the constructors call it on
-their class's spec, but half rank and I + O, whose inputs can classify under an earlier
-rule, name theirs.  Only the perturbed identity's Fourier route is built outside it.
+block order (``_placed``) and checks it against the caller's matrix: the raw entries a
+constructor was given (zero-padded for A + O_m), else the spec's Jordan matrix.
+``request_certificate`` takes a classified matrix's rule, and so do the constructors but
+half rank, I + O and 2x2, which name theirs.
 Every certificate leaves the package through ``_certified``, whether it comes from a
 constructor, a padding, scaling or reordering helper, ``request_certificate`` or
 the search: a requested kappa is read once, by ``_member``, against its class's
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .jordan import (_arranged_spec, _block_rows, _inverse_below, _require_dense_order,
                      build_jordan, geometric_diagonal)
-from .reports import ClassificationReport, ConstantSet, SetShape, Verdict
+from .reports import MEMBERSHIP_RTOL, ClassificationReport, ConstantSet, SetShape, Verdict
 from .rules import (_PERTURB_ORDER_REFUSAL, _RULES_BY_TAG, MatrixLike, TemplateKind,
                     _classify_spec, _half_rank_constants, _order_two, perturb_identity_constants)
 from .scalar import DEFAULT_TOL, Tolerance, _integer, modulus
@@ -268,6 +268,11 @@ def _coerce_spec(a) -> JordanSpec:
     return a if isinstance(a, JordanSpec) else _arranged_spec(a)
 
 
+def _entries(a, spec: JordanSpec) -> np.ndarray:
+    """What a certificate for ``a`` is checked against: raw entries, or spec's Jordan matrix."""
+    return build_jordan(spec) if isinstance(a, JordanSpec) else as_matrix(a)
+
+
 def _by_rule(tag: str, spec: JordanSpec, A, kappa=None) -> ApportionCertificate:
     """The certificate of rule ``tag`` for ``spec``, checked against A: the rule is matched
     on ``spec``, kappa is read against that match's constant set (its default member when
@@ -287,16 +292,16 @@ def request_certificate(input_matrix: MatrixLike, kappa: Optional[float] = None,
     """Build a certificate for an Apportionable input at ``kappa``.
 
     ``kappa`` is read against the constant set of the report's rule matched on the input,
-    the matrix being built, and defaults to a deterministic member of it.  Raises
+    the matrix being built, and defaults to a deterministic member of it (at a perturbed
+    identity, the least, where the certificate is the unitary Fourier transform).  Raises
     InvalidInputError when kappa is not real, the verdict is not Apportionable or the rule
     does not match the input (the certificate is built by that rule, for the shape it
     matches); ConstantNotAchievableError when kappa is outside the (known part of the)
-    set; and ConstructionError when the construction leaves the float range.  Raw
-    entries must already sit in Jordan-block arrangement (certificates are
-    built for the input matrix, in its own block order); conjugated raw input
-    is refused since recovering a transforming basis for it is out of scope.
-    The certificate is checked once, against the raw entries themselves when
-    they are given, else against the Jordan matrix of the spec.
+    set; and ConstructionError when the construction leaves the float range or fails its
+    check.  Raw entries must already sit in Jordan-block arrangement (certificates are
+    built for the input matrix, in its own block order); conjugated raw input is refused
+    since recovering a transforming basis for it is out of scope.  The certificate is
+    checked once, against the raw entries as given, else against the spec's Jordan matrix.
     """
     spec = _coerce_spec(input_matrix)
     report = report or _classify_spec(spec)
@@ -304,8 +309,7 @@ def request_certificate(input_matrix: MatrixLike, kappa: Optional[float] = None,
         raise InvalidInputError(
             f"no constructive certificate: verdict is {report.verdict.value}"
         )
-    A = build_jordan(spec) if isinstance(input_matrix, JordanSpec) else as_matrix(input_matrix)
-    return _by_rule(report.theorem_tag, spec, A, kappa)
+    return _by_rule(report.theorem_tag, spec, _entries(input_matrix, spec), kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +421,18 @@ def _nilpotent(spec: JordanSpec, kappa: float) -> tuple[ApportionCertificate, tu
                          CertTag.NILPOTENT)
 
 
-def apportion_nilpotent(spec: JordanSpec, kappa: float) -> ApportionCertificate:
+def apportion_nilpotent(A_or_spec: MatrixLike, kappa: float) -> ApportionCertificate:
     """Apportion a nilpotent Jordan matrix at a member kappa of its set: any kappa > 0,
     or kappa = 0 for the zero matrix (M = I, B = O).
 
-    Size-1 blocks are stripped, the core construction runs on the remaining
-    blocks, the stripped blocks are re-attached by zero padding (modulus
-    preserved at each step), and the result is placed in input block order.
+    Size-1 blocks are stripped, the core construction runs on the remaining blocks, the
+    stripped blocks are re-attached by zero padding (modulus preserved at each step), and
+    the result is placed in input block order.  Built by ``request_certificate`` on the
+    input: checked against raw entries as given, or the call raises ConstructionError.
     """
-    spec = _coerce_spec(spec)
-    if not spec.is_nilpotent():
+    if not _coerce_spec(A_or_spec).is_nilpotent():
         raise InvalidInputError("spectrum must be exactly zero")
-    return request_certificate(spec, kappa)
+    return request_certificate(A_or_spec, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -583,28 +587,30 @@ def apportion_half_rank(A_or_spec: Union[JordanSpec, np.ndarray],
     """Apportion a matrix of rank at most half its order at any kappa above
     half the spectral radius (strict).
 
-    Nilpotent input is delegated to the nilpotent construction.  When the rank
-    is strictly below half the order, zero 1-blocks are peeled off until rank
-    equals half the order, the exact construction runs, the peeled blocks are
-    re-attached by zero padding, and the result is placed in input block order.
+    Nilpotent input is delegated to the nilpotent construction.  When the rank is strictly
+    below half the order, zero 1-blocks are peeled off until rank equals half the order,
+    the exact construction runs, the peeled blocks are re-attached by zero padding, and
+    the result is placed in input block order.  The certificate is checked against raw
+    entries as given, or the call raises ConstructionError.
     """
     spec = _coerce_spec(A_or_spec)
     if spec.is_nilpotent():
-        return apportion_nilpotent(spec, kappa)
+        return request_certificate(A_or_spec, kappa)
     n, r = spec.order, spec.rank
     if 2 * r > n:
         raise InvalidInputError(
             f"rank {r} exceeds half the order {n}; this construction does not apply")
-    return _by_rule("half-rank", spec, build_jordan(spec), kappa)
+    return _by_rule("half-rank", spec, _entries(A_or_spec, spec), kappa)
 
 
 def apportion_A_oplus_zeros(A_or_spec: Union[JordanSpec, np.ndarray],
                             kappa: float) -> tuple[ApportionCertificate, int]:
     """Pad A (rank r >= order/2) with zeros up to order 2r and apportion.
 
-    Returns the certificate together with the padding count m = 2r - n, an
-    upper-bound witness for the least number of zero rows/columns that make
-    the matrix apportionable.
+    Returns the certificate together with the padding count m = 2r - n, an upper-bound
+    witness for the least number of zero rows/columns that make the matrix apportionable.
+    The certificate is checked against raw entries as given, padded by m zeros, or the
+    call raises ConstructionError.
     """
     spec = _coerce_spec(A_or_spec)
     n, r = spec.order, spec.rank
@@ -612,7 +618,8 @@ def apportion_A_oplus_zeros(A_or_spec: Union[JordanSpec, np.ndarray],
         raise InvalidInputError("rank below half the order: no padding is needed")
     m = 2 * r - n
     padded = JordanSpec(spec.blocks + ((0j, 1),) * m)
-    return apportion_half_rank(padded, kappa), m
+    tag = "nilpotent" if spec.is_nilpotent() else "half-rank"
+    return _by_rule(tag, padded, np.pad(_entries(A_or_spec, spec), (0, m)), kappa), m
 
 
 # ---------------------------------------------------------------------------
@@ -713,10 +720,14 @@ def apportion_rank_one(lam: complex, n: int, kappa: float) -> ApportionCertifica
 # rank-one perturbations of the identity
 # ---------------------------------------------------------------------------
 
-def _perturb_identity(n: int, lam: complex, target: Optional[float]) -> ApportionCertificate:
-    """``apportion_perturb_identity`` at a member target, unchecked, for an
-    apportionable lam."""
-    if target is None:
+def _perturb_identity(n: int, lam: complex, target: float) -> ApportionCertificate:
+    """``apportion_perturb_identity`` at a member target, unchecked: the unitary Fourier
+    transform at the set's least member, else the bordered anti-identity.  The least is
+    matched within membership's tolerance (the rule's |mu|-scaled member over |mu| can miss
+    it by an ulp), and a finite set's other members are snapped to, recovering their s."""
+    constants = perturb_identity_constants(n, lam)
+    least = constants.smallest_member()
+    if abs(target - least) <= MEMBERSHIP_RTOL * least:
         j, k = np.indices((n, n))
         F = np.exp(-2j * np.pi * j * k / n) / math.sqrt(n)     # the unitary Fourier matrix
         f = F[:, n - 1]
@@ -724,24 +735,16 @@ def _perturb_identity(n: int, lam: complex, target: Optional[float]) -> Apportio
         kappa = math.hypot(0.5, lam.imag / n)
         return _certificate(F, F.conj().T, B, kappa, CertTag.PERTURB_IDENTITY)
 
-    constants = perturb_identity_constants(n, lam)
     finite = constants.shape is SetShape.FINITE
-    # a finite set: snap to the exact member and recover its index s (the perturb rule's
-    # member of the set scaled by |mu|, divided by |mu|, can miss it by an ulp)
     t = min(constants.values, key=lambda v: abs(v - target)) if finite else target
-    q = math.sqrt(max(0.0, t * t - 0.25))
-    r_plus = n // 2
-    if finite and q != 0.0:
-        r_plus = round((n - lam.imag / q) / 2.0)
-        if not 0 <= r_plus <= n:
-            raise ConstructionError("diagonal sign count out of range")
-    w_hi = (0.5 + 1j * q) / (1.0 - lam)
-    w_lo = (0.5 - 1j * q) / (1.0 - lam)
-    w = np.array([w_hi] * r_plus + [w_lo] * (n - r_plus))
-    M = np.zeros((n, n), dtype=complex)
+    q = math.sqrt(max(0.0, t * t - 0.25))   # > 0 off the least member
+    r_plus = round((n - lam.imag / q) / 2.0) if finite else n // 2
+    if not 0 <= r_plus <= n:
+        raise ConstructionError("diagonal sign count out of range")
+    w = np.array([(0.5 + 1j * q) / (1.0 - lam)] * r_plus
+                 + [(0.5 - 1j * q) / (1.0 - lam)] * (n - r_plus))
+    M = np.flipud(np.eye(n, dtype=complex))     # the anti-identity, bordered
     M[0, : n - 1] = -1.0
-    for i in range(1, n):
-        M[i, n - 1 - i] = 1.0
     M[:, n - 1] = w
     Minv = np.linalg.solve(M, np.eye(n, dtype=complex))
     B = np.eye(n, dtype=complex) - (1.0 - lam) * np.outer(w, np.ones(n))
@@ -751,25 +754,21 @@ def _perturb_identity(n: int, lam: complex, target: Optional[float]) -> Apportio
 def apportion_perturb_identity(
     n: int, lam: complex, target: Optional[float] = None
 ) -> Union[ApportionCertificate, ClassificationReport]:
-    """Apportion I_(n-1) + [lam] (n >= 3) when Re(lam) = 1 - n/2.
+    """Apportion I_(n-1) + [lam] (n >= 3) when Re(lam) = 1 - n/2 at ``target`` (default: the
+    least member of its set) by ``request_certificate``, checked against I_(n-1) + [lam].
 
-    Without a target the unitary Fourier transform is the certificate, with
-    diagonal entries 1/2 + (Im(lam)/n) i.  With a target it is validated
-    against the constant set and realized by the bordered anti-identity whose
-    last column holds the two conjugate diagonal values.  When Re(lam) misses
-    1 - n/2 the refusal is returned as a NotApportionable report, not raised.
+    At the least member the certificate is the unitary Fourier transform, with diagonal
+    entries 1/2 + (Im(lam)/n) i; at any other, the bordered anti-identity whose last column
+    holds the two conjugate diagonal values.  When Re(lam) misses 1 - n/2 the refusal is
+    returned as a NotApportionable report, not raised.
     """
     n = _integer(n, 3, refusal=_PERTURB_ORDER_REFUSAL)
     _require_dense_order(n)
     lam = complex(lam)
-    constants = perturb_identity_constants(n, lam)
-    if constants is None:
+    if perturb_identity_constants(n, lam) is None:
         return ClassificationReport(Verdict.NOT_APPORTIONABLE, ConstantSet.empty(),
                                     "perturb-identity")
-    spec = JordanSpec(((1 + 0j, 1),) * (n - 1) + ((lam, 1),))
-    if target is not None:
-        return request_certificate(spec, target)
-    return _certified(lambda _: _perturb_identity(n, lam, None), build_jordan(spec))
+    return request_certificate(JordanSpec(((1 + 0j, 1),) * (n - 1) + ((lam, 1),)), target)
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +848,8 @@ def apportion_2x2(l1: complex, l2: complex,
     found = _order_two(l1, l2)
     if found is None:
         return ClassificationReport(Verdict.NOT_APPORTIONABLE, ConstantSet.empty(), "two-by-two")
-    cert = request_certificate(JordanSpec(((l1, 1), (l2, 1))), target)
+    spec = JordanSpec(((l1, 1), (l2, 1)))
+    cert = _by_rule("two-by-two", spec, build_jordan(spec), target)
     return ClassificationReport(Verdict.APPORTIONABLE, found[2], "two-by-two", cert)
 
 

@@ -380,6 +380,39 @@ class TestAOplusZeros:
             apportion_A_oplus_zeros(JordanSpec(((1 + 0j, 1), (0j, 1), (0j, 1))), 2.0)
 
 
+#: raw entries in Jordan-block arrangement with one entry of 1e-13 max|A| off the blocks:
+#: J2(0) + [0], diag(1, 0, 0) and [1] + J2(0)
+N_OFF, HALF_OFF, OPLUS_OFF = (np.array(rows, dtype=complex) for rows in (
+    [[0, 1, 1e-13], [0, 0, 0], [0, 0, 0]],
+    [[1, 1e-13, 0], [0, 0, 0], [0, 0, 0]],
+    [[1, 0, 1e-13], [0, 0, 1], [0, 0, 0]]))
+
+
+@pytest.mark.parametrize("call, A, certifies", [
+    # the scaled nilpotent transform amplifies the off-block entry past kappa's tolerance
+    # at kappa = 1e-6, where the check against the entries fails
+    (lambda: apportion_nilpotent(N_OFF, 1e-6), N_OFF, False),
+    (lambda: apportion_nilpotent(N_OFF, 1e-3), N_OFF, True),
+    (lambda: apportion_nilpotent(N_OFF, 1.0), N_OFF, True),
+    (lambda: apportion_half_rank(HALF_OFF, 0.6), HALF_OFF, True),
+    (lambda: apportion_half_rank(HALF_OFF, 100.0), HALF_OFF, True),
+    (lambda: apportion_half_rank(N_OFF, 1e-6), N_OFF, False),
+    (lambda: apportion_A_oplus_zeros(OPLUS_OFF, 0.6)[0], np.pad(OPLUS_OFF, (0, 1)), True),
+    (lambda: apportion_A_oplus_zeros(OPLUS_OFF, 1e3)[0], np.pad(OPLUS_OFF, (0, 1)), False),
+], ids=["nilpotent-1e-6", "nilpotent-1e-3", "nilpotent-1", "half-rank-0.6", "half-rank-100",
+        "half-rank-nilpotent-1e-6", "A-oplus-zeros-0.6", "A-oplus-zeros-1e3"])
+def test_raw_entries_certify_against_themselves_or_raise(call, A, certifies):
+    # a certificate for raw entries verifies against those entries (zero-padded for
+    # A + O_m), or the call raises ConstructionError, as request_certificate does
+    from apportion import ConstructionError
+
+    if not certifies:
+        with pytest.raises(ConstructionError):
+            call()
+        return
+    verify_certificate(call(), A)
+
+
 class TestSpiralSum:
     def test_full_sum(self):
         sol = spiral_sum(2, 0.5)
@@ -521,6 +554,18 @@ class TestPerturbIdentity:
         assert np.abs(cert.M @ cert.M.conj().T - np.eye(5)).max() < 1e-12
         A = np.diag([1, 1, 1, 1, lam]).astype(complex)
         check_cert(cert, A, math.hypot(0.5, lam.imag / 5))
+
+    @pytest.mark.parametrize("mu", [1, 2 - 1j])
+    @pytest.mark.parametrize("im", [0.0, 0.7])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_default_member_is_the_unitary_fourier_certificate(self, n, im, mu):
+        # request_certificate at mu (I_(n-1) + [lam])'s least member builds the Fourier
+        # transform, as apportion_perturb_identity does without a target
+        lam = complex(1 - n / 2, im)
+        spec = JordanSpec(((complex(mu), 1),) * (n - 1) + ((mu * lam, 1),))
+        cert = request_certificate(spec)
+        assert np.abs(cert.M @ cert.M.conj().T - np.eye(n)).max() <= 1e-12
+        check_cert(cert, build_jordan(spec), abs(mu) * math.hypot(0.5, im / n))
 
     def test_refusal_is_report_not_error(self):
         result = apportion_perturb_identity(3, 0.0)
@@ -1084,6 +1129,9 @@ def _route_cases():
         for t in perturb_identity_constants(n, lam).values or (target,):
             add(lambda a=(n, lam, t): apportion_perturb_identity(*a),
                 lambda s=spec, t=t: request_certificate(s, t))
+        # without a target: the Fourier certificate, the rule's least member
+        add(lambda a=(n, lam): apportion_perturb_identity(*a),
+            lambda s=spec: request_certificate(s))
     for l1, l2, target in [(1.0, -1.0, None), (1.0, 1j, None), (1.0, -1.0, 2.0)]:
         spec = JordanSpec(((complex(l1), 1), (complex(l2), 1)))
         add(lambda a=(l1, l2, target): apportion_2x2(*a).certificate,
@@ -1123,6 +1171,8 @@ def _route_cases():
         for t in perturb_identity_constants(p, lam).values:
             add(lambda a=(p, lam, t): apportion_perturb_identity(*a),
                 lambda s=spec, t=t: request_certificate(s, t))
+        add(lambda a=(p, lam): apportion_perturb_identity(*a),
+            lambda s=spec: request_certificate(s))
         l1, l2 = (complex(rng.standard_normal(), rng.standard_normal()) for _ in range(2))
         if two_by_two_constants(l1, l2) is not None:
             spec = JordanSpec(((l1, 1), (l2, 1)))
@@ -1134,10 +1184,19 @@ def _route_cases():
     return cases
 
 
-def test_each_constructor_builds_by_the_rule_route():
+def test_each_constructor_builds_by_the_rule_route(monkeypatch):
     # request_certificate on the class's spec, or the half-rank and I + O rules themselves,
-    # whose inputs can classify under an earlier rule
+    # whose inputs can classify under an earlier rule: each call builds once, by _by_rule
+    import apportion.constructors as constructors
+
+    tags = []
+    by_rule = constructors._by_rule
+    monkeypatch.setattr(constructors, "_by_rule",
+                        lambda tag, *args: tags.append(tag) or by_rule(tag, *args))
     cases = _route_cases()
     assert len(cases) > 100
     for call, route in cases:
-        _same_certificate(call(), route())
+        tags.clear()
+        cert = call()
+        assert len(tags) == 1
+        _same_certificate(cert, route())
