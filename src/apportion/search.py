@@ -36,10 +36,14 @@ test then backtrack together, one batched call per step length 1/2, 1/4, ...,
 and each keeps the first step that passes.  The search direction is one
 batched matrix-vector product.  The inverse-Hessian update forms H y and its
 rank-two factors once per iteration, then adds their product to one
-cache-sized block of restarts at a time.  The best candidates are
-then confirmed by Gauss-Newton refinement of the uniformity residuals,
+cache-sized block of restarts at a time.  A candidate is confirmed
+(``_confirm``) by Gauss-Newton refinement of the uniformity residuals,
 re-measured with the true modulus spread, and re-verified through the core
-checks.
+checks.  The first time a running restart's spread is within
+CANDIDATE_WINDOW times the target, the best such restart is confirmed at
+once, and a find ends the search there; otherwise the search runs on as if
+that attempt had not been made, and the best CANDIDATES restarts are
+confirmed once every restart has stopped.
 
 Either way the search can only err toward "not found".  ``SearchConfig``
 holds the four settings, ``restarts``, ``max_iters``, ``seed`` and
@@ -59,8 +63,8 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .constructors import (ApportionCertificate, CertTag, _certificate, _certified,
-                           request_certificate)
+from .constructors import (ApportionCertificate, CertTag, _by_rule, _certificate, _certified,
+                           _coerce_spec)
 from .core import (RCOND_THRESHOLD, as_matrix, inverse_and_rcond, is_uniform,
                    times_power_of_two, unit_exponent)
 from .errors import ConstructionError, InvalidInputError, SearchBudgetError
@@ -194,6 +198,9 @@ class SearchOutcome:
     restart's best spread for transcript output: after a find, each one's
     best when the search stopped.  At order 2 the restarts do not run in
     step (see ``_lm_search``), so some may have run further than the winner.
+    An order >= 3 M-search find can end at the first candidate confirmed,
+    while the other restarts still run: ``best_defect`` is then the winner's
+    refined spread, and each transcript entry that restart's best so far.
     On an image-route find (``_image_search``) the restarts run one at a time:
     ``best_defect`` is the certificate's modulus spread max|B| - min|B|,
     ``restarts_used`` the winner's index, and ``restart_defects`` one entry per
@@ -391,12 +398,15 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     counts drift apart), above it by BFGS in lockstep.  A BFGS iteration
     costs one batched objective call for the full steps, plus one more per
     shorter step length while some restart still backtracks, on those
-    restarts alone; once a restart reaches the target spread, the
-    best few candidates are confirmed by Gauss-Newton refinement of the
-    uniformity residuals.  A success is accepted only if M passes the
-    nonsingularity gate and the image re-verifies as uniform at the target
-    tolerance; failure to find is reported as evidence only, never as a
-    verdict.
+    restarts alone.  The first time a running restart comes within
+    CANDIDATE_WINDOW times the target spread, the best such one is confirmed
+    by Gauss-Newton refinement of the uniformity residuals, and the search
+    ends if it certifies; else it runs on until a restart reaches the target
+    or all stop, and the best few candidates are confirmed the same way,
+    with an outcome that the early attempt leaves unchanged.  A success is
+    accepted only if M passes the nonsingularity gate and the image
+    re-verifies as uniform at the target tolerance; failure to find is
+    reported as evidence only, never as a verdict.
     """
     A = as_matrix(A, square=True, name="A")
     n = A.shape[0]
@@ -429,6 +439,8 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     ids = np.arange(R)
     held_best, held_best_X = spread.copy(), X.copy()
     best_spread, best_X = np.empty(R), np.empty_like(X)
+    window = CANDIDATE_WINDOW * cfg.defect_target
+    early = True  # no restart has come within the candidate window yet
 
     for _ in range(cfg.max_iters):
         if (spread <= cfg.defect_target).any():
@@ -441,6 +453,18 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
                 a[keep] for a in (ids, X, f, g, spread, H, stall, held_best, held_best_X))
             if ids.size == 0:
                 break
+        if early:
+            # the first time some running restart is within the window, the best one is
+            # confirmed at once; if that fails, the search runs on as if it had not been tried
+            near = np.flatnonzero(spread <= window)
+            if near.size:
+                early = False
+                k = int(near[np.lexsort((ids[near], spread[near]))[0]])
+                rs, cert = _confirm(X[k], A, As, cfg)
+                if cert is not None:
+                    best_spread[ids] = held_best
+                    return SearchOutcome(True, rs * unit, cert, int(ids[k]) + 1,
+                                         tuple(float(d) * unit for d in best_spread))
         p = -(H @ g[:, :, None])[:, :, 0]
         gTp = np.einsum("ri,ri->r", g, p)
         uphill = gTp >= 0
@@ -487,24 +511,31 @@ def find_apportioning(A, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
 
     order = np.lexsort((np.arange(R), best_spread))
     defects = tuple(float(d) * unit for d in best_spread)
-    window = CANDIDATE_WINDOW * cfg.defect_target
-    confirm_target = cfg.defect_target * CONFIRM_FACTOR
     best = float(best_spread[int(order[0])])
-    # a candidate counts as found only if the equal-modulus residual system is
-    # solvable right next to it: Gauss-Newton collapses the spread by orders
-    # of magnitude near a genuine solution, while near-boundary pseudo
-    # solutions (uniformizable only with unbounded entries) barely move
     for idx in order[: CANDIDATES]:
         idx = int(idx)
         if best_spread[idx] > window:
             break
-        rx, rs = _uniformity_refine(best_X[idx], As, CONFIRM_STEPS)
+        rs, cert = _confirm(best_X[idx], A, As, cfg)
         best = min(best, rs)
-        if rs <= confirm_target:
-            cert = _certify_search_point(rx, A, cfg)
-            if cert is not None:
-                return SearchOutcome(True, rs * unit, cert, idx + 1, defects)
+        if cert is not None:
+            return SearchOutcome(True, rs * unit, cert, idx + 1, defects)
     return SearchOutcome(False, best * unit, None, R, defects)
+
+
+def _confirm(x: np.ndarray, A: np.ndarray, As: np.ndarray, cfg: SearchConfig):
+    """The refined spread of the M search's candidate x (at As's scale) and its
+    certificate against A, or None.
+
+    A candidate counts as found only if the equal-modulus residual system is
+    solvable right next to it: Gauss-Newton collapses the spread by orders of
+    magnitude near a genuine solution, while near-boundary pseudo solutions
+    (uniformizable only with unbounded entries) barely move, so the point is
+    certified only once it refines to CONFIRM_FACTOR times the target."""
+    rx, rs = _uniformity_refine(x, As, CONFIRM_STEPS)
+    if rs > cfg.defect_target * CONFIRM_FACTOR:
+        return rs, None
+    return rs, _certify_search_point(rx, A, cfg)
 
 
 def _lm_residuals(X: np.ndarray, A: np.ndarray):
@@ -992,9 +1023,14 @@ def sigma_estimate(A_or_spec, m_max: int,
     Classification is consulted first at each padding (a theory verdict beats
     any search); the numerical search runs only on Unknown cases.  The
     reported value is an upper bound: search misses never prove anything.
+    Raw entries are padded as given: an Apportionable padding is built, by
+    the report's rule, for the blocks A's entries hold in order, and checked
+    against A + O_m (so entries not in Jordan-block arrangement are refused
+    there), and an Unknown one searches A + O_m itself.
     """
     _integer(m_max, 0, refusal=f"m_max must be a nonnegative integer, got {m_max!r}")
     spec, _ = _coerce(A_or_spec)
+    raw = None if isinstance(A_or_spec, JordanSpec) else as_matrix(A_or_spec, name="A")
     n, r = spec.order, spec.rank
     if n + m_max > MAX_SEARCH_ORDER:
         raise SearchBudgetError(
@@ -1004,16 +1040,20 @@ def sigma_estimate(A_or_spec, m_max: int,
     outcomes: dict[int, SearchOutcome] = {}
     empirical: Optional[int] = None
     for m in range(0, m_max + 1):
-        padded = JordanSpec(spec.blocks + ((0j, 1),) * m)
+        zeros = ((0j, 1),) * m
+        padded = JordanSpec(spec.blocks + zeros)
+        entries = build_jordan(padded) if raw is None else np.pad(raw, (0, m))
         report = classify(padded)
         if report.verdict is Verdict.APPORTIONABLE:
-            cert = request_certificate(padded, report=report)
+            # raw entries are built for the blocks they hold, in their order
+            held = spec if raw is None else _coerce_spec(raw)
+            cert = _by_rule(report.theorem_tag, JordanSpec(held.blocks + zeros), entries)
             rep = is_uniform(cert.B)
             outcomes[m] = SearchOutcome(True, rep.defect, cert, 0, ())
         elif report.verdict is Verdict.NOT_APPORTIONABLE:
             outcomes[m] = SearchOutcome(False, math.inf, None, 0, ())
         else:
-            outcomes[m] = find_apportioning(build_jordan(padded), cfg)
+            outcomes[m] = find_apportioning(entries, cfg)
         if empirical is None and outcomes[m].found:
             empirical = m
     return SigmaReport(outcomes=outcomes, sigma_upper_empirical=empirical,

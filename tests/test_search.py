@@ -151,6 +151,27 @@ class TestSigmaEstimate:
         report = sigma_estimate(np.diag([2.0, 0.0]).astype(complex), 1, FAST)
         assert report.sigma_upper_empirical == 0
 
+    def test_raw_entries_not_in_arrangement_refused(self):
+        # Q diag(1, -1) Q^-1 with Q = [[2, 1], [1, 1]]: every padding is Apportionable, and
+        # no rule builds for entries that do not hold their Jordan blocks
+        with pytest.raises(InvalidInputError, match="Jordan-block arrangement"):
+            sigma_estimate(np.array([[3, -4], [2, -3]], dtype=complex), 2, FAST)
+
+    @pytest.mark.parametrize("A, found", [
+        (np.diag([1.0, -1.0]), [True, True, True]),
+        # Q diag(1, 2) Q^-1: refuted, then Unknown at m = 1, where the search runs on
+        # the padded entries themselves
+        (np.array([[0.0, 2.0], [-1.0, 3.0]]), [False, True]),
+    ], ids=["arranged-pair", "conjugated-pair"])
+    def test_raw_certificates_verify_against_the_padded_entries(self, A, found):
+        report = sigma_estimate(A, len(found) - 1, FAST)
+        assert [report.outcomes[m].found for m in range(len(found))] == found
+        for m, out in report.outcomes.items():
+            if out.certificate is not None:
+                padded = np.pad(A.astype(complex), (0, m))
+                assert verify_certificate(out.certificate, padded,
+                                          tol=_search_tol(padded, FAST)).is_uniform
+
     def test_budget(self):
         with pytest.raises(SearchBudgetError):
             sigma_estimate(JordanSpec(((1 + 0j, 1),) * 10), 8, FAST)
@@ -760,6 +781,66 @@ class TestSearchInternals:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * stack
+
+
+class TestFirstConfirmation:
+    """The order >= 3 M search confirms the first restart to come within CANDIDATE_WINDOW
+    times the target at once, and ends there on a find."""
+
+    @staticmethod
+    def _counted(monkeypatch, fail_first=False):
+        """Count ``_objective_batch`` calls and confirmations; with ``fail_first`` the first
+        confirmation refines to an infinite spread."""
+        from apportion import search
+
+        objective, refine = search._objective_batch, search._uniformity_refine
+        counts = {"objective": 0, "confirmations": 0}
+
+        def counted_objective(X, A):
+            counts["objective"] += 1
+            return objective(X, A)
+
+        def counted_refine(x, A, steps):
+            counts["confirmations"] += 1
+            if fail_first and counts["confirmations"] == 1:
+                return x, math.inf
+            return refine(x, A, steps)
+
+        monkeypatch.setattr(search, "_objective_batch", counted_objective)
+        monkeypatch.setattr(search, "_uniformity_refine", counted_refine)
+        return counts
+
+    def test_nilpotent_found_at_the_first_candidate(self, monkeypatch):
+        # J3 at seed 0 took 341 objective calls when every restart ran until it stopped
+        from apportion.search import CANDIDATE_WINDOW, CONFIRM_FACTOR
+
+        counts = self._counted(monkeypatch)
+        cfg = SearchConfig(seed=0)
+        out = find_apportioning(build_jordan(JordanSpec(((0j, 3),))), cfg)
+        assert out.found and out.restarts_used == 27
+        assert counts == {"objective": 63, "confirmations": 1}
+        assert out.best_defect <= CONFIRM_FACTOR * cfg.defect_target
+        # each restart's best when the search stopped, the winner's within the window
+        assert len(out.restart_defects) == cfg.restarts
+        assert out.restart_defects[26] <= CANDIDATE_WINDOW * cfg.defect_target
+
+    def test_miss_runs_to_its_end(self, monkeypatch):
+        # J2 + J2: the early confirmation fails, then the loop and the end-of-run
+        # confirmation of the best CANDIDATES run as before, with the same objective calls
+        from apportion.search import CANDIDATES
+
+        counts = self._counted(monkeypatch)
+        out = find_apportioning(build_jordan(JordanSpec(((0j, 2), (0j, 2)))), SearchConfig(seed=0))
+        assert not out.found and out.restarts_used == 32
+        assert counts == {"objective": 643, "confirmations": 1 + CANDIDATES}
+
+    def test_failed_first_confirmation_leaves_the_outcome(self, monkeypatch):
+        # with the early attempt refused, J3 at seed 0 is found as before: restart 13, after
+        # 341 objective calls, by the end-of-run confirmation
+        counts = self._counted(monkeypatch, fail_first=True)
+        out = find_apportioning(build_jordan(JordanSpec(((0j, 3),))), SearchConfig(seed=0))
+        assert out.found and out.restarts_used == 13
+        assert counts == {"objective": 341, "confirmations": 2}
 
 
 class TestSearchScale:
